@@ -37,7 +37,7 @@ worst = max(abs(variational_integral(float(x)) - TWO_PI * j1(float(x)).value)
             for x in np.linspace(0.0, 20.0, 100))
 print(f"max |integral - 2*pi*J1| on [0, 20]: {worst:.2e}\n")
 
-# --- zeros from the asymptotic cosine, refined by bisection -------------------
+# --- zeros from the asymptotic cosine, refined by Brent's method --------------
 
 zeros = j1_zeros(6)
 print("first zeros of J1:", ", ".join(f"{z:.6f}" for z in zeros))

@@ -8,8 +8,8 @@ whose zeros govern the first-order behavior of T in the coupling.
 
 __version__ = "0.1.0"
 
-from .analysis import (CriticalPeriod, DerivativeEstimate, LowEnergyReport,
-                       TwoPiBracket, find_critical_periods, find_two_pi_levels,
+from .analysis import (CriticalPeriod, LowEnergyReport, TwoPiBracket,
+                       find_critical_periods, find_two_pi_levels,
                        lam_derivative_at_zero, opial_indicator,
                        opial_sign_changes, scan_period, small_h_check,
                        two_pi_brackets)
@@ -18,14 +18,15 @@ from .bessel import (BesselEval, j1, j1_asymptotic, j1_integral, j1_series,
 from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                      EventMissed, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, RangeExceeded, SignViolation,
-                     StepUnderflow, ToleranceUnmet)
+                     ToleranceUnmet)
 from .model import (CenterValidity, OrbitCoordinate, PotentialSystem,
                     TurningPair, energy_to_amplitude, turning_points,
                     validate_center)
 from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace, section_times
-from .quadrature import (DEFAULT_CONFIG, PeriodSample, QuadratureConfig,
-                         half_period_integrals, period_at_amplitude,
-                         period_at_energy, period_derivative)
+from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
+                         QuadratureConfig, half_period_integrals,
+                         period_at_amplitude, period_at_energy,
+                         period_derivative, period_slope)
 from .report import CheckResult, VerifyReport, export_samples, run_verify
 
 __all__ = [
@@ -34,13 +35,13 @@ __all__ = [
     "DerivativeEstimate", "EventMissed", "LowEnergyReport", "NoConvergence",
     "NonMonotoneEnergy", "OrbitCoordinate", "OrbitTrace", "PeriodSample",
     "PeriodkitError", "PotentialSystem", "QuadratureConfig", "RangeExceeded",
-    "SignViolation", "StepUnderflow", "ToleranceUnmet", "TurningPair",
-    "TwoPiBracket", "VerifyReport", "energy_drift", "energy_to_amplitude",
+    "SignViolation", "ToleranceUnmet", "TurningPair", "TwoPiBracket",
+    "VerifyReport", "energy_drift", "energy_to_amplitude",
     "export_samples", "find_critical_periods", "find_two_pi_levels",
     "half_period_integrals", "j1", "j1_asymptotic", "j1_integral", "j1_series",
     "j1_zeros", "lam_derivative_at_zero", "opial_indicator",
     "opial_sign_changes", "orbit_period", "orbit_trace", "period_at_amplitude",
-    "period_at_energy", "period_derivative", "run_verify", "scan_period",
-    "section_times", "small_h_check", "turning_points", "two_pi_brackets",
+    "period_at_energy", "period_derivative", "period_slope", "run_verify",
+    "scan_period", "section_times", "small_h_check", "turning_points", "two_pi_brackets",
     "validate_center", "variational_integral",
 ]

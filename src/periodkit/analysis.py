@@ -23,17 +23,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import AmbiguousBracket, DegenerateIsochronous, NoConvergence, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
-from .quadrature import (DEFAULT_CONFIG, PeriodSample, QuadratureConfig,
-                         period_at_amplitude, period_derivative_with_error)
+from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
+                         QuadratureConfig, coupling_slope, period_at_amplitude,
+                         period_slope)
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 SCAN_STEP = math.pi / 8.0          # 2*pi-levels sit ~pi apart at large xi
-CRITICAL_REFINE_REL = 1e-8         # bisection target: width <= 1e-8 * xi
-LEVEL_TOL = 1e-9                   # |T - 2*pi| target for a located level
+CRITICAL_REFINE_REL = 1e-8         # refine_err <= 1e-8 * xi_star
+LEVEL_REFINE_REL = 1e-12           # a 2*pi-level's amplitude, relative
 SIGN_VIOLATION_FACTOR = 10.0
 
 
@@ -79,12 +82,6 @@ class LowEnergyReport:
     orders: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    value: float
-    err_est: float
-
-
 def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[PeriodSample]:
     """n period samples at uniformly spaced amplitudes, ordered by xi.
@@ -106,20 +103,16 @@ def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
     return samples
 
 
-def _dT_dxi_sign_data(sys, xi, cfg):
-    """(T'(h) value, error) at h = G(xi); the sign equals that of dT/dxi."""
-    return period_derivative_with_error(sys, float(sys.G(xi)), cfg)
-
-
 def find_critical_periods(sys: PotentialSystem, xi_max: float,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[CriticalPeriod]:
     """Locate and classify the extrema of T on (0, xi_max].
 
-    T' is sampled on a grid of step pi/8; each sign change is bisected on
-    the sign of T' down to a bracket of width 1e-8 * xi.  Sign changes where
-    both endpoint values of T' drown in their own error estimates are
-    reported via the AmbiguousBracket warning and skipped.  lam = 0 is the
-    isochronous center: the empty list is returned without any zero-hunting.
+    dT/dxi is sampled on a grid of step pi/8; each sign change is refined
+    by Brent's method on dT/dxi to within refine_err <= 1e-8 * xi_star.
+    Sign changes where both endpoint slopes drown in their own error
+    estimates are reported via the AmbiguousBracket warning and skipped.
+    lam = 0 is the isochronous center: the empty list is returned without
+    any zero-hunting.
     """
     if sys.lam == 0.0:
         return []
@@ -128,35 +121,32 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     require_valid(sys, xi_max + 1.0)
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
-    deriv = [_dT_dxi_sign_data(sys, x, cfg) for x in grid]
+    slopes = [period_slope(sys, float(x), cfg) for x in grid]
+
+    def slope(x):
+        return period_slope(sys, x, cfg).value
 
     found = []
     for i in range(len(grid) - 1):
-        d0, e0 = deriv[i]
-        d1, e1 = deriv[i + 1]
-        if d0 == 0.0 or d1 == 0.0 or d0 * d1 > 0.0:
+        s0, s1 = slopes[i], slopes[i + 1]
+        if s0.value == 0.0 or s1.value == 0.0 or s0.value * s1.value > 0.0:
             continue
-        if abs(d0) < e0 and abs(d1) < e1:
+        if abs(s0.value) < s0.err_est and abs(s1.value) < s1.err_est:
             warnings.warn(
                 f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
                 f"its error estimate at both ends; not refined",
                 AmbiguousBracket)
             continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        sign_lo = d0 > 0.0
-        while hi - lo > CRITICAL_REFINE_REL * hi:
-            mid = 0.5 * (lo + hi)
-            dm, _ = _dT_dxi_sign_data(sys, mid, cfg)
-            if (dm > 0.0) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        xi_star = 0.5 * (lo + hi)
+        # brentq stops once the sign change lies within xtol + 4*eps*|x|
+        # of the point it returns
+        xtol = 0.5 * CRITICAL_REFINE_REL * float(grid[i])
+        xi_star = brentq(slope, float(grid[i]), float(grid[i + 1]), xtol=xtol)
         sample = period_at_amplitude(sys, xi_star, cfg)
         found.append(CriticalPeriod(
             xi_star=xi_star, h_star=sample.h, T_star=sample.T,
-            kind="max" if d0 > 0.0 else "min", refine_err=hi - lo))
-    return sorted(found, key=lambda c: c.xi_star)
+            kind="max" if s0.value > 0.0 else "min",
+            refine_err=xtol + 4.0 * EPS * xi_star))
+    return found
 
 
 def _sign_with_tol(value: float, err: float) -> int:
@@ -215,42 +205,32 @@ def find_two_pi_levels(sys: PotentialSystem, k_max: int,
     """Energies h with T(h) = 2*pi, at least one per bracket.
 
     Each bracket is scanned at amplitude step pi/8; every sign change of
-    T - 2*pi is bisected until |T - 2*pi| <= 1e-9, so extra crossings inside
-    a bracket are picked up too.  Levels are returned strictly increasing.
+    T - 2*pi is refined by Brent's method to 1e-12 relative in the
+    amplitude, so extra crossings inside a bracket are picked up too.
+    Levels are returned strictly increasing.
     """
     if sys.lam == 0.0:
         raise DegenerateIsochronous(
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
     brackets = two_pi_brackets(sys, k_max, cfg)
+
+    def deviation(x):
+        return period_at_amplitude(sys, x, cfg).T - TWO_PI
+
     levels = []
     for br in brackets:
         xi_lo, xi_hi = bracket_amplitudes(br.k)
         grid = np.linspace(xi_lo, xi_hi, 9)
         devs = [br.T_lo - TWO_PI]
-        devs += [period_at_amplitude(sys, float(x), cfg).T - TWO_PI for x in grid[1:-1]]
+        devs += [deviation(float(x)) for x in grid[1:-1]]
         devs.append(br.T_hi - TWO_PI)
         for i in range(len(grid) - 1):
             if devs[i] == 0.0:
                 levels.append(float(sys.G(grid[i])))
-                continue
-            if devs[i] * devs[i + 1] > 0.0:
-                continue
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            lo_pos = devs[i] > 0.0
-            level = None
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                dev = period_at_amplitude(sys, mid, cfg).T - TWO_PI
-                if abs(dev) <= LEVEL_TOL:
-                    level = mid
-                    break
-                if (dev > 0.0) == lo_pos:
-                    lo = mid
-                else:
-                    hi = mid
-            if level is None:
-                level = 0.5 * (lo + hi)
-            levels.append(float(sys.G(level)))
+            elif devs[i] * devs[i + 1] <= 0.0:
+                level = brentq(deviation, float(grid[i]), float(grid[i + 1]),
+                               xtol=LEVEL_REFINE_REL * float(grid[i]))
+                levels.append(float(sys.G(level)))
     levels.sort()
     return levels
 
@@ -323,43 +303,19 @@ def opial_sign_changes(sys: PotentialSystem, x_max: float) -> list[float]:
     zeros = []
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
+        if vals[i] == 0.0:
             zeros.append(a)
-            continue
-        if fa * fb >= 0.0:
-            continue
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            fm = float(_indicator_numerator(np.asarray(m)))
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fm > 0.0) == (fa > 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-            if b - a <= 1e-13 * max(1.0, b):
-                break
-        zeros.append(0.5 * (a + b))
+        elif vals[i] * vals[i + 1] < 0.0:
+            zeros.append(brentq(_indicator_numerator, a, b, xtol=1e-13 * max(1.0, b)))
     return zeros
 
 
-def lam_derivative_at_zero(xi: float, eps: float = 1e-5,
+def lam_derivative_at_zero(xi: float,
                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> DerivativeEstimate:
-    """dT/dlam at lam = 0 and fixed amplitude, by central differences.
+    """dT/dlam at lam = 0 and fixed amplitude, as one integral.
 
-    The zeros of this function of xi coincide with the positive zeros of J1
-    (first-order perturbation of the linear center); the xi -> 0 limit is
-    -pi.  eps is capped at 1e-4 so both perturbed systems stay deep inside
-    the validated parameter window.
+    At the linear center it equals -2*pi*J1(xi)/xi (first-order perturbation
+    of the linear center), so its zeros in xi are the positive zeros of J1
+    and its xi -> 0 limit is -pi.
     """
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
-    if not (1e-8 <= eps <= 1e-4):
-        raise ValueError(f"eps must lie in [1e-8, 1e-4], got {eps:g}")
-    plus = period_at_amplitude(PotentialSystem(eps), xi, cfg)
-    minus = period_at_amplitude(PotentialSystem(-eps), xi, cfg)
-    value = (plus.T - minus.T) / (2.0 * eps)
-    err = eps * eps * max(1.0, abs(value)) + (plus.err_est + minus.err_est) / (2.0 * eps)
-    return DerivativeEstimate(value=value, err_est=err)
+    return coupling_slope(PotentialSystem(0.0), xi, cfg)

@@ -15,7 +15,7 @@ an error bound C * xi^(-3/2) with C calibrated once against the dispatcher
 on [10, 100].
 
 Zeros are bracketed from the asymptotic cosine (guesses (k + 1/4)*pi) and
-refined by bisection; no tabulated constants enter.
+refined by Brent's method; no tabulated constants enter.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import BracketFailure, NoConvergence, RangeExceeded
 
@@ -167,7 +168,7 @@ def j1_asymptotic_raw(xi: float) -> float:
 
 def j1_zeros(n: int) -> list[float]:
     """First n positive zeros, bracketed from the asymptotic cosine zeros
-    (k + 1/4)*pi +- pi/2 and refined by bisection on the dispatcher."""
+    (k + 1/4)*pi +- pi/2 and refined by Brent's method on the dispatcher."""
     if n < 1:
         raise ValueError("need n >= 1")
     zeros = []
@@ -175,24 +176,12 @@ def j1_zeros(n: int) -> list[float]:
         guess = (k + 0.25) * math.pi
         lo, hi = guess - 0.5 * math.pi, guess + 0.5 * math.pi
         lo = max(lo, 1e-3)
-        flo, fhi = j1(lo).value, j1(hi).value
-        if flo * fhi > 0.0:
+        if j1(lo).value * j1(hi).value > 0.0:
             lo = max(lo - 0.5 * math.pi, 1e-3)
             hi = hi + 0.5 * math.pi
-            flo, fhi = j1(lo).value, j1(hi).value
-            if flo * fhi > 0.0:
+            if j1(lo).value * j1(hi).value > 0.0:
                 raise BracketFailure(f"no sign change around zero #{k} near {guess:.4f}")
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fm = j1(mid).value
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
+        zeros.append(brentq(lambda x: j1(x).value, lo, hi, xtol=1e-12))
     return zeros
 
 

@@ -16,7 +16,8 @@ class NonMonotoneEnergy(PeriodkitError):
 
 
 class NoConvergence(PeriodkitError):
-    """Quadrature failed to meet its tolerance within the recursion cap.
+    """Quadrature failed to meet its tolerance within the recursion cap or
+    the panel budget.
 
     Carries the best available estimate so callers that scan many points can
     record the value and flag it instead of aborting.
@@ -27,10 +28,6 @@ class NoConvergence(PeriodkitError):
         self.best = best
         self.err_est = err_est
         self.sample = sample
-
-
-class StepUnderflow(PeriodkitError):
-    """Finite-difference step would underflow (energy too close to zero)."""
 
 
 class RangeExceeded(PeriodkitError):

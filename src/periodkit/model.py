@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NonMonotoneEnergy
 
 ELEMENTARY = "elementary"
 NILPOTENT = "nilpotent"
-
-# Inversion accuracy: |G(xi) - h| <= ENERGY_MATCH_TOL * max(1, h).
-ENERGY_MATCH_TOL = 1e-13
 
 # Validity scan density; the oscillation scale of g is O(2*pi), so 1e4
 # points on a window of a few hundred oversample it by two orders.
@@ -120,12 +118,13 @@ def amplitude_to_energy(sys: PotentialSystem, xi: float) -> OrbitCoordinate:
 
 
 def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = True) -> float:
-    """Invert h = G(xi) for xi > 0 by bracketed bisection.
+    """Invert h = G(xi) for xi > 0 by Brent's method on a bracket.
 
     G(x) <= x^2*(1 + max(lam, 0))/2, so xi0 = sqrt(2h/(1+max(lam,0))) always
-    starts at or below the root; the upper end is found by doubling.  G is
-    strictly increasing wherever the center is valid, so bisection cannot be
-    fooled.  Raises NonMonotoneEnergy if a probe point reveals g(x) <= 0
+    starts at or below the root (G(xi0) can exceed h only by rounding, and
+    then xi0 is the root); the upper end is found by doubling.  G is
+    strictly increasing wherever the center is valid, so the bracket holds
+    one root.  Raises NonMonotoneEnergy if a probe point reveals g(x) <= 0
     inside the bracket.
     """
     if not (h > 0.0) or not math.isfinite(h):
@@ -138,7 +137,7 @@ def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = T
         return float(sys.G(x)) - h
 
     lo = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
-    if probe(lo) == 0.0:
+    if probe(lo) >= 0.0:
         return lo
     hi = 2.0 * lo
     while probe(hi) < 0.0:
@@ -146,22 +145,8 @@ def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = T
         hi *= 2.0
         if hi > 1e160:
             raise NonMonotoneEnergy("energy bracket expansion ran away", x=hi)
-
-    tol_g = 0.5 * ENERGY_MATCH_TOL * max(1.0, h)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = probe(mid)
-        if abs(fm) <= tol_g:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    # brentq's default rtol (4 ulp) sets the accuracy; xtol need only be > 0
+    return brentq(probe, lo, hi, xtol=1e-300)
 
 
 def turning_points(sys: PotentialSystem, h: float) -> TurningPair:
@@ -174,7 +159,7 @@ def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
     """Scan (0, x_probe] for a zero of g away from the origin.
 
     A dense grid is scanned for sign changes of g; the first one found is
-    refined by bisection and reported as first_sign_failure.  When no zero
+    refined by Brent's method and reported as first_sign_failure.  When no zero
     exists the orbit family through every amplitude in the window is valid
     and is_global is True.  Also reports the empirical bounds of g(x)/x on
     the outer half-window (the semilinearity certificate that keeps T
@@ -193,17 +178,10 @@ def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
         if gx[i] == 0.0:
             failure = float(x[i])
         else:
-            # refine the sign change on the preceding grid cell
-            a, b = (0.0, x[i]) if i == 0 else (float(x[i - 1]), float(x[i]))
-            for _ in range(100):
-                m = 0.5 * (a + b)
-                if sys.g(m) > 0.0:
-                    a = m
-                else:
-                    b = m
-                if b - a <= 1e-12 * max(1.0, b):
-                    break
-            failure = 0.5 * (a + b)
+            # g > 0 on (0, pi] for every lam >= -1, so the sign change on
+            # the preceding grid cell (or after pi) is bracketed
+            a = float(x[i - 1]) if i else math.pi
+            failure = brentq(sys.g, a, float(x[i]), xtol=1e-12 * max(1.0, float(x[i])))
 
     outer = x[x >= 0.5 * x_probe]
     ratio = sys.g(outer) / outer

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import periodkit.analysis as analysis
-from periodkit.bessel import j1, j1_series, j1_zeros
+from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
 from periodkit.errors import (AmbiguousBracket, DegenerateIsochronous,
                               NonMonotoneEnergy, SignViolation)
 from periodkit.model import PotentialSystem, energy_to_amplitude
-from periodkit.quadrature import (PeriodSample, QuadratureConfig,
-                                  period_at_amplitude, period_derivative)
+from periodkit.quadrature import (DerivativeEstimate, PeriodSample,
+                                  QuadratureConfig, period_at_amplitude,
+                                  period_derivative)
 from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
@@ -131,13 +132,20 @@ def test_small_coupling_extrema_track_bessel_stationary_points():
         assert min(abs(c.xi_star - t) for t in targets) <= 0.1
 
 
+def test_critical_period_near_side_equilibria():
+    # 30-digit mpmath reference for the first extremum at lam = 4.4; a
+    # finite-difference T' moved it by 3.3e-5
+    c = find_critical_periods(PotentialSystem(4.4), 2 * PI)[0]
+    assert abs(c.xi_star - 4.6483170849968868) <= c.refine_err
+
+
 def test_ambiguous_bracket_warning(monkeypatch):
     # a derivative sign change drowned in its own error estimate at both
     # grid ends is reported and skipped, not refined into a fake extremum
-    def noisy(sys, h, cfg=None):
-        return (1e-12 if h < 10.0 else -1e-12), 1e-9
+    def noisy(sys, xi, cfg=None):
+        return DerivativeEstimate(1e-12 if xi < 4.0 else -1e-12, 1e-9)
 
-    monkeypatch.setattr(analysis, "period_derivative_with_error", noisy)
+    monkeypatch.setattr(analysis, "period_slope", noisy)
     with pytest.warns(AmbiguousBracket):
         crit = find_critical_periods(PotentialSystem(1.0), 4 * PI)
     assert crit == []
@@ -308,7 +316,11 @@ def test_lam_derivative_proportional_to_bessel():
 def test_lam_derivative_input_guards():
     with pytest.raises(ValueError):
         lam_derivative_at_zero(0.0)
-    with pytest.raises(ValueError):
-        lam_derivative_at_zero(1.0, eps=1e-3)
-    with pytest.raises(ValueError):
-        lam_derivative_at_zero(1.0, eps=1e-9)
+
+
+def test_lam_derivative_is_the_variational_integral():
+    # dT/dlam at lam = 0 is -2*pi*J1(xi)/xi; a central difference in lam
+    # was 2.1e-10 off here
+    for x in np.concatenate([np.logspace(-3, 0, 10), np.linspace(1.5, 40.0, 40)]):
+        x = float(x)
+        assert abs(lam_derivative_at_zero(x).value + variational_integral(x) / x) <= 1e-12

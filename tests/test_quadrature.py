@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from periodkit.errors import NoConvergence, StepUnderflow
+import periodkit
+from periodkit.errors import NoConvergence
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import (SMALL_ENERGY_GUARD, QuadratureConfig,
-                                  half_period_integrals,
+from periodkit.quadrature import (ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
+                                  QuadratureConfig, half_period_integrals,
                                   period_at_amplitude, period_at_energy,
-                                  period_derivative,
-                                  period_derivative_with_error)
+                                  period_derivative, period_slope)
 from periodkit.oracle import orbit_period
 
 PI = math.pi
@@ -68,7 +73,13 @@ def test_small_energy_guard_branch():
     t0, dt0 = s2.center_asymptotics()
     sample = period_at_energy(s2, 1e-12)
     assert sample.T == t0 + dt0 * 1e-12
-    assert sample.err_est == abs(dt0) * 1e-24
+    assert sample.err_est == max(abs(dt0) * 1e-24, ROUNDING_FLOOR * sample.T)
+    assert sample.method == "expansion"
+    # at the linear center the O(h^2) term vanishes but T still rounds
+    s0 = PotentialSystem(0.0)
+    sample = period_at_energy(s0, 1e-12)
+    assert sample.method == "expansion"
+    assert sample.err_est > 0.0
 
 
 def test_period_against_ode_oracle_spot():
@@ -95,9 +106,10 @@ def test_derivative_changes_sign_across_first_extremum():
     assert below > 0.0 > above
 
 
-def test_derivative_step_underflow():
-    with pytest.raises(StepUnderflow):
-        period_derivative(PotentialSystem(1.0), 1e-13)
+def test_derivative_at_tiny_energy_matches_center_slope():
+    s1 = PotentialSystem(1.0)
+    dt0 = s1.center_asymptotics()[1]
+    assert period_derivative(s1, 1e-13) == pytest.approx(dt0, rel=1e-12)
 
 
 def test_refinement_stability():
@@ -132,9 +144,10 @@ def test_no_convergence_reports_best_estimate():
 
 def test_derivative_error_estimate_is_honest():
     s1 = PotentialSystem(1.0)
-    value, err = period_derivative_with_error(s1, 10.0)
-    tight = period_derivative_with_error(s1, 10.0, QuadratureConfig(rel_tol=1e-13))[0]
-    assert abs(value - tight) <= 10 * err
+    xi = 4.0
+    est = period_slope(s1, xi)
+    tight = period_slope(s1, xi, QuadratureConfig(rel_tol=1e-13)).value
+    assert abs(est.value - tight) <= 10 * est.err_est
 
 
 # 2*pi - TWO_PI: math.pi falls short of pi by sin(math.pi) to within 1e-32
@@ -162,3 +175,47 @@ def test_quadrature_error_estimate_never_zero(lam):
     s = PotentialSystem(lam)
     for xi in np.logspace(-3, 3, 60):
         assert period_at_amplitude(s, float(xi)).err_est > 0.0
+
+
+def test_derivative_near_side_equilibria_matches_reference():
+    # 30-digit mpmath reference; a finite-difference step spanning the
+    # sharp feature of T near lam = 4.6 gave 161.99 here
+    h = 15.573581097438508
+    assert period_derivative(PotentialSystem(4.5), h) == pytest.approx(
+        166.13568813044444, rel=1e-9)
+
+
+def test_panel_budget_bounds_memory():
+    # at the nilpotent center the integrand is rounding noise at small
+    # amplitude and never settles; the panel budget must end the quadrature
+    # in NoConvergence well inside a 1 GiB address space
+    code = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from periodkit import NoConvergence, PotentialSystem, period_at_amplitude\n"
+        "try:\n"
+        "    period_at_amplitude(PotentialSystem(-1.0), 1e-3)\n"
+        "except NoConvergence as e:\n"
+        "    assert e.sample is not None and not e.sample.converged\n"
+        "    print('noconvergence')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "noconvergence"
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(-0.9, 4.4), xi=st.floats(0.05, 40.0))
+def test_slope_matches_difference_of_periods(lam, xi):
+    s = PotentialSystem(lam)
+    d = 1e-4 * xi
+    T = [period_at_amplitude(s, xi + k * d).T for k in (-2, -1, 1, 2)]
+    # five-point stencil: O(d^4) truncation stays small even on the sharp
+    # feature of T near lam = 4.4, xi = 4.6; rounding / d stays near 1e-10
+    diff = (T[0] - 8.0 * T[1] + 8.0 * T[2] - T[3]) / (12.0 * d)
+    slope = period_slope(s, xi).value
+    assert slope == pytest.approx(diff, abs=1e-7 * (1.0 + abs(slope)))
