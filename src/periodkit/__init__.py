@@ -24,9 +24,8 @@ from .model import (CenterValidity, OrbitCoordinate, PotentialSystem,
                     validate_center)
 from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace, section_times
 from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
-                         QuadratureConfig, half_period_integrals,
-                         period_at_amplitude, period_at_energy,
-                         period_derivative, period_slope)
+                         QuadratureConfig, period_at_amplitude,
+                         period_at_energy, period_derivative, period_slope)
 from .report import CheckResult, VerifyReport, export_samples, run_verify
 
 __all__ = [
@@ -38,7 +37,7 @@ __all__ = [
     "SignViolation", "ToleranceUnmet", "TurningPair", "TwoPiBracket",
     "VerifyReport", "energy_drift", "energy_to_amplitude",
     "export_samples", "find_critical_periods", "find_two_pi_levels",
-    "half_period_integrals", "j1", "j1_asymptotic", "j1_integral", "j1_series",
+    "j1", "j1_asymptotic", "j1_integral", "j1_series",
     "j1_zeros", "lam_derivative_at_zero", "opial_indicator",
     "opial_sign_changes", "orbit_period", "orbit_trace", "period_at_amplitude",
     "period_at_energy", "period_derivative", "period_slope", "run_verify",

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AmbiguousBracket, DegenerateIsochronous, NoConvergence, SignViolation
+from .errors import AmbiguousBracket, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
 from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
                          QuadratureConfig, coupling_slope, period_at_amplitude,
-                         period_slope)
+                         period_samples, period_slope, period_slopes,
+                         require_converged)
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -84,7 +85,8 @@ class LowEnergyReport:
 
 def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[PeriodSample]:
-    """n period samples at uniformly spaced amplitudes, ordered by xi.
+    """n period samples at uniformly spaced amplitudes, ordered by xi, from
+    one pass of the batched quadrature.
 
     Points where the quadrature fails to converge are kept and flagged
     (converged=False) rather than dropped.
@@ -94,21 +96,16 @@ def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
     if n < 2:
         raise ValueError("need n >= 2")
     require_valid(sys, xi_max)
-    samples = []
-    for xi in np.linspace(xi_min, xi_max, n):
-        try:
-            samples.append(period_at_amplitude(sys, float(xi), cfg))
-        except NoConvergence as e:
-            samples.append(e.sample)
-    return samples
+    return period_samples(sys, np.linspace(xi_min, xi_max, n), cfg)
 
 
 def find_critical_periods(sys: PotentialSystem, xi_max: float,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[CriticalPeriod]:
     """Locate and classify the extrema of T on (0, xi_max].
 
-    dT/dxi is sampled on a grid of step pi/8; each sign change is refined
-    by Brent's method on dT/dxi to within refine_err <= 1e-8 * xi_star.
+    dT/dxi is sampled on a grid of step pi/8 in one batched quadrature;
+    each sign change is refined by Brent's method on dT/dxi to within
+    refine_err <= 1e-8 * xi_star.
     Sign changes where both endpoint slopes drown in their own error
     estimates are reported via the AmbiguousBracket warning and skipped.
     lam = 0 is the isochronous center: the empty list is returned without
@@ -121,7 +118,7 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     require_valid(sys, xi_max + 1.0)
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
-    slopes = [period_slope(sys, float(x), cfg) for x in grid]
+    slopes = period_slopes(sys, grid, cfg)
 
     def slope(x):
         return period_slope(sys, x, cfg).value
@@ -140,13 +137,21 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
         # brentq stops once the sign change lies within xtol + 4*eps*|x|
         # of the point it returns
         xtol = 0.5 * CRITICAL_REFINE_REL * float(grid[i])
-        xi_star = brentq(slope, float(grid[i]), float(grid[i + 1]), xtol=xtol)
+        xi_star = _brentq_from(slope, float(grid[i]), float(grid[i + 1]),
+                               s0.value, s1.value, xtol)
         sample = period_at_amplitude(sys, xi_star, cfg)
         found.append(CriticalPeriod(
             xi_star=xi_star, h_star=sample.h, T_star=sample.T,
             kind="max" if s0.value > 0.0 else "min",
             refine_err=xtol + 4.0 * EPS * xi_star))
     return found
+
+
+def _brentq_from(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """brentq(f, a, b) seeing the batched grid's values fa, fb at the ends:
+    a scalar quadrature may round an ulp apart from the same amplitude in a
+    batch, which could undo a sign change of a value near zero."""
+    return brentq(lambda x: fa if x == a else (fb if x == b else f(x)), a, b, xtol=xtol)
 
 
 def _sign_with_tol(value: float, err: float) -> int:
@@ -164,22 +169,23 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[TwoPiBracket]:
     """The first k_max bracketing pairs with measured periods and signs.
 
-    Raises SignViolation if a measured period contradicts the inequality its
-    end is supposed to satisfy by more than 10x the quadrature error; that
-    means the computation, not the orbit, is wrong.
+    All 2*k_max ends are measured in one batched quadrature.  Raises
+    SignViolation if a measured period contradicts the inequality its end is
+    supposed to satisfy by more than 10x the quadrature error; that means
+    the computation, not the orbit, is wrong.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     require_valid(sys, (2.0 * k_max + 1.0) * math.pi + 1.0)
 
     direction = 0 if sys.lam == 0.0 else (1 if sys.lam > 0.0 else -1)
+    ends = period_samples(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]), cfg)
     out = []
     for k in range(1, k_max + 1):
-        xi_lo, xi_hi = bracket_amplitudes(k)
         h_lo = 2.0 * (k * math.pi) ** 2
         h_hi = 0.5 * ((2 * k + 1) * math.pi) ** 2 + 2.0 * sys.lam
-        s_lo = period_at_amplitude(sys, xi_lo, cfg)
-        s_hi = period_at_amplitude(sys, xi_hi, cfg)
+        s_lo = require_converged(ends[2 * k - 2], cfg)
+        s_hi = require_converged(ends[2 * k - 1], cfg)
         dev_lo = s_lo.T - TWO_PI
         dev_hi = s_hi.T - TWO_PI
         if direction != 0:
@@ -204,10 +210,10 @@ def find_two_pi_levels(sys: PotentialSystem, k_max: int,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[float]:
     """Energies h with T(h) = 2*pi, at least one per bracket.
 
-    Each bracket is scanned at amplitude step pi/8; every sign change of
-    T - 2*pi is refined by Brent's method to 1e-12 relative in the
-    amplitude, so extra crossings inside a bracket are picked up too.
-    Levels are returned strictly increasing.
+    Each bracket is scanned at amplitude step pi/8, all brackets in one
+    batched quadrature; every sign change of T - 2*pi is refined by Brent's
+    method to 1e-12 relative in the amplitude, so extra crossings inside a
+    bracket are picked up too.  Levels are returned strictly increasing.
     """
     if sys.lam == 0.0:
         raise DegenerateIsochronous(
@@ -217,19 +223,19 @@ def find_two_pi_levels(sys: PotentialSystem, k_max: int,
     def deviation(x):
         return period_at_amplitude(sys, x, cfg).T - TWO_PI
 
+    grids = np.array([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets])
+    inner = iter(period_samples(sys, grids[:, 1:-1].ravel(), cfg))
     levels = []
-    for br in brackets:
-        xi_lo, xi_hi = bracket_amplitudes(br.k)
-        grid = np.linspace(xi_lo, xi_hi, 9)
+    for br, grid in zip(brackets, grids):
         devs = [br.T_lo - TWO_PI]
-        devs += [deviation(float(x)) for x in grid[1:-1]]
+        devs += [require_converged(next(inner), cfg).T - TWO_PI for _ in grid[1:-1]]
         devs.append(br.T_hi - TWO_PI)
         for i in range(len(grid) - 1):
             if devs[i] == 0.0:
                 levels.append(float(sys.G(grid[i])))
             elif devs[i] * devs[i + 1] <= 0.0:
-                level = brentq(deviation, float(grid[i]), float(grid[i + 1]),
-                               xtol=LEVEL_REFINE_REL * float(grid[i]))
+                level = _brentq_from(deviation, float(grid[i]), float(grid[i + 1]),
+                                     devs[i], devs[i + 1], LEVEL_REFINE_REL * float(grid[i]))
                 levels.append(float(sys.G(level)))
     levels.sort()
     return levels

@@ -143,9 +143,9 @@ def test_ambiguous_bracket_warning(monkeypatch):
     # a derivative sign change drowned in its own error estimate at both
     # grid ends is reported and skipped, not refined into a fake extremum
     def noisy(sys, xi, cfg=None):
-        return DerivativeEstimate(1e-12 if xi < 4.0 else -1e-12, 1e-9)
+        return [DerivativeEstimate(1e-12 if x < 4.0 else -1e-12, 1e-9) for x in xi]
 
-    monkeypatch.setattr(analysis, "period_slope", noisy)
+    monkeypatch.setattr(analysis, "period_slopes", noisy)
     with pytest.warns(AmbiguousBracket):
         crit = find_critical_periods(PotentialSystem(1.0), 4 * PI)
     assert crit == []
@@ -189,10 +189,10 @@ def test_sign_violation_raised_on_contradiction(monkeypatch):
     # force a measured period on the wrong side of 2*pi by far more than
     # its error estimate: the bracket must refuse to continue
     def fake(sys, xi, cfg=None):
-        return PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)),
-                            T=TWO_PI - 0.1, err_est=1e-12)
+        return [PeriodSample(lam=sys.lam, xi=x, h=float(sys.G(x)),
+                             T=TWO_PI - 0.1, err_est=1e-12) for x in xi]
 
-    monkeypatch.setattr(analysis, "period_at_amplitude", fake)
+    monkeypatch.setattr(analysis, "period_samples", fake)
     with pytest.raises(SignViolation):
         two_pi_brackets(PotentialSystem(1.0), 1)
 

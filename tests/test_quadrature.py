@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import periodkit
-from periodkit.errors import NoConvergence
+import periodkit.quadrature as quadrature
+from periodkit.analysis import scan_period
+from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import (ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
-                                  QuadratureConfig, half_period_integrals,
-                                  period_at_amplitude, period_at_energy,
-                                  period_derivative, period_slope)
+from periodkit.quadrature import (RULE_CHUNK, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
+                                  QuadratureConfig, period_at_amplitude,
+                                  period_at_energy, period_derivative,
+                                  period_samples, period_slope)
 from periodkit.oracle import orbit_period
 
 PI = math.pi
@@ -123,14 +125,6 @@ def test_refinement_stability():
         assert abs(a.T - b.T) <= max(a.err_est, 1e-15)
 
 
-@pytest.mark.parametrize("lam,h", [(1.0, 10.0), (-0.5, 3.0), (2.0, 50.0)])
-def test_half_period_symmetry(lam, h):
-    left, right = half_period_integrals(PotentialSystem(lam), h)
-    assert left == pytest.approx(right, rel=1e-11)
-    total = period_at_energy(PotentialSystem(lam), h)
-    assert left + right == pytest.approx(total.T, rel=1e-10)
-
-
 def test_no_convergence_reports_best_estimate():
     # starving the rule (4 nodes, 4 levels) on a long oscillatory orbit
     cfg = QuadratureConfig(rel_tol=2e-15, max_depth=4, base_nodes=4)
@@ -219,3 +213,108 @@ def test_slope_matches_difference_of_periods(lam, xi):
     diff = (T[0] - 8.0 * T[1] + 8.0 * T[2] - T[3]) / (12.0 * d)
     slope = period_slope(s, xi).value
     assert slope == pytest.approx(diff, abs=1e-7 * (1.0 + abs(slope)))
+
+
+# 30-digit mpmath values of T at xi = 1e-3 near the nilpotent center, where
+# the center expansion is off by up to 1e9 although h < 1e-10
+@pytest.mark.parametrize("lam,ref", [
+    (-1 + 1e-9, 18087.293349515795544066619293),
+    (-1 + 1e-6, 5925.36902393438257741596739734),
+    (-1 + 1e-4, 627.926259006561954185441439729),
+])
+def test_small_energy_near_nilpotent_center_matches_reference(lam, ref):
+    try:
+        sample = period_at_amplitude(PotentialSystem(lam), 1e-3)
+    except NoConvergence as e:
+        assert e.best > 0.0
+        assert abs(e.best - ref) <= e.err_est
+    else:
+        assert sample.T > 0.0
+        assert abs(sample.T - ref) <= sample.err_est
+
+
+def _agree(a, b):
+    # each side rounds on its own, so near the rounding floor only the sum
+    # of the two estimates bounds their gap
+    assert a.xi == b.xi and a.converged == b.converged and a.method == b.method
+    assert abs(a.T - b.T) <= a.err_est + b.err_est
+
+
+def _single(sys_, xi):
+    try:
+        return period_at_amplitude(sys_, xi)
+    except NoConvergence as e:
+        return e.sample
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 1e-6, 2.25, 4.5])
+def test_scan_agrees_with_single_calls(lam):
+    s = PotentialSystem(lam)
+    samples = scan_period(s, 1e-3, 60.0, 41)
+    for sample in samples:
+        _agree(sample, _single(s, sample.xi))
+    if lam == -1.0:
+        assert not samples[0].converged
+
+
+def test_runaway_amplitude_leaves_batch_mates_alone():
+    # at the nilpotent center xi = 1e-3 runs into the panel budget; its
+    # batch-mates must come out as they do on their own
+    s = PotentialSystem(-1.0)
+    samples = period_samples(s, [1e-3, 1.0, 4.5])
+    assert not samples[0].converged
+    for sample in samples:
+        _agree(sample, _single(s, sample.xi))
+    assert samples[1].converged and samples[2].converged
+
+
+def test_set_aside_integrals_come_out_the_same(monkeypatch):
+    # past MAX_PENDING pending panels the engine refines the later integrals
+    # afterwards; that must not change any of them
+    s = PotentialSystem(-1.0)
+    xs = np.concatenate([[1e-3, 2e-3, 0.5, 1.0, 4.5], np.linspace(50.0, 900.0, 400)])
+    whole = period_samples(s, xs)
+    monkeypatch.setattr(quadrature, "MAX_PENDING", 256)
+    for a, b in zip(whole, period_samples(s, xs)):
+        _agree(a, b)
+    assert not whole[0].converged
+
+
+class _CountingIntegrand:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.max_nodes = 0
+        self._f = quadrature._period_integrand
+        monkeypatch.setattr(quadrature, "_period_integrand", self)
+
+    def __call__(self, sys_, xi, phi):
+        self.calls += 1
+        self.max_nodes = max(self.max_nodes, phi.size)
+        return self._f(sys_, xi, phi)
+
+
+def test_scan_integrand_evaluation_ceiling(monkeypatch):
+    # one evaluation per bisection level for all 1000 amplitudes: 159 when
+    # measured, against 6625 for a loop of single calls
+    counter = _CountingIntegrand(monkeypatch)
+    scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
+    assert counter.calls <= 200
+
+
+def test_rule_chunk_bounds_integrand_nodes(monkeypatch):
+    counter = _CountingIntegrand(monkeypatch)
+    samples = period_samples(PotentialSystem(1.0), np.linspace(0.1, 50.0, 3 * RULE_CHUNK + 7))
+    assert len(samples) == 3 * RULE_CHUNK + 7
+    scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
+    assert counter.max_nodes == RULE_CHUNK * QuadratureConfig().base_nodes
+
+
+@pytest.mark.parametrize("xi", [3.9, [1.0, 2.0, 3.9]])
+def test_non_monotone_energy_names_the_amplitude(xi):
+    # lam = 6 has a side equilibrium near x = 3.8, inside the orbit through 3.9
+    s = PotentialSystem(6.0)
+    with pytest.raises(NonMonotoneEnergy, match=r"\(0, 3\.9\)"):
+        if isinstance(xi, list):
+            period_samples(s, xi)
+        else:
+            period_at_amplitude(s, xi)
