@@ -9,7 +9,7 @@ period does right at the center.
 
 import numpy as np
 
-from periodkit import PotentialSystem, energy_to_amplitude, turning_points, validate_center
+from periodkit import PotentialSystem, energy_to_amplitude, validate_center
 
 # --- the force and the potential ------------------------------------------
 
@@ -33,14 +33,14 @@ for lam in (-1.0, 0.0, 2.0, 4.5, 5.0, 6.0):
 
 # --- energy <-> amplitude --------------------------------------------------
 # Orbits are labelled either by energy h or by the amplitude xi where they
-# cross the positive x-axis; h = G(xi) ties them together.
+# cross the positive x-axis; h = G(xi) ties them together.  G is even, so the
+# orbit turns around at -xi and xi.
 
 print()
 sys = PotentialSystem(1.0)
 for h in (0.1, 2 * np.pi**2, 1e4):
     xi = energy_to_amplitude(sys, h)
-    tp = turning_points(sys, h)
-    print(f"h = {h:12.5g}  ->  xi = {xi:10.6f},  turning points ({tp.x_left:.6f}, {tp.x_right:.6f})")
+    print(f"h = {h:12.5g}  ->  xi = {xi:10.6f},  turning points ({-xi:.6f}, {xi:.6f})")
 
 # --- the period at the center ----------------------------------------------
 # T extends analytically to the center for lam > -1:

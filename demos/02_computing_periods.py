@@ -8,16 +8,16 @@ which the quadrature module regularizes with x = xi*sin(phi) and evaluates
 adaptively.  The oracle module instead integrates the flow in time and reads
 the period off a Poincare section.  The two routes share no code, so their
 agreement is a real check; this script measures it, then scans T along the
-annulus and writes a plot-ready CSV.
+annulus and prints the start of a plot-ready CSV.
 """
 
 import math
-import tempfile
 
 import numpy as np
 
-from periodkit import (PotentialSystem, export_samples, orbit_period,
-                       period_at_amplitude, period_at_energy, scan_period)
+from periodkit import (PotentialSystem, orbit_period, period_at_energy,
+                       scan_period)
+from periodkit.report import samples_to_csv
 
 TWO_PI = 2 * math.pi
 
@@ -54,9 +54,7 @@ for h in (1e-4, 1e-6, 1e-8):
     print(f"  T({h:g}) = {period_at_energy(sn, h).T:10.3f}")
 
 # --- export ------------------------------------------------------------------
+# The same CSV that `periodkit scan ... --format csv --out scan.csv` writes.
 
-with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
-    path = fh.name
-export_samples(samples, path, "csv")
-print(f"\nscan written to {path} with schema lambda,xi,h,T,T_err,method")
-print(repr(open(path).readline()))
+print("\nscan as CSV (first rows):")
+print("".join(samples_to_csv(samples).splitlines(keepends=True)[:3]), end="")

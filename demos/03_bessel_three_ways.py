@@ -11,11 +11,9 @@ needed anywhere.
 
 import math
 
-import numpy as np
-
 from periodkit import (j1, j1_asymptotic, j1_integral, j1_series, j1_zeros,
-                       lam_derivative_at_zero, variational_integral)
-from periodkit.bessel import ode_residual
+                       lam_derivative_at_zero)
+from periodkit.bessel import IDENTITY_TOL, identity_gap
 
 TWO_PI = 2 * math.pi
 
@@ -33,9 +31,8 @@ print()
 
 # --- the identity tying the variational integral to J1 ------------------------
 
-worst = max(abs(variational_integral(float(x)) - TWO_PI * j1(float(x)).value)
-            for x in np.linspace(0.0, 20.0, 100))
-print(f"max |integral - 2*pi*J1| on [0, 20]: {worst:.2e}\n")
+worst = identity_gap(20.0, 100)
+print(f"max |integral - 2*pi*J1| on [0, 20]: {worst:.2e} (bound {IDENTITY_TOL:.0e})\n")
 
 # --- zeros from the asymptotic cosine, refined by Brent's method --------------
 
@@ -43,12 +40,6 @@ zeros = j1_zeros(6)
 print("first zeros of J1:", ", ".join(f"{z:.6f}" for z in zeros))
 print("gaps:", ", ".join(f"{b - a:.4f}" for a, b in zip(zeros, zeros[1:])),
       " -> pi =", f"{math.pi:.4f}\n")
-
-# --- J1 satisfies its differential equation -----------------------------------
-
-for xi in (1.0, zeros[0], 20.0):
-    print(f"Bessel-equation residual at xi = {xi:9.6f}: {ode_residual(xi):+.2e}")
-print()
 
 # --- and the period function feels it ------------------------------------------
 # dT/dlam at lam = 0 equals -2*pi*J1(xi)/xi: it vanishes exactly at the J1

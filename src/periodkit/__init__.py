@@ -19,28 +19,27 @@ from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                      EventMissed, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, RangeExceeded, SignViolation,
                      ToleranceUnmet)
-from .model import (CenterValidity, OrbitCoordinate, PotentialSystem,
-                    TurningPair, energy_to_amplitude, turning_points,
+from .model import (CenterValidity, PotentialSystem, energy_to_amplitude,
                     validate_center)
-from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace, section_times
+from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace
 from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
                          QuadratureConfig, period_at_amplitude,
                          period_at_energy, period_derivative, period_slope)
-from .report import CheckResult, VerifyReport, export_samples, run_verify
+from .report import CheckResult, VerifyReport, run_verify
 
 __all__ = [
     "AmbiguousBracket", "BesselEval", "BracketFailure", "CenterValidity",
     "CheckResult", "CriticalPeriod", "DEFAULT_CONFIG", "DegenerateIsochronous",
     "DerivativeEstimate", "EventMissed", "LowEnergyReport", "NoConvergence",
-    "NonMonotoneEnergy", "OrbitCoordinate", "OrbitTrace", "PeriodSample",
+    "NonMonotoneEnergy", "OrbitTrace", "PeriodSample",
     "PeriodkitError", "PotentialSystem", "QuadratureConfig", "RangeExceeded",
-    "SignViolation", "ToleranceUnmet", "TurningPair", "TwoPiBracket",
+    "SignViolation", "ToleranceUnmet", "TwoPiBracket",
     "VerifyReport", "energy_drift", "energy_to_amplitude",
-    "export_samples", "find_critical_periods", "find_two_pi_levels",
+    "find_critical_periods", "find_two_pi_levels",
     "j1", "j1_asymptotic", "j1_integral", "j1_series",
     "j1_zeros", "lam_derivative_at_zero", "opial_indicator",
     "opial_sign_changes", "orbit_period", "orbit_trace", "period_at_amplitude",
     "period_at_energy", "period_derivative", "period_slope", "run_verify",
-    "scan_period", "section_times", "small_h_check", "turning_points", "two_pi_brackets",
+    "scan_period", "small_h_check", "two_pi_brackets",
     "validate_center", "variational_integral",
 ]

@@ -91,8 +91,8 @@ def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
     Points where the quadrature fails to converge are kept and flagged
     (converged=False) rather than dropped.
     """
-    if not (0.0 < xi_min < xi_max):
-        raise ValueError("need 0 < xi_min < xi_max")
+    if not (0.0 < xi_min < xi_max < math.inf):
+        raise ValueError(f"need 0 < xi_min < xi_max < inf, got {xi_min}, {xi_max}")
     if n < 2:
         raise ValueError("need n >= 2")
     require_valid(sys, xi_max)
@@ -111,10 +111,10 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     lam = 0 is the isochronous center: the empty list is returned without
     any zero-hunting.
     """
+    if not (0.0 < xi_max < math.inf):
+        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
     if sys.lam == 0.0:
         return []
-    if xi_max <= 0.0:
-        raise ValueError("xi_max must be positive")
     require_valid(sys, xi_max + 1.0)
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
@@ -300,8 +300,8 @@ def opial_sign_changes(sys: PotentialSystem, x_max: float) -> list[float]:
     vanish); the remaining zeros solve tan(x/2) = x/2.  lam only scales the
     indicator, so the zero set is parameter-free.
     """
-    if x_max <= TWO_PI:
-        raise ValueError("x_max must exceed 2*pi")
+    if not (TWO_PI < x_max < math.inf):
+        raise ValueError(f"x_max must be finite and exceed 2*pi, got {x_max}")
     step = math.pi / 100.0
     grid = np.arange(step, x_max + step, step)
     grid[-1] = min(grid[-1], x_max)

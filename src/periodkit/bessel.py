@@ -10,9 +10,15 @@ toolkit has an internal oracle:
 The series is summed with Kahan compensation and kept below xi = 14, where
 alternating-term cancellation still leaves ~11 correct digits.  The integral
 route is the equispaced trapezoidal rule on a periodic entire integrand, so
-it converges geometrically under node doubling.  The asymptotic route carries
-an error bound C * xi^(-3/2) with C calibrated once against the dispatcher
-on [10, 100].
+it converges geometrically under node doubling.  Both routes floor their
+error bounds at the rounding of the value, so no bound is ever 0.  The
+asymptotic route carries an error bound C * xi^(-3/2) with C calibrated once
+against the dispatcher on [10, 100].
+
+identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
+= 2*pi*J1(xi) for both the verification report and the CLI's `bessel
+identity`.  This module returns numbers only; the payload format lives in
+report.py.
 
 Zeros are bracketed from the asymptotic cosine (guesses (k + 1/4)*pi) and
 refined by Brent's method; no tabulated constants enter.
@@ -37,6 +43,8 @@ TRAPEZOID_TOL = 1e-13
 TRAPEZOID_MAX_NODES = 2 ** 20
 ASYMPTOTIC_MIN_ARG = 1.0
 _CALIBRATION_SAFETY = 1.25
+IDENTITY_TOL = 1e-10      # bound on |variational_integral - 2*pi*J1|
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,11 @@ class BesselEval:
     value: float
     method: str
     err_bound: float
+
+
+def _require_arg(xi: float, low: float = 0.0) -> None:
+    if not (low <= xi < math.inf):
+        raise ValueError(f"xi must be finite and >= {low:g}, got {xi}")
 
 
 def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
@@ -60,10 +73,9 @@ def j1_series(xi: float, tol: float = 1e-16) -> BesselEval:
     Terms follow the recurrence t_{m+1} = -t_m (xi/2)^2 / ((m+1)(m+2)) and
     are accumulated with compensated summation.  err_bound is the first
     omitted term plus a roundoff allowance proportional to the largest
-    cancelling partial magnitude.
+    cancelling partial magnitude, floored at the rounding of the value.
     """
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
+    _require_arg(xi)
     if xi > SERIES_MAX_ARG:
         raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
     if xi == 0.0:
@@ -81,7 +93,7 @@ def j1_series(xi: float, tol: float = 1e-16) -> BesselEval:
         total, comp = _kahan_add(total, comp, term)
         abs_mass += abs(term)
         m += 1
-    err = abs(term) + 0.5 * np.finfo(float).eps * abs_mass
+    err = max(abs(term) + 0.5 * EPS * abs_mass, EPS * abs(total))
     return BesselEval(xi=xi, value=total, method="series", err_bound=err)
 
 
@@ -110,8 +122,7 @@ def variational_integral(xi: float, tol: float = TRAPEZOID_TOL) -> float:
     at the linear center; it equals 2*pi*J1(xi), so its zeros in xi are the
     positive zeros of J1.
     """
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
+    _require_arg(xi)
     if xi == 0.0:
         return 0.0
     value, _, _ = _trapezoid_doubling(lambda s: np.sin(xi * np.cos(s)) * np.cos(s),
@@ -121,9 +132,13 @@ def variational_integral(xi: float, tol: float = TRAPEZOID_TOL) -> float:
 
 def j1_integral(xi: float, n: int = 16) -> BesselEval:
     """Integral-representation evaluation, any xi >= 0; n is the starting
-    node count (>= 16) for the doubling trapezoid."""
-    if xi < 0.0:
-        raise ValueError("xi must be >= 0")
+    node count (>= 16) for the doubling trapezoid.
+
+    err_bound is the last doubling difference, floored at the rounding of
+    the value: each node's argument xi*cos(s) rounds by about EPS*xi, so no
+    bound may claim less than EPS*(1 + xi) (the difference alone can be
+    exactly 0)."""
+    _require_arg(xi)
     if n < 16:
         raise ValueError("starting node count must be >= 16")
     if xi == 0.0:
@@ -131,7 +146,7 @@ def j1_integral(xi: float, n: int = 16) -> BesselEval:
     raw, diff, _ = _trapezoid_doubling(lambda s: np.sin(xi * np.cos(s)) * np.cos(s),
                                        n, TRAPEZOID_TOL * TWO_PI)
     return BesselEval(xi=xi, value=raw / TWO_PI, method="integral",
-                      err_bound=diff / TWO_PI)
+                      err_bound=max(diff / TWO_PI, EPS * (1.0 + xi)))
 
 
 def j1(xi: float) -> BesselEval:
@@ -141,12 +156,14 @@ def j1(xi: float) -> BesselEval:
     return j1_integral(xi)
 
 
+def _asymptotic(xi: float) -> float:
+    return math.sqrt(2.0 / (math.pi * xi)) * math.cos(xi - 0.75 * math.pi)
+
+
 def j1_asymptotic(xi: float) -> BesselEval:
     """Large-argument form sqrt(2/(pi*xi)) * cos(xi - 3*pi/4), xi >= 1."""
-    if xi < ASYMPTOTIC_MIN_ARG:
-        raise ValueError(f"asymptotic route needs xi >= {ASYMPTOTIC_MIN_ARG:g}")
-    value = math.sqrt(2.0 / (math.pi * xi)) * math.cos(xi - 0.75 * math.pi)
-    return BesselEval(xi=xi, value=value, method="asymptotic",
+    _require_arg(xi, ASYMPTOTIC_MIN_ARG)
+    return BesselEval(xi=xi, value=_asymptotic(xi), method="asymptotic",
                       err_bound=asymptotic_error_constant() * xi ** -1.5)
 
 
@@ -157,13 +174,9 @@ def asymptotic_error_constant() -> float:
     grid = np.linspace(10.0, 100.0, 1801)
     worst = 0.0
     for x in grid:
-        diff = abs(j1_asymptotic_raw(float(x)) - j1(float(x)).value)
+        diff = abs(_asymptotic(float(x)) - j1(float(x)).value)
         worst = max(worst, diff * float(x) ** 1.5)
     return _CALIBRATION_SAFETY * worst
-
-
-def j1_asymptotic_raw(xi: float) -> float:
-    return math.sqrt(2.0 / (math.pi * xi)) * math.cos(xi - 0.75 * math.pi)
 
 
 def j1_zeros(n: int) -> list[float]:
@@ -185,23 +198,12 @@ def j1_zeros(n: int) -> list[float]:
     return zeros
 
 
-def ode_residual(xi: float, step: float = 1e-3) -> float:
-    """Residual of Bessel's order-one equation at xi >= 0.5:
-
-        xi^2 x'' + xi x' + (xi^2 - 1) x,   x = J1,
-
-    with derivatives from 5-point central differences.  All five stencil
-    points use a single evaluation route (series or integral, chosen by the
-    center point) so the route switch cannot inject a second-difference jump.
-    """
-    if xi < 0.5:
-        raise ValueError("residual check needs xi >= 0.5")
-    if xi <= SERIES_SWITCH - 0.1:
-        f = lambda x: j1_series(x).value
-    else:
-        f = lambda x: j1_integral(x).value
-    d = step
-    fm2, fm1, f0, fp1, fp2 = (f(xi - 2 * d), f(xi - d), f(xi), f(xi + d), f(xi + 2 * d))
-    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * d)
-    d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * d * d)
-    return xi * xi * d2 + xi * d1 + (xi * xi - 1.0) * f0
+def identity_gap(xi_max: float, n: int) -> float:
+    """max |variational_integral(x) - 2*pi*J1(x)| over n >= 2 equispaced x
+    in [0, xi_max]; IDENTITY_TOL bounds it."""
+    if not (0.0 < xi_max < math.inf):
+        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    if n < 2:
+        raise ValueError(f"identity grid needs n >= 2 points, got {n}")
+    return max(abs(variational_integral(float(x)) - TWO_PI * j1(float(x)).value)
+               for x in np.linspace(0.0, xi_max, n))

@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 from .analysis import (find_critical_periods, find_two_pi_levels,
-                       lam_derivative_at_zero, opial_indicator,
                        opial_sign_changes, scan_period, two_pi_brackets)
-from .bessel import j1, j1_zeros, variational_integral
+from .bessel import IDENTITY_TOL, identity_gap, j1, j1_zeros
 from .errors import (DegenerateIsochronous, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, SignViolation)
 from .model import PotentialSystem
 from .oracle import orbit_period, orbit_trace
 from .quadrature import QuadratureConfig, period_at_amplitude, period_at_energy
-from .report import (_write_atomic, fmt_float, report_to_json, run_verify,
-                     samples_to_csv, samples_to_json)
+from .report import (BRACKET_FIELDS, CONFIG_FIELDS, CRITICAL_FIELDS, _write_atomic,
+                     bracket_dict, config_dict, critical_dict, csv_table,
+                     report_to_json, run_verify, sample_dicts, samples_to_csv,
+                     to_json)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -116,7 +116,7 @@ def _resolve_config(args) -> QuadratureConfig:
     if args.config:
         with open(args.config) as fh:
             fileconf = json.load(fh)
-        unknown = set(fileconf) - {"rel_tol", "max_depth", "base_nodes"}
+        unknown = set(fileconf) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
     def pick(flag, key, default):
@@ -134,88 +134,66 @@ def _emit(args, text: str) -> None:
         _write_atomic(args.out, text)
         meta = {"written": args.out, "timestamp": time.time(),
                 "argv": sys.argv[1:]}
-        _write_atomic(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
+        _write_atomic(args.out + ".meta.json", to_json(meta))
     else:
         sys.stdout.write(text)
 
 
-def _json_payload(obj, cfg: QuadratureConfig) -> str:
-    wrapped = dict(obj)
-    wrapped["config"] = {"rel_tol": cfg.rel_tol, "max_depth": cfg.max_depth,
-                         "base_nodes": cfg.base_nodes}
-    return json.dumps(wrapped, indent=2) + "\n"
-
-
-def _csv_table(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt_float(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def _samples_payload(args, cfg, samples) -> str:
-    if (args.format or "json") == "csv":
-        return samples_to_csv(samples)
-    return _json_payload({"samples": json.loads(samples_to_json(samples))}, cfg)
+def _numbered(name: str, values) -> list[dict]:
+    return [{"k": k, name: v} for k, v in enumerate(values, 1)]
 
 
 def _run(args) -> int:
     cfg = _resolve_config(args)
-    fmt = args.format or "json"
+    csv = args.format == "csv"
+
+    def emit_json(payload: dict) -> None:
+        _emit(args, to_json({**payload, "config": config_dict(cfg)}))
+
+    def emit_samples(samples) -> None:
+        if csv:
+            _emit(args, samples_to_csv(samples))
+        else:
+            emit_json({"samples": sample_dicts(samples)})
 
     if args.command == "period":
         sys_ = PotentialSystem(args.lam)
         if args.xi is not None:
-            sample = period_at_amplitude(sys_, args.xi, cfg)
+            emit_samples([period_at_amplitude(sys_, args.xi, cfg)])
         else:
-            sample = period_at_energy(sys_, args.h, cfg)
-        _emit(args, _samples_payload(args, cfg, [sample]))
+            emit_samples([period_at_energy(sys_, args.h, cfg)])
         return 0
 
     if args.command == "scan":
         sys_ = PotentialSystem(args.lam)
-        samples = scan_period(sys_, args.xi_min, args.xi_max, args.n, cfg)
-        _emit(args, _samples_payload(args, cfg, samples))
+        emit_samples(scan_period(sys_, args.xi_min, args.xi_max, args.n, cfg))
         return 0
 
     if args.command == "critical":
         sys_ = PotentialSystem(args.lam)
-        crit = find_critical_periods(sys_, args.xi_max, cfg)
-        rows = [[c.xi_star, c.h_star, c.T_star, c.kind, c.refine_err] for c in crit]
-        if fmt == "csv":
-            _emit(args, _csv_table(["xi_star", "h_star", "T_star", "kind", "refine_err"], rows))
+        crit = [critical_dict(c) for c in find_critical_periods(sys_, args.xi_max, cfg)]
+        if csv:
+            _emit(args, csv_table(CRITICAL_FIELDS, crit))
         else:
-            _emit(args, _json_payload({"lambda": args.lam, "critical_periods": [
-                dict(zip(("xi_star", "h_star", "T_star", "kind", "refine_err"), r))
-                for r in rows]}, cfg))
+            emit_json({"lambda": args.lam, "critical_periods": crit})
         return 0
 
     if args.command == "two-pi":
         sys_ = PotentialSystem(args.lam)
-        brackets = two_pi_brackets(sys_, args.k_max, cfg)
+        brackets = [bracket_dict(b) for b in two_pi_brackets(sys_, args.k_max, cfg)]
         levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, args.k_max, cfg)
-        if fmt == "csv":
-            rows = [[b.k, b.h_lo, b.h_hi, b.T_lo, b.T_hi, b.sign_lo, b.sign_hi] for b in brackets]
-            _emit(args, _csv_table(["k", "h_lo", "h_hi", "T_lo", "T_hi", "sign_lo", "sign_hi"], rows))
+        if csv:  # every bracket field but the degenerate flag
+            _emit(args, csv_table(BRACKET_FIELDS[:-1], brackets))
         else:
-            _emit(args, _json_payload({
-                "lambda": args.lam,
-                "brackets": [{"k": b.k, "h_lo": b.h_lo, "h_hi": b.h_hi,
-                              "T_lo": b.T_lo, "T_hi": b.T_hi,
-                              "sign_lo": b.sign_lo, "sign_hi": b.sign_hi,
-                              "degenerate": b.degenerate} for b in brackets],
-                "two_pi_levels": levels}, cfg))
+            emit_json({"lambda": args.lam, "brackets": brackets, "two_pi_levels": levels})
         return 0
 
     if args.command == "opial":
-        sys_ = PotentialSystem(args.lam)
-        zeros = opial_sign_changes(sys_, args.x_max)
-        if fmt == "csv":
-            _emit(args, _csv_table(["k", "x_zero"],
-                                   [[k + 1, z] for k, z in enumerate(zeros)]))
+        zeros = opial_sign_changes(PotentialSystem(args.lam), args.x_max)
+        if csv:
+            _emit(args, csv_table(("k", "x_zero"), _numbered("x_zero", zeros)))
         else:
-            _emit(args, _json_payload({"lambda": args.lam, "x_max": args.x_max,
-                                       "indicator_zeros": zeros}, cfg))
+            emit_json({"lambda": args.lam, "x_max": args.x_max, "indicator_zeros": zeros})
         return 0
 
     if args.command == "bessel":
@@ -223,28 +201,22 @@ def _run(args) -> int:
             if args.xi is None:
                 raise ValueError("bessel j1 needs --xi")
             e = j1(args.xi)
-            _emit(args, _json_payload({"xi": e.xi, "value": e.value,
-                                       "method": e.method,
-                                       "err_bound": e.err_bound}, cfg))
+            emit_json({"xi": e.xi, "value": e.value, "method": e.method,
+                       "err_bound": e.err_bound})
         elif args.op == "zeros":
             if args.n is None:
                 raise ValueError("bessel zeros needs --n")
             zeros = j1_zeros(args.n)
-            if fmt == "csv":
-                _emit(args, _csv_table(["k", "zero"],
-                                       [[k + 1, z] for k, z in enumerate(zeros)]))
+            if csv:
+                _emit(args, csv_table(("k", "zero"), _numbered("zero", zeros)))
             else:
-                _emit(args, _json_payload({"zeros": zeros}, cfg))
+                emit_json({"zeros": zeros})
         else:
-            n = args.n or 200
-            import numpy as np
-            grid = np.linspace(0.0, args.xi_max, n)
-            worst = max(abs(variational_integral(float(x)) - 2.0 * math.pi * j1(float(x)).value)
-                        for x in grid)
-            _emit(args, _json_payload({"xi_max": args.xi_max, "grid": n,
-                                       "max_identity_gap": worst,
-                                       "passed": worst <= 1e-10}, cfg))
-            if worst > 1e-10:
+            n = 200 if args.n is None else args.n
+            worst = identity_gap(args.xi_max, n)
+            emit_json({"xi_max": args.xi_max, "grid": n, "max_identity_gap": worst,
+                       "passed": worst <= IDENTITY_TOL})
+            if worst > IDENTITY_TOL:
                 return CHECK_FAILURE
         return 0
 
@@ -263,12 +235,12 @@ def _run(args) -> int:
                               full_return=args.full_return)
         if args.dump_trace:
             trace = orbit_trace(sys_, args.xi, tol=args.tol)
-            rows = [[t, x, y, 0.5 * y * y + float(sys_.G(x))]
+            rows = [{"t": t, "x": x, "y": y, "H": 0.5 * y * y + float(sys_.G(x))}
                     for t, x, y in trace.samples]
-            _write_atomic(args.dump_trace, _csv_table(["t", "x", "y", "H"], rows))
+            _write_atomic(args.dump_trace, csv_table(("t", "x", "y", "H"), rows))
             print(f"trace written to {args.dump_trace} "
                   f"(max energy drift {trace.max_drift:.3e})", file=sys.stderr)
-        _emit(args, _samples_payload(args, cfg, [sample]))
+        emit_samples([sample])
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -79,24 +79,6 @@ class PotentialSystem:
 
 
 @dataclass(frozen=True)
-class OrbitCoordinate:
-    """One periodic orbit, addressed both ways: amplitude xi > 0 (abscissa
-    of the crossing with the positive x-axis) and energy h = G(xi) > 0."""
-
-    xi: float
-    h: float
-
-
-@dataclass(frozen=True)
-class TurningPair:
-    """Solutions x_left < 0 < x_right of G(x) = h; by evenness
-    x_left = -x_right."""
-
-    x_left: float
-    x_right: float
-
-
-@dataclass(frozen=True)
 class CenterValidity:
     """Report of the sign/semilinearity probe on (0, x_probe].
 
@@ -109,12 +91,6 @@ class CenterValidity:
     first_sign_failure: float | None
     semilinear_bounds: tuple[float, float]
     center_kind: str
-
-
-def amplitude_to_energy(sys: PotentialSystem, xi: float) -> OrbitCoordinate:
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    return OrbitCoordinate(xi=float(xi), h=float(sys.G(xi)))
 
 
 def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = True) -> float:
@@ -149,12 +125,6 @@ def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = T
     return brentq(probe, lo, hi, xtol=1e-300)
 
 
-def turning_points(sys: PotentialSystem, h: float) -> TurningPair:
-    """Both solutions of G(x) = h bracketing the center: (-xi, xi)."""
-    xi = energy_to_amplitude(sys, h)
-    return TurningPair(x_left=-xi, x_right=xi)
-
-
 def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
     """Scan (0, x_probe] for a zero of g away from the origin.
 
@@ -165,8 +135,8 @@ def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
     the outer half-window (the semilinearity certificate that keeps T
     bounded for large h).
     """
-    if x_probe <= 0.0:
-        raise ValueError("x_probe must be positive")
+    if not (0.0 < x_probe < math.inf):
+        raise ValueError(f"x_probe must be positive and finite, got {x_probe}")
 
     x = np.linspace(x_probe / VALIDITY_GRID_POINTS, x_probe, VALIDITY_GRID_POINTS)
     gx = sys.g(x)

@@ -11,6 +11,8 @@ integrator's dense output (accurate to ~1e-12 in time).
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
+Results are PeriodSample and OrbitTrace values; the payload format they are
+written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 """
 
 from __future__ import annotations
@@ -56,26 +58,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
 
 
-def _integrate_half(sys: PotentialSystem, xi: float, tol: float):
-    """Run until y falls through 0; returns (solution, t_quarter, t_half)."""
-    if xi <= 0.0:
-        raise ValueError("xi must be positive")
-    _check_tol(tol)
-
+def _y_falls(terminal: bool):
+    """Event: y falls through the section y = 0."""
     def y_falls(t, s):
         return s[1]
 
-    y_falls.terminal = True
+    y_falls.terminal = terminal
     y_falls.direction = -1
+    return y_falls
 
-    def x_falls(t, s):
-        return s[0]
 
-    x_falls.terminal = False
-    x_falls.direction = -1
-
+def _integrate_half(sys: PotentialSystem, xi: float, tol: float) -> float:
+    """Run until y falls through 0; returns that time, the half period."""
+    if not (0.0 < xi < math.inf):
+        raise ValueError(f"xi must be positive and finite, got {xi}")
+    _check_tol(tol)
     sol = solve_ivp(_rhs(sys), (0.0, MAX_EVENT_TIME), [xi, 0.0], method="RK45",
-                    rtol=tol, atol=tol, events=(y_falls, x_falls), dense_output=True)
+                    rtol=tol, atol=tol, events=_y_falls(True))
     if sol.status == -1:
         raise ToleranceUnmet(f"integrator failed at tol={tol:g}: {sol.message}")
     if sol.t_events[0].size == 0:
@@ -88,8 +87,7 @@ def _integrate_half(sys: PotentialSystem, xi: float, tol: float):
         raise EventMissed(
             f"section crossed at x={x_at_event:.6g} >= 0: the orbit through "
             f"({xi:g}, 0) does not enclose the origin (lam={sys.lam:g})")
-    t_quarter = float(sol.t_events[1][0]) if sol.t_events[1].size else math.nan
-    return sol, t_quarter, t_half
+    return t_half
 
 
 def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
@@ -100,10 +98,10 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     measures the spacing of two consecutive falling crossings (a full loop),
     as a cross-check on the symmetry argument.
     """
-    _, _, t_half = _integrate_half(sys, xi, tol)
+    t_half = _integrate_half(sys, xi, tol)
     if full_return:
         sol2 = solve_ivp(_rhs(sys), (0.0, 3.5 * t_half), [xi, 0.0], method="RK45",
-                         rtol=tol, atol=tol, events=_falling_y_nonterminal())
+                         rtol=tol, atol=tol, events=_y_falls(False))
         times = sol2.t_events[0]
         if times.size < 2:
             raise EventMissed("full-return mode saw fewer than two section crossings")
@@ -114,27 +112,10 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
                         err_est=_PERIOD_ERR_FACTOR * tol * period, method="ode-oracle")
 
 
-def _falling_y_nonterminal():
-    def y_falls(t, s):
-        return s[1]
-
-    y_falls.terminal = False
-    y_falls.direction = -1
-    return y_falls
-
-
-def section_times(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """(quarter-period, half-period) times: first x = 0 crossing and first
-    falling y = 0 crossing.  Time reversal plus evenness make the first equal
-    half the second."""
-    _, t_quarter, t_half = _integrate_half(sys, xi, tol)
-    return t_quarter, t_half
-
-
 def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10,
                 n_samples: int = 2001) -> OrbitTrace:
     """One full period sampled uniformly in time, with the energy drift."""
-    _, _, t_half = _integrate_half(sys, xi, tol)
+    t_half = _integrate_half(sys, xi, tol)
     period = 2.0 * t_half
     t_eval = np.linspace(0.0, period, n_samples)
     sol = solve_ivp(_rhs(sys), (0.0, period), [xi, 0.0], method="RK45",

@@ -325,8 +325,9 @@ def require_converged(sample: PeriodSample, cfg: QuadratureConfig = DEFAULT_CONF
 
 def _amplitudes(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).ravel()
-    if np.count_nonzero(xi <= 0.0):
-        raise ValueError(f"xi must be positive, got {xi[xi <= 0.0][0]}")
+    bad = ~((xi > 0.0) & (xi < math.inf))
+    if np.count_nonzero(bad):
+        raise ValueError(f"xi must be positive and finite, got {xi[bad][0]}")
     return xi
 
 
@@ -348,8 +349,8 @@ def period_samples(sys: PotentialSystem, xi, cfg: QuadratureConfig = DEFAULT_CON
 def period_at_amplitude(sys: PotentialSystem, xi: float,
                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> PeriodSample:
     """Period of the orbit through (xi, 0), xi > 0."""
-    if xi <= 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    if not (0.0 < xi < math.inf):
+        raise ValueError(f"xi must be positive and finite, got {xi}")
     h = float(sys.G(xi))
     return _period_sample(sys, xi, h, cfg)
 

@@ -7,6 +7,9 @@ and spot agreement between the quadrature and ODE routes.  Every check lands
 in a named pass/fail map with a numeric margin (positive = slack to spare),
 and the report is produced even when a check fails.
 
+This module also owns the payload format: one dict builder per record
+(sample, bracket, critical period, config), one CSV writer and one JSON
+writer, used by report_to_dict and by every CLI subcommand alike.
 Serialized output is deterministic: floats are written in round-trip-exact
 shortest decimal form, rows are sorted canonically, and no timestamps enter
 the payload (run metadata belongs in a sidecar file, see the CLI).
@@ -26,7 +29,7 @@ from . import __version__
 from .analysis import (CriticalPeriod, TwoPiBracket, find_critical_periods,
                        find_two_pi_levels, opial_indicator, opial_sign_changes,
                        small_h_check, two_pi_brackets)
-from .bessel import j1, j1_integral, j1_series, variational_integral
+from .bessel import IDENTITY_TOL, identity_gap, j1_integral, j1_series
 from .errors import DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
 from .oracle import orbit_period
@@ -93,12 +96,11 @@ def _check_opial(sys) -> CheckResult:
 
 
 def _check_bessel_identity() -> CheckResult:
-    worst_id = max(abs(variational_integral(float(x)) - TWO_PI * j1(float(x)).value)
-                   for x in np.linspace(0.0, 20.0, 60))
+    worst_id = identity_gap(20.0, 60)
     worst_xm = max(abs(j1_series(float(x)).value - j1_integral(float(x)).value)
                    for x in np.linspace(0.0, 12.0, 60))
-    margin = min(1e-10 - worst_id, 1e-12 - worst_xm)
-    return CheckResult(worst_id <= 1e-10 and worst_xm <= 1e-12, margin,
+    margin = min(IDENTITY_TOL - worst_id, 1e-12 - worst_xm)
+    return CheckResult(worst_id <= IDENTITY_TOL and worst_xm <= 1e-12, margin,
                        f"identity gap {worst_id:.3e}, series/integral gap {worst_xm:.3e}")
 
 
@@ -214,34 +216,46 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 SAMPLE_FIELDS = ("lambda", "xi", "h", "T", "T_err", "method")
+# the other records' fields are attributes of the same name
+BRACKET_FIELDS = ("k", "h_lo", "h_hi", "T_lo", "T_hi", "sign_lo", "sign_hi", "degenerate")
+CRITICAL_FIELDS = ("xi_star", "h_star", "T_star", "kind", "refine_err")
+CONFIG_FIELDS = ("rel_tol", "max_depth", "base_nodes")
 
 
-def _sample_row(s: PeriodSample):
-    return (s.lam, s.xi, s.h, s.T, s.err_est, s.method)
+def sample_dicts(samples: list[PeriodSample]) -> list[dict]:
+    """Payload records of period samples, in ascending amplitude."""
+    return [dict(zip(SAMPLE_FIELDS, (s.lam, s.xi, s.h, s.T, s.err_est, s.method)))
+            for s in sorted(samples, key=lambda s: s.xi)]
+
+
+def bracket_dict(b: TwoPiBracket) -> dict:
+    return {name: getattr(b, name) for name in BRACKET_FIELDS}
+
+
+def critical_dict(c: CriticalPeriod) -> dict:
+    return {name: getattr(c, name) for name in CRITICAL_FIELDS}
+
+
+def config_dict(cfg: QuadratureConfig) -> dict:
+    return {name: getattr(cfg, name) for name in CONFIG_FIELDS}
+
+
+def csv_table(header, records) -> str:
+    """CSV with the given header and one line per record (a dict holding
+    every header field); numbers in fmt_float form, strings as they are."""
+    lines = [",".join(header)]
+    for r in records:
+        lines.append(",".join(v if isinstance(v, str) else fmt_float(v)
+                              for v in (r[name] for name in header)))
+    return "\n".join(lines) + "\n"
 
 
 def samples_to_csv(samples: list[PeriodSample]) -> str:
-    rows = [",".join(SAMPLE_FIELDS)]
-    for s in sorted(samples, key=lambda s: s.xi):
-        vals = _sample_row(s)
-        rows.append(",".join([fmt_float(v) for v in vals[:-1]] + [vals[-1]]))
-    return "\n".join(rows) + "\n"
+    return csv_table(SAMPLE_FIELDS, sample_dicts(samples))
 
 
-def samples_to_json(samples: list[PeriodSample]) -> str:
-    payload = [dict(zip(SAMPLE_FIELDS, _sample_row(s)))
-               for s in sorted(samples, key=lambda s: s.xi)]
+def to_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def export_samples(samples: list[PeriodSample], path: str, format: str = "csv") -> None:
-    """Write samples sorted by amplitude, atomically (temp file + rename)."""
-    if format == "csv":
-        _write_atomic(path, samples_to_csv(samples))
-    elif format == "json":
-        _write_atomic(path, samples_to_json(samples))
-    else:
-        raise ValueError(f"unknown format {format!r} (csv or json)")
 
 
 def report_to_dict(report: VerifyReport) -> dict:
@@ -249,31 +263,17 @@ def report_to_dict(report: VerifyReport) -> dict:
         "lambda": report.lam,
         "k_max": report.k_max,
         "tool_version": report.tool_version,
-        "config": {
-            "rel_tol": report.config.rel_tol,
-            "max_depth": report.config.max_depth,
-            "base_nodes": report.config.base_nodes,
-        },
+        "config": config_dict(report.config),
         "passed": report.passed,
         "checks": {
             name: {"passed": c.passed, "margin": c.margin, "detail": c.detail}
             for name, c in report.checks.items()
         },
-        "brackets": [
-            {"k": b.k, "h_lo": b.h_lo, "h_hi": b.h_hi,
-             "T_lo": b.T_lo, "T_hi": b.T_hi,
-             "sign_lo": b.sign_lo, "sign_hi": b.sign_hi,
-             "degenerate": b.degenerate}
-            for b in report.brackets
-        ],
+        "brackets": [bracket_dict(b) for b in report.brackets],
         "two_pi_levels": list(report.two_pi_levels),
-        "critical_periods": [
-            {"xi_star": c.xi_star, "h_star": c.h_star, "T_star": c.T_star,
-             "kind": c.kind, "refine_err": c.refine_err}
-            for c in report.critical_periods
-        ],
+        "critical_periods": [critical_dict(c) for c in report.critical_periods],
     }
 
 
 def report_to_json(report: VerifyReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return to_json(report_to_dict(report))

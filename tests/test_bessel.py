@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import periodkit.bessel as bessel
 from periodkit.bessel import (BesselEval, asymptotic_error_constant, j1,
                               j1_asymptotic, j1_integral, j1_series, j1_zeros,
-                              ode_residual, variational_integral)
+                              variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
 
 PI = math.pi
@@ -158,12 +159,27 @@ def test_envelope():
         assert abs(j1(float(x)).value) <= math.sqrt(2 / (PI * x)) + c * x**-1.5
 
 
-@pytest.mark.parametrize("x,cap", [(1.0, 2e-6), (3.831706, 1e-5 * (1 + 3.831706**2)),
-                                   (20.0, 1e-5 * 401)])
-def test_ode_residual(x, cap):
-    assert abs(ode_residual(x)) <= cap
+# Largest err_bound each route may return on (0, 100].  The series bound
+# carries the rounding of its largest cancelling terms: 2.0e-12 at xi = 12,
+# where the true error is 5.5e-13.
+ERR_BOUND_CAP = {"series": 2.5e-12, "integral": 1e-12}
 
 
-def test_ode_residual_general_bound():
-    for x in np.linspace(0.5, 30.0, 31):
-        assert abs(ode_residual(float(x))) <= 1e-5 * (1 + x * x)
+@mpmath.workdps(30)
+def test_against_30_digit_reference():
+    for x in np.linspace(0.0, 100.0, 2001)[1:]:
+        e = j1(float(x))
+        err = abs(mpmath.mpf(e.value) - mpmath.besselj(1, mpmath.mpf(float(x))))
+        assert 0.0 < e.err_bound <= ERR_BOUND_CAP[e.method], (x, e)
+        assert err <= e.err_bound, (x, e, float(err))
+    for k, z in enumerate(j1_zeros(40), 1):
+        ref = mpmath.besseljzero(1, k)
+        assert abs(z - ref) <= 1e-13 * ref, (k, z)
+
+
+@pytest.mark.parametrize("route", [j1, j1_series, j1_integral, j1_asymptotic,
+                                   variational_integral])
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_routes_reject_non_finite_arguments(route, xi):
+    with pytest.raises(ValueError, match=f"got {xi}"):
+        route(xi)

@@ -158,3 +158,48 @@ def test_out_files_are_byte_identical(capsys, tmp_path):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.json.meta.json").exists()
+
+
+NONFINITE_ARGV = {
+    "period": ["period", "--lambda", "1", "--xi={}"],
+    "scan": ["scan", "--lambda", "1", "--xi-min", "1", "--xi-max={}", "--n", "5"],
+    "critical": ["critical", "--lambda", "1", "--xi-max={}"],
+    "opial": ["opial", "--lambda", "1", "--x-max={}"],
+    "oracle": ["oracle", "--lambda", "1", "--xi={}"],
+    "bessel j1": ["bessel", "j1", "--xi={}"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", list(NONFINITE_ARGV))
+def test_nonfinite_input_is_usage_error(capsys, command, value):
+    argv = [a.format(value) for a in NONFINITE_ARGV[command]]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    # the message names the offending value last
+    assert err.startswith("error: ") and err.rstrip().endswith(" " + value)
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_identity_rejects_grids_that_check_nothing(capsys, n):
+    code, out, err = run_cli(capsys, ["bessel", "identity", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert f"n >= 2 points, got {n}" in err
+
+
+def test_payload_records_match_the_verify_report(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--lambda", "1", "--k-max", "1"])
+    assert code == 0
+    report = json.loads(out)
+    code, out, _ = run_cli(capsys, ["critical", "--lambda", "1",
+                                    "--xi-max", repr(3 * math.pi)])
+    assert code == 0
+    assert json.loads(out)["critical_periods"] == report["critical_periods"]
+    code, out, _ = run_cli(capsys, ["two-pi", "--lambda", "1", "--k-max", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["brackets"] == report["brackets"]
+    assert payload["two_pi_levels"] == report["two_pi_levels"]
+    assert payload["config"] == report["config"]

@@ -5,8 +5,7 @@ import pytest
 
 from periodkit.errors import NonMonotoneEnergy
 from periodkit.model import (ELEMENTARY, NILPOTENT, PotentialSystem,
-                             amplitude_to_energy, energy_to_amplitude,
-                             turning_points, validate_center)
+                             energy_to_amplitude, validate_center)
 
 PI = math.pi
 
@@ -84,28 +83,15 @@ def test_energy_amplitude_round_trip(lam):
         assert float(sys.G(xi)) == pytest.approx(float(h), rel=1e-12)
 
 
-def test_orbit_coordinate_round_trip():
-    sys = PotentialSystem(1.0)
-    orbit = amplitude_to_energy(sys, 2 * PI)
-    assert orbit.xi == 2 * PI
-    assert orbit.h == pytest.approx(2 * PI**2, rel=1e-15)
-    assert energy_to_amplitude(sys, orbit.h) == pytest.approx(orbit.xi, rel=1e-13)
-    with pytest.raises(ValueError):
-        amplitude_to_energy(sys, -1.0)
-
-
 def test_turning_points():
-    tp = turning_points(PotentialSystem(0.0), 2.0)
-    assert tp.x_left == -tp.x_right
-    assert tp.x_right == pytest.approx(2.0, rel=1e-13)
-
-    tp = turning_points(PotentialSystem(1.0), 2 * PI**2)
-    assert tp.x_right == pytest.approx(2 * PI, rel=1e-13)
+    # the turning points of the level h are -xi and xi, xi = energy_to_amplitude(h)
+    assert energy_to_amplitude(PotentialSystem(0.0), 2.0) == pytest.approx(2.0, rel=1e-13)
+    assert energy_to_amplitude(PotentialSystem(1.0), 2 * PI**2) == pytest.approx(2 * PI, rel=1e-13)
 
     sn = PotentialSystem(-1.0)
-    tp = turning_points(sn, float(sn.G(1.0)))
-    assert tp.x_right == pytest.approx(1.0, rel=1e-12)
-    assert sn.g(tp.x_right) > 0.0
+    xi = energy_to_amplitude(sn, float(sn.G(1.0)))
+    assert xi == pytest.approx(1.0, rel=1e-12)
+    assert sn.g(xi) > 0.0
 
 
 def test_energy_to_amplitude_rejects_bad_input():
@@ -150,3 +136,9 @@ def test_validate_center_failure_location():
                                         (5.0, False), (6.0, False), (10.0, False)])
 def test_validate_center_threshold(lam, expect):
     assert validate_center(PotentialSystem(lam), 100.0).is_global is expect
+
+
+@pytest.mark.parametrize("x_probe", [math.nan, math.inf, -math.inf, 0.0])
+def test_validate_center_rejects_bad_window(x_probe):
+    with pytest.raises(ValueError, match=f"got {x_probe}"):
+        validate_center(PotentialSystem(1.0), x_probe)

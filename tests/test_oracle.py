@@ -4,8 +4,7 @@ import pytest
 
 from periodkit.errors import EventMissed
 from periodkit.model import PotentialSystem
-from periodkit.oracle import (energy_drift, orbit_period, orbit_trace,
-                              section_times)
+from periodkit.oracle import energy_drift, orbit_period, orbit_trace
 from periodkit.quadrature import period_at_amplitude
 
 PI = math.pi
@@ -61,12 +60,6 @@ def test_drift_scales_with_tolerance():
     loose = energy_drift(s1, 30.0, tol=1e-10)
     tight = energy_drift(s1, 30.0, tol=1e-12)
     assert tight <= loose / 10.0
-
-
-def test_quarter_period_symmetry():
-    for lam, xi in ((0.5, 3.0), (1.0, 7.0), (-0.5, 2.0)):
-        t_quarter, t_half = section_times(PotentialSystem(lam), xi, tol=1e-11)
-        assert t_quarter == pytest.approx(0.5 * t_half, rel=1e-9)
 
 
 def test_full_return_cross_check():

@@ -318,3 +318,9 @@ def test_non_monotone_energy_names_the_amplitude(xi):
             period_samples(s, xi)
         else:
             period_at_amplitude(s, xi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_period_samples_reject_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        period_samples(PotentialSystem(1.0), [1.0, bad, 2.0])

@@ -6,9 +6,9 @@ import pytest
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
 from periodkit.quadrature import period_at_amplitude
-from periodkit.report import (CHECK_NAMES, export_samples, fmt_float,
-                              report_to_dict, report_to_json, run_verify,
-                              samples_to_csv)
+from periodkit.report import (CHECK_NAMES, fmt_float, report_to_dict,
+                              report_to_json, run_verify, sample_dicts,
+                              samples_to_csv, to_json)
 
 TWO_PI = 2 * math.pi
 
@@ -22,11 +22,9 @@ def test_fmt_float_round_trips():
     assert fmt_float(TWO_PI) == "6.283185307179586"
 
 
-def test_export_csv_schema(tmp_path):
+def test_export_csv_schema():
     sample = period_at_amplitude(PotentialSystem(0.0), 1.0)
-    path = tmp_path / "one.csv"
-    export_samples([sample], str(path), "csv")
-    lines = path.read_text().splitlines()
+    lines = samples_to_csv([sample]).splitlines()
     assert lines[0] == "lambda,xi,h,T,T_err,method"
     fields = lines[1].split(",")
     assert fields[0] == "0" and fields[1] == "1" and fields[2] == "0.5"
@@ -34,35 +32,25 @@ def test_export_csv_schema(tmp_path):
     assert fields[5] == "quadrature"
 
 
-def test_export_empty_list(tmp_path):
-    path = tmp_path / "empty.csv"
-    export_samples([], str(path), "csv")
-    assert path.read_text() == "lambda,xi,h,T,T_err,method\n"
+def test_export_empty_list():
+    assert samples_to_csv([]) == "lambda,xi,h,T,T_err,method\n"
 
 
-def test_export_sorts_and_is_deterministic(tmp_path):
+def test_export_sorts_and_is_deterministic():
     s1 = PotentialSystem(1.0)
     samples = [period_at_amplitude(s1, xi) for xi in (3.0, 1.0, 2.0)]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_samples(samples, str(a), "csv")
-    export_samples(list(reversed(samples)), str(b), "csv")
-    assert a.read_bytes() == b.read_bytes()
-    xis = [float(line.split(",")[1]) for line in a.read_text().splitlines()[1:]]
+    a = samples_to_csv(samples)
+    assert a == samples_to_csv(list(reversed(samples)))
+    xis = [float(line.split(",")[1]) for line in a.splitlines()[1:]]
     assert xis == sorted(xis)
+    assert [d["xi"] for d in sample_dicts(samples)] == [1.0, 2.0, 3.0]
 
 
-def test_export_json_mirrors_fields(tmp_path):
+def test_export_json_mirrors_fields():
     sample = period_at_amplitude(PotentialSystem(0.0), 1.0)
-    path = tmp_path / "one.json"
-    export_samples([sample], str(path), "json")
-    payload = json.loads(path.read_text())
-    assert payload[0].keys() == {"lambda", "xi", "h", "T", "T_err", "method"}
+    payload = json.loads(to_json(sample_dicts([sample])))
+    assert list(payload[0]) == ["lambda", "xi", "h", "T", "T_err", "method"]
     assert payload[0]["T"] == pytest.approx(TWO_PI, abs=1e-10)
-
-
-def test_export_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        export_samples([], str(tmp_path / "x"), "xml")
 
 
 def test_run_verify_passes_and_reports():
