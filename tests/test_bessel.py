@@ -159,6 +159,29 @@ def test_envelope():
         assert abs(j1(float(x)).value) <= math.sqrt(2 / (PI * x)) + c * x**-1.5
 
 
+def _ode_residual(xi, step=1e-3):
+    """Residual xi^2 J1'' + xi J1' + (xi^2 - 1) J1 of Bessel's order-one
+    equation, derivatives from 5-point central differences.  All five points
+    use the route chosen at the center, so the route switch cannot inject a
+    second-difference jump."""
+    route = j1_series if xi <= bessel.SERIES_SWITCH - 0.1 else j1_integral
+    f0, fp1, fm1, fp2, fm2 = (route(xi + k * step).value for k in (0, 1, -1, 2, -2))
+    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * step)
+    d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * step * step)
+    return xi * xi * d2 + xi * d1 + (xi * xi - 1.0) * f0
+
+
+@pytest.mark.parametrize("x,cap", [(1.0, 2e-6), (3.831706, 1e-5 * (1 + 3.831706**2)),
+                                   (20.0, 1e-5 * 401)])
+def test_ode_residual(x, cap):
+    assert abs(_ode_residual(x)) <= cap
+
+
+def test_ode_residual_general_bound():
+    for x in np.linspace(0.5, 30.0, 31):
+        assert abs(_ode_residual(float(x))) <= 1e-5 * (1 + x * x)
+
+
 # Largest err_bound each route may return on (0, 100].  The series bound
 # carries the rounding of its largest cancelling terms: 2.0e-12 at xi = 12,
 # where the true error is 5.5e-13.
