@@ -11,9 +11,8 @@ prints the machine-verified chain.
 
 import math
 
-from periodkit import (PotentialSystem, energy_to_amplitude,
-                       find_critical_periods, find_two_pi_levels, run_verify,
-                       two_pi_brackets)
+from periodkit import (PotentialSystem, find_critical_periods,
+                       find_two_pi_levels, run_verify, two_pi_brackets)
 
 TWO_PI = 2 * math.pi
 K_MAX = 8
@@ -33,7 +32,8 @@ print("every left end sits above 2*pi and every right end below: "
 
 # --- step 2: one 2*pi-level inside each bracket --------------------------------
 
-levels = find_two_pi_levels(sys, K_MAX)
+# the crossings are refined inside the brackets measured in step 1
+levels = find_two_pi_levels(sys, brackets)
 print(f"{len(levels)} energies with T = 2*pi located:")
 print(" ", ", ".join(f"{h:.3f}" for h in levels), "\n")
 
@@ -47,9 +47,9 @@ for c in crit:
 
 kinds = [c.kind for c in crit]
 alternating = all(a != b for a, b in zip(kinds, kinds[1:]))
-level_amps = [energy_to_amplitude(sys, h) for h in levels]
-rolle = all(any(a < c.xi_star < b for c in crit)
-            for a, b in zip(level_amps, level_amps[1:]))
+# energy grows with amplitude, so the extrema's energies interleave the levels
+rolle = all(any(a < c.h_star < b for c in crit)
+            for a, b in zip(levels, levels[1:]))
 print(f"\nkinds strictly alternate: {alternating}")
 print(f"an extremum between each consecutive pair of 2*pi-levels: {rolle}\n")
 

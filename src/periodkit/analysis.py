@@ -13,7 +13,9 @@ The analysis rests on two families of distinguished amplitudes:
 (inequalities as written for lam > 0; both flip for lam in (-1, 0)).  Each
 pair brackets at least one energy with T = 2*pi, and between consecutive
 sign-changing 2*pi-levels the derivative T' must vanish, which is how the
-critical periods are located and counted.
+critical periods are located and counted.  Each search samples its grid in
+one batched quadrature and refines all its sign changes together, one more
+batched quadrature per iteration of Chandrupatla's bracketing method.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
-from .errors import AmbiguousBracket, DegenerateIsochronous, SignViolation
+from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
 from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
                          QuadratureConfig, coupling_slope, period_at_amplitude,
-                         period_samples, period_slope, period_slopes,
-                         require_converged)
+                         period_samples, period_slopes, require_converged)
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -104,8 +106,8 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     """Locate and classify the extrema of T on (0, xi_max].
 
     dT/dxi is sampled on a grid of step pi/8 in one batched quadrature;
-    each sign change is refined by Brent's method on dT/dxi to within
-    refine_err <= 1e-8 * xi_star.
+    all sign changes are refined together by Chandrupatla's method on
+    dT/dxi to within refine_err <= 1e-8 * xi_star.
     Sign changes where both endpoint slopes drown in their own error
     estimates are reported via the AmbiguousBracket warning and skipped.
     lam = 0 is the isochronous center: the empty list is returned without
@@ -119,39 +121,47 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
     slopes = period_slopes(sys, grid, cfg)
+    value = np.array([s.value for s in slopes])
+    drowned = np.abs(value) < [s.err_est for s in slopes]
+    drowned = drowned[:-1] & drowned[1:]
+    change = np.sign(value[:-1]) * np.sign(value[1:]) < 0.0
+    for i in np.flatnonzero(change & drowned):
+        warnings.warn(
+            f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
+            f"its error estimate at both ends; not refined",
+            AmbiguousBracket)
 
-    def slope(x):
-        return period_slope(sys, x, cfg).value
-
-    found = []
-    for i in range(len(grid) - 1):
-        s0, s1 = slopes[i], slopes[i + 1]
-        if s0.value == 0.0 or s1.value == 0.0 or s0.value * s1.value > 0.0:
-            continue
-        if abs(s0.value) < s0.err_est and abs(s1.value) < s1.err_est:
-            warnings.warn(
-                f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
-                f"its error estimate at both ends; not refined",
-                AmbiguousBracket)
-            continue
-        # brentq stops once the sign change lies within xtol + 4*eps*|x|
-        # of the point it returns
-        xtol = 0.5 * CRITICAL_REFINE_REL * float(grid[i])
-        xi_star = _brentq_from(slope, float(grid[i]), float(grid[i + 1]),
-                               s0.value, s1.value, xtol)
-        sample = period_at_amplitude(sys, xi_star, cfg)
-        found.append(CriticalPeriod(
-            xi_star=xi_star, h_star=sample.h, T_star=sample.T,
-            kind="max" if s0.value > 0.0 else "min",
-            refine_err=xtol + 4.0 * EPS * xi_star))
-    return found
+    i = np.flatnonzero(change & ~drowned)
+    xrtol = 0.5 * CRITICAL_REFINE_REL
+    xi_star = _refine(lambda x: [s.value for s in period_slopes(sys, x, cfg)],
+                      grid[i], grid[i + 1], value[i], value[i + 1], xrtol)
+    return [CriticalPeriod(xi_star=s.xi, h_star=s.h, T_star=require_converged(s, cfg).T,
+                           kind="max" if v > 0.0 else "min",
+                           refine_err=(xrtol + 4.0 * EPS) * s.xi)
+            for s, v in zip(period_samples(sys, xi_star, cfg), value[i])]
 
 
-def _brentq_from(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
-    """brentq(f, a, b) seeing the batched grid's values fa, fb at the ends:
-    a scalar quadrature may round an ulp apart from the same amplitude in a
-    batch, which could undo a sign change of a value near zero."""
-    return brentq(lambda x: fa if x == a else (fb if x == b else f(x)), a, b, xtol=xtol)
+def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
+    """The root of f in each bracket [lo, hi] whose end values f_lo, f_hi
+    differ in sign, by Chandrupatla's method until each final bracket is
+    narrower than xrtol times its root: one call of f per iteration, on an
+    array holding one new point per open bracket.  The ends keep the values
+    given, since a quadrature can round an ulp apart in another batch and
+    undo a sign change of a value near zero."""
+    def values(x, a, b, fa, fb):
+        out = np.where(x == a, fa, fb)
+        inner = (x != a) & (x != b)
+        if np.count_nonzero(inner):
+            out[inner] = f(x[inner])
+        return out
+
+    res = find_root(values, (lo, hi), args=(lo, hi, f_lo, f_hi),
+                    tolerances=dict(xatol=0.0, xrtol=xrtol))
+    if not np.all(res.success):
+        j = int(np.argmin(res.success))
+        raise BracketFailure(f"root refinement on [{lo[j]:.6g}, {hi[j]:.6g}] "
+                             f"ended with status {int(res.status[j])}")
+    return res.x
 
 
 def _sign_with_tol(value: float, err: float) -> int:
@@ -206,39 +216,32 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int,
     return out
 
 
-def find_two_pi_levels(sys: PotentialSystem, k_max: int,
+def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket],
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[float]:
-    """Energies h with T(h) = 2*pi, at least one per bracket.
+    """Energies h with T(h) = 2*pi, at least one per bracket of two_pi_brackets.
 
-    Each bracket is scanned at amplitude step pi/8, all brackets in one
-    batched quadrature; every sign change of T - 2*pi is refined by Brent's
-    method to 1e-12 relative in the amplitude, so extra crossings inside a
-    bracket are picked up too.  Levels are returned strictly increasing.
+    Each bracket is scanned at amplitude step pi/8 between its measured ends,
+    the interior points of all brackets in one batched quadrature; all sign
+    changes of T - 2*pi are refined together by Chandrupatla's method to
+    1e-12 relative in the amplitude, so extra crossings inside a bracket are
+    picked up too.  Levels are returned strictly increasing.
     """
     if sys.lam == 0.0:
         raise DegenerateIsochronous(
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
-    brackets = two_pi_brackets(sys, k_max, cfg)
 
-    def deviation(x):
-        return period_at_amplitude(sys, x, cfg).T - TWO_PI
+    def deviations(x):
+        return [require_converged(s, cfg).T - TWO_PI for s in period_samples(sys, x, cfg)]
 
-    grids = np.array([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets])
-    inner = iter(period_samples(sys, grids[:, 1:-1].ravel(), cfg))
-    levels = []
-    for br, grid in zip(brackets, grids):
-        devs = [br.T_lo - TWO_PI]
-        devs += [require_converged(next(inner), cfg).T - TWO_PI for _ in grid[1:-1]]
-        devs.append(br.T_hi - TWO_PI)
-        for i in range(len(grid) - 1):
-            if devs[i] == 0.0:
-                levels.append(float(sys.G(grid[i])))
-            elif devs[i] * devs[i + 1] <= 0.0:
-                level = _brentq_from(deviation, float(grid[i]), float(grid[i + 1]),
-                                     devs[i], devs[i + 1], LEVEL_REFINE_REL * float(grid[i]))
-                levels.append(float(sys.G(level)))
-    levels.sort()
-    return levels
+    grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
+    devs = np.column_stack([[br.T_lo - TWO_PI for br in brackets],
+                            np.reshape(deviations(grids[:, 1:-1].ravel()), (-1, 7)),
+                            [br.T_hi - TWO_PI for br in brackets]])
+    x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
+    d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
+    cross = d0 * d1 <= 0.0  # a zero end is its own root
+    roots = _refine(deviations, x0[cross], x1[cross], d0[cross], d1[cross], LEVEL_REFINE_REL)
+    return sorted(sys.G(roots).tolist())
 
 
 def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LowEnergyReport:

@@ -67,7 +67,7 @@ def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
     return t, comp
 
 
-def j1_series(xi: float, tol: float = 1e-16) -> BesselEval:
+def j1_series(xi: float) -> BesselEval:
     """Power-series evaluation, valid for 0 <= xi <= 14.
 
     Terms follow the recurrence t_{m+1} = -t_m (xi/2)^2 / ((m+1)(m+2)) and
@@ -88,7 +88,7 @@ def j1_series(xi: float, tol: float = 1e-16) -> BesselEval:
     m = 0
     while m < 200:
         term = -term * q / ((m + 1) * (m + 2))
-        if abs(term) <= tol * max(abs(total), 1e-18):
+        if abs(term) <= 1e-16 * max(abs(total), 1e-18):
             break
         total, comp = _kahan_add(total, comp, term)
         abs_mass += abs(term)
@@ -97,25 +97,28 @@ def j1_series(xi: float, tol: float = 1e-16) -> BesselEval:
     return BesselEval(xi=xi, value=total, method="series", err_bound=err)
 
 
-def _trapezoid_doubling(f, n0: int, tol: float) -> tuple[float, float, int]:
-    """Equispaced trapezoid on [0, 2*pi) with node doubling until successive
-    values agree to tol (absolute).  Geometric for periodic entire f."""
-    n = max(int(n0), 4)
-    s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    prev = TWO_PI * float(np.mean(f(s)))
+def _trapezoid_doubling(xi: float) -> tuple[float, float]:
+    """integral_0^{2pi} sin(xi cos s) cos s ds by the equispaced trapezoid,
+    doubling from 16 nodes until successive values agree to
+    TRAPEZOID_TOL * 2*pi (absolute): (value, last difference).  Geometric,
+    the integrand being periodic and entire."""
+    def f(s):
+        return np.sin(xi * np.cos(s)) * np.cos(s)
+
+    n = 16
+    prev = TWO_PI * float(np.mean(f(np.linspace(0.0, TWO_PI, n, endpoint=False))))
     while n <= TRAPEZOID_MAX_NODES:
         n *= 2
-        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        cur = TWO_PI * float(np.mean(f(s)))
+        cur = TWO_PI * float(np.mean(f(np.linspace(0.0, TWO_PI, n, endpoint=False))))
         diff = abs(cur - prev)
-        if diff <= tol:
-            return cur, diff, n
+        if diff <= TRAPEZOID_TOL * TWO_PI:
+            return cur, diff
         prev = cur
     raise NoConvergence(f"periodic trapezoid exceeded {TRAPEZOID_MAX_NODES} nodes",
                         best=prev)
 
 
-def variational_integral(xi: float, tol: float = TRAPEZOID_TOL) -> float:
+def variational_integral(xi: float) -> float:
     """integral_0^{2pi} sin(xi cos s) cos s ds.
 
     This is the stationarity integral of the period under the sine coupling
@@ -123,28 +126,21 @@ def variational_integral(xi: float, tol: float = TRAPEZOID_TOL) -> float:
     positive zeros of J1.
     """
     _require_arg(xi)
-    if xi == 0.0:
-        return 0.0
-    value, _, _ = _trapezoid_doubling(lambda s: np.sin(xi * np.cos(s)) * np.cos(s),
-                                      16, tol * TWO_PI)
-    return value
+    return _trapezoid_doubling(xi)[0]
 
 
-def j1_integral(xi: float, n: int = 16) -> BesselEval:
-    """Integral-representation evaluation, any xi >= 0; n is the starting
-    node count (>= 16) for the doubling trapezoid.
+def j1_integral(xi: float) -> BesselEval:
+    """Integral-representation evaluation, any xi >= 0, by the doubling
+    trapezoid.
 
     err_bound is the last doubling difference, floored at the rounding of
     the value: each node's argument xi*cos(s) rounds by about EPS*xi, so no
     bound may claim less than EPS*(1 + xi) (the difference alone can be
     exactly 0)."""
     _require_arg(xi)
-    if n < 16:
-        raise ValueError("starting node count must be >= 16")
     if xi == 0.0:
         return BesselEval(xi=0.0, value=0.0, method="integral", err_bound=0.0)
-    raw, diff, _ = _trapezoid_doubling(lambda s: np.sin(xi * np.cos(s)) * np.cos(s),
-                                       n, TRAPEZOID_TOL * TWO_PI)
+    raw, diff = _trapezoid_doubling(xi)
     return BesselEval(xi=xi, value=raw / TWO_PI, method="integral",
                       err_bound=max(diff / TWO_PI, EPS * (1.0 + xi)))
 

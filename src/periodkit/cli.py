@@ -45,7 +45,7 @@ def _common_options() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON file with rel_tol / max_depth / base_nodes defaults")
     p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format (default json)")
+                   help="output format (default json; bessel j1/identity and verify: json only)")
     p.add_argument("--out", default=None, help="write payload to this path")
     return p
 
@@ -146,6 +146,9 @@ def _numbered(name: str, values) -> list[dict]:
 def _run(args) -> int:
     cfg = _resolve_config(args)
     csv = args.format == "csv"
+    name = f"bessel {args.op}" if args.command == "bessel" else args.command
+    if csv and name in ("bessel j1", "bessel identity", "verify"):
+        raise ValueError(f"{name} writes JSON only; --format csv is not supported")
 
     def emit_json(payload: dict) -> None:
         _emit(args, to_json({**payload, "config": config_dict(cfg)}))
@@ -180,8 +183,9 @@ def _run(args) -> int:
 
     if args.command == "two-pi":
         sys_ = PotentialSystem(args.lam)
-        brackets = [bracket_dict(b) for b in two_pi_brackets(sys_, args.k_max, cfg)]
-        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, args.k_max, cfg)
+        measured = two_pi_brackets(sys_, args.k_max, cfg)
+        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, measured, cfg)
+        brackets = [bracket_dict(b) for b in measured]
         if csv:  # every bracket field but the degenerate flag
             _emit(args, csv_table(BRACKET_FIELDS[:-1], brackets))
         else:

@@ -93,7 +93,7 @@ class CenterValidity:
     center_kind: str
 
 
-def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = True) -> float:
+def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     """Invert h = G(xi) for xi > 0 by Brent's method on a bracket.
 
     G(x) <= x^2*(1 + max(lam, 0))/2, so xi0 = sqrt(2h/(1+max(lam,0))) always
@@ -107,7 +107,7 @@ def energy_to_amplitude(sys: PotentialSystem, h: float, check_monotone: bool = T
         raise ValueError(f"h must be positive and finite, got {h}")
 
     def probe(x: float) -> float:
-        if check_monotone and x > 0.0 and sys.g(x) <= 0.0:
+        if x > 0.0 and sys.g(x) <= 0.0:
             raise NonMonotoneEnergy(
                 f"g({x:.6g}) <= 0 inside the search bracket (lam={sys.lam:g})", x=x)
         return float(sys.G(x)) - h

@@ -112,12 +112,11 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
                         err_est=_PERIOD_ERR_FACTOR * tol * period, method="ode-oracle")
 
 
-def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10,
-                n_samples: int = 2001) -> OrbitTrace:
-    """One full period sampled uniformly in time, with the energy drift."""
+def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTrace:
+    """One full period sampled at 2001 uniform times, with the energy drift."""
     t_half = _integrate_half(sys, xi, tol)
     period = 2.0 * t_half
-    t_eval = np.linspace(0.0, period, n_samples)
+    t_eval = np.linspace(0.0, period, 2001)
     sol = solve_ivp(_rhs(sys), (0.0, period), [xi, 0.0], method="RK45",
                     rtol=tol, atol=tol, t_eval=t_eval)
     if sol.status != 0:

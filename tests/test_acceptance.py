@@ -59,10 +59,10 @@ def test_03_bracket_inequalities():
 
 def test_04_two_pi_levels():
     s1 = PotentialSystem(1.0)
-    levels = find_two_pi_levels(s1, 10)
+    brackets = two_pi_brackets(s1, 10)
+    levels = find_two_pi_levels(s1, brackets)
     increasing = all(b > a for a, b in zip(levels, levels[1:]))
     worst = max(abs(period_at_energy(s1, h).T - TWO_PI) for h in levels)
-    brackets = two_pi_brackets(s1, 10)
     one_each = all(any(br.h_lo < h < br.h_hi for h in levels) for br in brackets)
     ok = len(levels) >= 10 and increasing and worst <= 1e-9 and one_each
     _report(4, "two-pi-levels", ok,
@@ -75,7 +75,7 @@ def test_05_critical_periods():
     crit = find_critical_periods(s1, 21 * PI)
     kinds = [c.kind for c in crit]
     alternate = all(a != b for a, b in zip(kinds, kinds[1:]))
-    levels = find_two_pi_levels(s1, 10)
+    levels = find_two_pi_levels(s1, two_pi_brackets(s1, 10))
     level_amps = [energy_to_amplitude(s1, h) for h in levels]
     amps = [c.xi_star for c in crit]
     interleaved = all(any(a < x < b for x in amps)

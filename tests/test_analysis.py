@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import periodkit.analysis as analysis
+import periodkit.quadrature as quadrature
 from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
 from periodkit.errors import (AmbiguousBracket, DegenerateIsochronous,
                               NonMonotoneEnergy, SignViolation)
@@ -15,6 +16,7 @@ from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
                                 two_pi_brackets)
+from periodkit.report import run_verify
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -92,9 +94,11 @@ def test_critical_periods_alternate():
     assert xs == sorted(xs)
 
 
-def test_critical_sign_change_within_bracket():
-    s1 = PotentialSystem(1.0)
-    crit = find_critical_periods(s1, 4 * PI)
+@pytest.mark.parametrize("lam, xi_max", [(1.0, 4 * PI), (-0.9, 41 * PI), (4.4, 41 * PI)],
+                         ids=["1-4pi", "-0.9-41pi", "4.4-41pi"])
+def test_critical_sign_change_within_bracket(lam, xi_max):
+    s1 = PotentialSystem(lam)
+    crit = find_critical_periods(s1, xi_max)
     for c in crit:
         lo = period_derivative(s1, float(s1.G(c.xi_star - 2 * c.refine_err)))
         hi = period_derivative(s1, float(s1.G(c.xi_star + 2 * c.refine_err)))
@@ -137,6 +141,38 @@ def test_critical_period_near_side_equilibria():
     # finite-difference T' moved it by 3.3e-5
     c = find_critical_periods(PotentialSystem(4.4), 2 * PI)[0]
     assert abs(c.xi_star - 4.6483170849968868) <= c.refine_err
+
+
+class _EngineCalls:
+    """Counts the calls of the batched quadrature engine."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        engine = quadrature._adaptive
+
+        def counted(*args):
+            self.calls += 1
+            return engine(*args)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counted)
+
+
+@pytest.mark.parametrize("lam", [-0.9, 1.0, 4.4])
+def test_refinement_engine_call_ceilings(monkeypatch, lam):
+    # one engine call per refinement iteration over all open brackets: 7-9
+    # for 40 extrema and 6-7 for 20 levels when measured; refining bracket
+    # by bracket took 184-186, 84-86 and 291-292 for a whole verify
+    s = PotentialSystem(lam)
+    brackets = two_pi_brackets(s, 20)
+    counter = _EngineCalls(monkeypatch)
+    assert len(find_critical_periods(s, 41 * PI)) == 40
+    assert counter.calls <= 12
+    counter.calls = 0
+    assert len(find_two_pi_levels(s, brackets)) == 20
+    assert counter.calls <= 10
+    counter.calls = 0
+    run_verify(lam, 20)
+    assert counter.calls <= 45
 
 
 def test_ambiguous_bracket_warning(monkeypatch):
@@ -201,10 +237,10 @@ def test_sign_violation_raised_on_contradiction(monkeypatch):
 
 def test_two_pi_levels_basic():
     s1 = PotentialSystem(1.0)
-    levels = find_two_pi_levels(s1, 3)
+    brackets = two_pi_brackets(s1, 3)
+    levels = find_two_pi_levels(s1, brackets)
     assert len(levels) >= 3
     assert levels == sorted(levels)
-    brackets = two_pi_brackets(s1, 3)
     for br in brackets:
         assert any(br.h_lo < h < br.h_hi for h in levels)
     from periodkit.quadrature import period_at_energy
@@ -214,11 +250,13 @@ def test_two_pi_levels_basic():
 
 def test_two_pi_levels_rejects_linear_center():
     with pytest.raises(DegenerateIsochronous):
-        find_two_pi_levels(PotentialSystem(0.0), 2)
+        s0 = PotentialSystem(0.0)
+        find_two_pi_levels(s0, two_pi_brackets(s0, 2))
 
 
 def test_two_pi_levels_negative_coupling():
-    levels = find_two_pi_levels(PotentialSystem(-0.5), 3)
+    s = PotentialSystem(-0.5)
+    levels = find_two_pi_levels(s, two_pi_brackets(s, 3))
     assert len(levels) >= 3
     assert all(b > a for a, b in zip(levels, levels[1:]))
 

@@ -61,8 +61,6 @@ def test_integral_basics():
     assert j1_integral(0.2).value == pytest.approx(j1_series(0.2).value, abs=1e-13)
     e30 = j1_integral(30.0)
     assert abs(e30.value) <= math.sqrt(2 / (PI * 30)) + 0.01
-    with pytest.raises(ValueError):
-        j1_integral(1.0, n=8)
 
 
 def test_dispatch_branch_consistency():

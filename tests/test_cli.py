@@ -181,6 +181,16 @@ def test_nonfinite_input_is_usage_error(capsys, command, value):
     assert err.startswith("error: ") and err.rstrip().endswith(" " + value)
 
 
+@pytest.mark.parametrize("command, argv", [("bessel j1", ["--xi", "1"]),
+                                           ("bessel identity", ["--n", "40"]),
+                                           ("verify", ["--lambda", "1", "--k-max", "1"])])
+def test_csv_is_rejected_where_the_payload_is_json_only(capsys, command, argv):
+    code, out, err = run_cli(capsys, command.split() + argv + ["--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command} ")
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_identity_rejects_grids_that_check_nothing(capsys, n):
     code, out, err = run_cli(capsys, ["bessel", "identity", "--n", n])
