@@ -29,12 +29,12 @@ from . import __version__
 from .analysis import (CriticalPeriod, TwoPiBracket, find_critical_periods,
                        find_two_pi_levels, opial_indicator, opial_sign_changes,
                        small_h_check, two_pi_brackets)
-from .bessel import IDENTITY_TOL, identity_gap, j1_integral, j1_series
+from .bessel import IDENTITY_TOL, identity_gap, series_integral_gap
 from .errors import DegenerateIsochronous, SignViolation
 from .model import PotentialSystem
-from .oracle import orbit_period
-from .quadrature import (DEFAULT_CONFIG, PeriodSample, QuadratureConfig,
-                         period_at_amplitude, period_at_energy)
+from .oracle import orbit_periods
+from .quadrature import (DEFAULT_CONFIG, PeriodSample, QuadratureConfig, period_samples,
+                         require_converged)
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,9 +66,10 @@ class VerifyReport:
 
 
 def _check_isochrony(cfg) -> CheckResult:
-    base = PotentialSystem(0.0)
-    worst = max(abs(period_at_energy(base, float(h), cfg).T - TWO_PI)
-                for h in np.logspace(-6, 6, 9))
+    # at lam = 0, G(x) = x^2/2: the level h has amplitude sqrt(2*h)
+    amps = np.sqrt(2.0 * np.logspace(-6, 6, 9))
+    worst = max(abs(require_converged(s, cfg).T - TWO_PI)
+                for s in period_samples(PotentialSystem(0.0), amps, cfg))
     return CheckResult(worst <= 1e-9, 1e-9 - worst,
                        f"max |T - 2*pi| = {worst:.3e} at lam=0")
 
@@ -97,8 +98,7 @@ def _check_opial(sys) -> CheckResult:
 
 def _check_bessel_identity() -> CheckResult:
     worst_id = identity_gap(20.0, 60)
-    worst_xm = max(abs(j1_series(float(x)).value - j1_integral(float(x)).value)
-                   for x in np.linspace(0.0, 12.0, 60))
+    worst_xm = series_integral_gap(np.linspace(0.0, 12.0, 60))
     margin = min(IDENTITY_TOL - worst_id, 1e-12 - worst_xm)
     return CheckResult(worst_id <= IDENTITY_TOL and worst_xm <= 1e-12, margin,
                        f"identity gap {worst_id:.3e}, series/integral gap {worst_xm:.3e}")
@@ -106,11 +106,9 @@ def _check_bessel_identity() -> CheckResult:
 
 def _check_oracle(sys, xi_max, cfg) -> CheckResult:
     amps = np.geomspace(0.3, max(1.0, min(33.0, xi_max - 1.0)), 10)
-    worst = 0.0
-    for xi in amps:
-        quad = period_at_amplitude(sys, float(xi), cfg)
-        ode = orbit_period(sys, float(xi), tol=1e-11)
-        worst = max(worst, abs(quad.T - ode.T) / quad.T)
+    quads = period_samples(sys, amps, cfg)
+    odes = orbit_periods(sys, amps, tol=1e-11)
+    worst = max(abs(require_converged(q, cfg).T - o.T) / q.T for q, o in zip(quads, odes))
     return CheckResult(worst <= 1e-7, 1e-7 - worst,
                        f"max rel gap quadrature/ODE = {worst:.3e} on 10 samples")
 

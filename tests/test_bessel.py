@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import periodkit.bessel as bessel
-from periodkit.bessel import (BesselEval, asymptotic_error_constant, j1,
+from periodkit.bessel import (BesselEval, asymptotic_error_constant, identity_gap, j1,
                               j1_asymptotic, j1_integral, j1_series, j1_zeros,
-                              variational_integral)
+                              series_integral_gap, variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
 
 PI = math.pi
@@ -144,6 +144,24 @@ def test_identity_sweep():
     worst = max(abs(variational_integral(float(x)) - TWO_PI * j1(float(x)).value)
                 for x in grid)
     assert worst <= 1e-10
+
+
+def test_batched_trapezoid_matches_one_argument_calls():
+    # arguments up to 60 stop at different node counts; each must get the
+    # value and difference it gets alone, bit for bit
+    xs = np.linspace(0.0, 60.0, 41)
+    values, diffs = bessel._trapezoid_doubling(xs)
+    for x, v, d in zip(xs.tolist(), values.tolist(), diffs.tolist()):
+        alone = bessel._trapezoid_doubling(np.array([x]))
+        assert (v, d) == (alone[0][0], alone[1][0])
+    grid = np.linspace(0.0, 20.0, 120)
+    assert identity_gap(20.0, 120) == max(
+        abs(variational_integral(x) - TWO_PI * j1(x).value) for x in grid.tolist())
+    grid = np.linspace(0.0, 12.0, 60)
+    assert series_integral_gap(grid) == max(
+        abs(j1_series(x).value - j1_integral(x).value) for x in grid.tolist())
+    with pytest.raises(ValueError, match="got -1"):
+        series_integral_gap([1.0, -1.0])
 
 
 def test_small_argument_ratio():

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from periodkit import oracle
 from periodkit.errors import EventMissed
 from periodkit.model import PotentialSystem
-from periodkit.oracle import energy_drift, orbit_period, orbit_trace
-from periodkit.quadrature import period_at_amplitude
+from periodkit.oracle import energy_drift, orbit_period, orbit_periods, orbit_trace
+from periodkit.quadrature import DEFAULT_CONFIG, period_at_amplitude, period_samples
+from periodkit.report import _check_oracle
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -89,3 +92,50 @@ def test_orbit_trace_contract():
     t_end, x_end, y_end = trace.samples[-1]
     assert x_end == pytest.approx(3.0, abs=1e-6)
     assert y_end == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("xis", [[1.0, 1.0], [2.0, 3.0, 2.0, 3.0]])
+def test_batch_with_orbits_crossing_in_one_step(xis):
+    # equal amplitudes cross the section in the same step; each crossing of
+    # that step must retire its own orbit at its own time
+    s1 = PotentialSystem(1.0)
+    odes = orbit_periods(s1, xis, tol=1e-10)
+    for ode, quad in zip(odes, period_samples(s1, xis)):
+        assert ode.xi == quad.xi
+        assert abs(ode.T - quad.T) <= ode.err_est
+
+
+def test_trapped_orbit_in_a_batch_is_named():
+    with pytest.raises(EventMissed, match=r"xi=4\.5\b.*lam=6"):
+        orbit_periods(PotentialSystem(6.0), [1.0, 4.5], tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("lam", [-0.99, -0.9, 0.5, 1.0, 2.5, 4.4, 4.5])
+def test_error_estimate_covers_the_quadrature_gap(lam, tol):
+    sys_ = PotentialSystem(lam)
+    amps = np.geomspace(0.3, 33.0, 10)
+    for ode, quad in zip(orbit_periods(sys_, amps, tol=tol), period_samples(sys_, amps)):
+        assert abs(ode.T - quad.T) <= ode.err_est
+
+
+@pytest.mark.parametrize("lam", [-0.99, 1.0, 4.5])
+def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
+    # the 10 verify orbits share one stacked DOP853 run: 1295-1811 rhs calls
+    # when measured; one RK45 run per orbit took 10184-13772
+    calls = 0
+    rhs = oracle._rhs
+
+    def counted(sys_):
+        f = rhs(sys_)
+
+        def g(t, s):
+            nonlocal calls
+            calls += 1
+            return f(t, s)
+
+        return g
+
+    monkeypatch.setattr(oracle, "_rhs", counted)
+    assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
+    assert calls <= 2500
