@@ -76,13 +76,15 @@ class TwoPiBracket:
 class LowEnergyReport:
     """Residuals of T(h) against its expansion at the center,
     T0 + T0'*h, plus empirical convergence orders between consecutive
-    energies (expect ~2: the remainder is O(h^2))."""
+    energies (expect ~2: the remainder is O(h^2)), and the err_est of each
+    T: a residual no larger than it is rounding noise."""
 
     lam: float
     h: tuple[float, ...]
     T: tuple[float, ...]
     residual: tuple[float, ...]
     orders: tuple[float, ...]
+    err_est: tuple[float, ...] = ()
 
 
 def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
@@ -257,7 +259,8 @@ def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_
     if any(h <= 0.0 or h > 0.1 for h in hs):
         raise ValueError("each energy must lie in (0, 0.1]")
     t0, dt0 = sys.center_asymptotics()
-    ts = [period_at_amplitude(sys, energy_to_amplitude(sys, h), cfg).T for h in hs]
+    samples = [period_at_amplitude(sys, energy_to_amplitude(sys, h), cfg) for h in hs]
+    ts = [s.T for s in samples]
     res = [t - (t0 + dt0 * h) for t, h in zip(ts, hs)]
     orders = []
     for i in range(len(hs) - 1):
@@ -266,7 +269,8 @@ def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_
         else:
             orders.append(math.log(abs(res[i] / res[i + 1])) / math.log(hs[i] / hs[i + 1]))
     return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(ts),
-                           residual=tuple(res), orders=tuple(orders))
+                           residual=tuple(res), orders=tuple(orders),
+                           err_est=tuple(s.err_est for s in samples))
 
 
 def opial_indicator(sys: PotentialSystem, x):

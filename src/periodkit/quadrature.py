@@ -157,10 +157,16 @@ def _well(sys: PotentialSystem, xi, phi):
     return s2u, sa, sb, a, b, d
 
 
-def _s(x):
-    """S(x) = sin(x) - x*cos(x) for x >= 0, by its Taylor series below 1."""
-    x2 = x * x
-    return np.where(x < 1.0, np.polyval(_S_SERIES, x2) * x2 * x, np.sin(x) - x * np.cos(x))
+def _s(x, sx):
+    """S(x) = sin(x) - x*cos(x) for x >= 0, given sx = sin(x) as _well
+    returns it; the entries below 1 are overwritten by the Taylor series."""
+    out = sx - x * np.cos(x)
+    small = x < 1.0
+    if np.count_nonzero(small):
+        xs = x[small]
+        x2 = xs * xs
+        out[small] = np.polyval(_S_SERIES, x2) * x2 * xs
+    return out
 
 
 def _period_integrand(sys: PotentialSystem, xi, phi):
@@ -172,7 +178,7 @@ def _slope_integrand(sys: PotentialSystem, xi, phi):
     # d/dxi of xi*s2u/sqrt(D) is s2u*(2D - xi*dD/dxi) / (2*D^(3/2)), and
     # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b))
     s2u, sa, sb, a, b, d = _well(sys, xi, phi)
-    return sys.lam * s2u * (sb * _s(a) + sa * _s(b)) / (d * np.sqrt(d))
+    return sys.lam * s2u * (sb * _s(a, sa) + sa * _s(b, sb)) / (d * np.sqrt(d))
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, phi):

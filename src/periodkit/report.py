@@ -76,8 +76,11 @@ def _check_isochrony(cfg) -> CheckResult:
 
 def _check_small_h(sys, cfg) -> CheckResult:
     rep = small_h_check(sys, [1e-2, 1e-3], cfg)
-    if rep.residual[1] == 0.0:
-        return CheckResult(True, 0.0, "residuals at machine zero")
+    noise = [(h, r, e) for h, r, e in zip(rep.h, rep.residual, rep.err_est) if abs(r) <= e]
+    if noise:
+        margin = min(abs(r) - e for _, r, e in noise)
+        return CheckResult(False, margin, "; ".join(
+            f"residual {r:.3e} at h={h:g} within its err_est {e:.3e}" for h, r, e in noise))
     ratio = abs(rep.residual[0] / rep.residual[1])
     margin = min(ratio - 50.0, 200.0 - ratio)
     return CheckResult(50.0 <= ratio <= 200.0, margin,

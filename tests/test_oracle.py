@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,3 +140,26 @@ def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
     monkeypatch.setattr(oracle, "_rhs", counted)
     assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
     assert calls <= 2500
+
+
+def test_stacked_rhs_is_one_frame_and_exact():
+    # the rhs is the oracle's inner loop: splitting the state by np.split
+    # entered 15 Python frames per call, slicing enters only the rhs itself
+    lam = 2.5
+    f = oracle._rhs(PotentialSystem(lam))
+    s = np.linspace(-3.0, 4.0, 20)
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        out = f(0.0, s)
+    finally:
+        sys.setprofile(None)
+    assert frames <= 3
+    x, y = s[:10], s[10:]
+    expected = np.concatenate((-y, x + lam * np.sin(x)))
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))

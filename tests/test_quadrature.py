@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,3 +325,33 @@ def test_non_monotone_energy_names_the_amplitude(xi):
 def test_period_samples_reject_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match=f"got {bad}"):
         period_samples(PotentialSystem(1.0), [1.0, bad, 2.0])
+
+
+def _s_amplitudes():
+    one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    return np.concatenate([np.geomspace(1e-8, 1e3, 400), np.linspace(0.0, 2.0, 201), one])
+
+
+def test_s_reuses_sine_bit_for_bit():
+    # the slope integrand passes _well's sines; each entry must go through
+    # the same operations as the two-branch form evaluated on every node
+    x = _s_amplitudes()
+    x2 = x * x
+    both = np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x2) * x2 * x,
+                    np.sin(x) - x * np.cos(x))
+    got = quadrature._s(x, np.sin(x))
+    assert np.array_equal(got.view(np.int64), both.view(np.int64))
+
+
+def test_s_matches_reference():
+    # 30 digits of S(x) = sin(x) - x*cos(x): the difference cancels 17 digits
+    # at x = 1e-8, so it is taken at 50.  The series is relatively accurate
+    # below 1; above, S has zeros (tan x = x) and the direct difference is
+    # accurate relative to its terms
+    x = _s_amplitudes()
+    got = quadrature._s(x, np.sin(x))
+    with mpmath.workdps(50):
+        err = [float(abs(mpmath.mpf(v) - (mpmath.sin(t) - t * mpmath.cos(t))))
+               for v, t in zip(got.tolist(), map(mpmath.mpf, x.tolist()))]
+    scale = np.where(x < 1.0, np.abs(got), np.abs(np.sin(x)) + np.abs(x * np.cos(x)))
+    assert np.all(np.array(err) <= 4e-16 * scale)

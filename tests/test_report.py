@@ -3,10 +3,11 @@ import math
 
 import pytest
 
+from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import period_at_amplitude
-from periodkit.report import (CHECK_NAMES, fmt_float, report_to_dict,
+from periodkit.quadrature import DEFAULT_CONFIG, period_at_amplitude
+from periodkit.report import (CHECK_NAMES, _check_small_h, fmt_float, report_to_dict,
                               report_to_json, run_verify, sample_dicts,
                               samples_to_csv, to_json)
 
@@ -90,3 +91,27 @@ def test_report_serialization_deterministic():
     assert d["passed"] is True
     assert list(d["checks"]) == list(CHECK_NAMES)
     json.loads(report_to_json(a))  # valid JSON
+
+
+@pytest.mark.parametrize("lam", [-1e-8, 1e-8])
+def test_small_h_fails_on_residuals_within_their_error(lam):
+    # at |lam| = 1e-8 the residual at h = 1e-3 is one or two ulp of T, below
+    # that T's err_est of 2.8e-15: its ratio to the 1e-2 residual is noise
+    rep = small_h_check(PotentialSystem(lam), [1e-2, 1e-3])
+    assert abs(rep.residual[1]) <= rep.err_est[1]
+    check = run_verify(lam, 1).checks["small-h"]
+    assert not check.passed
+    assert check.margin <= 0.0
+    assert (f"residual {rep.residual[1]:.3e} at h=0.001 within its err_est "
+            f"{rep.err_est[1]:.3e}") in check.detail
+
+
+@pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
+def test_small_h_residuals_clear_their_error(lam):
+    sys_ = PotentialSystem(lam)
+    rep = small_h_check(sys_, [1e-2, 1e-3])
+    assert min(abs(r) for r in rep.residual) >= 6e-10
+    assert len(rep.err_est) == 2 and max(rep.err_est) <= 1e-14
+    check = _check_small_h(sys_, DEFAULT_CONFIG)
+    assert check.passed
+    assert check.detail.startswith("residual ratio 1e-2/1e-3 = ")
