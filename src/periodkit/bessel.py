@@ -8,7 +8,8 @@ toolkit has an internal oracle:
   * large-argument    sqrt(2/(pi*xi)) * cos(xi - 3*pi/4)
 
 The series is summed with Kahan compensation and kept below xi = 14, where
-alternating-term cancellation still leaves ~11 correct digits.  The integral
+alternating-term cancellation still leaves ~11 correct digits; one pass sums
+a whole array of arguments, each stopping at its own term.  The integral
 route is the equispaced trapezoidal rule on a periodic entire integrand, so
 it converges geometrically under node doubling; one pass doubles a whole
 array of arguments, each stopping at its own node count.  Both routes floor
@@ -19,8 +20,8 @@ against the dispatcher on [10, 100].
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
 = 2*pi*J1(xi) for both the verification report and the CLI's `bessel
 identity`, and series_integral_gap the agreement of the series and integral
-routes for the report; each is one trapezoid pass.  This module returns
-numbers only; the payload format lives in report.py.
+routes for the report; each is one series and one trapezoid pass.  This
+module returns numbers only; the payload format lives in report.py.
 
 Zeros are bracketed from the asymptotic cosine (guesses (k + 1/4)*pi) and
 refined by Brent's method; no tabulated constants enter.
@@ -62,11 +63,43 @@ def _require_arg(xi: float, low: float = 0.0) -> None:
         raise ValueError(f"xi must be finite and >= {low:g}, got {xi}")
 
 
-def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _require_series_arg(xi: float) -> None:
+    _require_arg(xi)
+    if xi > SERIES_MAX_ARG:
+        raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
+
+
+def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power series at every argument of the array xi in one elementwise
+    compensated pass: (values, err_bounds), as j1_series defines them.
+    Every argument stops at its own first negligible term; an argument that
+    has stopped is summed on, unused, until the last one stops, and its
+    result is read from the row of the pass where it stopped."""
+    # float_power rounds as a scalar (0.5*xi)**2 does; np.square differs
+    # in the last bit for about one argument in a thousand
+    neg_q = -np.float_power(0.5 * xi, 2)
+    term = 0.5 * xi
+    total, comp, abs_mass = term, np.zeros_like(xi), np.abs(term)
+    stopped = np.zeros(xi.shape, dtype=bool)
+    rows = []                                 # (stop, next term, total, abs_mass)
+    for m in range(200):
+        nxt = term * neg_q / ((m + 1) * (m + 2))
+        size = np.abs(nxt)
+        stop = size <= 1e-16 * np.maximum(np.abs(total), 1e-18)
+        rows.append((stop, nxt, total, abs_mass))
+        stopped |= stop
+        if stopped.all():
+            break
+        y = nxt - comp                        # Kahan step
+        t = total + y
+        comp = (t - total) - y
+        total, term, abs_mass = t, nxt, abs_mass + size
+    else:
+        rows.append((~stopped, term, total, abs_mass))
+    stop, last, total, abs_mass = (np.array(col) for col in zip(*rows))
+    at = stop.argmax(axis=0), np.arange(xi.size)
+    last, total, abs_mass = last[at], total[at], abs_mass[at]
+    return total, np.maximum(np.abs(last) + 0.5 * EPS * abs_mass, EPS * np.abs(total))
 
 
 def j1_series(xi: float) -> BesselEval:
@@ -77,26 +110,11 @@ def j1_series(xi: float) -> BesselEval:
     omitted term plus a roundoff allowance proportional to the largest
     cancelling partial magnitude, floored at the rounding of the value.
     """
-    _require_arg(xi)
-    if xi > SERIES_MAX_ARG:
-        raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
+    _require_series_arg(xi)
     if xi == 0.0:
         return BesselEval(xi=0.0, value=0.0, method="series", err_bound=0.0)
-
-    q = (0.5 * xi) ** 2
-    term = 0.5 * xi
-    total, comp = term, 0.0
-    abs_mass = abs(term)
-    m = 0
-    while m < 200:
-        term = -term * q / ((m + 1) * (m + 2))
-        if abs(term) <= 1e-16 * max(abs(total), 1e-18):
-            break
-        total, comp = _kahan_add(total, comp, term)
-        abs_mass += abs(term)
-        m += 1
-    err = max(abs(term) + 0.5 * EPS * abs_mass, EPS * abs(total))
-    return BesselEval(xi=xi, value=total, method="series", err_bound=err)
+    value, err = _series(np.array([xi], dtype=float))
+    return BesselEval(xi=xi, value=float(value[0]), method="series", err_bound=float(err[0]))
 
 
 def _trapezoid(xi: np.ndarray, n: int) -> np.ndarray:
@@ -218,15 +236,17 @@ def identity_gap(xi_max: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"identity grid needs n >= 2 points, got {n}")
     xs = np.linspace(0.0, xi_max, n)
-    raw = _trapezoid_doubling(xs)[0].tolist()
-    return max(abs(r - TWO_PI * (j1_series(x).value if x <= SERIES_SWITCH else r / TWO_PI))
-               for x, r in zip(xs.tolist(), raw))
+    raw = _trapezoid_doubling(xs)[0]
+    j1_values = raw / TWO_PI
+    low = xs <= SERIES_SWITCH
+    j1_values[low] = _series(xs[low])[0]
+    return float(np.max(np.abs(raw - TWO_PI * j1_values)))
 
 
 def series_integral_gap(xs) -> float:
     """max |j1_series(x) - j1_integral(x)| over the arguments xs, each in
-    [0, SERIES_MAX_ARG], from one trapezoid pass."""
+    [0, SERIES_MAX_ARG], from one series and one trapezoid pass."""
     xs = np.asarray(xs, dtype=float)
-    series = [j1_series(x).value for x in xs.tolist()]  # validates every x first
-    raw = _trapezoid_doubling(xs)[0].tolist()
-    return max(abs(v - r / TWO_PI) for v, r in zip(series, raw))
+    for x in xs.tolist():
+        _require_series_arg(x)
+    return float(np.max(np.abs(_series(xs)[0] - _trapezoid_doubling(xs)[0] / TWO_PI)))

@@ -1,19 +1,29 @@
 """Brute-force period measurement by direct time integration.
 
-Integrates x' = -y, y' = g(x) from (xi, 0) with scipy's DOP853, the explicit
-Runge-Kutta 8(5,3) pair of Dormand and Prince (deterministic given identical
-inputs), and measures the half period as the time at which y falls through
-the Poincare section y = 0.  That crossing happens at the left turning
-point, where y' = g(x) != 0, so the section is crossed transversally; evenness
-of G makes the full period exactly twice the half period.
+Integrates x' = -y, y' = g(x) from (xi, 0) with scipy's compiled DOP853,
+Hairer's code for the explicit Runge-Kutta 8(5,3) pair of Dormand and
+Prince, with its stages, error norm and step control in C (deterministic
+given identical inputs), and measures the half period as the time at which
+y falls through the Poincare section y = 0.  That crossing happens at the
+left turning point, where y' = g(x) != 0, so the section is crossed
+transversally; evenness of G makes the full period exactly twice the half
+period.
 
 orbit_periods integrates a whole batch of amplitudes as one stacked system,
-so every orbit shares the same steps.  After each step, every orbit whose y
-fell from > 0 to <= 0 is located by Brent's method on that step's dense
-output (Hairer, Norsett & Wanner, Solving ODEs I, II.6) and retired; the
-stepper then restarts from the current time with the orbits still live.
-The run is never bounded by a period from elsewhere: it ends when the last
-orbit crosses.
+so every orbit shares the same steps.  The run stops at the first accepted
+step in which some orbit's y fell from > 0 to <= 0.  Each such crossing is
+then located by Hénon's step (M. Hénon, Physica D 5 (1982) 412): with y as
+the independent variable, dx/dy = -y/g(x) and dt/dy = 1/g(x) are integrated
+from the step's end to y = 0 by the same integrator at the same tolerance,
+which lands on the section exactly.  Written in u, y = y_end*(1 - u), every
+crossing of one step runs from u = 0 to u = 1, so they share one run (a
+crossing with y_end = 0 stays at the step's end).  The compiled integrator
+has no dense output and is not re-entrant, so this happens after the
+stacked run has returned.  The crossing orbits are retired and the stacked
+run restarts from the current time with the orbits still live.  The run is
+never bounded by a period from elsewhere: it ends when the last orbit
+crosses.  full_return and orbit_trace, which sample the orbit or record
+more than one crossing, integrate it with solve_ivp's DOP853 instead.
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
@@ -24,18 +34,21 @@ written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate import ode, solve_ivp
 
 from .errors import EventMissed, ToleranceUnmet
 from .model import PotentialSystem
 from .quadrature import PeriodSample
 
 MAX_EVENT_TIME = 1e4
-EPS = float(np.finfo(float).eps)
+# Step budget of one compiled run.  At tol = 1e-12 an orbit of amplitude 33
+# takes about 60 steps per unit time, so a run that never crosses the
+# section ends at MAX_EVENT_TIME, well inside the budget.
+MAX_STEPS = 10 ** 6
 
 # Empirical factor turning the solver tolerance into a period error estimate;
 # calibrated against the quadrature route (see tests).
@@ -80,40 +93,76 @@ def _y_falls(t, s):
 _y_falls.direction = -1
 
 
+def _section_rhs(sys: PotentialSystem):
+    """Hénon's right-hand side for the orbits that fell through y = 0 in one
+    step, with y = y_end*(1 - u) as the independent variable, u from 0 at the
+    step's end to 1 on the section: the state holds every orbit's x, then
+    its t, and dx/du = y_end*y/g(x), dt/du = -y_end/g(x)."""
+    lam = sys.lam
+
+    def f(u, s, y_end):
+        n = s.size // 2
+        x = s[:n]
+        gx = x + lam * np.sin(x)
+        return np.concatenate((y_end * (y_end * (1.0 - u)) / gx, -y_end / gx))
+
+    return f
+
+
+def _dop853(f, tol: float, **options):
+    return ode(f).set_integrator("dop853", rtol=tol, atol=tol, nsteps=MAX_STEPS, **options)
+
+
+def _run(solver, t1: float):
+    """Integrate solver to t1 or until its solout stops it: (t, state).
+    A failed run raises ToleranceUnmet; scipy's warning does not escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = solver.integrate(t1)
+    if solver.get_return_code() < 0:
+        detail = caught[-1].message if caught else f"istate {solver.get_return_code()}"
+        raise ToleranceUnmet(f"integrator failed: {detail}")
+    return solver.t, state
+
+
 def _half_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
     """Time at which each orbit's y first falls through 0, all orbits in one
     stacked DOP853 run."""
-    rhs = _rhs(sys)
+    # scipy 1.17's compiled dop853 keeps a reference to the callbacks of
+    # every run, which keeps their solver alive: two solvers per call retain
+    # about 5 kB, one solver per run retained 24-28 kB
+    stepper, section = _dop853(_rhs(sys), tol), _dop853(_section_rhs(sys), tol, first_step=1.0)
     t_half = [math.nan] * len(xis)
     live = list(range(len(xis)))
     t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
+
+    def stop_on_fall(t, s):
+        nonlocal up, fell
+        y = s[n:]
+        fell = np.flatnonzero(up & (y <= 0.0))
+        up = y > 0.0
+        return -1 if fell.size else 0
+
+    stepper.set_solout(stop_on_fall)
     while live:
         n = len(live)
-        solver = DOP853(rhs, t, state, MAX_EVENT_TIME, rtol=tol, atol=tol)
-        fell: list[int] = []
-        while not fell:
-            if solver.status == "finished":
-                raise EventMissed(
-                    f"no half-period crossing of y=0 within t={MAX_EVENT_TIME:g} "
-                    f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
-            y_old = solver.y[n:]
-            message = solver.step()
-            if solver.status == "failed":
-                raise ToleranceUnmet(f"integrator failed at tol={tol:g}: {message}")
-            fell = np.flatnonzero((y_old > 0.0) & (solver.y[n:] <= 0.0)).tolist()
-        dense = solver.dense_output()
-        for i in fell:
-            tc = brentq(lambda s: dense(s)[n + i], solver.t_old, solver.t,
-                        xtol=4 * EPS, rtol=4 * EPS)
-            x_cross = float(dense(tc)[i])
+        up, fell = state[n:] > 0.0, np.arange(0)
+        t, state = _run(stepper.set_initial_value(state, t), MAX_EVENT_TIME)
+        if not fell.size:
+            raise EventMissed(
+                f"no half-period crossing of y=0 within t={MAX_EVENT_TIME:g} "
+                f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
+        section.set_f_params(state[n + fell])
+        crossing = _run(section.set_initial_value(np.append(state[fell], [t] * fell.size)), 1.0)[1]
+        for i, x_cross, tc in zip(fell.tolist(), crossing[:fell.size], crossing[fell.size:]):
             if x_cross >= 0.0:
                 raise EventMissed(
                     f"section crossed at x={x_cross:.6g} >= 0: the orbit from "
                     f"xi={xis[live[i]]:g} does not enclose the origin (lam={sys.lam:g})")
-            t_half[live[i]] = tc
-        keep = [i for i in range(n) if i not in fell]
+            t_half[live[i]] = float(tc)
+        keep = np.setdiff1d(np.arange(n), fell)
         live = [live[i] for i in keep]
-        t, state = solver.t, solver.y[keep + [n + i for i in keep]]
+        state = state[np.concatenate((keep, n + keep))]
     return t_half
 
 

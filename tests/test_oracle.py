@@ -1,11 +1,14 @@
+import gc
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from periodkit import oracle
-from periodkit.errors import EventMissed
+from periodkit.errors import EventMissed, ToleranceUnmet
 from periodkit.model import PotentialSystem
 from periodkit.oracle import energy_drift, orbit_period, orbit_periods, orbit_trace
 from periodkit.quadrature import DEFAULT_CONFIG, period_at_amplitude, period_samples
@@ -122,24 +125,75 @@ def test_error_estimate_covers_the_quadrature_gap(lam, tol):
 
 @pytest.mark.parametrize("lam", [-0.99, 1.0, 4.5])
 def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
-    # the 10 verify orbits share one stacked DOP853 run: 1295-1811 rhs calls
-    # when measured; one RK45 run per orbit took 10184-13772
+    # the 10 verify orbits share one stacked compiled DOP853 run: 1489-2137
+    # stepper plus 70-140 section-step rhs calls when measured over lam in
+    # [-0.99, 4.5]; one RK45 run per orbit took 10184-13772
     calls = 0
-    rhs = oracle._rhs
 
-    def counted(sys_):
-        f = rhs(sys_)
+    def counted(factory):
+        def make(sys_):
+            f = factory(sys_)
 
-        def g(t, s):
-            nonlocal calls
-            calls += 1
-            return f(t, s)
+            def g(t, s, *params):
+                nonlocal calls
+                calls += 1
+                return f(t, s, *params)
 
-        return g
+            return g
 
-    monkeypatch.setattr(oracle, "_rhs", counted)
+        return make
+
+    monkeypatch.setattr(oracle, "_rhs", counted(oracle._rhs))
+    monkeypatch.setattr(oracle, "_section_rhs", counted(oracle._section_rhs))
     assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
     assert calls <= 2500
+
+
+def test_crossing_is_located_not_taken_at_the_step_end():
+    # at lam = 0 every half period is exactly pi; the step that crosses the
+    # section ends up to a step length past it
+    for sample in orbit_periods(PotentialSystem(0.0), [0.3, 3.0, 30.0], tol=1e-12):
+        assert abs(sample.T - TWO_PI) <= 2e-12
+
+
+def test_no_crossing_by_the_time_limit_raises():
+    # at the nilpotent center the period grows like 18.2/xi, so this orbit
+    # is still above the section at MAX_EVENT_TIME
+    with pytest.raises(EventMissed, match=r"no half-period crossing.*xi=0\.0005\b"):
+        orbit_periods(PotentialSystem(-1.0), [0.3, 5e-4], tol=1e-10)
+
+
+def test_exhausted_step_budget_raises_without_a_warning(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceUnmet, match="larger nsteps"):
+            orbit_periods(PotentialSystem(1.0), [2.0, 5.0], tol=1e-10)
+
+
+def test_repeated_batches_retain_little_memory():
+    # the compiled stepper never releases the callbacks it ran with; building
+    # a solver per stacked run retained 24 kB a call, two per call 5.3 kB
+    amps = np.geomspace(0.3, 33.0, 10)
+    orbit_periods(PotentialSystem(1.0), amps, tol=1e-9)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            orbit_periods(PotentialSystem(1.0), amps, tol=1e-9)
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - start) / 20
+    finally:
+        tracemalloc.stop()
+    assert retained <= 8000
+
+
+@pytest.mark.parametrize("lam", [-0.99, 4.5])
+def test_verify_oracle_runs_without_warnings(lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
 
 
 def test_stacked_rhs_is_one_frame_and_exact():
