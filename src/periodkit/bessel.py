@@ -69,37 +69,11 @@ def _require_series_arg(xi: float) -> None:
         raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
 
 
-def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power series at every argument of the array xi in one elementwise
-    compensated pass: (values, err_bounds), as j1_series defines them.
-    Every argument stops at its own first negligible term; an argument that
-    has stopped is summed on, unused, until the last one stops, and its
-    result is read from the row of the pass where it stopped."""
-    # float_power rounds as a scalar (0.5*xi)**2 does; np.square differs
-    # in the last bit for about one argument in a thousand
-    neg_q = -np.float_power(0.5 * xi, 2)
-    term = 0.5 * xi
-    total, comp, abs_mass = term, np.zeros_like(xi), np.abs(term)
-    stopped = np.zeros(xi.shape, dtype=bool)
-    rows = []                                 # (stop, next term, total, abs_mass)
-    for m in range(200):
-        nxt = term * neg_q / ((m + 1) * (m + 2))
-        size = np.abs(nxt)
-        stop = size <= 1e-16 * np.maximum(np.abs(total), 1e-18)
-        rows.append((stop, nxt, total, abs_mass))
-        stopped |= stop
-        if stopped.all():
-            break
-        y = nxt - comp                        # Kahan step
-        t = total + y
-        comp = (t - total) - y
-        total, term, abs_mass = t, nxt, abs_mass + size
-    else:
-        rows.append((~stopped, term, total, abs_mass))
-    stop, last, total, abs_mass = (np.array(col) for col in zip(*rows))
-    at = stop.argmax(axis=0), np.arange(xi.size)
-    last, total, abs_mass = last[at], total[at], abs_mass[at]
-    return total, np.maximum(np.abs(last) + 0.5 * EPS * abs_mass, EPS * np.abs(total))
+def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
+    y = term - comp
+    t = total + y
+    comp = (t - total) - y
+    return t, comp
 
 
 def j1_series(xi: float) -> BesselEval:
@@ -113,8 +87,54 @@ def j1_series(xi: float) -> BesselEval:
     _require_series_arg(xi)
     if xi == 0.0:
         return BesselEval(xi=0.0, value=0.0, method="series", err_bound=0.0)
-    value, err = _series(np.array([xi], dtype=float))
-    return BesselEval(xi=xi, value=float(value[0]), method="series", err_bound=float(err[0]))
+
+    q = (0.5 * xi) ** 2
+    term = 0.5 * xi
+    total, comp = term, 0.0
+    abs_mass = abs(term)
+    m = 0
+    while m < 200:
+        term = -term * q / ((m + 1) * (m + 2))
+        if abs(term) <= 1e-16 * max(abs(total), 1e-18):
+            break
+        total, comp = _kahan_add(total, comp, term)
+        abs_mass += abs(term)
+        m += 1
+    err = max(abs(term) + 0.5 * EPS * abs_mass, EPS * abs(total))
+    return BesselEval(xi=xi, value=total, method="series", err_bound=err)
+
+
+def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j1_series at every argument of the array xi in one elementwise pass:
+    (values, err_bounds), bit-identical to the scalar loop, which stays the
+    route of a single argument because a pass costs more than one loop.
+    Each argument leaves the pass at its own first negligible term, as in
+    _trapezoid_doubling."""
+    # float_power rounds as a scalar (0.5*xi)**2 does; np.square differs
+    # in the last bit for about one argument in a thousand
+    q = np.float_power(0.5 * xi, 2)
+    term = 0.5 * xi
+    total, comp, abs_mass = term, np.zeros_like(xi), np.abs(term)
+    value, last, mass = np.empty_like(xi), np.empty_like(xi), np.empty_like(xi)
+    todo = np.arange(xi.size)
+    for m in range(200):
+        nxt = -term * q / ((m + 1) * (m + 2))
+        done = np.abs(nxt) <= 1e-16 * np.maximum(np.abs(total), 1e-18)
+        if done.any():
+            stop = todo[done]
+            value[stop], last[stop], mass[stop] = total[done], nxt[done], abs_mass[done]
+            go = ~done
+            todo, q, nxt, total, comp, abs_mass = (
+                todo[go], q[go], nxt[go], total[go], comp[go], abs_mass[go])
+            if todo.size == 0:
+                break
+        y = nxt - comp                        # Kahan step
+        t = total + y
+        comp = (t - total) - y
+        total, term, abs_mass = t, nxt, abs_mass + np.abs(nxt)
+    else:
+        value[todo], last[todo], mass[todo] = total, term, abs_mass
+    return value, np.maximum(np.abs(last) + 0.5 * EPS * mass, EPS * np.abs(value))
 
 
 def _trapezoid(xi: np.ndarray, n: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Integrates x' = -y, y' = g(x) from (xi, 0) with scipy's compiled DOP853,
 Hairer's code for the explicit Runge-Kutta 8(5,3) pair of Dormand and
 Prince, with its stages, error norm and step control in C (deterministic
-given identical inputs), and measures the half period as the time at which
+given identical inputs), called directly rather than through
+scipy.integrate.ode, and measures the half period as the time at which
 y falls through the Poincare section y = 0.  That crossing happens at the
 left turning point, where y' = g(x) != 0, so the section is crossed
 transversally; evenness of G makes the full period exactly twice the half
@@ -18,11 +19,12 @@ from the step's end to y = 0 by the same integrator at the same tolerance,
 which lands on the section exactly.  Written in u, y = y_end*(1 - u), every
 crossing of one step runs from u = 0 to u = 1, so they share one run (a
 crossing with y_end = 0 stays at the step's end).  The compiled integrator
-has no dense output and is not re-entrant, so this happens after the
-stacked run has returned.  The crossing orbits are retired and the stacked
-run restarts from the current time with the orbits still live.  The run is
-never bounded by a period from elsewhere: it ends when the last orbit
-crosses.  full_return and orbit_trace, which sample the orbit or record
+has no dense output and keeps the callback of its current run in one slot
+per thread, so it is not re-entrant and this happens after the stacked run
+has returned; threads may run it concurrently.  The crossing orbits are
+retired and the stacked run restarts from the current time with the orbits
+still live.  The run is never bounded by a period from elsewhere: it ends
+when the last orbit crosses.  full_return and orbit_trace, which sample the orbit or record
 more than one crossing, integrate it with solve_ivp's DOP853 instead.
 
 This route shares no code with the quadrature module, which is the point:
@@ -34,11 +36,11 @@ written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.integrate._dop import dopri853
 
 from .errors import EventMissed, ToleranceUnmet
 from .model import PotentialSystem
@@ -109,29 +111,46 @@ def _section_rhs(sys: PotentialSystem):
     return f
 
 
-def _dop853(f, tol: float, **options):
-    return ode(f).set_integrator("dop853", rtol=tol, atol=tol, nsteps=MAX_STEPS, **options)
+# The compiled dop853 keeps a reference to the fcn and solout of every run
+# for good, so both are these module-level trampolines, and a run's own rhs,
+# solout and rhs arguments reach them through the extra-argument tuple, which
+# it does not keep (scipy.integrate.ode would hand it a new bound method of
+# its solver on every run).
+def _fcn(t, s, f, solout, *args):
+    return f(t, s, *args)
 
 
-def _run(solver, t1: float):
-    """Integrate solver to t1 or until its solout stops it: (t, state).
-    A failed run raises ToleranceUnmet; scipy's warning does not escape."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        state = solver.integrate(t1)
-    if solver.get_return_code() < 0:
-        detail = caught[-1].message if caught else f"istate {solver.get_return_code()}"
-        raise ToleranceUnmet(f"integrator failed: {detail}")
-    return solver.t, state
+def _solout(t, s, f, solout, *args):
+    return solout(t, s)
+
+
+_FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
+             -3: "step size becomes too small", -4: "problem is probably stiff"}
+
+
+def _run(f, t0: float, state: np.ndarray, t1: float, tol: float, *args,
+         solout=None, first_step: float = 0.0):
+    """Integrate s' = f(t, s, *args) from (t0, state) to t1 by the compiled
+    DOP853, or until solout(t, s) returns -1 after an accepted step:
+    (t, state).  A failed run raises ToleranceUnmet."""
+    work = np.zeros(11 * state.size + 21)
+    # safety factor, step-size change limits and first step as scipy's
+    # dop853 integrator sets them
+    work[1:4] = 0.9, 0.3, 6.0
+    work[6] = first_step
+    t, state, istate = dopri853(_fcn, t0, state, t1, tol, tol, _solout, int(solout is not None),
+                                work, np.zeros(21, dtype=np.int32), MAX_STEPS, -1,
+                                (f, solout, *args))
+    if istate < 0:
+        raise ToleranceUnmet(
+            f"integrator failed: {_FAILURES.get(istate, 'unknown failure')} (istate {istate})")
+    return t, state
 
 
 def _half_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
     """Time at which each orbit's y first falls through 0, all orbits in one
     stacked DOP853 run."""
-    # scipy 1.17's compiled dop853 keeps a reference to the callbacks of
-    # every run, which keeps their solver alive: two solvers per call retain
-    # about 5 kB, one solver per run retained 24-28 kB
-    stepper, section = _dop853(_rhs(sys), tol), _dop853(_section_rhs(sys), tol, first_step=1.0)
+    rhs, section = _rhs(sys), _section_rhs(sys)
     t_half = [math.nan] * len(xis)
     live = list(range(len(xis)))
     t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
@@ -143,17 +162,16 @@ def _half_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[fl
         up = y > 0.0
         return -1 if fell.size else 0
 
-    stepper.set_solout(stop_on_fall)
     while live:
         n = len(live)
         up, fell = state[n:] > 0.0, np.arange(0)
-        t, state = _run(stepper.set_initial_value(state, t), MAX_EVENT_TIME)
+        t, state = _run(rhs, t, state, MAX_EVENT_TIME, tol, solout=stop_on_fall)
         if not fell.size:
             raise EventMissed(
                 f"no half-period crossing of y=0 within t={MAX_EVENT_TIME:g} "
                 f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
-        section.set_f_params(state[n + fell])
-        crossing = _run(section.set_initial_value(np.append(state[fell], [t] * fell.size)), 1.0)[1]
+        start = np.append(state[fell], [t] * fell.size)
+        crossing = _run(section, 0.0, start, 1.0, tol, state[n + fell], first_step=1.0)[1]
         for i, x_cross, tc in zip(fell.tolist(), crossing[:fell.size], crossing[fell.size:]):
             if x_cross >= 0.0:
                 raise EventMissed(

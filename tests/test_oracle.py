@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -171,9 +172,10 @@ def test_exhausted_step_budget_raises_without_a_warning(monkeypatch):
             orbit_periods(PotentialSystem(1.0), [2.0, 5.0], tol=1e-10)
 
 
-def test_repeated_batches_retain_little_memory():
-    # the compiled stepper never releases the callbacks it ran with; building
-    # a solver per stacked run retained 24 kB a call, two per call 5.3 kB
+def test_repeated_batches_retain_no_memory():
+    # the compiled stepper never releases the callbacks it ran with, so they
+    # are module-level; a scipy.integrate.ode solver per stacked run retained
+    # 24 kB a call, two solvers per call 4.4 kB
     amps = np.geomspace(0.3, 33.0, 10)
     orbit_periods(PotentialSystem(1.0), amps, tol=1e-9)
     gc.collect()
@@ -186,7 +188,27 @@ def test_repeated_batches_retain_little_memory():
         retained = (tracemalloc.get_traced_memory()[0] - start) / 20
     finally:
         tracemalloc.stop()
-    assert retained <= 8000
+    assert retained <= 32
+
+
+def test_concurrent_batches_match_serial_ones():
+    # the compiled stepper keeps the callback of its current run per thread;
+    # three threads on two cores and a tiny switch interval make them trade
+    # the GIL inside the callbacks of each other's runs
+    cases = [(lam, np.geomspace(0.3, 33.0, 10)) for lam in (-0.9, 1.0, 2.5, 4.4)] * 3
+
+    def periods(case):
+        return [s.T for s in orbit_periods(PotentialSystem(case[0]), case[1], tol=1e-10)]
+
+    serial = [periods(case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = list(pool.map(periods, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @pytest.mark.parametrize("lam", [-0.99, 4.5])
