@@ -76,8 +76,9 @@ class TwoPiBracket:
 class LowEnergyReport:
     """Residuals of T(h) against its expansion at the center,
     T0 + T0'*h, plus empirical convergence orders between consecutive
-    energies (expect ~2: the remainder is O(h^2)), and the err_est of each
-    T: a residual no larger than it is rounding noise."""
+    energies (expect ~2: the remainder is O(h^2)), and the err_est and method
+    of each T: a residual within its err_est is rounding noise, and one of an
+    "expansion" sample compares the expansion with itself."""
 
     lam: float
     h: tuple[float, ...]
@@ -85,6 +86,7 @@ class LowEnergyReport:
     residual: tuple[float, ...]
     orders: tuple[float, ...]
     err_est: tuple[float, ...] = ()
+    method: tuple[str, ...] = ()
 
 
 def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
@@ -137,7 +139,7 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     xrtol = 0.5 * CRITICAL_REFINE_REL
     xi_star = _refine(lambda x: [s.value for s in period_slopes(sys, x, cfg)],
                       grid[i], grid[i + 1], value[i], value[i + 1], xrtol)
-    return [CriticalPeriod(xi_star=s.xi, h_star=s.h, T_star=require_converged(s, cfg).T,
+    return [CriticalPeriod(xi_star=s.xi, h_star=s.h, T_star=require_converged(s).T,
                            kind="max" if v > 0.0 else "min",
                            refine_err=(xrtol + 4.0 * EPS) * s.xi)
             for s, v in zip(period_samples(sys, xi_star, cfg), value[i])]
@@ -196,8 +198,8 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int,
     for k in range(1, k_max + 1):
         h_lo = 2.0 * (k * math.pi) ** 2
         h_hi = 0.5 * ((2 * k + 1) * math.pi) ** 2 + 2.0 * sys.lam
-        s_lo = require_converged(ends[2 * k - 2], cfg)
-        s_hi = require_converged(ends[2 * k - 1], cfg)
+        s_lo = require_converged(ends[2 * k - 2])
+        s_hi = require_converged(ends[2 * k - 1])
         dev_lo = s_lo.T - TWO_PI
         dev_hi = s_hi.T - TWO_PI
         if direction != 0:
@@ -233,7 +235,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket],
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
 
     def deviations(x):
-        return [require_converged(s, cfg).T - TWO_PI for s in period_samples(sys, x, cfg)]
+        return [require_converged(s).T - TWO_PI for s in period_samples(sys, x, cfg)]
 
     grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
     devs = np.column_stack([[br.T_lo - TWO_PI for br in brackets],
@@ -270,7 +272,8 @@ def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_
             orders.append(math.log(abs(res[i] / res[i + 1])) / math.log(hs[i] / hs[i + 1]))
     return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(ts),
                            residual=tuple(res), orders=tuple(orders),
-                           err_est=tuple(s.err_est for s in samples))
+                           err_est=tuple(s.err_est for s in samples),
+                           method=tuple(s.method for s in samples))
 
 
 def opial_indicator(sys: PotentialSystem, x):

@@ -10,12 +10,12 @@ toolkit has an internal oracle:
 The series is summed with Kahan compensation and kept below xi = 14, where
 alternating-term cancellation still leaves ~11 correct digits; one pass sums
 a whole array of arguments, each stopping at its own term.  The integral
-route is the equispaced trapezoidal rule on a periodic entire integrand, so
-it converges geometrically under node doubling; one pass doubles a whole
-array of arguments, each stopping at its own node count.  Both routes floor
-their error bounds at the rounding of the value, so no bound is ever 0.  The
-asymptotic route carries an error bound C * xi^(-3/2) with C calibrated once
-against the dispatcher on [10, 100].
+route is the periods' engine, quadrature._periodic: a full-period trapezoid
+rule on an entire integrand, so it converges geometrically; one call serves
+a whole array of arguments, each stopping at its own node count.  Both
+routes floor their error bounds at the rounding of the value, so no bound
+is ever 0.  The asymptotic route carries an error bound C * xi^(-3/2) with
+C calibrated once against the dispatcher on [10, 100].
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
 = 2*pi*J1(xi) for both the verification report and the CLI's `bessel
@@ -37,13 +37,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketFailure, NoConvergence, RangeExceeded
+from .quadrature import ROUNDING_FLOOR, _periodic
 
 TWO_PI = 2.0 * math.pi
 
 SERIES_MAX_ARG = 14.0     # cancellation guard
 SERIES_SWITCH = 12.0      # dispatcher hands off to the integral above this
 TRAPEZOID_TOL = 1e-13
-TRAPEZOID_MAX_NODES = 2 ** 20
 ASYMPTOTIC_MIN_ARG = 1.0
 _CALIBRATION_SAFETY = 1.25
 IDENTITY_TOL = 1e-10      # bound on |variational_integral - 2*pi*J1|
@@ -108,8 +108,7 @@ def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """j1_series at every argument of the array xi in one elementwise pass:
     (values, err_bounds), bit-identical to the scalar loop, which stays the
     route of a single argument because a pass costs more than one loop.
-    Each argument leaves the pass at its own first negligible term, as in
-    _trapezoid_doubling."""
+    Each argument leaves the pass at its own first negligible term."""
     # float_power rounds as a scalar (0.5*xi)**2 does; np.square differs
     # in the last bit for about one argument in a thousand
     q = np.float_power(0.5 * xi, 2)
@@ -137,38 +136,19 @@ def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, np.maximum(np.abs(last) + 0.5 * EPS * mass, EPS * np.abs(value))
 
 
-def _trapezoid(xi: np.ndarray, n: int) -> np.ndarray:
-    """n-node equispaced trapezoid of sin(x cos s) cos s over [0, 2*pi], for
-    every argument x of the array xi, in chunks of at most
-    TRAPEZOID_MAX_NODES nodes (one argument per chunk beyond that)."""
-    c = np.cos(np.linspace(0.0, TWO_PI, n, endpoint=False))
-    rows = max(1, TRAPEZOID_MAX_NODES // n)
-    return TWO_PI * np.concatenate([np.mean(np.sin(np.multiply.outer(xi[i:i + rows], c)) * c,
-                                            axis=-1) for i in range(0, xi.size, rows)])
-
-
-def _trapezoid_doubling(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _variational(xi) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^{2pi} sin(x cos s) cos s ds for every argument x of the
-    array xi by the equispaced trapezoid, doubling from 16 nodes until
-    successive values agree to TRAPEZOID_TOL * 2*pi (absolute): (values,
-    last differences).  Each argument stops at its own node count; the
-    convergence is geometric, the integrand being periodic and entire."""
+    array xi, and its error estimate: (values, err_ests).  The integrand is
+    even and pi-periodic, so this is 4 times the integral over [0, pi/2],
+    taken to TRAPEZOID_TOL relative to that of |sin(x cos s) cos s|."""
     xi = np.asarray(xi, dtype=float)
-    value, diff = np.empty_like(xi), np.empty_like(xi)
-    todo = np.arange(xi.size)
-    n = 16
-    prev = _trapezoid(xi, n)
-    while n <= TRAPEZOID_MAX_NODES:
-        n *= 2
-        cur = _trapezoid(xi[todo], n)
-        d = np.abs(cur - prev)
-        done = d <= TRAPEZOID_TOL * TWO_PI
-        value[todo[done]], diff[todo[done]] = cur[done], d[done]
-        todo, prev = todo[~done], cur[~done]
-        if todo.size == 0:
-            return value, diff
-    raise NoConvergence(f"periodic trapezoid exceeded {TRAPEZOID_MAX_NODES} nodes",
-                        best=float(prev[0]))
+    value, err, ok = _periodic(lambda rows, s: np.sin(xi[rows, None] * np.cos(s)) * np.cos(s),
+                               xi, TRAPEZOID_TOL, ROUNDING_FLOOR)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NoConvergence(f"periodic trapezoid did not converge at xi={xi[i]:.6g}",
+                            best=4.0 * float(value[i]), err_est=4.0 * float(err[i]))
+    return 4.0 * value, 4.0 * err
 
 
 def variational_integral(xi: float) -> float:
@@ -179,21 +159,21 @@ def variational_integral(xi: float) -> float:
     positive zeros of J1.
     """
     _require_arg(xi)
-    return float(_trapezoid_doubling(np.array([xi]))[0][0])
+    return float(_variational([xi])[0][0])
 
 
 def j1_integral(xi: float) -> BesselEval:
-    """Integral-representation evaluation, any xi >= 0, by the doubling
+    """Integral-representation evaluation, any xi >= 0, by the periodic
     trapezoid.
 
-    err_bound is the last doubling difference, floored at the rounding of
-    the value: each node's argument xi*cos(s) rounds by about EPS*xi, so no
+    err_bound is the engine's error estimate, floored at the rounding of the
+    value: each node's argument xi*cos(s) rounds by about EPS*xi, so no
     bound may claim less than EPS*(1 + xi) (the difference alone can be
     exactly 0)."""
     _require_arg(xi)
     if xi == 0.0:
         return BesselEval(xi=0.0, value=0.0, method="integral", err_bound=0.0)
-    raw, diff = (float(v[0]) for v in _trapezoid_doubling(np.array([xi])))
+    raw, diff = (float(v[0]) for v in _variational([xi]))
     return BesselEval(xi=xi, value=raw / TWO_PI, method="integral",
                       err_bound=max(diff / TWO_PI, EPS * (1.0 + xi)))
 
@@ -256,7 +236,7 @@ def identity_gap(xi_max: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"identity grid needs n >= 2 points, got {n}")
     xs = np.linspace(0.0, xi_max, n)
-    raw = _trapezoid_doubling(xs)[0]
+    raw = _variational(xs)[0]
     j1_values = raw / TWO_PI
     low = xs <= SERIES_SWITCH
     j1_values[low] = _series(xs[low])[0]
@@ -269,4 +249,4 @@ def series_integral_gap(xs) -> float:
     xs = np.asarray(xs, dtype=float)
     for x in xs.tolist():
         _require_series_arg(x)
-    return float(np.max(np.abs(_series(xs)[0] - _trapezoid_doubling(xs)[0] / TWO_PI)))
+    return float(np.max(np.abs(_series(xs)[0] - _variational(xs)[0] / TWO_PI)))

@@ -33,17 +33,18 @@ from .report import (BRACKET_FIELDS, CONFIG_FIELDS, CRITICAL_FIELDS, _write_atom
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
+# knobs of the Gauss-Legendre engine, accepted only to be rejected by name
+RETIRED_FLAGS = ("--max-depth", "--base-nodes")
+
 
 def _common_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--rel-tol", type=float, default=None,
                    help="quadrature relative tolerance (default 1e-10)")
-    p.add_argument("--max-depth", type=int, default=None,
-                   help="adaptive recursion cap (default 40)")
-    p.add_argument("--base-nodes", type=int, default=None,
-                   help="Gauss-Legendre nodes per panel (default 15)")
+    for flag in RETIRED_FLAGS:
+        p.add_argument(flag, nargs="?", const="", help=argparse.SUPPRESS)
     p.add_argument("--config", default=None,
-                   help="JSON file with rel_tol / max_depth / base_nodes defaults")
+                   help="JSON file with a rel_tol default")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (default json; bessel j1/identity and verify: json only)")
     p.add_argument("--out", default=None, help="write payload to this path")
@@ -112,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> QuadratureConfig:
+    for flag in RETIRED_FLAGS:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} was removed with the adaptive engine")
     fileconf = {}
     if args.config:
         with open(args.config) as fh:
@@ -119,14 +123,8 @@ def _resolve_config(args) -> QuadratureConfig:
         unknown = set(fileconf) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return fileconf.get(key, default)
-    return QuadratureConfig(
-        rel_tol=float(pick(args.rel_tol, "rel_tol", 1e-10)),
-        max_depth=int(pick(args.max_depth, "max_depth", 40)),
-        base_nodes=int(pick(args.base_nodes, "base_nodes", 15)))
+    rel_tol = fileconf.get("rel_tol", 1e-10) if args.rel_tol is None else args.rel_tol
+    return QuadratureConfig(rel_tol=float(rel_tol))
 
 
 def _emit(args, text: str) -> None:

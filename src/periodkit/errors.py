@@ -16,8 +16,8 @@ class NonMonotoneEnergy(PeriodkitError):
 
 
 class NoConvergence(PeriodkitError):
-    """Quadrature failed to meet its tolerance within the recursion cap or
-    the panel budget.
+    """Quadrature failed to meet its tolerance: its rounding floor exceeds
+    it, its differences stopped shrinking, or it passed the node budget.
 
     Carries the best available estimate so callers that scan many points can
     record the value and flag it instead of aborting.

@@ -7,11 +7,12 @@ The period of the orbit on energy level h is
 whose integrand blows up like an inverse square root at the turning point
 x = xi.  The substitution x = xi*sin(phi) removes the singularity: at a
 simple turning point h - G(x) ~ g(xi)*(xi - x), so the substituted integrand
-is analytic on [0, pi/2] and fixed-order Gauss-Legendre panels with adaptive
-bisection converge fast.  (A tanh-sinh rule would be the fallback if the
-turning point ever degenerated mid-interval; for this family that happens
-only at the lam = -1 origin limit, which the same substitution still handles
-because the turning point stays simple for every h > 0.)
+is analytic.  Written as xi / sqrt((h - G(xi*sin(phi))) / cos(phi)^2), it is
+even in phi and about phi = pi/2 (G is even), so it extends to an even,
+pi-periodic analytic function, and the midpoint rule on [0, pi/2] is a
+full-period trapezoid rule, which converges geometrically (Trefethen &
+Weideman, SIAM Rev. 56, 2014).  The lam = -1 origin limit is handled too,
+because the turning point stays simple for every h > 0.
 
 Writing u = pi/4 - phi/2, a = xi*cos(u)^2 and b = xi*sin(u)^2, the depth of
 the energy well below the level h is evaluated in the cancellation-free
@@ -31,17 +32,17 @@ integral sign; D ~ 2*u^2*xi*g(xi) at the turning point keeps them analytic:
 
 with S(x) = sin(x) - x*cos(x), and T'(h) = (dT/dxi) / g(xi).
 
-The interval being the same for every amplitude, one adaptive engine
-integrates a whole array of amplitudes at once: each bisection level is one
-integrand evaluation over the pending panels of all of them.  A scan is one
-call of it, and a single period is the same call with one amplitude.
+The interval being the same for every amplitude, one engine, _periodic,
+integrates a whole array of them at once, each stopping at its own node
+count while those that share a count share each integrand evaluation.  A
+scan is one call of it, a single period the same call with one amplitude,
+and bessel's J1 integral another call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,32 +51,33 @@ from .model import PotentialSystem, energy_to_amplitude
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
+EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
-# Rounding floor of an adaptive result, relative to |value| per panel summed:
-# each panel's rule, the running sum and the final SQRT8 scaling each round,
-# so no estimate may claim less than a few ulp per panel.
-ROUNDING_FLOOR = 2.0 * float(np.finfo(float).eps)
+# Rounding floor of a result, relative to the rule of |f|: the node sums,
+# the node spacing and the final SQRT8 scaling each round, so no estimate
+# may claim less than a few ulp.
+ROUNDING_FLOOR = 2.0 * EPS
 
 # Below this energy, relative to (1+lam)^2 near the nilpotent center,
 # quadrature cancellation beats the O(h^2) truncation of the local expansion,
 # so the expansion wins.
 SMALL_ENERGY_GUARD = 1e-10
 
-# Pending-panel budget of one integral.  Valid orbits peak near 50 pending
-# panels; an integrand that never settles (rounding noise at the nilpotent
-# center) would otherwise double its panels up to 2^max_depth.
-MAX_PANELS = 4096
+# Relative rounding of the well depth D per unit of cancellation in it
+# (its terms' magnitudes over its value).  Near the nilpotent center
+# (lam -> -1, xi -> 0) the cancellation reaches 24/xi^2; there T and dT/dxi
+# miss 30-digit references by at most 0.9 times the floor this gives them.
+CANCELLATION_FLOOR = EPS / 8.0
 
-# Pending panels of all integrals together.  Past it the integrals holding
-# the later half of the panels are set aside and refined afterwards, so the
-# panel arrays stay bounded however many integrals run into MAX_PANELS at
-# once; a 1000-point scan to xi = 900 peaks near 14000.
-MAX_PENDING = 1 << 16
+# Nodes of one integral, at most.  A valid orbit stops at its first or
+# second node count; an integrand that never settles stops earlier, when
+# its differences stall.
+MAX_NODES = 2 ** 20
 
-# Panels per integrand evaluation.  A level (or a first rule over many
-# amplitudes) holding more is evaluated in chunks, so no node array exceeds
-# RULE_CHUNK * base_nodes values (7680 at the default 15 nodes).
-RULE_CHUNK = 512
+# Nodes per integrand evaluation: more rows, or more nodes of one row, are
+# evaluated in chunks, so memory stays bounded however many integrals arrive.
+EVAL_NODES = 2 ** 15
 
 # Taylor coefficients of S(x) = sin(x) - x*cos(x) = x^3 * sum_n c_n x^(2n),
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
@@ -86,16 +88,10 @@ _S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in r
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
-    max_depth: int = 40
-    base_nodes: int = 15
 
     def __post_init__(self):
         if not (1e-15 < self.rel_tol < 1e-2):
             raise ValueError(f"rel_tol must lie in (1e-15, 1e-2), got {self.rel_tol}")
-        if self.max_depth < 4:
-            raise ValueError(f"max_depth must be >= 4, got {self.max_depth}")
-        if self.base_nodes < 2:
-            raise ValueError(f"base_nodes must be >= 2, got {self.base_nodes}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -106,9 +102,10 @@ class PeriodSample:
     """One measured period: both orbit coordinates, the value, an absolute
     error estimate and the route that produced it.
 
-    On the quadrature route err_est is the sum of the accepted halving
-    differences, floored at the rounding of T (a few ulp per panel), so it is
-    never zero there even where every rule integrates exactly.  Below
+    On the quadrature route err_est is the difference of the last midpoint
+    rule and the one on every third of its nodes, floored at the rounding
+    of T (a few ulp, more where the well depth cancels), so it is never zero
+    there even where every rule integrates exactly.  Below
     SMALL_ENERGY_GUARD * min(1, (1+lam)^2) (method "expansion") T is the
     center expansion T(0+) + T'(0+)*h and err_est its O(h^2) truncation,
     scaled by the same factor and floored the same way."""
@@ -130,21 +127,15 @@ class DerivativeEstimate:
     err_est: float
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
 def _well(sys: PotentialSystem, xi, phi):
     """(sin 2u, sin a, sin b, a, b, D) at the substituted nodes phi; xi is
-    one amplitude or a column of them, one per row of phi."""
+    one amplitude or a column of them, each taking a row of nodes phi."""
     u = 0.25 * math.pi - 0.5 * phi
     su = np.sin(u)
     cu = np.cos(u)
     s2u = 2.0 * su * cu
-    a = xi * cu * cu
-    b = xi * su * su
+    a = xi * (cu * cu)
+    b = xi * (su * su)
     sa = np.sin(a)
     sb = np.sin(b)
     d = 0.5 * (xi * s2u) ** 2 + 2.0 * sys.lam * sa * sb
@@ -176,9 +167,10 @@ def _period_integrand(sys: PotentialSystem, xi, phi):
 
 def _slope_integrand(sys: PotentialSystem, xi, phi):
     # d/dxi of xi*s2u/sqrt(D) is s2u*(2D - xi*dD/dxi) / (2*D^(3/2)), and
-    # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b))
+    # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b)); lam goes last,
+    # so a subnormal lam rounds once, not at every factor
     s2u, sa, sb, a, b, d = _well(sys, xi, phi)
-    return sys.lam * s2u * (sb * _s(a, sa) + sa * _s(b, sb)) / (d * np.sqrt(d))
+    return s2u * (sb * _s(a, sa) + sa * _s(b, sb)) / (d * np.sqrt(d)) * sys.lam
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, phi):
@@ -186,145 +178,85 @@ def _coupling_integrand(sys: PotentialSystem, xi, phi):
     return -xi * s2u * sa * sb / (d * np.sqrt(d))
 
 
-def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, cfg: QuadratureConfig):
-    """(value, err_est, converged) arrays of integrand(sys, xi, phi) over
-    [0, pi/2], one entry per amplitude in xi; for _period_integrand that is
-    integral_0^xi dx / sqrt(G(xi) - G(x))."""
-    return _adaptive(lambda owner, phi: integrand(sys, xi[owner, None], phi), xi.size, cfg)
+def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, cfg: QuadratureConfig,
+              derivative: bool = False):
+    """_periodic of integrand(sys, xi, phi), one integral per amplitude in
+    xi; for _period_integrand that is integral_0^xi dx / sqrt(G(xi) - G(x)).
+    Its rounding floor: D cancels as h = G(xi) does at the center and as
+    g(xi) at the turning point, and T goes as D^-1/2; a derivative goes as
+    D^-3/2 and also carries sin(a) and sin(b), whose arguments round by
+    EPS*xi/2."""
+    lam, half, s2, sx = sys.lam, 0.5 * xi * xi, 2.0 * np.sin(0.5 * xi) ** 2, np.sin(xi)
+    cancellation = np.maximum((half + abs(lam) * s2) / (half + lam * s2),
+                              (xi + np.abs(lam * sx)) / (xi + lam * sx))
+    power, phase = (1.5, 0.5 * EPS) if derivative else (0.5, 0.0)
+    floor = np.maximum(ROUNDING_FLOOR, power * CANCELLATION_FLOOR * cancellation + phase * xi)
+    return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, cfg.rel_tol, floor)
 
 
-def _adaptive(f, n: int, cfg: QuadratureConfig):
-    """Globally adaptive Gauss-Legendre bisection of n integrals over
-    [0, pi/2] at once; f(owner, phi) gives integrand owner[i] at phi[i, :].
+def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
+    """(value, err_est, converged) arrays of len(xi) integrals over
+    [0, pi/2] by the midpoint rule, f(rows, v) giving integrand rows[i] at
+    the nodes v in row i.  Each integrand must extend to an even, pi-periodic
+    analytic function whose bandwidth is that of cos(xi*cos v).
 
-    The refinement is level-synchronous: every pending panel of every
-    integral is split at every level, so the pending panels share one width,
-    a panel is just its owner and left end, and a level is one evaluation of
-    f over all of them (in chunks of RULE_CHUNK panels, so memory stays
-    bounded however many integrals arrive).  A two-half sum is accepted when
-    it agrees with the parent rule to the panel's width-proportional share
-    of the relative tolerance.  Each integral's tolerance is relative to its
-    integral of |f|, taken from the first rule's nodes and raised to
-    |accepted + pending| level by level: for a one-signed integrand that is
-    |integral|, and for one with a vanishing integral (a derivative at a
-    critical period) the tolerance does not shrink toward zero.
-
-    Returns (value, err_est, converged) arrays; err_est is the sum of the
-    accepted halving differences, floored at ROUNDING_FLOOR times |value|
-    per panel summed.  The floor covers the rounding that no halving
-    difference can see (a rule that is exact on every panel gives
-    differences of exactly 0) and, being relative, a later scaling of the
-    value by a rounded constant.  The budgets hold per integral: one past
-    max_depth levels or MAX_PANELS pending panels stops alone, with its best
-    estimate over accepted and pending panels, err_est plus half the last
-    halving difference per pending panel before the floor, and
-    converged=False; the others go on as if it were not there.
+    A pass evaluates the rule with 3N nodes, which holds the nodes of the
+    rule with N; integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), so 3N
+    is past the bandwidth, and N triples until |Q_3N - Q_N| <= rel_tol times
+    the rule of |f|, which is |Q_3N| for a one-signed integrand and stays
+    away from 0 for one whose integral vanishes.  err_est is that
+    difference, floored at floor (relative rounding, one per integral or
+    for all) times the rule of |f|.  An integral whose floor exceeds rel_tol,
+    whose difference stops shrinking or whose next pass would pass MAX_NODES
+    stops alone with converged=False.
     """
-    if not n:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
-    nodes, weights = _gauss_rule(cfg.base_nodes)
-    owner = np.arange(n)
-    lo = np.zeros(n)
-    pend_q, abs_q = _rules(f, owner, lo, HALF_PI, nodes, weights, absolute=True)
-    scale = np.maximum(abs_q, 1e-300)
-    # accepted + pending per integral: the value once nothing is pending,
-    # the best estimate of an integral that stops
-    total = pend_q.copy()
-    stopped = np.zeros(n, dtype=bool)
-    # errors of the accepted pairs and of the pending panels of stopped
-    # integrals, recorded per panel; fold() sums them per integral into
-    # err_sum and counts them in panels, at the end and on every level with
-    # more than MAX_PANELS panels pending, so the records stay short
-    err_sum = np.zeros(n)
-    panels = np.zeros(n)
-    done_owner, done_err = [], []
-
-    def fold():
-        if done_owner:
-            done = np.concatenate(done_owner)
-            np.add(err_sum, np.bincount(done, np.concatenate(done_err), n), out=err_sum)
-            np.add(panels, np.bincount(done, minlength=n), out=panels)
-            done_owner.clear()
-            done_err.clear()
-
-    def stop(mask):
-        done_owner.append(owner[mask])
-        done_err.append(carry[mask])
-        stopped[owner[mask]] = True
-
-    # integrals set aside, pending panels and all, while too many panels are
-    # pending at once; each goes on later from the level it reached
-    batches = [(owner, lo, pend_q, None, HALF_PI, cfg.max_depth)]
-    while batches:
-        owner, lo, pend_q, carry, width, depth = batches.pop()
-        for level in range(depth):
-            m = owner.size
-            parent = owner
-            half = 0.5 * width
-            owner = np.concatenate([parent, parent])  # left children, then right
-            lo = np.concatenate([lo, lo + half])
-            (child_q,) = _rules(f, owner, lo, half, nodes, weights)
-            diff = child_q[:m] + child_q[m:] - pend_q
-            err = np.abs(diff)
-            ok = err <= (cfg.rel_tol * width / HALF_PI) * scale[parent]
-            done_owner.append(parent[ok])
-            done_err.append(err[ok])
-            total += np.bincount(parent, weights=diff, minlength=n)
-            keep = ~ok
-            if not np.count_nonzero(keep):
-                break
-            np.maximum(scale, np.abs(total), out=scale)
-            both = np.concatenate([keep, keep])
-            width = half
-            owner, lo, pend_q = owner[both], lo[both], child_q[both]
-            half_err = 0.5 * err[keep]
-            carry = np.concatenate([half_err, half_err])
-            if owner.size > MAX_PANELS:
-                fold()
-                counts = np.bincount(owner, minlength=n)
-                over = counts > MAX_PANELS
-                if np.count_nonzero(over):
-                    gone = over[owner]
-                    stop(gone)
-                    owner, lo, pend_q, carry = (a[~gone] for a in (owner, lo, pend_q, carry))
-                    counts[over] = 0
-                if owner.size > MAX_PENDING:
-                    # go on with the integrals holding the first half of the panels
-                    later = owner > np.searchsorted(np.cumsum(counts), owner.size // 2)
-                    batches.append(tuple(a[later] for a in (owner, lo, pend_q, carry))
-                                   + (width, depth - level - 1))
-                    owner, lo, pend_q, carry = (a[~later] for a in (owner, lo, pend_q, carry))
-                if not owner.size:
-                    break
-        else:
-            stop(np.ones(owner.size, dtype=bool))
-
-    fold()
-    return total, np.maximum(err_sum, ROUNDING_FLOOR * panels * np.abs(total)), ~stopped
+    n = xi.size
+    value, err, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    floor = floor + np.zeros(n)
+    nodes = 3 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
+    # a difference at least the last one has stopped shrinking; one whose
+    # floor exceeds rel_tol has nothing to shrink to, and stops at once
+    last = np.where(floor > rel_tol, -math.inf, math.inf)
+    while rows.size:
+        q, coarse, scale = _midpoint(f, rows, nodes)
+        diff = np.abs(q - coarse)
+        e = np.maximum(diff, floor[rows] * scale)
+        ok = e <= np.maximum(rel_tol * scale, TINY)  # subnormals hold no relative precision
+        done = ok | (diff >= last) | (3 * nodes > MAX_NODES)
+        out = rows[done]
+        value[out], err[out], converged[out] = q[done], e[done], ok[done]
+        go = ~done
+        rows, nodes, last = rows[go], 3 * nodes[go], diff[go]
+    return value, err, converged
 
 
-def _rules(f, owner, lo, width: float, nodes, weights, absolute: bool = False):
-    """Gauss rules of f over the panels [lo, lo + width] of the integrals
-    owner, RULE_CHUNK panels per evaluation of f: a tuple holding the rules
-    of f and, if absolute, those of |f|."""
-    if owner.size > RULE_CHUNK:
-        chunks = [_rules(f, owner[s:s + RULE_CHUNK], lo[s:s + RULE_CHUNK], width,
-                         nodes, weights, absolute)
-                  for s in range(0, owner.size, RULE_CHUNK)]
-        return tuple(np.concatenate(part) for part in zip(*chunks))
-    half = 0.5 * width
-    fx = f(owner, (lo + half)[:, None] + half * nodes)
-    if absolute:
-        return half * (fx @ weights), half * (np.abs(fx) @ weights)
-    return (half * (fx @ weights),)
+def _midpoint(f, rows, nodes):
+    """Midpoint rules on [0, pi/2] for the integrals rows, nodes[i] nodes
+    for rows[i]: those of f, of f on every third node (the rule with a third
+    as many nodes) and of |f|.  The rows that share a node count are
+    evaluated together, at most EVAL_NODES nodes per evaluation of f."""
+    q = np.zeros((3, rows.size))
+    for n in sorted(set(nodes.tolist())):
+        at = np.flatnonzero(nodes == n)
+        h = HALF_PI / n
+        width = min(n, EVAL_NODES)
+        for j in range(0, n, width):
+            v = (np.arange(j, min(j + width, n)) + 0.5) * h
+            for i in range(0, at.size, EVAL_NODES // width):
+                part = at[i:i + EVAL_NODES // width]
+                fx = f(rows[part], v)
+                q[:, part] += [h * fx.sum(axis=1), 3.0 * h * fx[:, (1 - j) % 3::3].sum(axis=1),
+                               h * np.abs(fx).sum(axis=1)]
+    return q
 
 
-def require_converged(sample: PeriodSample, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PeriodSample:
+def require_converged(sample: PeriodSample) -> PeriodSample:
     """sample itself, or NoConvergence carrying it when it is flagged."""
     if not sample.converged:
         raise NoConvergence(
-            f"period quadrature did not converge within max_depth={cfg.max_depth} "
-            f"and {MAX_PANELS} panels at xi={sample.xi:.6g}, lam={sample.lam:g}",
+            f"period quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"at xi={sample.xi:.6g}, lam={sample.lam:g}",
             best=sample.T, err_est=sample.err_est, sample=sample)
     return sample
 
@@ -342,14 +274,7 @@ def period_samples(sys: PotentialSystem, xi, cfg: QuadratureConfig = DEFAULT_CON
     array xi, in one pass of the engine.  A sample that did not converge is
     returned flagged (converged=False) with its best estimate, not raised."""
     xi = _amplitudes(xi)
-    xs, hs = xi.tolist(), sys.G(xi).tolist()
-    samples = [_expansion(sys, x, h) for x, h in zip(xs, hs)]
-    todo = [i for i, sample in enumerate(samples) if sample is None]
-    value, err, converged = _integral(_period_integrand, sys, xi[todo], cfg)
-    for i, v, e, c in zip(todo, value.tolist(), err.tolist(), converged.tolist()):
-        samples[i] = PeriodSample(lam=sys.lam, xi=xs[i], h=hs[i], T=SQRT8 * v,
-                                  err_est=SQRT8 * e, converged=c)
-    return samples
+    return _samples(sys, xi, sys.G(xi).tolist(), cfg)
 
 
 def period_at_amplitude(sys: PotentialSystem, xi: float,
@@ -369,12 +294,20 @@ def period_at_energy(sys: PotentialSystem, h: float,
 
 
 def _period_sample(sys, xi, h, cfg):
-    sample = _expansion(sys, xi, h)
-    if sample is None:
-        value, err, converged = _integral(_period_integrand, sys, np.array([xi]), cfg)
-        sample = PeriodSample(lam=sys.lam, xi=xi, h=h, T=SQRT8 * float(value[0]),
-                              err_est=SQRT8 * float(err[0]), converged=bool(converged[0]))
-    return require_converged(sample, cfg)
+    return require_converged(_samples(sys, np.array([xi], dtype=float), [h], cfg)[0])
+
+
+def _samples(sys, xi, hs, cfg):
+    """Samples at the amplitudes xi on their levels hs: the center
+    expansion's where it holds, the others from one pass of the engine."""
+    xs = xi.tolist()
+    samples = [_expansion(sys, x, h) for x, h in zip(xs, hs)]
+    todo = [i for i, sample in enumerate(samples) if sample is None]
+    value, err, converged = _integral(_period_integrand, sys, xi[todo], cfg)
+    for i, v, e, c in zip(todo, value.tolist(), err.tolist(), converged.tolist()):
+        samples[i] = PeriodSample(lam=sys.lam, xi=xs[i], h=hs[i], T=SQRT8 * v,
+                                  err_est=SQRT8 * e, converged=c)
+    return samples
 
 
 def _expansion(sys, xi, h):
@@ -392,12 +325,12 @@ def _expansion(sys, xi, h):
 
 def _derivatives(integrand, sys: PotentialSystem, xi, cfg: QuadratureConfig):
     xi = _amplitudes(xi)
-    value, err, converged = _integral(integrand, sys, xi, cfg)
+    value, err, converged = _integral(integrand, sys, xi, cfg, derivative=True)
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
         raise NoConvergence(
-            f"derivative quadrature did not converge within max_depth={cfg.max_depth} "
-            f"and {MAX_PANELS} panels at xi={xi[i]:.6g}, lam={sys.lam:g}",
+            f"derivative quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"at xi={xi[i]:.6g}, lam={sys.lam:g}",
             best=SQRT8 * float(value[i]), err_est=SQRT8 * float(err[i]))
     return [DerivativeEstimate(value=SQRT8 * v, err_est=SQRT8 * e)
             for v, e in zip(value.tolist(), err.tolist())]

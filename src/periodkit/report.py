@@ -68,14 +68,18 @@ class VerifyReport:
 def _check_isochrony(cfg) -> CheckResult:
     # at lam = 0, G(x) = x^2/2: the level h has amplitude sqrt(2*h)
     amps = np.sqrt(2.0 * np.logspace(-6, 6, 9))
-    worst = max(abs(require_converged(s, cfg).T - TWO_PI)
+    worst = max(abs(require_converged(s).T - TWO_PI)
                 for s in period_samples(PotentialSystem(0.0), amps, cfg))
     return CheckResult(worst <= 1e-9, 1e-9 - worst,
                        f"max |T - 2*pi| = {worst:.3e} at lam=0")
 
 
 def _check_small_h(sys, cfg) -> CheckResult:
-    rep = small_h_check(sys, [1e-2, 1e-3], cfg)
+    # the center expansion holds for h small against (1+lam)^2
+    scale = min(1.0, (1.0 + sys.lam) ** 2)
+    rep = small_h_check(sys, [1e-2 * scale, 1e-3 * scale], cfg)
+    if set(rep.method) != {"quadrature"}:
+        return CheckResult(False, -math.inf, f"methods {rep.method}, not both quadrature")
     noise = [(h, r, e) for h, r, e in zip(rep.h, rep.residual, rep.err_est) if abs(r) <= e]
     if noise:
         margin = min(abs(r) - e for _, r, e in noise)
@@ -84,7 +88,8 @@ def _check_small_h(sys, cfg) -> CheckResult:
     ratio = abs(rep.residual[0] / rep.residual[1])
     margin = min(ratio - 50.0, 200.0 - ratio)
     return CheckResult(50.0 <= ratio <= 200.0, margin,
-                       f"residual ratio 1e-2/1e-3 = {ratio:.2f} (expect ~100)")
+                       f"residual ratio 1e-2/1e-3 = {ratio:.2f} (expect ~100), "
+                       f"energies scaled by {scale:.3g}")
 
 
 def _check_opial(sys) -> CheckResult:
@@ -111,7 +116,7 @@ def _check_oracle(sys, xi_max, cfg) -> CheckResult:
     amps = np.geomspace(0.3, max(1.0, min(33.0, xi_max - 1.0)), 10)
     quads = period_samples(sys, amps, cfg)
     odes = orbit_periods(sys, amps, tol=1e-11)
-    worst = max(abs(require_converged(q, cfg).T - o.T) / q.T for q, o in zip(quads, odes))
+    worst = max(abs(require_converged(q).T - o.T) / q.T for q, o in zip(quads, odes))
     return CheckResult(worst <= 1e-7, 1e-7 - worst,
                        f"max rel gap quadrature/ODE = {worst:.3e} on 10 samples")
 
@@ -217,7 +222,7 @@ SAMPLE_FIELDS = ("lambda", "xi", "h", "T", "T_err", "method")
 # the other records' fields are attributes of the same name
 BRACKET_FIELDS = ("k", "h_lo", "h_hi", "T_lo", "T_hi", "sign_lo", "sign_hi", "degenerate")
 CRITICAL_FIELDS = ("xi_star", "h_star", "T_star", "kind", "refine_err")
-CONFIG_FIELDS = ("rel_tol", "max_depth", "base_nodes")
+CONFIG_FIELDS = ("rel_tol",)
 
 
 def sample_dicts(samples: list[PeriodSample]) -> list[dict]:

@@ -148,13 +148,13 @@ class _EngineCalls:
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        engine = quadrature._adaptive
+        engine = quadrature._periodic
 
         def counted(*args):
             self.calls += 1
             return engine(*args)
 
-        monkeypatch.setattr(quadrature, "_adaptive", counted)
+        monkeypatch.setattr(quadrature, "_periodic", counted)
 
 
 @pytest.mark.parametrize("lam", [-0.9, 1.0, 4.4])

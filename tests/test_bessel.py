@@ -165,11 +165,11 @@ def test_identity_sweep():
 
 def test_batched_trapezoid_matches_one_argument_calls():
     # arguments up to 60 stop at different node counts; each must get the
-    # value and difference it gets alone, bit for bit
+    # value and error estimate it gets alone, bit for bit
     xs = np.linspace(0.0, 60.0, 41)
-    values, diffs = bessel._trapezoid_doubling(xs)
+    values, diffs = bessel._variational(xs)
     for x, v, d in zip(xs.tolist(), values.tolist(), diffs.tolist()):
-        alone = bessel._trapezoid_doubling(np.array([x]))
+        alone = bessel._variational(np.array([x]))
         assert (v, d) == (alone[0][0], alone[1][0])
     grid = np.linspace(0.0, 20.0, 120)
     assert identity_gap(20.0, 120) == max(

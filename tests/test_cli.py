@@ -130,13 +130,12 @@ def test_invalid_lambda_is_usage_error(capsys):
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"rel_tol": 1e-8, "base_nodes": 11}))
+    conf.write_text(json.dumps({"rel_tol": 1e-8}))
 
     code, out, _ = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
                                     "--config", str(conf)])
     assert code == 0
-    assert json.loads(out)["config"]["rel_tol"] == 1e-8
-    assert json.loads(out)["config"]["base_nodes"] == 11
+    assert json.loads(out)["config"] == {"rel_tol": 1e-8}
 
     code, out, _ = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
                                     "--config", str(conf), "--rel-tol", "1e-9"])
@@ -147,6 +146,19 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
                                     "--config", str(conf)])
     assert code == 2
+    assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--base-nodes"])
+def test_retired_engine_flags(capsys, tmp_path, flag):
+    code, out, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1", flag, "20"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} was removed with the adaptive engine\n"
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({flag[2:].replace("-", "_"): 20}))
+    code, out, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
+                                      "--config", str(conf)])
+    assert (code, out) == (2, "")
     assert "unknown config keys" in err
 
 

@@ -14,7 +14,7 @@ import periodkit.quadrature as quadrature
 from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import (RULE_CHUNK, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
+from periodkit.quadrature import (EVAL_NODES, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
                                   QuadratureConfig, period_at_amplitude,
                                   period_at_energy, period_derivative,
                                   period_samples, period_slope)
@@ -30,8 +30,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=1e-16)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=2)
 
 
 def test_linear_center_is_isochronous():
@@ -126,15 +124,41 @@ def test_refinement_stability():
         assert abs(a.T - b.T) <= max(a.err_est, 1e-15)
 
 
+def _mp_period(lam, xi):
+    """T(xi) to 30 digits: 4*sqrt(2) * int_0^{pi/4} xi*sin(2u) / sqrt(D) du with
+    the well depth D in product form, by Gauss-Legendre on pieces holding
+    about one oscillation of sin(xi*cos(u)^2) each."""
+    with mpmath.workdps(30):
+        lam, xi = mpmath.mpf(lam), mpmath.mpf(xi)
+
+        def f(u):
+            a, b = xi * mpmath.cos(u) ** 2, xi * mpmath.sin(u) ** 2
+            d = (xi * mpmath.sin(2 * u)) ** 2 / 2 + 2 * lam * mpmath.sin(a) * mpmath.sin(b)
+            return xi * mpmath.sin(2 * u) / mpmath.sqrt(d)
+        n = 2 + int(xi / 8)
+        pieces = [mpmath.pi / 4 * k / n for k in range(n + 1)]
+        return float(4 * mpmath.sqrt(2) * mpmath.quad(f, pieces, method="gauss-legendre"))
+
+
 def test_no_convergence_reports_best_estimate():
-    # starving the rule (4 nodes, 4 levels) on a long oscillatory orbit
-    cfg = QuadratureConfig(rel_tol=2e-15, max_depth=4, base_nodes=4)
+    # at the nilpotent center the well depth cancels by 24/xi^2, so its
+    # rounding alone exceeds rel_tol; the best estimate is still close
     with pytest.raises(NoConvergence) as excinfo:
-        period_at_amplitude(PotentialSystem(4.0), 40.0, cfg)
+        period_at_amplitude(PotentialSystem(-1.0), 1e-3)
     err = excinfo.value
     assert err.sample is not None and not err.sample.converged
-    reference = period_at_amplitude(PotentialSystem(4.0), 40.0)
-    assert err.best == pytest.approx(reference.T, rel=1e-3)
+    assert err.best == pytest.approx(_mp_period(-1.0, 1e-3), rel=1e-9)
+
+
+@pytest.mark.parametrize("lam,xi", [(4.0, 874.8794453351767), (1.75, 647.7907785522094),
+                                    (-0.75, 332.237733849237)])
+def test_converged_periods_are_within_their_error_estimate(lam, xi):
+    # Gauss-Legendre bisection accepted these at a 1e-10 estimate 9.6e-6,
+    # 4.7e-6 and 2.9e-7 relative away from the reference
+    sample = period_at_amplitude(PotentialSystem(lam), xi)
+    ref = _mp_period(lam, xi)
+    assert abs(sample.T - ref) <= 1e-12 * ref
+    assert abs(sample.T - ref) <= sample.err_est
 
 
 def test_derivative_error_estimate_is_honest():
@@ -269,18 +293,6 @@ def test_runaway_amplitude_leaves_batch_mates_alone():
     assert samples[1].converged and samples[2].converged
 
 
-def test_set_aside_integrals_come_out_the_same(monkeypatch):
-    # past MAX_PENDING pending panels the engine refines the later integrals
-    # afterwards; that must not change any of them
-    s = PotentialSystem(-1.0)
-    xs = np.concatenate([[1e-3, 2e-3, 0.5, 1.0, 4.5], np.linspace(50.0, 900.0, 400)])
-    whole = period_samples(s, xs)
-    monkeypatch.setattr(quadrature, "MAX_PENDING", 256)
-    for a, b in zip(whole, period_samples(s, xs)):
-        _agree(a, b)
-    assert not whole[0].converged
-
-
 class _CountingIntegrand:
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -290,24 +302,29 @@ class _CountingIntegrand:
 
     def __call__(self, sys_, xi, phi):
         self.calls += 1
-        self.max_nodes = max(self.max_nodes, phi.size)
+        self.max_nodes = max(self.max_nodes, np.broadcast(xi, phi).size)
         return self._f(sys_, xi, phi)
 
 
 def test_scan_integrand_evaluation_ceiling(monkeypatch):
-    # one evaluation per bisection level for all 1000 amplitudes: 159 when
-    # measured, against 6625 for a loop of single calls
+    # one evaluation per node count and chunk for all 1000 amplitudes: 23
+    # when measured; Gauss-Legendre bisection made 159, single calls 6625
     counter = _CountingIntegrand(monkeypatch)
     scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
     assert counter.calls <= 200
 
 
-def test_rule_chunk_bounds_integrand_nodes(monkeypatch):
+def test_eval_nodes_bound_integrand_nodes(monkeypatch):
+    # many amplitudes are split into chunks of rows, and one amplitude
+    # needing more than EVAL_NODES nodes into chunks of nodes
     counter = _CountingIntegrand(monkeypatch)
-    samples = period_samples(PotentialSystem(1.0), np.linspace(0.1, 50.0, 3 * RULE_CHUNK + 7))
-    assert len(samples) == 3 * RULE_CHUNK + 7
+    samples = period_samples(PotentialSystem(1.0), np.linspace(0.1, 50.0, 3 * EVAL_NODES // 64 + 7))
+    assert len(samples) == 3 * EVAL_NODES // 64 + 7
     scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
-    assert counter.max_nodes == RULE_CHUNK * QuadratureConfig().base_nodes
+    assert EVAL_NODES // 2 < counter.max_nodes <= EVAL_NODES
+    counter.max_nodes = 0
+    period_at_amplitude(PotentialSystem(1.0), 1e5)
+    assert counter.max_nodes == EVAL_NODES
 
 
 @pytest.mark.parametrize("xi", [3.9, [1.0, 2.0, 3.9]])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import periodkit.quadrature as quadrature
 from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
@@ -104,6 +105,23 @@ def test_small_h_fails_on_residuals_within_their_error(lam):
     assert check.margin <= 0.0
     assert (f"residual {rep.residual[1]:.3e} at h=0.001 within its err_est "
             f"{rep.err_est[1]:.3e}") in check.detail
+
+
+def test_small_h_passes_near_the_nilpotent_center():
+    # energies fixed at 1e-2 and 1e-3 leave the expansion's turf once
+    # (1+lam)^2 is smaller than them; scaled by it, the ratio is ~100 again
+    check = run_verify(-0.99, 5).checks["small-h"]
+    assert check.passed, check.detail
+    assert check.detail.endswith("energies scaled by 0.0001")
+
+
+def test_small_h_fails_on_expansion_samples(monkeypatch):
+    # with the guard raised past the check's energies both samples are the
+    # center expansion, whose residual against itself checks nothing
+    monkeypatch.setattr(quadrature, "SMALL_ENERGY_GUARD", 1.0)
+    check = _check_small_h(PotentialSystem(1.0), DEFAULT_CONFIG)
+    assert not check.passed
+    assert check.detail == "methods ('expansion', 'expansion'), not both quadrature"
 
 
 @pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
