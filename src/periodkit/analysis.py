@@ -15,7 +15,8 @@ pair brackets at least one energy with T = 2*pi, and between consecutive
 sign-changing 2*pi-levels the derivative T' must vanish, which is how the
 critical periods are located and counted.  Each search samples its grid in
 one batched quadrature and refines all its sign changes together, one more
-batched quadrature per iteration of Chandrupatla's bracketing method.
+batched quadrature per iteration of Chandrupatla's bracketing method, which
+_refine runs over numpy arrays; bessel.j1_zeros refines with it too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
@@ -36,11 +36,14 @@ from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 SCAN_STEP = math.pi / 8.0          # 2*pi-levels sit ~pi apart at large xi
 CRITICAL_REFINE_REL = 1e-8         # refine_err <= 1e-8 * xi_star
 LEVEL_REFINE_REL = 1e-12           # a 2*pi-level's amplitude, relative
 SIGN_VIOLATION_FACTOR = 10.0
+# find_root's default cap: one bisection per binade of the normal doubles
+REFINE_MAXITER = 2046
 
 
 @dataclass(frozen=True)
@@ -147,25 +150,54 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
 
 def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
     """The root of f in each bracket [lo, hi] whose end values f_lo, f_hi
-    differ in sign, by Chandrupatla's method until each final bracket is
-    narrower than xrtol times its root: one call of f per iteration, on an
-    array holding one new point per open bracket.  The ends keep the values
-    given, since a quadrature can round an ulp apart in another batch and
-    undo a sign change of a value near zero."""
-    def values(x, a, b, fa, fb):
-        out = np.where(x == a, fa, fb)
+    differ in sign, by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng.
+    Softw. 28 (1997) 145-149) step for step as scipy's find_root runs it,
+    until f is 0 to the smallest normal double or the bracket is narrower
+    than xrtol times its root: one call of f per iteration, on an array
+    holding one new point per open bracket.  The ends keep the values given,
+    also where an iterate lands on one, since a quadrature can round an ulp
+    apart in another batch and undo a sign change of a value near zero.  A
+    lost sign change, a NaN or REFINE_MAXITER iterations raise BracketFailure."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    root, todo = np.empty(a.size), np.arange(a.size)
+    x1, x2, x3, f1, f2, f3, t = a, b, b, fa, fb, fb, 0.5
+    for it in range(REFINE_MAXITER + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
+        zero = np.abs(fmin) <= TINY
+        held = zero | (np.sign(f1) * np.sign(f2) < 0.0)
+        if not held.all():
+            j = int(np.argmin(held))
+            raise BracketFailure(f"root refinement on [{a[j]:.6g}, {b[j]:.6g}] "
+                                 f"lost its sign change at x = {x1[j]:.17g}")
+        dx, tol = np.abs(x2 - x1), np.abs(xmin) * xrtol
+        done = zero | (dx < tol)
+        root[todo[done]] = xmin[done]
+        todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol = (
+            v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol))
+        if not todo.size:
+            return root
+        if it == REFINE_MAXITER:
+            raise BracketFailure(f"root refinement on [{a[0]:.6g}, {b[0]:.6g}] "
+                                 f"did not converge in {it} iterations")
+        if it:  # inverse quadratic interpolation where it is safe, else bisection
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.where(x == a, fa, fb)
         inner = (x != a) & (x != b)
-        if np.count_nonzero(inner):
-            out[inner] = f(x[inner])
-        return out
-
-    res = find_root(values, (lo, hi), args=(lo, hi, f_lo, f_hi),
-                    tolerances=dict(xatol=0.0, xrtol=xrtol))
-    if not np.all(res.success):
-        j = int(np.argmin(res.success))
-        raise BracketFailure(f"root refinement on [{lo[j]:.6g}, {hi[j]:.6g}] "
-                             f"ended with status {int(res.status[j])}")
-    return res.x
+        if inner.any():
+            fx[inner] = f(x[inner])
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
 
 
 def _sign_with_tol(value: float, err: float) -> int:

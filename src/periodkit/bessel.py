@@ -24,7 +24,9 @@ routes for the report; each is one series and one trapezoid pass.  This
 module returns numbers only; the payload format lives in report.py.
 
 Zeros are bracketed from the asymptotic cosine (guesses (k + 1/4)*pi) and
-refined by Brent's method; no tabulated constants enter.
+refined all together by the analysis module's batched Chandrupatla
+iteration, one series and one trapezoid pass per iteration; no tabulated
+constants enter.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .analysis import _refine
 from .errors import BracketFailure, NoConvergence, RangeExceeded
 from .quadrature import ROUNDING_FLOOR, _periodic
 
@@ -47,6 +49,7 @@ TRAPEZOID_TOL = 1e-13
 ASYMPTOTIC_MIN_ARG = 1.0
 _CALIBRATION_SAFETY = 1.25
 IDENTITY_TOL = 1e-10      # bound on |variational_integral - 2*pi*J1|
+ZERO_REL_TOL = 1e-14     # a zero's final bracket, relative
 EPS = float(np.finfo(float).eps)
 
 
@@ -208,23 +211,35 @@ def asymptotic_error_constant() -> float:
     return _CALIBRATION_SAFETY * worst
 
 
+def _j1_values(xi: np.ndarray) -> np.ndarray:
+    """J1 at every argument of the array xi as the dispatcher routes it: one
+    series pass up to SERIES_SWITCH, one trapezoid pass beyond."""
+    out = np.empty_like(xi)
+    low = xi <= SERIES_SWITCH
+    if low.any():
+        out[low] = _series(xi[low])[0]
+    if not low.all():
+        out[~low] = _variational(xi[~low])[0] / TWO_PI
+    return out
+
+
 def j1_zeros(n: int) -> list[float]:
     """First n positive zeros, bracketed from the asymptotic cosine zeros
-    (k + 1/4)*pi +- pi/2 and refined by Brent's method on the dispatcher."""
+    (k + 1/4)*pi +- pi/2 (widened by pi/2 where J1 keeps its sign) and
+    refined together by Chandrupatla's method on J1 to ZERO_REL_TOL."""
     if n < 1:
         raise ValueError("need n >= 1")
-    zeros = []
-    for k in range(1, n + 1):
-        guess = (k + 0.25) * math.pi
-        lo, hi = guess - 0.5 * math.pi, guess + 0.5 * math.pi
-        lo = max(lo, 1e-3)
-        if j1(lo).value * j1(hi).value > 0.0:
-            lo = max(lo - 0.5 * math.pi, 1e-3)
-            hi = hi + 0.5 * math.pi
-            if j1(lo).value * j1(hi).value > 0.0:
-                raise BracketFailure(f"no sign change around zero #{k} near {guess:.4f}")
-        zeros.append(brentq(lambda x: j1(x).value, lo, hi, xtol=1e-12))
-    return zeros
+    guess = (np.arange(1, n + 1) + 0.25) * math.pi
+    lo, hi = guess - 0.5 * math.pi, guess + 0.5 * math.pi
+    for _ in range(2):
+        f_lo, f_hi = np.split(_j1_values(np.concatenate((lo, hi))), 2)
+        same = f_lo * f_hi > 0.0
+        if not same.any():
+            return _refine(_j1_values, lo, hi, f_lo, f_hi, ZERO_REL_TOL).tolist()
+        lo[same] -= 0.5 * math.pi
+        hi[same] += 0.5 * math.pi
+    k = int(np.argmax(same))
+    raise BracketFailure(f"no sign change around zero #{k + 1} near {guess[k]:.4f}")
 
 
 def identity_gap(xi_max: float, n: int) -> float:

@@ -67,19 +67,26 @@ class OrbitTrace:
     max_drift: float
 
 
+def _stacked(t, s, lam, out, *_):
+    """Right-hand side of the stacked system, written into out: the state
+    holds every orbit's x, then every orbit's y.  It is the oracle's inner
+    loop, called once per stage for every live orbit, so it splits the state
+    by slicing and writes through ufuncs, entering no Python frame but its
+    own.  The stopping rule's state rides along unused."""
+    n = s.size // 2
+    x, g = s[:n], out[n:]
+    np.negative(s[n:], out=out[:n])
+    np.sin(x, out=g)
+    np.multiply(g, lam, out=g)
+    np.add(g, x, out=g)
+    return out
+
+
 def _rhs(sys: PotentialSystem):
-    """Right-hand side of the stacked system: the state holds every orbit's
-    x, then every orbit's y.  It is the oracle's inner loop, called once per
-    stage for every live orbit, so it splits the state by slicing: np.split
-    would add a dozen Python frames to each call."""
+    """_stacked for solve_ivp, which keeps the derivatives it is given, so
+    each call writes a new array."""
     lam = sys.lam
-
-    def f(t, s):
-        n = s.size // 2
-        x = s[:n]
-        return np.concatenate((-s[n:], x + lam * np.sin(x)))
-
-    return f
+    return lambda t, s: _stacked(t, s, lam, np.empty_like(s))
 
 
 def _check_tol(tol: float) -> None:
@@ -95,52 +102,47 @@ def _y_falls(t, s):
 _y_falls.direction = -1
 
 
-def _section_rhs(sys: PotentialSystem):
+def _stop_on_fall(t, s, lam, out, up, fell):
+    """Stop after the first accepted step in which some orbit's y fell from
+    > 0 to <= 0, marking those orbits in fell; up holds which y were > 0."""
+    y = s[up.size:]
+    np.less_equal(y, 0.0, out=fell)
+    fell &= up
+    np.greater(y, 0.0, out=up)
+    return -1 if fell.any() else 0
+
+
+def _section(u, s, lam, y_end):
     """Hénon's right-hand side for the orbits that fell through y = 0 in one
     step, with y = y_end*(1 - u) as the independent variable, u from 0 at the
     step's end to 1 on the section: the state holds every orbit's x, then
     its t, and dx/du = y_end*y/g(x), dt/du = -y_end/g(x)."""
-    lam = sys.lam
-
-    def f(u, s, y_end):
-        n = s.size // 2
-        x = s[:n]
-        gx = x + lam * np.sin(x)
-        return np.concatenate((y_end * (y_end * (1.0 - u)) / gx, -y_end / gx))
-
-    return f
-
-
-# The compiled dop853 keeps a reference to the fcn and solout of every run
-# for good, so both are these module-level trampolines, and a run's own rhs,
-# solout and rhs arguments reach them through the extra-argument tuple, which
-# it does not keep (scipy.integrate.ode would hand it a new bound method of
-# its solver on every run).
-def _fcn(t, s, f, solout, *args):
-    return f(t, s, *args)
-
-
-def _solout(t, s, f, solout, *args):
-    return solout(t, s)
+    x = s[:y_end.size]
+    gx = x + lam * np.sin(x)
+    return np.concatenate((y_end * (y_end * (1.0 - u)) / gx, -y_end / gx))
 
 
 _FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
              -3: "step size becomes too small", -4: "problem is probably stiff"}
 
 
-def _run(f, t0: float, state: np.ndarray, t1: float, tol: float, *args,
+def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
          solout=None, first_step: float = 0.0):
-    """Integrate s' = f(t, s, *args) from (t0, state) to t1 by the compiled
-    DOP853, or until solout(t, s) returns -1 after an accepted step:
-    (t, state).  A failed run raises ToleranceUnmet."""
+    """Integrate s' = fcn(t, s, *args) from (t0, state) to t1 by the compiled
+    DOP853, or until solout(t, s, *args) returns -1 after an accepted step:
+    (t, state).  A failed run raises ToleranceUnmet.
+
+    The compiled dop853 keeps a reference to the fcn and solout of every run
+    for good, so both are module-level functions and a run's own state
+    reaches them through args, which it does not keep (a closure per run, or
+    scipy.integrate.ode's new bound method per run, would be kept alive)."""
     work = np.zeros(11 * state.size + 21)
     # safety factor, step-size change limits and first step as scipy's
     # dop853 integrator sets them
     work[1:4] = 0.9, 0.3, 6.0
     work[6] = first_step
-    t, state, istate = dopri853(_fcn, t0, state, t1, tol, tol, _solout, int(solout is not None),
-                                work, np.zeros(21, dtype=np.int32), MAX_STEPS, -1,
-                                (f, solout, *args))
+    t, state, istate = dopri853(fcn, t0, state, t1, tol, tol, solout, int(solout is not None),
+                                work, np.zeros(21, dtype=np.int32), MAX_STEPS, -1, args)
     if istate < 0:
         raise ToleranceUnmet(
             f"integrator failed: {_FAILURES.get(istate, 'unknown failure')} (istate {istate})")
@@ -150,28 +152,22 @@ def _run(f, t0: float, state: np.ndarray, t1: float, tol: float, *args,
 def _half_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
     """Time at which each orbit's y first falls through 0, all orbits in one
     stacked DOP853 run."""
-    rhs, section = _rhs(sys), _section_rhs(sys)
     t_half = [math.nan] * len(xis)
     live = list(range(len(xis)))
     t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
-
-    def stop_on_fall(t, s):
-        nonlocal up, fell
-        y = s[n:]
-        fell = np.flatnonzero(up & (y <= 0.0))
-        up = y > 0.0
-        return -1 if fell.size else 0
-
     while live:
         n = len(live)
-        up, fell = state[n:] > 0.0, np.arange(0)
-        t, state = _run(rhs, t, state, MAX_EVENT_TIME, tol, solout=stop_on_fall)
+        up, fell = state[n:] > 0.0, np.zeros(n, dtype=bool)
+        t, state = _run(_stacked, t, state, MAX_EVENT_TIME, tol,
+                        (sys.lam, np.empty(2 * n), up, fell), solout=_stop_on_fall)
+        fell = np.flatnonzero(fell)
         if not fell.size:
             raise EventMissed(
                 f"no half-period crossing of y=0 within t={MAX_EVENT_TIME:g} "
                 f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
         start = np.append(state[fell], [t] * fell.size)
-        crossing = _run(section, 0.0, start, 1.0, tol, state[n + fell], first_step=1.0)[1]
+        crossing = _run(_section, 0.0, start, 1.0, tol, (sys.lam, state[n + fell]),
+                        first_step=1.0)[1]
         for i, x_cross, tc in zip(fell.tolist(), crossing[:fell.size], crossing[fell.size:]):
             if x_cross >= 0.0:
                 raise EventMissed(

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 
 import periodkit.analysis as analysis
 import periodkit.quadrature as quadrature
 from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
-from periodkit.errors import (AmbiguousBracket, DegenerateIsochronous,
+from periodkit.errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                               NonMonotoneEnergy, SignViolation)
 from periodkit.model import PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (DerivativeEstimate, PeriodSample,
@@ -185,6 +186,109 @@ def test_ambiguous_bracket_warning(monkeypatch):
     with pytest.warns(AmbiguousBracket):
         crit = find_critical_periods(PotentialSystem(1.0), 4 * PI)
     assert crit == []
+
+
+# ------------------------------------------------------ root refinement
+
+EPS = float(np.finfo(float).eps)
+
+
+def _find_root_reference(f, lo, hi, f_lo, f_hi, xrtol):
+    """The refinement as scipy's find_root runs Chandrupatla's method, with
+    the given end values kept wherever an iterate lands on an end."""
+    def values(x, a, b, fa, fb):
+        out = np.where(x == a, fa, fb)
+        inner = (x != a) & (x != b)
+        if np.count_nonzero(inner):
+            out[inner] = f(x[inner])
+        return out
+
+    return find_root(values, (lo, hi), args=(lo, hi, f_lo, f_hi),
+                     tolerances=dict(xatol=0.0, xrtol=xrtol))
+
+
+def _recorded(f, batches):
+    def g(x):
+        batches.append(x.copy())
+        return f(x)
+
+    return g
+
+
+def _assert_refine_matches_find_root(f, lo, hi, f_lo, f_hi, xrtol, refine=analysis._refine):
+    ours, theirs = [], []
+    root = refine(_recorded(f, ours), lo, hi, f_lo, f_hi, xrtol)
+    ref = _find_root_reference(_recorded(f, theirs), lo, hi, f_lo, f_hi, xrtol)
+    assert ref.success.all()
+    assert np.array_equal(root.view(np.int64), ref.x.view(np.int64))
+    assert len(ours) == len(theirs)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    return root, ref, ours
+
+
+@pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
+def test_refine_matches_scipy_find_root_in_a_verify(monkeypatch, lam):
+    # the same roots to the bit, from the same sequence of evaluated batches
+    searches = []
+
+    def compared(f, lo, hi, f_lo, f_hi, xrtol):
+        searches.append(xrtol)
+        return _assert_refine_matches_find_root(f, lo, hi, f_lo, f_hi, xrtol)[0]
+
+    monkeypatch.setattr(analysis, "_refine", compared)
+    run_verify(lam, 20)
+    assert sorted(searches) == sorted([analysis.LEVEL_REFINE_REL, 0.5 * analysis.CRITICAL_REFINE_REL])
+
+
+def test_refine_takes_a_zero_end_as_its_root():
+    def f(x):
+        assert not np.isin(x, [1.0, 4.0]).any()
+        return x * x - 2.0
+
+    lo, hi = np.array([1.0, 0.5, 1.0]), np.array([2.0, 1.0, 4.0])
+    root, _, _ = _assert_refine_matches_find_root(
+        f, lo, hi, np.array([0.0, -1.75, 0.0]), np.array([2.0, 0.0, 0.0]), 1e-12)
+    assert root[0] == 1.0 and root[1] == 1.0 and root[2] == 4.0
+
+
+def test_refine_keeps_the_given_value_where_an_iterate_lands_on_an_end():
+    # from the bracket [1, 1 + 4 eps] the second iterate rounds onto 1, whose
+    # given value -1e-6 is not f(1) = -1; f is never asked at either end
+    lo, hi = np.array([1.0]), np.array([1.0 + 4.0 * EPS])
+
+    def f(x):
+        assert not ((x == lo[0]) | (x == hi[0])).any()
+        return (x - (1.0 + EPS)) / EPS
+
+    root, ref, ours = _assert_refine_matches_find_root(
+        f, lo, hi, np.array([-1e-6]), np.array([3.0]), 1e-20)
+    assert root[0] == 1.0 + EPS
+    assert int(ref.nit[0]) == len(ours) + 1
+
+
+def test_refine_rejects_a_same_sign_bracket():
+    with pytest.raises(BracketFailure, match=r"\[2, 3\] lost its sign change"):
+        analysis._refine(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]),
+                         np.array([-1.0, 1.0]), np.array([1.0, 2.0]), 1e-12)
+
+
+def test_refine_rejects_a_nan_value():
+    def f(x):
+        return np.where(x > 1.2, np.nan, x - 1.0)
+
+    with pytest.raises(BracketFailure, match="lost its sign change"):
+        analysis._refine(f, np.array([0.0]), np.array([3.0]), np.array([-1.0]),
+                         np.array([2.0]), 1e-12)
+    with pytest.raises(BracketFailure, match="lost its sign change"):
+        analysis._refine(f, np.array([0.0]), np.array([3.0]), np.array([np.nan]),
+                         np.array([2.0]), 1e-12)
+
+
+def test_refine_stops_at_the_iteration_cap():
+    # xrtol = 0 never ends a bracket around an irrational root
+    with pytest.raises(BracketFailure, match=r"did not converge in 2046 iterations"):
+        analysis._refine(lambda x: x * x - 2.0, np.array([1.0]), np.array([2.0]),
+                         np.array([-1.0]), np.array([2.0]), 0.0)
 
 
 # ------------------------------------------------------------- brackets

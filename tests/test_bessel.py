@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import periodkit.bessel as bessel
-from periodkit.bessel import (BesselEval, asymptotic_error_constant, identity_gap, j1,
+from periodkit.bessel import (asymptotic_error_constant, identity_gap, j1,
                               j1_asymptotic, j1_integral, j1_series, j1_zeros,
                               series_integral_gap, variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
@@ -140,12 +140,9 @@ def test_zeros_structure():
 
 def test_zero_bracket_failure(monkeypatch):
     # a sign-definite function defeats both the initial and widened brackets
-    def always_positive(x):
-        return BesselEval(xi=x, value=1.0, method="series", err_bound=0.0)
-
-    monkeypatch.setattr(bessel, "j1", always_positive)
-    with pytest.raises(BracketFailure):
-        bessel.j1_zeros(1)
+    monkeypatch.setattr(bessel, "_j1_values", np.ones_like)
+    with pytest.raises(BracketFailure, match=r"no sign change around zero #1 near 3\.9270"):
+        bessel.j1_zeros(3)
 
 
 def test_variational_integral_values():

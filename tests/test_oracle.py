@@ -131,23 +131,38 @@ def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
     # [-0.99, 4.5]; one RK45 run per orbit took 10184-13772
     calls = 0
 
-    def counted(factory):
-        def make(sys_):
-            f = factory(sys_)
+    def counted(f):
+        def g(t, s, *args):
+            nonlocal calls
+            calls += 1
+            return f(t, s, *args)
 
-            def g(t, s, *params):
-                nonlocal calls
-                calls += 1
-                return f(t, s, *params)
+        return g
 
-            return g
-
-        return make
-
-    monkeypatch.setattr(oracle, "_rhs", counted(oracle._rhs))
-    monkeypatch.setattr(oracle, "_section_rhs", counted(oracle._section_rhs))
+    monkeypatch.setattr(oracle, "_stacked", counted(oracle._stacked))
+    monkeypatch.setattr(oracle, "_section", counted(oracle._section))
     assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
+    assert calls >= 1000
     assert calls <= 2500
+
+
+def test_compiled_runs_get_module_level_callbacks(monkeypatch):
+    # the compiled stepper keeps the fcn and solout of every run for good,
+    # so a callback made per run would stay alive with all it refers to
+    seen = []
+    compiled = oracle.dopri853
+
+    def spy(fcn, t0, y0, t1, rtol, atol, solout, *rest):
+        seen.append((fcn, solout))
+        return compiled(fcn, t0, y0, t1, rtol, atol, solout, *rest)
+
+    monkeypatch.setattr(oracle, "dopri853", spy)
+    assert _check_oracle(PotentialSystem(2.5), 11 * PI, DEFAULT_CONFIG).passed
+    callbacks = {c for run in seen for c in run if c is not None}
+    assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section"}
+    for c in callbacks:
+        assert c.__module__ == "periodkit.oracle"
+        assert c.__qualname__ == c.__name__ and getattr(oracle, c.__name__) is c
 
 
 def test_crossing_is_located_not_taken_at_the_step_end():
