@@ -1,40 +1,37 @@
-"""J1 three ways, and why the period function cares.
+"""J1 two ways, and why the period function cares.
 
 The first-order response of the period to the coupling, at fixed amplitude
 xi, is the integral  integral_0^{2pi} sin(xi cos s) cos s ds = 2*pi*J1(xi).
 So the stationary amplitudes of that response are exactly the zeros of J1,
 and there are infinitely many of them.  The toolbox evaluates J1 by power
-series, by the periodic integral above, and by the large-argument cosine
-form, each with an error bound, so no external special-function table is
-needed anywhere.
+series and by the periodic integral above, each with an error bound, so no
+external special-function table is needed anywhere.
 """
 
 import math
 
-from periodkit import (j1, j1_asymptotic, j1_integral, j1_series, j1_zeros,
-                       lam_derivative_at_zero)
+from periodkit import j1, j1_integral, j1_series, j1_zeros, lam_derivative_at_zero
 from periodkit.bessel import IDENTITY_TOL, identity_gap
 
 TWO_PI = 2 * math.pi
 
-# --- three routes, one number ------------------------------------------------
+# --- two routes, one number ----------------------------------------------------
 
 for xi in (0.2, 1.0, 5.0, 11.0):
     s = j1_series(xi)
     i = j1_integral(xi)
-    a = j1_asymptotic(xi) if xi >= 1.0 else None
-    line = f"xi = {xi:5.2f}: series {s.value:+.15f}   integral {i.value:+.15f}"
-    if a is not None:
-        line += f"   asymptotic {a.value:+.9f} (bound {a.err_bound:.1e})"
-    print(line)
+    print(f"xi = {xi:5.2f}: series {s.value:+.15f} (bound {s.err_bound:.1e})   "
+          f"integral {i.value:+.15f} (bound {i.err_bound:.1e})")
 print()
 
 # --- the identity tying the variational integral to J1 ------------------------
+# up to xi = 12 J1 is the series, so the gap there tests the identity; beyond,
+# J1 is the integral itself and the gap shows rounding only
 
 worst = identity_gap(20.0, 100)
 print(f"max |integral - 2*pi*J1| on [0, 20]: {worst:.2e} (bound {IDENTITY_TOL:.0e})\n")
 
-# --- zeros from the asymptotic cosine, refined by Brent's method --------------
+# --- zeros bracketed from the large-argument cosine, refined by Chandrupatla ---
 
 zeros = j1_zeros(6)
 print("first zeros of J1:", ", ".join(f"{z:.6f}" for z in zeros))

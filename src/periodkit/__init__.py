@@ -13,8 +13,8 @@ from .analysis import (CriticalPeriod, LowEnergyReport, TwoPiBracket,
                        lam_derivative_at_zero, opial_indicator,
                        opial_sign_changes, scan_period, small_h_check,
                        two_pi_brackets)
-from .bessel import (BesselEval, j1, j1_asymptotic, j1_integral, j1_series,
-                     j1_zeros, variational_integral)
+from .bessel import (BesselEval, j1, j1_integral, j1_series, j1_zeros,
+                     variational_integral)
 from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                      EventMissed, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, RangeExceeded, SignViolation,
@@ -36,10 +36,9 @@ __all__ = [
     "SignViolation", "ToleranceUnmet", "TwoPiBracket",
     "VerifyReport", "energy_drift", "energy_to_amplitude",
     "find_critical_periods", "find_two_pi_levels",
-    "j1", "j1_asymptotic", "j1_integral", "j1_series",
-    "j1_zeros", "lam_derivative_at_zero", "opial_indicator",
-    "opial_sign_changes", "orbit_period", "orbit_trace", "period_at_amplitude",
-    "period_at_energy", "period_derivative", "period_slope", "run_verify",
-    "scan_period", "small_h_check", "two_pi_brackets",
-    "validate_center", "variational_integral",
+    "j1", "j1_integral", "j1_series", "j1_zeros", "lam_derivative_at_zero",
+    "opial_indicator", "opial_sign_changes", "orbit_period", "orbit_trace",
+    "period_at_amplitude", "period_at_energy", "period_derivative",
+    "period_slope", "run_verify", "scan_period", "small_h_check",
+    "two_pi_brackets", "validate_center", "variational_integral",
 ]

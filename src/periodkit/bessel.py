@@ -1,21 +1,19 @@
 """Bessel function of the first kind of order one, self-contained.
 
-Three independent evaluation routes so every J1 number used elsewhere in the
+Two independent evaluation routes, so every J1 number used elsewhere in the
 toolkit has an internal oracle:
 
   * power series      sum_m (-1)^m / (m! (m+1)!) (xi/2)^(2m+1)
   * periodic integral (1/(2*pi)) * integral_0^{2pi} sin(xi cos s) cos s ds
-  * large-argument    sqrt(2/(pi*xi)) * cos(xi - 3*pi/4)
 
 The series is summed with Kahan compensation and kept below xi = 14, where
 alternating-term cancellation still leaves ~11 correct digits; one pass sums
-a whole array of arguments, each stopping at its own term.  The integral
-route is the periods' engine, quadrature._periodic: a full-period trapezoid
-rule on an entire integrand, so it converges geometrically; one call serves
-a whole array of arguments, each stopping at its own node count.  Both
-routes floor their error bounds at the rounding of the value, so no bound
-is ever 0.  The asymptotic route carries an error bound C * xi^(-3/2) with
-C calibrated once against the dispatcher on [10, 100].
+a whole array of arguments (a single one is a one-element pass), each
+stopping at its own term.  The integral route is the periods' engine,
+quadrature._periodic: a full-period trapezoid rule on an entire integrand,
+so it converges geometrically; one call serves a whole array of arguments,
+each stopping at its own node count.  Both routes floor their error bounds
+at the rounding of the value, so no bound is ever 0.
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
 = 2*pi*J1(xi) for both the verification report and the CLI's `bessel
@@ -23,17 +21,16 @@ identity`, and series_integral_gap the agreement of the series and integral
 routes for the report; each is one series and one trapezoid pass.  This
 module returns numbers only; the payload format lives in report.py.
 
-Zeros are bracketed from the asymptotic cosine (guesses (k + 1/4)*pi) and
-refined all together by the analysis module's batched Chandrupatla
-iteration, one series and one trapezoid pass per iteration; no tabulated
-constants enter.
+Zeros are bracketed from the zeros (k + 1/4)*pi of the large-argument form
+sqrt(2/(pi*xi)) * cos(xi - 3*pi/4) and refined all together by the analysis
+module's batched Chandrupatla iteration, one series and one trapezoid pass
+per iteration; no tabulated constants enter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +43,6 @@ TWO_PI = 2.0 * math.pi
 SERIES_MAX_ARG = 14.0     # cancellation guard
 SERIES_SWITCH = 12.0      # dispatcher hands off to the integral above this
 TRAPEZOID_TOL = 1e-13
-ASYMPTOTIC_MIN_ARG = 1.0
-_CALIBRATION_SAFETY = 1.25
 IDENTITY_TOL = 1e-10      # bound on |variational_integral - 2*pi*J1|
 ZERO_REL_TOL = 1e-14     # a zero's final bracket, relative
 EPS = float(np.finfo(float).eps)
@@ -61,9 +56,9 @@ class BesselEval:
     err_bound: float
 
 
-def _require_arg(xi: float, low: float = 0.0) -> None:
-    if not (low <= xi < math.inf):
-        raise ValueError(f"xi must be finite and >= {low:g}, got {xi}")
+def _require_arg(xi: float) -> None:
+    if not (0.0 <= xi < math.inf):
+        raise ValueError(f"xi must be finite and >= 0, got {xi}")
 
 
 def _require_series_arg(xi: float) -> None:
@@ -72,46 +67,20 @@ def _require_series_arg(xi: float) -> None:
         raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
 
 
-def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def j1_series(xi: float) -> BesselEval:
-    """Power-series evaluation, valid for 0 <= xi <= 14.
-
-    Terms follow the recurrence t_{m+1} = -t_m (xi/2)^2 / ((m+1)(m+2)) and
-    are accumulated with compensated summation.  err_bound is the first
-    omitted term plus a roundoff allowance proportional to the largest
-    cancelling partial magnitude, floored at the rounding of the value.
-    """
+    """Power-series evaluation, valid for 0 <= xi <= 14: the array pass
+    _series on the one argument xi."""
     _require_series_arg(xi)
-    if xi == 0.0:
-        return BesselEval(xi=0.0, value=0.0, method="series", err_bound=0.0)
-
-    q = (0.5 * xi) ** 2
-    term = 0.5 * xi
-    total, comp = term, 0.0
-    abs_mass = abs(term)
-    m = 0
-    while m < 200:
-        term = -term * q / ((m + 1) * (m + 2))
-        if abs(term) <= 1e-16 * max(abs(total), 1e-18):
-            break
-        total, comp = _kahan_add(total, comp, term)
-        abs_mass += abs(term)
-        m += 1
-    err = max(abs(term) + 0.5 * EPS * abs_mass, EPS * abs(total))
-    return BesselEval(xi=xi, value=total, method="series", err_bound=err)
+    xi = abs(xi)  # -0.0 as 0.0, as j1_integral has it
+    value, err = (float(v[0]) for v in _series(np.array([xi], dtype=float)))
+    return BesselEval(xi=xi, value=value, method="series", err_bound=err)
 
 
 def _series(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j1_series at every argument of the array xi in one elementwise pass:
-    (values, err_bounds), bit-identical to the scalar loop, which stays the
-    route of a single argument because a pass costs more than one loop.
-    Each argument leaves the pass at its own first negligible term."""
+    """The power series sum_m t_m, t_{m+1} = -t_m (xi/2)^2 / ((m+1)(m+2)),
+    at every argument of the array xi in one compensated elementwise pass:
+    (values, err_bounds).  Each argument stops at its first negligible term;
+    its bound is that term plus 0.5*EPS*sum|t_m|, floored at EPS*|value|."""
     # float_power rounds as a scalar (0.5*xi)**2 does; np.square differs
     # in the last bit for about one argument in a thousand
     q = np.float_power(0.5 * xi, 2)
@@ -188,29 +157,6 @@ def j1(xi: float) -> BesselEval:
     return j1_integral(xi)
 
 
-def _asymptotic(xi: float) -> float:
-    return math.sqrt(2.0 / (math.pi * xi)) * math.cos(xi - 0.75 * math.pi)
-
-
-def j1_asymptotic(xi: float) -> BesselEval:
-    """Large-argument form sqrt(2/(pi*xi)) * cos(xi - 3*pi/4), xi >= 1."""
-    _require_arg(xi, ASYMPTOTIC_MIN_ARG)
-    return BesselEval(xi=xi, value=_asymptotic(xi), method="asymptotic",
-                      err_bound=asymptotic_error_constant() * xi ** -1.5)
-
-
-@lru_cache(maxsize=1)
-def asymptotic_error_constant() -> float:
-    """C such that |j1_asymptotic - J1| <= C * xi^(-3/2) on [10, 100],
-    measured against the dispatcher on a dense grid and padded."""
-    grid = np.linspace(10.0, 100.0, 1801)
-    worst = 0.0
-    for x in grid:
-        diff = abs(_asymptotic(float(x)) - j1(float(x)).value)
-        worst = max(worst, diff * float(x) ** 1.5)
-    return _CALIBRATION_SAFETY * worst
-
-
 def _j1_values(xi: np.ndarray) -> np.ndarray:
     """J1 at every argument of the array xi as the dispatcher routes it: one
     series pass up to SERIES_SWITCH, one trapezoid pass beyond."""
@@ -245,7 +191,9 @@ def j1_zeros(n: int) -> list[float]:
 def identity_gap(xi_max: float, n: int) -> float:
     """max |variational_integral(x) - 2*pi*J1(x)| over n >= 2 equispaced x
     in [0, xi_max]; IDENTITY_TOL bounds it.  One trapezoid pass serves every
-    x, and also gives J1 beyond SERIES_SWITCH, as the dispatcher would."""
+    x, and also gives J1 beyond SERIES_SWITCH, as the dispatcher would: there
+    J1 *is* the integral over 2*pi, so the gap compares the integral with
+    itself and only the x <= SERIES_SWITCH part tests the identity."""
     if not (0.0 < xi_max < math.inf):
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
     if n < 2:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -83,6 +84,8 @@ EVAL_NODES = 2 ** 15
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
 # the direct difference keeps only eps/x^2 of relative accuracy.
 _S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
+# Those of x - sin(x), for g near the nilpotent center, are (-1)^n / (2n+3)!.
+_SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
 
 
 @dataclass(frozen=True)
@@ -357,6 +360,11 @@ def coupling_slope(sys: PotentialSystem, xi: float,
 
 def period_derivative(sys: PotentialSystem, h: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """T'(h) = (dT/dxi) / g(xi) on the energy level h > 0."""
+    """T'(h) = (dT/dxi) / g(xi) on the energy level h > 0.  Below xi = 1,
+    g(xi) = xi + lam*sin(xi) cancels as lam -> -1, so it is taken there as
+    (1+lam)*xi - lam*(xi - sin xi), the defect from its Taylor series."""
     xi = energy_to_amplitude(sys, h)
-    return period_slope(sys, xi, cfg).value / float(sys.g(xi))
+    x2 = xi * xi
+    g = ((1.0 + sys.lam) * xi - sys.lam * x2 * xi * reduce(lambda p, c: p * x2 + c, _SIN_DEFECT)
+         if xi < 1.0 else float(sys.g(xi)))
+    return period_slope(sys, xi, cfg).value / g

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import periodkit.bessel as bessel
-from periodkit.bessel import (asymptotic_error_constant, identity_gap, j1,
-                              j1_asymptotic, j1_integral, j1_series, j1_zeros,
+from periodkit.bessel import (identity_gap, j1, j1_integral, j1_series, j1_zeros,
                               series_integral_gap, variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
 
@@ -35,30 +34,25 @@ def test_series_reference_values():
     assert j1_series(0.2).value == pytest.approx(0.1 - 0.0005 + 0.2**5 / 384, abs=1e-9)
 
 
-@pytest.mark.parametrize("x", np.linspace(0.1, 14.0, 29))
-def test_series_against_exact_arithmetic(x):
-    e = j1_series(float(x))
-    gap = abs(e.value - j1_exact(float(x)))
-    assert gap <= e.err_bound
-    if x <= 12.0:
-        assert gap <= 1e-12
-
-
 IDENTITY_GRID = np.linspace(0.0, 20.0, 60)  # the verify's identity_gap grid
 # arguments whose (x/2)**2 rounds differently under np.square than under
 # Python's **, which changes the series in its last bit
 SQUARING_WITNESSES = np.array([7.324682871947078, 11.203767423119835, 3.912252204480078])
 
 
-@pytest.mark.parametrize("xs", [IDENTITY_GRID[IDENTITY_GRID <= 12.0], np.linspace(0.0, 12.0, 60),
-                                np.linspace(0.0, 14.0, 821), SQUARING_WITNESSES],
-                         ids=["identity-grid", "series-integral-grid", "821-in-0-14",
-                              "squaring-witnesses"])
-def test_series_pass_is_bit_identical_to_the_scalar_loop(xs):
-    values, errs = bessel._series(xs)
-    loop = np.array([(e.value, e.err_bound) for e in map(j1_series, xs.tolist())])
-    assert np.array_equal(values.view(np.int64), loop[:, 0].view(np.int64))
-    assert np.array_equal(errs.view(np.int64), loop[:, 1].view(np.int64))
+@pytest.mark.parametrize("xs", [*np.linspace(0.1, 14.0, 29)] + [
+    pytest.param(IDENTITY_GRID[IDENTITY_GRID <= 12.0], id="identity-grid"),
+    pytest.param(np.linspace(0.0, 12.0, 60), id="series-integral-grid"),
+    pytest.param(np.linspace(0.0, 14.0, 821), id="821-in-0-14"),
+    pytest.param(SQUARING_WITNESSES, id="squaring-witnesses")])
+def test_series_against_exact_arithmetic(xs):
+    # one pass over a grid: each argument stops at its own term
+    values, errs = bessel._series(np.atleast_1d(xs))
+    for x, value, err in zip(np.atleast_1d(xs).tolist(), values.tolist(), errs.tolist()):
+        gap = abs(value - j1_exact(x))
+        assert gap <= err, x
+        if x <= 12.0:
+            assert gap <= 1e-12, x
 
 
 def test_series_range_guard():
@@ -92,34 +86,6 @@ def test_global_bound():
         e = j1(float(x))
         assert abs(e.value) <= 0.6
         assert e.err_bound >= 0.0
-
-
-def test_asymptotic_at_phase_peak():
-    # cosine argument vanishes at xi = 3*pi/4
-    e = j1_asymptotic(3 * PI / 4)
-    assert e.value == pytest.approx(math.sqrt(8 / (3 * PI**2)), rel=1e-15)
-
-
-def test_asymptotic_error_bound_holds():
-    c = asymptotic_error_constant()
-    assert c > 0.0
-    for x in (10.0, 25.0, 50.0, 75.0):
-        gap = abs(j1_asymptotic(x).value - j1(x).value)
-        assert gap <= c * x**-1.5
-
-
-def test_asymptotic_order_of_accuracy():
-    # phase-windowed maxima average out the oscillating next-order term;
-    # the window-to-window decay then shows the xi^(-3/2) order
-    def window_max(lo):
-        return max(abs(j1_asymptotic(float(x)).value - j1(float(x)).value)
-                   for x in np.linspace(lo, lo + TWO_PI, 60))
-
-    ratio = window_max(40.0) / window_max(10.0)
-    assert 1 / 24 <= ratio <= 3 / 8
-    # the advertised bounds decay at exactly that order
-    assert j1_asymptotic(40.0).err_bound / j1_asymptotic(10.0).err_bound == pytest.approx(
-        (10 / 40) ** 1.5, rel=1e-12)
 
 
 def test_zeros_basic():
@@ -183,12 +149,6 @@ def test_small_argument_ratio():
     assert abs(e.value / 1e-4 - 0.5) <= 1e-8
 
 
-def test_envelope():
-    c = asymptotic_error_constant()
-    for x in np.linspace(5.0, 100.0, 96):
-        assert abs(j1(float(x)).value) <= math.sqrt(2 / (PI * x)) + c * x**-1.5
-
-
 def _ode_residual(xi, step=1e-3):
     """Residual xi^2 J1'' + xi J1' + (xi^2 - 1) J1 of Bessel's order-one
     equation, derivatives from 5-point central differences.  All five points
@@ -230,8 +190,7 @@ def test_against_30_digit_reference():
         assert abs(z - ref) <= 1e-13 * ref, (k, z)
 
 
-@pytest.mark.parametrize("route", [j1, j1_series, j1_integral, j1_asymptotic,
-                                   variational_integral])
+@pytest.mark.parametrize("route", [j1, j1_series, j1_integral, variational_integral])
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
 def test_routes_reject_non_finite_arguments(route, xi):
     with pytest.raises(ValueError, match=f"got {xi}"):

@@ -13,7 +13,7 @@ import periodkit
 import periodkit.quadrature as quadrature
 from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
-from periodkit.model import PotentialSystem
+from periodkit.model import PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (EVAL_NODES, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
                                   QuadratureConfig, period_at_amplitude,
                                   period_at_energy, period_derivative,
@@ -111,6 +111,18 @@ def test_derivative_at_tiny_energy_matches_center_slope():
     s1 = PotentialSystem(1.0)
     dt0 = s1.center_asymptotics()[1]
     assert period_derivative(s1, 1e-13) == pytest.approx(dt0, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,xi", [(-1 + 1e-6, 1e-3), (-1 + 1e-6, 0.9), (1.0, 0.5), (-0.9, 2.0)])
+def test_derivative_divides_by_the_exact_restoring_force(lam, xi):
+    # xi + lam*sin(xi) cancels as lam -> -1 (to 1e-6 of its terms at the
+    # first point); T'(h) must still be dT/dxi over the exact g, to rounding
+    sys_ = PotentialSystem(lam)
+    h = float(sys_.G(xi))
+    xi = energy_to_amplitude(sys_, h)
+    with mpmath.workdps(30):
+        ref = float(period_slope(sys_, xi).value / (xi + sys_.lam * mpmath.sin(mpmath.mpf(xi))))
+    assert period_derivative(sys_, h) == pytest.approx(ref, rel=4 * np.finfo(float).eps, abs=0)
 
 
 def test_refinement_stability():
