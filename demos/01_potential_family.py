@@ -10,6 +10,7 @@ period does right at the center.
 import numpy as np
 
 from periodkit import PotentialSystem, energy_to_amplitude, validate_center
+from periodkit.model import LAM_C, X_MIN
 
 # --- the force and the potential ------------------------------------------
 
@@ -20,16 +21,18 @@ print("G(x) =", sys.G(x))
 print("g is odd, G is even, both vanish at the origin.\n")
 
 # --- validity across the parameter ----------------------------------------
-# The center is global while x*g(x) > 0 for all x != 0.  That holds for
-# every lam in [-1, ~4.6]; beyond, g picks up extra zeros and a pair of side
-# equilibria eats part of the annulus.
+# The center is global while x*g(x) > 0 for all x != 0.  g(x)/x is smallest
+# at X_MIN, the root of tan x = x in (pi, 3*pi/2), so that holds exactly for
+# lam <= LAM_C = -X_MIN/sin(X_MIN); beyond, g picks up extra zeros and a pair
+# of side equilibria ends the annulus at the edge, the first zero of g.
 
+print(f"X_MIN = {X_MIN!r}, LAM_C = {LAM_C!r}")
 for lam in (-1.0, 0.0, 2.0, 4.5, 5.0, 6.0):
-    v = validate_center(PotentialSystem(lam), 100.0)
-    where = "everywhere" if v.is_global else f"fails near x = {v.first_sign_failure:.4f}"
+    s = PotentialSystem(lam)
+    v = validate_center(s, 100.0)
     print(f"lam = {lam:5.1f}: {'global' if v.is_global else 'NOT global':10s} "
-          f"({where}), g(x)/x in [{v.semilinear_bounds[0]:.3f}, {v.semilinear_bounds[1]:.3f}], "
-          f"center is {v.center_kind}")
+          f"(edge {s.edge():.4f}), g(x)/x in [{v.semilinear_bounds[0]:.3f}, "
+          f"{v.semilinear_bounds[1]:.3f}], center is {v.center_kind}")
 
 # --- energy <-> amplitude --------------------------------------------------
 # Orbits are labelled either by energy h or by the amplitude xi where they

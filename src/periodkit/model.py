@@ -2,9 +2,10 @@
 
 The planar system x' = -y, y' = g(x) has Hamiltonian H = y^2/2 + G(x) with
 G(x) = x^2/2 + lam*(1 - cos x).  For lam >= -1 the origin is a center; the
-orbit through (xi, 0) lives on the energy level h = G(xi).  This module holds
-the closed-form pieces (g, G, derivatives at the origin, local period
-asymptotics) and the root-solving glue between energy and amplitude.
+orbit through (xi, 0) lives on the energy level h = G(xi) while xi is below
+the edge, the first zero of g on (0, inf).  This module holds the closed-form
+pieces (g, G, the edge, local period asymptotics) and the root-solving glue
+between energy and amplitude.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .errors import NonMonotoneEnergy
 ELEMENTARY = "elementary"
 NILPOTENT = "nilpotent"
 
-# Validity scan density; the oscillation scale of g is O(2*pi), so 1e4
-# points on a window of a few hundred oversample it by two orders.
-VALIDITY_GRID_POINTS = 10_000
+# Root of tan x = x in (pi, 3*pi/2), where sin(x)/x takes its minimum, and
+# the coupling above which g(X_MIN) < 0, i.e. side equilibria appear.
+X_MIN = 4.493409457909064
+LAM_C = -X_MIN / math.sin(X_MIN)
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,18 @@ class PotentialSystem:
         x = np.asarray(x) if not np.isscalar(x) else x
         s = np.sin(np.multiply(x, 0.5))
         return np.multiply(x, x) * 0.5 + self.lam * 2.0 * s * s
+
+    def edge(self) -> float:
+        """First zero of g on (0, inf), or inf when g has none.
+
+        g > 0 on (0, pi], and g(x)/x = 1 + lam*sin(x)/x where sin(x)/x falls
+        monotonically on (pi, X_MIN] to its minimum, so a zero exists iff
+        g(X_MIN) <= 0, in (pi, X_MIN].  The test uses brentq's own g, so the
+        bracket's signs agree even within rounding of LAM_C.
+        """
+        if self.g(X_MIN) > 0.0:
+            return math.inf
+        return brentq(self.g, math.pi, X_MIN, xtol=1e-300)
 
     def g_derivatives_at_zero(self) -> tuple[float, float, float]:
         """First three derivatives of g at the origin: (1+lam, 0, -lam)."""
@@ -80,11 +94,11 @@ class PotentialSystem:
 
 @dataclass(frozen=True)
 class CenterValidity:
-    """Report of the sign/semilinearity probe on (0, x_probe].
+    """Validity of the orbit family on (0, x_probe].
 
-    is_global holds when x*g(x) > 0 everywhere on the probe window, i.e. no
-    zero of g away from the origin was found.  semilinear_bounds are the
-    empirical min/max of g(x)/x over [x_probe/2, x_probe].
+    is_global holds when the edge lies past x_probe, so x*g(x) > 0 on the
+    window; otherwise first_sign_failure is the edge.  semilinear_bounds
+    are the empirical min/max of g(x)/x over [x_probe/2, x_probe].
     """
 
     is_global: bool
@@ -99,15 +113,16 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     G(x) <= x^2*(1 + max(lam, 0))/2, so xi0 = sqrt(2h/(1+max(lam,0))) always
     starts at or below the root (G(xi0) can exceed h only by rounding, and
     then xi0 is the root); the upper end is found by doubling.  G is
-    strictly increasing wherever the center is valid, so the bracket holds
-    one root.  Raises NonMonotoneEnergy if a probe point reveals g(x) <= 0
-    inside the bracket.
+    strictly increasing below the edge, so the bracket holds one root.
+    Raises NonMonotoneEnergy if a probe point reaches the edge, where g
+    first vanishes.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h}")
+    edge = sys.edge()
 
     def probe(x: float) -> float:
-        if x > 0.0 and sys.g(x) <= 0.0:
+        if x >= edge:
             raise NonMonotoneEnergy(
                 f"g({x:.6g}) <= 0 inside the search bracket (lam={sys.lam:g})", x=x)
         return float(sys.G(x)) - h
@@ -126,38 +141,24 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
 
 
 def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
-    """Scan (0, x_probe] for a zero of g away from the origin.
+    """Whether g has a zero on (0, x_probe], from the edge of the annulus.
 
-    A dense grid is scanned for sign changes of g; the first one found is
-    refined by Brent's method and reported as first_sign_failure.  When no zero
-    exists the orbit family through every amplitude in the window is valid
-    and is_global is True.  Also reports the empirical bounds of g(x)/x on
-    the outer half-window (the semilinearity certificate that keeps T
-    bounded for large h).
+    When the edge lies past x_probe the orbit family through every amplitude
+    in the window is valid and is_global is True; otherwise the edge is
+    reported as first_sign_failure.  Also reports the empirical bounds of
+    g(x)/x on the outer half-window, sampled on a grid (the semilinearity
+    certificate that keeps T bounded for large h).
     """
     if not (0.0 < x_probe < math.inf):
         raise ValueError(f"x_probe must be positive and finite, got {x_probe}")
+    edge = sys.edge()
 
-    x = np.linspace(x_probe / VALIDITY_GRID_POINTS, x_probe, VALIDITY_GRID_POINTS)
-    gx = sys.g(x)
-
-    failure = None
-    bad = np.nonzero(gx <= 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        if gx[i] == 0.0:
-            failure = float(x[i])
-        else:
-            # g > 0 on (0, pi] for every lam >= -1, so the sign change on
-            # the preceding grid cell (or after pi) is bracketed
-            a = float(x[i - 1]) if i else math.pi
-            failure = brentq(sys.g, a, float(x[i]), xtol=1e-12 * max(1.0, float(x[i])))
-
+    x = np.linspace(x_probe / 10_000, x_probe, 10_000)
     outer = x[x >= 0.5 * x_probe]
     ratio = sys.g(outer) / outer
     return CenterValidity(
-        is_global=failure is None,
-        first_sign_failure=failure,
+        is_global=edge > x_probe,
+        first_sign_failure=None if edge > x_probe else edge,
         semilinear_bounds=(float(ratio.min()), float(ratio.max())),
         center_kind=sys.center_kind,
     )
@@ -166,9 +167,8 @@ def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
 def require_valid(sys: PotentialSystem, x_max: float) -> None:
     """Guard used by scanning operations: raise unless the center's orbit
     family covers amplitudes up to x_max."""
-    v = validate_center(sys, x_max)
-    if not v.is_global:
+    edge = sys.edge()
+    if edge <= x_max:
         raise NonMonotoneEnergy(
             f"center for lam={sys.lam:g} is only valid below x="
-            f"{v.first_sign_failure:.6g}, needed {x_max:.6g}",
-            x=v.first_sign_failure)
+            f"{edge:.6g}, needed {x_max:.6g}", x=edge)

@@ -47,6 +47,13 @@ def test_scan_rejects_invalid_window():
         scan_period(PotentialSystem(6.0), 0.5, 30.0, 4)
 
 
+@pytest.mark.parametrize("lam,xi_min,xi_max,edge", [(6.0, 1.0, 1e5, "3.83501"),
+                                                    (4.60335, 0.1, 100.0, "4.49121")])
+def test_scan_rejects_windows_past_a_zero_a_grid_misses(lam, xi_min, xi_max, edge):
+    with pytest.raises(NonMonotoneEnergy, match=f"valid below x={edge},"):
+        scan_period(PotentialSystem(lam), xi_min, xi_max, 1000)
+
+
 def test_scan_input_validation():
     with pytest.raises(ValueError):
         scan_period(PotentialSystem(1.0), 3.0, 2.0, 5)

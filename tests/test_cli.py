@@ -128,6 +128,14 @@ def test_invalid_lambda_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_scan_past_the_edge_is_refused(capsys):
+    code, out, err = run_cli(capsys, ["scan", "--lambda", "6", "--xi-min", "1",
+                                      "--xi-max", "1e5", "--n", "10"])
+    assert code == 2
+    assert out == ""
+    assert "valid below x=3.83501," in err
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"rel_tol": 1e-8}))

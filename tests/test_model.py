@@ -1,13 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodkit.errors import NonMonotoneEnergy
-from periodkit.model import (ELEMENTARY, NILPOTENT, PotentialSystem,
+from periodkit.model import (ELEMENTARY, LAM_C, NILPOTENT, X_MIN, PotentialSystem,
                              energy_to_amplitude, validate_center)
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 
 def test_g_values():
@@ -142,3 +146,55 @@ def test_validate_center_threshold(lam, expect):
 def test_validate_center_rejects_bad_window(x_probe):
     with pytest.raises(ValueError, match=f"got {x_probe}"):
         validate_center(PotentialSystem(1.0), x_probe)
+
+
+def test_x_min_against_30_digit_reference():
+    with mpmath.workdps(30):
+        root = mpmath.findroot(lambda x: mpmath.tan(x) - x, 4.4934)
+        lam_c = -root / mpmath.sin(root)
+    assert abs(X_MIN - float(root)) <= math.ulp(X_MIN)
+    assert LAM_C == pytest.approx(float(lam_c), rel=4 * EPS)
+
+
+def test_edge_at_the_threshold():
+    assert PotentialSystem(4.6033388).edge() == math.inf
+    assert PI < PotentialSystem(4.60334).edge() <= X_MIN
+    assert PotentialSystem(-1.0).edge() == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(-1.0, 12.0))
+def test_edge_is_the_first_zero_of_g(lam):
+    s = PotentialSystem(lam)
+    edge = s.edge()
+    if math.isfinite(edge):
+        assert abs(s.g(edge)) <= 8 * EPS * (edge + abs(lam))
+    # at LAM_C the zero is double and g(x) ~ (x - X_MIN)^2 drowns in rounding
+    if abs(lam - LAM_C) > 1e-6:
+        x = np.linspace(0.0, min(edge, 40.0), 4002)[1:-1]
+        assert np.all(s.g(x) > 0.0)
+
+
+# the zero at lam = 6 lies before the first grid point x_probe/1e4 = 10 of a
+# sampled scan, and at lam = 4.60335 g < 0 only on [4.4912, 4.4956], inside
+# one 0.01 grid step
+@pytest.mark.parametrize("lam,x_probe,edge", [(6.0, 1e5, "3.83501"),
+                                              (4.60335, 100.0, "4.49121")])
+def test_validate_center_finds_zeros_a_grid_misses(lam, x_probe, edge):
+    v = validate_center(PotentialSystem(lam), x_probe)
+    assert not v.is_global
+    assert f"{v.first_sign_failure:.6g}" == edge
+
+
+def test_inversion_at_the_nilpotent_center():
+    # g(x) = x - sin(x) rounds to 0 below x ~ 3e-8, which must not stop the
+    # bracket; what remains is G's own cancellation
+    s = PotentialSystem(-1.0)
+    assert energy_to_amplitude(s, float(s.G(1e-4))) == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_inversion_refuses_an_energy_whose_bracket_jumps_the_dip():
+    # lam = 5: g < 0 on (4.105, 4.906), but the doubled bracket end 7.303
+    # has g > 0; the level h = 40 lies outside the period annulus
+    with pytest.raises(NonMonotoneEnergy):
+        energy_to_amplitude(PotentialSystem(5.0), 40.0)
