@@ -22,17 +22,16 @@ from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
 from .model import (CenterValidity, PotentialSystem, energy_to_amplitude,
                     validate_center)
 from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace
-from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
-                         QuadratureConfig, period_at_amplitude,
+from .quadrature import (DerivativeEstimate, PeriodSample, period_at_amplitude,
                          period_at_energy, period_derivative, period_slope)
 from .report import CheckResult, VerifyReport, run_verify
 
 __all__ = [
     "AmbiguousBracket", "BesselEval", "BracketFailure", "CenterValidity",
-    "CheckResult", "CriticalPeriod", "DEFAULT_CONFIG", "DegenerateIsochronous",
+    "CheckResult", "CriticalPeriod", "DegenerateIsochronous",
     "DerivativeEstimate", "EventMissed", "LowEnergyReport", "NoConvergence",
     "NonMonotoneEnergy", "OrbitTrace", "PeriodSample",
-    "PeriodkitError", "PotentialSystem", "QuadratureConfig", "RangeExceeded",
+    "PeriodkitError", "PotentialSystem", "RangeExceeded",
     "SignViolation", "ToleranceUnmet", "TwoPiBracket",
     "VerifyReport", "energy_drift", "energy_to_amplitude",
     "find_critical_periods", "find_two_pi_levels",

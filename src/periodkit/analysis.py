@@ -30,9 +30,9 @@ from scipy.optimize import brentq
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
-from .quadrature import (DEFAULT_CONFIG, DerivativeEstimate, PeriodSample,
-                         QuadratureConfig, coupling_slope, period_at_amplitude,
-                         period_samples, period_slopes, require_converged)
+from .quadrature import (DerivativeEstimate, PeriodSample, coupling_slope,
+                         period_at_amplitude, period_samples, period_slopes,
+                         require_converged)
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -92,8 +92,7 @@ class LowEnergyReport:
     method: tuple[str, ...] = ()
 
 
-def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[PeriodSample]:
+def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int) -> list[PeriodSample]:
     """n period samples at uniformly spaced amplitudes, ordered by xi, from
     one pass of the batched quadrature.
 
@@ -105,11 +104,10 @@ def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int,
     if n < 2:
         raise ValueError("need n >= 2")
     require_valid(sys, xi_max)
-    return period_samples(sys, np.linspace(xi_min, xi_max, n), cfg)
+    return period_samples(sys, np.linspace(xi_min, xi_max, n))
 
 
-def find_critical_periods(sys: PotentialSystem, xi_max: float,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[CriticalPeriod]:
+def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalPeriod]:
     """Locate and classify the extrema of T on (0, xi_max].
 
     dT/dxi is sampled on a grid of step pi/8 in one batched quadrature;
@@ -127,7 +125,7 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
     require_valid(sys, xi_max + 1.0)
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
-    slopes = period_slopes(sys, grid, cfg)
+    slopes = period_slopes(sys, grid)
     value = np.array([s.value for s in slopes])
     drowned = np.abs(value) < [s.err_est for s in slopes]
     drowned = drowned[:-1] & drowned[1:]
@@ -140,12 +138,12 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float,
 
     i = np.flatnonzero(change & ~drowned)
     xrtol = 0.5 * CRITICAL_REFINE_REL
-    xi_star = _refine(lambda x: [s.value for s in period_slopes(sys, x, cfg)],
+    xi_star = _refine(lambda x: [s.value for s in period_slopes(sys, x)],
                       grid[i], grid[i + 1], value[i], value[i + 1], xrtol)
     return [CriticalPeriod(xi_star=s.xi, h_star=s.h, T_star=require_converged(s).T,
                            kind="max" if v > 0.0 else "min",
                            refine_err=(xrtol + 4.0 * EPS) * s.xi)
-            for s, v in zip(period_samples(sys, xi_star, cfg), value[i])]
+            for s, v in zip(period_samples(sys, xi_star), value[i])]
 
 
 def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
@@ -211,8 +209,7 @@ def bracket_amplitudes(k: int) -> tuple[float, float]:
     return 2.0 * k * math.pi, (2.0 * k + 1.0) * math.pi
 
 
-def two_pi_brackets(sys: PotentialSystem, k_max: int,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[TwoPiBracket]:
+def two_pi_brackets(sys: PotentialSystem, k_max: int) -> list[TwoPiBracket]:
     """The first k_max bracketing pairs with measured periods and signs.
 
     All 2*k_max ends are measured in one batched quadrature.  Raises
@@ -225,7 +222,7 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int,
     require_valid(sys, (2.0 * k_max + 1.0) * math.pi + 1.0)
 
     direction = 0 if sys.lam == 0.0 else (1 if sys.lam > 0.0 else -1)
-    ends = period_samples(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]), cfg)
+    ends = period_samples(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]))
     out = []
     for k in range(1, k_max + 1):
         h_lo = 2.0 * (k * math.pi) ** 2
@@ -252,8 +249,7 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int,
     return out
 
 
-def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket],
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[float]:
+def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> list[float]:
     """Energies h with T(h) = 2*pi, at least one per bracket of two_pi_brackets.
 
     Each bracket is scanned at amplitude step pi/8 between its measured ends,
@@ -267,7 +263,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket],
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
 
     def deviations(x):
-        return [require_converged(s).T - TWO_PI for s in period_samples(sys, x, cfg)]
+        return [require_converged(s).T - TWO_PI for s in period_samples(sys, x)]
 
     grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
     devs = np.column_stack([[br.T_lo - TWO_PI for br in brackets],
@@ -280,7 +276,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket],
     return sorted(sys.G(roots).tolist())
 
 
-def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LowEnergyReport:
+def small_h_check(sys: PotentialSystem, h_list) -> LowEnergyReport:
     """Residual of T against the center expansion at each requested energy.
 
     R(h) = T(h) - T(0+) - T'(0+) h; orders[i] is the empirical exponent from
@@ -293,7 +289,7 @@ def small_h_check(sys: PotentialSystem, h_list, cfg: QuadratureConfig = DEFAULT_
     if any(h <= 0.0 or h > 0.1 for h in hs):
         raise ValueError("each energy must lie in (0, 0.1]")
     t0, dt0 = sys.center_asymptotics()
-    samples = [period_at_amplitude(sys, energy_to_amplitude(sys, h), cfg) for h in hs]
+    samples = [period_at_amplitude(sys, energy_to_amplitude(sys, h)) for h in hs]
     ts = [s.T for s in samples]
     res = [t - (t0 + dt0 * h) for t, h in zip(ts, hs)]
     orders = []
@@ -358,12 +354,11 @@ def opial_sign_changes(sys: PotentialSystem, x_max: float) -> list[float]:
     return zeros
 
 
-def lam_derivative_at_zero(xi: float,
-                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> DerivativeEstimate:
+def lam_derivative_at_zero(xi: float) -> DerivativeEstimate:
     """dT/dlam at lam = 0 and fixed amplitude, as one integral.
 
     At the linear center it equals -2*pi*J1(xi)/xi (first-order perturbation
     of the linear center), so its zeros in xi are the positive zeros of J1
     and its xi -> 0 limit is -pi.
     """
-    return coupling_slope(PotentialSystem(0.0), xi, cfg)
+    return coupling_slope(PotentialSystem(0.0), xi)

@@ -2,18 +2,16 @@
 
 Data goes to stdout (or --out, written atomically); diagnostics go to
 stderr.  Exit codes: 0 all requested checks passed, 1 a verification check
-failed, 2 usage or configuration error.  Identical invocations produce
+failed, 2 usage or input error.  Identical invocations produce
 byte-identical payloads; when --out is used, run metadata (timestamp, argv)
 lands in a separate <out>.meta.json sidecar so the payload stays clean.
-
-Option precedence: explicit flags > --config JSON file > built-in defaults.
-The effective quadrature configuration is echoed inside every JSON report.
+Every JSON payload echoes the period engine's tolerance as config.rel_tol;
+no flag changes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -24,27 +22,17 @@ from .errors import (DegenerateIsochronous, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, SignViolation)
 from .model import PotentialSystem
 from .oracle import orbit_period, orbit_trace
-from .quadrature import QuadratureConfig, period_at_amplitude, period_at_energy
-from .report import (BRACKET_FIELDS, CONFIG_FIELDS, CRITICAL_FIELDS, _write_atomic,
-                     bracket_dict, config_dict, critical_dict, csv_table,
-                     report_to_json, run_verify, sample_dicts, samples_to_csv,
-                     to_json)
+from .quadrature import period_at_amplitude, period_at_energy
+from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, _write_atomic,
+                     bracket_dict, critical_dict, csv_table, report_to_json,
+                     run_verify, sample_dicts, samples_to_csv, to_json)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
-# knobs of the Gauss-Legendre engine, accepted only to be rejected by name
-RETIRED_FLAGS = ("--max-depth", "--base-nodes")
-
 
 def _common_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--rel-tol", type=float, default=None,
-                   help="quadrature relative tolerance (default 1e-10)")
-    for flag in RETIRED_FLAGS:
-        p.add_argument(flag, nargs="?", const="", help=argparse.SUPPRESS)
-    p.add_argument("--config", default=None,
-                   help="JSON file with a rel_tol default")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (default json; bessel j1/identity and verify: json only)")
     p.add_argument("--out", default=None, help="write payload to this path")
@@ -112,21 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> QuadratureConfig:
-    for flag in RETIRED_FLAGS:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"{flag} was removed with the adaptive engine")
-    fileconf = {}
-    if args.config:
-        with open(args.config) as fh:
-            fileconf = json.load(fh)
-        unknown = set(fileconf) - set(CONFIG_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    rel_tol = fileconf.get("rel_tol", 1e-10) if args.rel_tol is None else args.rel_tol
-    return QuadratureConfig(rel_tol=float(rel_tol))
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         _write_atomic(args.out, text)
@@ -142,14 +115,13 @@ def _numbered(name: str, values) -> list[dict]:
 
 
 def _run(args) -> int:
-    cfg = _resolve_config(args)
     csv = args.format == "csv"
     name = f"bessel {args.op}" if args.command == "bessel" else args.command
     if csv and name in ("bessel j1", "bessel identity", "verify"):
         raise ValueError(f"{name} writes JSON only; --format csv is not supported")
 
     def emit_json(payload: dict) -> None:
-        _emit(args, to_json({**payload, "config": config_dict(cfg)}))
+        _emit(args, to_json({**payload, "config": CONFIG}))
 
     def emit_samples(samples) -> None:
         if csv:
@@ -160,19 +132,19 @@ def _run(args) -> int:
     if args.command == "period":
         sys_ = PotentialSystem(args.lam)
         if args.xi is not None:
-            emit_samples([period_at_amplitude(sys_, args.xi, cfg)])
+            emit_samples([period_at_amplitude(sys_, args.xi)])
         else:
-            emit_samples([period_at_energy(sys_, args.h, cfg)])
+            emit_samples([period_at_energy(sys_, args.h)])
         return 0
 
     if args.command == "scan":
         sys_ = PotentialSystem(args.lam)
-        emit_samples(scan_period(sys_, args.xi_min, args.xi_max, args.n, cfg))
+        emit_samples(scan_period(sys_, args.xi_min, args.xi_max, args.n))
         return 0
 
     if args.command == "critical":
         sys_ = PotentialSystem(args.lam)
-        crit = [critical_dict(c) for c in find_critical_periods(sys_, args.xi_max, cfg)]
+        crit = [critical_dict(c) for c in find_critical_periods(sys_, args.xi_max)]
         if csv:
             _emit(args, csv_table(CRITICAL_FIELDS, crit))
         else:
@@ -181,8 +153,8 @@ def _run(args) -> int:
 
     if args.command == "two-pi":
         sys_ = PotentialSystem(args.lam)
-        measured = two_pi_brackets(sys_, args.k_max, cfg)
-        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, measured, cfg)
+        measured = two_pi_brackets(sys_, args.k_max)
+        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, measured)
         brackets = [bracket_dict(b) for b in measured]
         if csv:  # every bracket field but the degenerate flag
             _emit(args, csv_table(BRACKET_FIELDS[:-1], brackets))
@@ -223,7 +195,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        report = run_verify(args.lam, args.k_max, cfg)
+        report = run_verify(args.lam, args.k_max)
         _emit(args, report_to_json(report))
         for name, check in report.checks.items():
             status = "pass" if check.passed else "FAIL"

@@ -20,10 +20,13 @@ class NoConvergence(PeriodkitError):
     it, its differences stopped shrinking, or it passed the node budget.
 
     Carries the best available estimate so callers that scan many points can
-    record the value and flag it instead of aborting.
+    record the value and flag it instead of aborting; the message names it
+    and its error estimate.
     """
 
     def __init__(self, msg, best=None, err_est=None, sample=None):
+        if best is not None:
+            msg = f"{msg}; best estimate {best!r} with err_est {err_est:.3e}"
         super().__init__(msg)
         self.best = best
         self.err_est = err_est

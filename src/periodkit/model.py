@@ -112,32 +112,27 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
 
     G(x) <= x^2*(1 + max(lam, 0))/2, so xi0 = sqrt(2h/(1+max(lam,0))) always
     starts at or below the root (G(xi0) can exceed h only by rounding, and
-    then xi0 is the root); the upper end is found by doubling.  G is
-    strictly increasing below the edge, so the bracket holds one root.
-    Raises NonMonotoneEnergy if a probe point reaches the edge, where g
-    first vanishes.
+    then xi0 is the root); the upper end is found by doubling, capped at the
+    edge.  G is strictly increasing below the edge, so the bracket holds one
+    root.  Raises NonMonotoneEnergy if h is at or above G(edge), the level
+    where the orbit family ends.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h}")
     edge = sys.edge()
+    if edge < math.inf and h >= sys.G(edge):
+        raise NonMonotoneEnergy(
+            f"h={h:g} is at or above G({edge:.6g}) = {float(sys.G(edge)):.6g}, the level "
+            f"of the edge where g first vanishes (lam={sys.lam:g})", x=edge)
 
-    def probe(x: float) -> float:
-        if x >= edge:
-            raise NonMonotoneEnergy(
-                f"g({x:.6g}) <= 0 inside the search bracket (lam={sys.lam:g})", x=x)
+    def gap(x: float) -> float:
         return float(sys.G(x)) - h
 
-    lo = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
-    if probe(lo) >= 0.0:
-        return lo
-    hi = 2.0 * lo
-    while probe(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e160:
-            raise NonMonotoneEnergy("energy bracket expansion ran away", x=hi)
+    lo = hi = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
+    while gap(hi) < 0.0:  # lo underflows to 0 for a subnormal h
+        lo, hi = hi, min(max(2.0 * hi, math.ulp(0.0)), edge)
     # brentq's default rtol (4 ulp) sets the accuracy; xtol need only be > 0
-    return brentq(probe, lo, hi, xtol=1e-300)
+    return lo if hi == lo else brentq(gap, lo, hi, xtol=1e-300)
 
 
 def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:

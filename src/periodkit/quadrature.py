@@ -71,6 +71,12 @@ SMALL_ENERGY_GUARD = 1e-10
 # miss 30-digit references by at most 0.9 times the floor this gives them.
 CANCELLATION_FLOOR = EPS / 8.0
 
+# Tolerance of every period and derivative integral, relative to the rule
+# of |f|.  The first pass already lies past the integrand's bandwidth, so a
+# valid orbit lands at rounding: any value from 1e-4 to 1e-12 changes the
+# work, not the result.
+REL_TOL = 1e-10
+
 # Nodes of one integral, at most.  A valid orbit stops at its first or
 # second node count; an integrand that never settles stops earlier, when
 # its differences stall.
@@ -86,18 +92,6 @@ EVAL_NODES = 2 ** 15
 _S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
 # Those of x - sin(x), for g near the nilpotent center, are (-1)^n / (2n+3)!.
 _SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (1e-15 < self.rel_tol < 1e-2):
-            raise ValueError(f"rel_tol must lie in (1e-15, 1e-2), got {self.rel_tol}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -181,10 +175,10 @@ def _coupling_integrand(sys: PotentialSystem, xi, phi):
     return -xi * s2u * sa * sb / (d * np.sqrt(d))
 
 
-def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, cfg: QuadratureConfig,
-              derivative: bool = False):
-    """_periodic of integrand(sys, xi, phi), one integral per amplitude in
-    xi; for _period_integrand that is integral_0^xi dx / sqrt(G(xi) - G(x)).
+def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
+    """_periodic at REL_TOL of integrand(sys, xi, phi), one integral per
+    amplitude in xi; for _period_integrand that is
+    integral_0^xi dx / sqrt(G(xi) - G(x)).
     Its rounding floor: D cancels as h = G(xi) does at the center and as
     g(xi) at the turning point, and T goes as D^-1/2; a derivative goes as
     D^-3/2 and also carries sin(a) and sin(b), whose arguments round by
@@ -194,7 +188,7 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, cfg: QuadratureCo
                               (xi + np.abs(lam * sx)) / (xi + lam * sx))
     power, phase = (1.5, 0.5 * EPS) if derivative else (0.5, 0.0)
     floor = np.maximum(ROUNDING_FLOOR, power * CANCELLATION_FLOOR * cancellation + phase * xi)
-    return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, cfg.rel_tol, floor)
+    return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, REL_TOL, floor)
 
 
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
@@ -272,41 +266,39 @@ def _amplitudes(xi) -> np.ndarray:
     return xi
 
 
-def period_samples(sys: PotentialSystem, xi, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[PeriodSample]:
+def period_samples(sys: PotentialSystem, xi) -> list[PeriodSample]:
     """Periods of the orbits through (x, 0) for every amplitude x > 0 of the
     array xi, in one pass of the engine.  A sample that did not converge is
     returned flagged (converged=False) with its best estimate, not raised."""
     xi = _amplitudes(xi)
-    return _samples(sys, xi, sys.G(xi).tolist(), cfg)
+    return _samples(sys, xi, sys.G(xi).tolist())
 
 
-def period_at_amplitude(sys: PotentialSystem, xi: float,
-                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> PeriodSample:
+def period_at_amplitude(sys: PotentialSystem, xi: float) -> PeriodSample:
     """Period of the orbit through (xi, 0), xi > 0."""
     if not (0.0 < xi < math.inf):
         raise ValueError(f"xi must be positive and finite, got {xi}")
     h = float(sys.G(xi))
-    return _period_sample(sys, xi, h, cfg)
+    return _period_sample(sys, xi, h)
 
 
-def period_at_energy(sys: PotentialSystem, h: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> PeriodSample:
+def period_at_energy(sys: PotentialSystem, h: float) -> PeriodSample:
     """Period of the orbit on energy level h > 0."""
     xi = energy_to_amplitude(sys, h)
-    return _period_sample(sys, xi, h, cfg)
+    return _period_sample(sys, xi, h)
 
 
-def _period_sample(sys, xi, h, cfg):
-    return require_converged(_samples(sys, np.array([xi], dtype=float), [h], cfg)[0])
+def _period_sample(sys, xi, h):
+    return require_converged(_samples(sys, np.array([xi], dtype=float), [h])[0])
 
 
-def _samples(sys, xi, hs, cfg):
+def _samples(sys, xi, hs):
     """Samples at the amplitudes xi on their levels hs: the center
     expansion's where it holds, the others from one pass of the engine."""
     xs = xi.tolist()
     samples = [_expansion(sys, x, h) for x, h in zip(xs, hs)]
     todo = [i for i, sample in enumerate(samples) if sample is None]
-    value, err, converged = _integral(_period_integrand, sys, xi[todo], cfg)
+    value, err, converged = _integral(_period_integrand, sys, xi[todo])
     for i, v, e, c in zip(todo, value.tolist(), err.tolist(), converged.tolist()):
         samples[i] = PeriodSample(lam=sys.lam, xi=xs[i], h=hs[i], T=SQRT8 * v,
                                   err_est=SQRT8 * e, converged=c)
@@ -326,9 +318,9 @@ def _expansion(sys, xi, h):
                         err_est=max(abs(dt0) * h * h / shrink, ROUNDING_FLOOR * abs(T)))
 
 
-def _derivatives(integrand, sys: PotentialSystem, xi, cfg: QuadratureConfig):
+def _derivatives(integrand, sys: PotentialSystem, xi):
     xi = _amplitudes(xi)
-    value, err, converged = _integral(integrand, sys, xi, cfg, derivative=True)
+    value, err, converged = _integral(integrand, sys, xi, derivative=True)
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
         raise NoConvergence(
@@ -339,27 +331,23 @@ def _derivatives(integrand, sys: PotentialSystem, xi, cfg: QuadratureConfig):
             for v, e in zip(value.tolist(), err.tolist())]
 
 
-def period_slopes(sys: PotentialSystem, xi,
-                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[DerivativeEstimate]:
+def period_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
     """dT/dxi at every amplitude x > 0 of the array xi, in one pass of the
     engine; raises NoConvergence at the first one that did not converge."""
-    return _derivatives(_slope_integrand, sys, xi, cfg)
+    return _derivatives(_slope_integrand, sys, xi)
 
 
-def period_slope(sys: PotentialSystem, xi: float,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> DerivativeEstimate:
+def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dxi at the amplitude xi > 0; its sign is that of T'(h)."""
-    return _derivatives(_slope_integrand, sys, [xi], cfg)[0]
+    return _derivatives(_slope_integrand, sys, [xi])[0]
 
 
-def coupling_slope(sys: PotentialSystem, xi: float,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> DerivativeEstimate:
+def coupling_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dlam at the amplitude xi > 0, the amplitude held fixed."""
-    return _derivatives(_coupling_integrand, sys, [xi], cfg)[0]
+    return _derivatives(_coupling_integrand, sys, [xi])[0]
 
 
-def period_derivative(sys: PotentialSystem, h: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def period_derivative(sys: PotentialSystem, h: float) -> float:
     """T'(h) = (dT/dxi) / g(xi) on the energy level h > 0.  Below xi = 1,
     g(xi) = xi + lam*sin(xi) cancels as lam -> -1, so it is taken there as
     (1+lam)*xi - lam*(xi - sin xi), the defect from its Taylor series."""
@@ -367,4 +355,4 @@ def period_derivative(sys: PotentialSystem, h: float,
     x2 = xi * xi
     g = ((1.0 + sys.lam) * xi - sys.lam * x2 * xi * reduce(lambda p, c: p * x2 + c, _SIN_DEFECT)
          if xi < 1.0 else float(sys.g(xi)))
-    return period_slope(sys, xi, cfg).value / g
+    return period_slope(sys, xi).value / g

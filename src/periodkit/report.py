@@ -8,8 +8,9 @@ in a named pass/fail map with a numeric margin (positive = slack to spare),
 and the report is produced even when a check fails.
 
 This module also owns the payload format: one dict builder per record
-(sample, bracket, critical period, config), one CSV writer and one JSON
-writer, used by report_to_dict and by every CLI subcommand alike.
+(sample, bracket, critical period), one CSV writer and one JSON writer,
+used by report_to_dict and by every CLI subcommand alike.  Every JSON
+payload echoes the period engine's tolerance under "config" (CONFIG).
 Serialized output is deterministic: floats are written in round-trip-exact
 shortest decimal form, rows are sorted canonically, and no timestamps enter
 the payload (run metadata belongs in a sidecar file, see the CLI).
@@ -33,8 +34,7 @@ from .bessel import IDENTITY_TOL, identity_gap, series_integral_gap
 from .errors import DegenerateIsochronous, SignViolation
 from .model import PotentialSystem
 from .oracle import orbit_periods
-from .quadrature import (DEFAULT_CONFIG, PeriodSample, QuadratureConfig, period_samples,
-                         require_converged)
+from .quadrature import REL_TOL, PeriodSample, period_samples, require_converged
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,26 +58,25 @@ class VerifyReport:
     critical_periods: list[CriticalPeriod]
     checks: dict[str, CheckResult]
     tool_version: str
-    config: QuadratureConfig
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
 
-def _check_isochrony(cfg) -> CheckResult:
+def _check_isochrony() -> CheckResult:
     # at lam = 0, G(x) = x^2/2: the level h has amplitude sqrt(2*h)
     amps = np.sqrt(2.0 * np.logspace(-6, 6, 9))
     worst = max(abs(require_converged(s).T - TWO_PI)
-                for s in period_samples(PotentialSystem(0.0), amps, cfg))
+                for s in period_samples(PotentialSystem(0.0), amps))
     return CheckResult(worst <= 1e-9, 1e-9 - worst,
                        f"max |T - 2*pi| = {worst:.3e} at lam=0")
 
 
-def _check_small_h(sys, cfg) -> CheckResult:
+def _check_small_h(sys) -> CheckResult:
     # the center expansion holds for h small against (1+lam)^2
     scale = min(1.0, (1.0 + sys.lam) ** 2)
-    rep = small_h_check(sys, [1e-2 * scale, 1e-3 * scale], cfg)
+    rep = small_h_check(sys, [1e-2 * scale, 1e-3 * scale])
     if set(rep.method) != {"quadrature"}:
         return CheckResult(False, -math.inf, f"methods {rep.method}, not both quadrature")
     noise = [(h, r, e) for h, r, e in zip(rep.h, rep.residual, rep.err_est) if abs(r) <= e]
@@ -112,9 +111,9 @@ def _check_bessel_identity() -> CheckResult:
                        f"identity gap {worst_id:.3e}, series/integral gap {worst_xm:.3e}")
 
 
-def _check_oracle(sys, xi_max, cfg) -> CheckResult:
+def _check_oracle(sys, xi_max) -> CheckResult:
     amps = np.geomspace(0.3, max(1.0, min(33.0, xi_max - 1.0)), 10)
-    quads = period_samples(sys, amps, cfg)
+    quads = period_samples(sys, amps)
     odes = orbit_periods(sys, amps, tol=1e-11)
     worst = max(abs(require_converged(q).T - o.T) / q.T for q, o in zip(quads, odes))
     return CheckResult(worst <= 1e-7, 1e-7 - worst,
@@ -152,8 +151,7 @@ def _check_sign_brackets(sys, brackets) -> CheckResult:
                        f"worst inequality slack = {slack:.3e} over {len(brackets)} brackets")
 
 
-def run_verify(lam: float, k_max: int,
-               cfg: QuadratureConfig = DEFAULT_CONFIG) -> VerifyReport:
+def run_verify(lam: float, k_max: int) -> VerifyReport:
     """Run the whole pipeline for one parameter value.
 
     lam must be nonzero (the linear center is degenerate for every check
@@ -174,25 +172,25 @@ def run_verify(lam: float, k_max: int,
     brackets: list[TwoPiBracket] = []
     levels: list[float] = []
     try:
-        brackets = two_pi_brackets(sys, k_max, cfg)
-        levels = find_two_pi_levels(sys, brackets, cfg)
+        brackets = two_pi_brackets(sys, k_max)
+        levels = find_two_pi_levels(sys, brackets)
         checks["sign-brackets"] = _check_sign_brackets(sys, brackets)
     except SignViolation as exc:
         checks["sign-brackets"] = CheckResult(False, -math.inf, str(exc))
 
-    criticals = find_critical_periods(sys, xi_max, cfg)
+    criticals = find_critical_periods(sys, xi_max)
 
-    checks["isochrony-baseline"] = _check_isochrony(cfg)
-    checks["small-h"] = _check_small_h(sys, cfg)
+    checks["isochrony-baseline"] = _check_isochrony()
+    checks["small-h"] = _check_small_h(sys)
     checks["opial"] = _check_opial(sys)
     checks["bessel-identity"] = _check_bessel_identity()
-    checks["oracle-agreement"] = _check_oracle(sys, xi_max, cfg)
+    checks["oracle-agreement"] = _check_oracle(sys, xi_max)
     checks["alternation"] = _check_alternation(criticals, levels, k_max)
 
     ordered = {name: checks[name] for name in CHECK_NAMES}
     return VerifyReport(lam=lam, k_max=k_max, brackets=brackets,
                         two_pi_levels=levels, critical_periods=criticals,
-                        checks=ordered, tool_version=__version__, config=cfg)
+                        checks=ordered, tool_version=__version__)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ SAMPLE_FIELDS = ("lambda", "xi", "h", "T", "T_err", "method")
 # the other records' fields are attributes of the same name
 BRACKET_FIELDS = ("k", "h_lo", "h_hi", "T_lo", "T_hi", "sign_lo", "sign_hi", "degenerate")
 CRITICAL_FIELDS = ("xi_star", "h_star", "T_star", "kind", "refine_err")
-CONFIG_FIELDS = ("rel_tol",)
+CONFIG = {"rel_tol": REL_TOL}
 
 
 def sample_dicts(samples: list[PeriodSample]) -> list[dict]:
@@ -237,10 +235,6 @@ def bracket_dict(b: TwoPiBracket) -> dict:
 
 def critical_dict(c: CriticalPeriod) -> dict:
     return {name: getattr(c, name) for name in CRITICAL_FIELDS}
-
-
-def config_dict(cfg: QuadratureConfig) -> dict:
-    return {name: getattr(cfg, name) for name in CONFIG_FIELDS}
 
 
 def csv_table(header, records) -> str:
@@ -266,7 +260,7 @@ def report_to_dict(report: VerifyReport) -> dict:
         "lambda": report.lam,
         "k_max": report.k_max,
         "tool_version": report.tool_version,
-        "config": config_dict(report.config),
+        "config": CONFIG,
         "passed": report.passed,
         "checks": {
             name: {"passed": c.passed, "margin": c.margin, "detail": c.detail}

@@ -11,8 +11,7 @@ from periodkit.errors import (AmbiguousBracket, BracketFailure, DegenerateIsochr
                               NonMonotoneEnergy, SignViolation)
 from periodkit.model import PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (DerivativeEstimate, PeriodSample,
-                                  QuadratureConfig, period_at_amplitude,
-                                  period_derivative)
+                                  period_at_amplitude, period_derivative)
 from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
@@ -186,7 +185,7 @@ def test_refinement_engine_call_ceilings(monkeypatch, lam):
 def test_ambiguous_bracket_warning(monkeypatch):
     # a derivative sign change drowned in its own error estimate at both
     # grid ends is reported and skipped, not refined into a fake extremum
-    def noisy(sys, xi, cfg=None):
+    def noisy(sys, xi):
         return [DerivativeEstimate(1e-12 if x < 4.0 else -1e-12, 1e-9) for x in xi]
 
     monkeypatch.setattr(analysis, "period_slopes", noisy)
@@ -335,7 +334,7 @@ def test_two_pi_brackets_swapped_signs(lam):
 def test_sign_violation_raised_on_contradiction(monkeypatch):
     # force a measured period on the wrong side of 2*pi by far more than
     # its error estimate: the bracket must refuse to continue
-    def fake(sys, xi, cfg=None):
+    def fake(sys, xi):
         return [PeriodSample(lam=sys.lam, xi=x, h=float(sys.G(x)),
                              T=TWO_PI - 0.1, err_est=1e-12) for x in xi]
 

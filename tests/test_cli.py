@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import periodkit
 from periodkit.cli import main
+from periodkit.model import PotentialSystem
+from periodkit.quadrature import period_samples
 
 TWO_PI = 2 * math.pi
 
@@ -108,7 +114,7 @@ def test_verify_failure_maps_to_exit_one(capsys, monkeypatch):
     checks["opial"] = CheckResult(False, -1.0, "forced failure")
     import dataclasses
     broken = dataclasses.replace(real, checks=checks)
-    monkeypatch.setattr(cli, "run_verify", lambda lam, k, cfg: broken)
+    monkeypatch.setattr(cli, "run_verify", lambda lam, k: broken)
 
     code, out, err = run_cli(capsys, ["verify", "--lambda", "1", "--k-max", "1"])
     assert code == 1
@@ -136,38 +142,46 @@ def test_scan_past_the_edge_is_refused(capsys):
     assert "valid below x=3.83501," in err
 
 
-def test_config_file_and_flag_precedence(capsys, tmp_path):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"rel_tol": 1e-8}))
+@pytest.mark.parametrize("flag", ["--rel-tol", "--config", "--max-depth", "--base-nodes"])
+def test_removed_flags_are_usage_errors(capsys, flag):
+    # the engine runs at one tolerance; no flag or file changes it
+    with pytest.raises(SystemExit) as excinfo:
+        main(["period", "--lambda", "1", "--xi", "1", flag, "1e-8"])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert flag in captured.err
 
-    code, out, _ = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
-                                    "--config", str(conf)])
+
+def test_period_below_the_edge_level(capsys):
+    # the level sits below G(edge) = 17.968 at lam = 6; its amplitude is
+    # inside the edge 3.83501
+    code, out, _ = run_cli(capsys, ["period", "--lambda", "6", "--h", "17.39"])
     assert code == 0
-    assert json.loads(out)["config"] == {"rel_tol": 1e-8}
-
-    code, out, _ = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
-                                    "--config", str(conf), "--rel-tol", "1e-9"])
-    assert code == 0
-    assert json.loads(out)["config"]["rel_tol"] == 1e-9
-
-    conf.write_text(json.dumps({"rel_tolerance": 1e-8}))
-    code, _, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
-                                    "--config", str(conf)])
-    assert code == 2
-    assert "unknown config keys" in err
+    assert json.loads(out)["samples"][0]["xi"] == pytest.approx(3.3086272933182514)
 
 
-@pytest.mark.parametrize("flag", ["--max-depth", "--base-nodes"])
-def test_retired_engine_flags(capsys, tmp_path, flag):
-    code, out, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1", flag, "20"])
+def test_period_above_the_edge_level_names_it(capsys):
+    code, out, err = run_cli(capsys, ["period", "--lambda", "5", "--h", "40"])
     assert (code, out) == (2, "")
-    assert err == f"error: {flag} was removed with the adaptive engine\n"
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({flag[2:].replace("-", "_"): 20}))
-    code, out, err = run_cli(capsys, ["period", "--lambda", "1", "--xi", "1",
-                                      "--config", str(conf)])
+    assert "G(4.10462) = 16.2791" in err
+
+
+def test_period_at_a_subnormal_level_returns():
+    # sqrt(2*h/(1+lam)) underflows to 0, which doubling alone never leaves
+    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "periodkit.cli", "period", "--lambda", "4.5",
+                           "--h", "5e-324"], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["samples"][0]["method"] == "expansion"
+
+
+def test_no_convergence_names_its_best_estimate(capsys):
+    code, out, err = run_cli(capsys, ["period", "--lambda", "-1", "--xi", "0.001"])
     assert (code, out) == (2, "")
-    assert "unknown config keys" in err
+    best = period_samples(PotentialSystem(-1.0), [1e-3])[0]
+    assert not best.converged
+    assert err.endswith(f"; best estimate {best.T!r} with err_est {best.err_est:.3e}\n")
 
 
 def test_out_files_are_byte_identical(capsys, tmp_path):

@@ -106,10 +106,12 @@ def test_energy_to_amplitude_rejects_bad_input():
 
 
 def test_non_monotone_energy_detection():
-    # lam=6: g < 0 around x ~ 4, so inverting an energy above the dip must fail
+    # lam=6: g < 0 past the edge 3.835, so inverting an energy above the
+    # edge's level G(edge) = 17.968 must fail (G(4.5) = 17.39 lies below it
+    # and has the amplitude 3.3085)
     s6 = PotentialSystem(6.0)
     with pytest.raises(NonMonotoneEnergy):
-        energy_to_amplitude(s6, float(s6.G(4.5)))
+        energy_to_amplitude(s6, float(s6.G(6.0)))
 
 
 def test_validate_center_global_cases():
@@ -198,3 +200,23 @@ def test_inversion_refuses_an_energy_whose_bracket_jumps_the_dip():
     # has g > 0; the level h = 40 lies outside the period annulus
     with pytest.raises(NonMonotoneEnergy):
         energy_to_amplitude(PotentialSystem(5.0), 40.0)
+
+
+@pytest.mark.parametrize("h", [17.39, 17.968])
+def test_inversion_below_the_edge_level_succeeds(h):
+    # lam = 6: G(edge) = 17.968048..., so every lower level has an amplitude
+    # inside the edge 3.83501, though the doubled bracket end jumps past it
+    s6 = PotentialSystem(6.0)
+    xi = energy_to_amplitude(s6, h)
+    assert 0.0 < xi < s6.edge()
+    assert float(s6.G(xi)) == pytest.approx(h, rel=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("lam,h", [(5.0, 40.0), (6.0, 17.968048336710886), (6.0, 1e5)])
+def test_inversion_refusal_names_the_edge_and_its_level(lam, h):
+    s = PotentialSystem(lam)
+    edge = s.edge()
+    with pytest.raises(NonMonotoneEnergy,
+                       match=rf"G\({edge:.6g}\) = {float(s.G(edge)):.6g}") as excinfo:
+        energy_to_amplitude(s, h)
+    assert excinfo.value.x == edge

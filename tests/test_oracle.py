@@ -12,7 +12,7 @@ from periodkit import oracle
 from periodkit.errors import EventMissed, ToleranceUnmet
 from periodkit.model import PotentialSystem
 from periodkit.oracle import energy_drift, orbit_period, orbit_periods, orbit_trace
-from periodkit.quadrature import DEFAULT_CONFIG, period_at_amplitude, period_samples
+from periodkit.quadrature import period_at_amplitude, period_samples
 from periodkit.report import _check_oracle
 
 PI = math.pi
@@ -141,7 +141,7 @@ def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
 
     monkeypatch.setattr(oracle, "_stacked", counted(oracle._stacked))
     monkeypatch.setattr(oracle, "_section", counted(oracle._section))
-    assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
+    assert _check_oracle(PotentialSystem(lam), 11 * PI).passed
     assert calls >= 1000
     assert calls <= 2500
 
@@ -157,7 +157,7 @@ def test_compiled_runs_get_module_level_callbacks(monkeypatch):
         return compiled(fcn, t0, y0, t1, rtol, atol, solout, *rest)
 
     monkeypatch.setattr(oracle, "dopri853", spy)
-    assert _check_oracle(PotentialSystem(2.5), 11 * PI, DEFAULT_CONFIG).passed
+    assert _check_oracle(PotentialSystem(2.5), 11 * PI).passed
     callbacks = {c for run in seen for c in run if c is not None}
     assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section"}
     for c in callbacks:
@@ -230,7 +230,7 @@ def test_concurrent_batches_match_serial_ones():
 def test_verify_oracle_runs_without_warnings(lam):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _check_oracle(PotentialSystem(lam), 11 * PI, DEFAULT_CONFIG).passed
+        assert _check_oracle(PotentialSystem(lam), 11 * PI).passed
 
 
 def test_stacked_rhs_is_one_frame_and_exact():

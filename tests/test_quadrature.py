@@ -15,21 +15,12 @@ from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (EVAL_NODES, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
-                                  QuadratureConfig, period_at_amplitude,
-                                  period_at_energy, period_derivative,
-                                  period_samples, period_slope)
+                                  period_at_amplitude, period_at_energy,
+                                  period_derivative, period_samples, period_slope)
 from periodkit.oracle import orbit_period
 
 PI = math.pi
 TWO_PI = 2 * PI
-
-
-def test_config_validation():
-    QuadratureConfig()
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=1e-16)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.5)
 
 
 def test_linear_center_is_isochronous():
@@ -125,14 +116,15 @@ def test_derivative_divides_by_the_exact_restoring_force(lam, xi):
     assert period_derivative(sys_, h) == pytest.approx(ref, rel=4 * np.finfo(float).eps, abs=0)
 
 
-def test_refinement_stability():
-    # halving rel_tol moves T by less than the reported error estimate
+def test_refinement_stability(monkeypatch):
+    # halving the engine's tolerance moves T by less than the reported
+    # error estimate
     s1 = PotentialSystem(1.0)
-    cfg = QuadratureConfig(rel_tol=1e-9)
-    cfg_half = QuadratureConfig(rel_tol=5e-10)
     for h in np.logspace(-3, 3, 20):
-        a = period_at_energy(s1, float(h), cfg)
-        b = period_at_energy(s1, float(h), cfg_half)
+        monkeypatch.setattr(quadrature, "REL_TOL", 1e-9)
+        a = period_at_energy(s1, float(h))
+        monkeypatch.setattr(quadrature, "REL_TOL", 5e-10)
+        b = period_at_energy(s1, float(h))
         assert abs(a.T - b.T) <= max(a.err_est, 1e-15)
 
 
@@ -154,7 +146,7 @@ def _mp_period(lam, xi):
 
 def test_no_convergence_reports_best_estimate():
     # at the nilpotent center the well depth cancels by 24/xi^2, so its
-    # rounding alone exceeds rel_tol; the best estimate is still close
+    # rounding alone exceeds REL_TOL; the best estimate is still close
     with pytest.raises(NoConvergence) as excinfo:
         period_at_amplitude(PotentialSystem(-1.0), 1e-3)
     err = excinfo.value
@@ -173,11 +165,12 @@ def test_converged_periods_are_within_their_error_estimate(lam, xi):
     assert abs(sample.T - ref) <= sample.err_est
 
 
-def test_derivative_error_estimate_is_honest():
+def test_derivative_error_estimate_is_honest(monkeypatch):
     s1 = PotentialSystem(1.0)
     xi = 4.0
     est = period_slope(s1, xi)
-    tight = period_slope(s1, xi, QuadratureConfig(rel_tol=1e-13)).value
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
+    tight = period_slope(s1, xi).value
     assert abs(est.value - tight) <= 10 * est.err_est
 
 

@@ -7,7 +7,7 @@ import periodkit.quadrature as quadrature
 from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import DEFAULT_CONFIG, period_at_amplitude
+from periodkit.quadrature import period_at_amplitude
 from periodkit.report import (CHECK_NAMES, _check_small_h, fmt_float, report_to_dict,
                               report_to_json, run_verify, sample_dicts,
                               samples_to_csv, to_json)
@@ -119,7 +119,7 @@ def test_small_h_fails_on_expansion_samples(monkeypatch):
     # with the guard raised past the check's energies both samples are the
     # center expansion, whose residual against itself checks nothing
     monkeypatch.setattr(quadrature, "SMALL_ENERGY_GUARD", 1.0)
-    check = _check_small_h(PotentialSystem(1.0), DEFAULT_CONFIG)
+    check = _check_small_h(PotentialSystem(1.0))
     assert not check.passed
     assert check.detail == "methods ('expansion', 'expansion'), not both quadrature"
 
@@ -130,6 +130,6 @@ def test_small_h_residuals_clear_their_error(lam):
     rep = small_h_check(sys_, [1e-2, 1e-3])
     assert min(abs(r) for r in rep.residual) >= 6e-10
     assert len(rep.err_est) == 2 and max(rep.err_est) <= 1e-14
-    check = _check_small_h(sys_, DEFAULT_CONFIG)
+    check = _check_small_h(sys_)
     assert check.passed
     assert check.detail.startswith("residual ratio 1e-2/1e-3 = ")
