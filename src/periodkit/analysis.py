@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
 from .quadrature import (DerivativeEstimate, PeriodSample, coupling_slope,
-                         period_at_amplitude, period_samples, period_slopes,
+                         period_deviations, period_samples, period_slopes,
                          require_converged)
 
 TWO_PI = 2.0 * math.pi
@@ -79,9 +79,8 @@ class TwoPiBracket:
 class LowEnergyReport:
     """Residuals of T(h) against its expansion at the center,
     T0 + T0'*h, plus empirical convergence orders between consecutive
-    energies (expect ~2: the remainder is O(h^2)), and the err_est and method
-    of each T: a residual within its err_est is rounding noise, and one of an
-    "expansion" sample compares the expansion with itself."""
+    energies (expect ~2: the remainder is O(h^2)), and the err_est of each
+    residual: one within its err_est is rounding noise."""
 
     lam: float
     h: tuple[float, ...]
@@ -89,7 +88,6 @@ class LowEnergyReport:
     residual: tuple[float, ...]
     orders: tuple[float, ...]
     err_est: tuple[float, ...] = ()
-    method: tuple[str, ...] = ()
 
 
 def scan_period(sys: PotentialSystem, xi_min: float, xi_max: float, n: int) -> list[PeriodSample]:
@@ -279,29 +277,28 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
 def small_h_check(sys: PotentialSystem, h_list) -> LowEnergyReport:
     """Residual of T against the center expansion at each requested energy.
 
-    R(h) = T(h) - T(0+) - T'(0+) h; orders[i] is the empirical exponent from
-    (h[i], h[i+1]).  Energies must sit in the expansion's turf (h <= 0.1) and
-    the center must be elementary (lam > -1), otherwise T(0+) is not finite.
+    R(h) = T(h) - T(0+) - T'(0+) h, taken as (T - 2*pi) - (T(0+) - 2*pi) -
+    T'(0+) h from the deviation integral, so it does not round at the ulp of
+    T; orders[i] is the empirical exponent from (h[i], h[i+1]).  Energies
+    must sit in the expansion's turf (h <= 0.1) and the center must be
+    elementary (lam > -1), otherwise T(0+) is not finite.
     """
     if sys.lam <= -1.0:
         raise ValueError("expansion residuals need an elementary center (lam > -1)")
     hs = [float(h) for h in h_list]
     if any(h <= 0.0 or h > 0.1 for h in hs):
         raise ValueError("each energy must lie in (0, 0.1]")
-    t0, dt0 = sys.center_asymptotics()
-    samples = [period_at_amplitude(sys, energy_to_amplitude(sys, h)) for h in hs]
-    ts = [s.T for s in samples]
-    res = [t - (t0 + dt0 * h) for t, h in zip(ts, hs)]
-    orders = []
-    for i in range(len(hs) - 1):
-        if res[i] == 0.0 or res[i + 1] == 0.0 or hs[i] == hs[i + 1]:
-            orders.append(math.nan)
-        else:
-            orders.append(math.log(abs(res[i] / res[i + 1])) / math.log(hs[i] / hs[i + 1]))
-    return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(ts),
+    root = math.sqrt(1.0 + sys.lam)
+    dev0 = -TWO_PI * sys.lam / (root * (1.0 + root))  # T(0+) - 2*pi
+    dt0 = sys.center_asymptotics()[1]
+    devs = period_deviations(sys, [energy_to_amplitude(sys, h) for h in hs])
+    res = [d.value - dev0 - dt0 * h for d, h in zip(devs, hs)]
+    orders = [math.nan if r0 == 0.0 or r1 == 0.0 or h0 == h1
+              else math.log(abs(r0 / r1)) / math.log(h0 / h1)
+              for r0, r1, h0, h1 in zip(res, res[1:], hs, hs[1:])]
+    return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(TWO_PI + d.value for d in devs),
                            residual=tuple(res), orders=tuple(orders),
-                           err_est=tuple(s.err_est for s in samples),
-                           method=tuple(s.method for s in samples))
+                           err_est=tuple(d.err_est for d in devs))
 
 
 def opial_indicator(sys: PotentialSystem, x):

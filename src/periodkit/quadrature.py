@@ -5,30 +5,29 @@ The period of the orbit on energy level h is
     T(h) = 2*sqrt(2) * integral_0^xi dx / sqrt(h - G(x)),   h = G(xi),
 
 whose integrand blows up like an inverse square root at the turning point
-x = xi.  The substitution x = xi*sin(phi) removes the singularity: at a
-simple turning point h - G(x) ~ g(xi)*(xi - x), so the substituted integrand
-is analytic.  Written as xi / sqrt((h - G(xi*sin(phi))) / cos(phi)^2), it is
-even in phi and about phi = pi/2 (G is even), so it extends to an even,
-pi-periodic analytic function, and the midpoint rule on [0, pi/2] is a
-full-period trapezoid rule, which converges geometrically (Trefethen &
-Weideman, SIAM Rev. 56, 2014).  The lam = -1 origin limit is handled too,
-because the turning point stays simple for every h > 0.
+x = xi.  The substitution x = xi*sin(phi) removes the singularity, since
+h - G(x) ~ g(xi)*(xi - x) there.  The substituted integrand is even in phi
+and about phi = pi/2 (G is even), so it extends to an even, pi-periodic
+analytic function, and the midpoint rule on [0, pi/2] is a full-period
+trapezoid rule, which converges geometrically (Trefethen & Weideman,
+SIAM Rev. 56, 2014).
 
-Writing u = pi/4 - phi/2, a = xi*cos(u)^2 and b = xi*sin(u)^2, the depth of
-the energy well below the level h is evaluated in the cancellation-free
-product form
+With u = pi/4 - phi/2, a = xi*cos(u)^2 and b = xi*sin(u)^2, the depth
+h - G(xi*sin(phi)) of the energy well is exactly xi^2 times
 
-    D = h - G(xi*sin(phi)) = (xi*sin(2u))^2 / 2 + 2*lam*sin(a)*sin(b),
+    d = sin(2u)^2/2 + 2*lam*(sin(a)/xi)*(sin(b)/xi) = sin(2u)^2/2 * w,
+    w = 1 + lam*s,   s = sinc(a)*sinc(b),
 
-an exact identity: no subtraction of nearly equal numbers survives, so the
-integrand keeps full double precision all the way into the turning point.
+so T = 2*sqrt(2) * int sin(2u)/sqrt(d) = 4 * int w^(-1/2) is exact down to
+the center, T(0+) = 2*pi/sqrt(1+lam).  For lam < 0 and xi < 1, w is taken as
+(1+lam) - lam*(1 - s), 1 - s from its Taylor series: two terms >= 0, which
+do not cancel even at the nilpotent center lam = -1.  The deviation
+T - 2*pi = -4*lam * int s / (sqrt(w)*(1 + sqrt(w))) and the derivatives,
+differentiated under the integral sign, are integrals of the same kind
+(d ~ 2*u^2*g(xi)/xi at the turning point keeps them analytic):
 
-Because the substituted interval no longer depends on xi or lam, the
-derivatives of T are integrals of the same kind, differentiated under the
-integral sign; D ~ 2*u^2*xi*g(xi) at the turning point keeps them analytic:
-
-    dT/dxi  = 2*sqrt(2) * int lam*sin(2u)*(sin(b)*S(a) + sin(a)*S(b)) / D^(3/2),
-    dT/dlam = 2*sqrt(2) * int -xi*sin(2u)*sin(a)*sin(b) / D^(3/2),
+    dT/dxi  = 2*sqrt(2) * int lam*sin(2u)*(sin(b)*S(a) + sin(a)*S(b)) / (xi^3 * d^(3/2)),
+    dT/dlam = 2*sqrt(2) * int -sin(2u)*sin(a)*sin(b) / (xi^2 * d^(3/2)),
 
 with S(x) = sin(x) - x*cos(x), and T'(h) = (dT/dxi) / g(xi).
 
@@ -60,16 +59,16 @@ TINY = float(np.finfo(float).tiny)
 # may claim less than a few ulp.
 ROUNDING_FLOOR = 2.0 * EPS
 
-# Below this energy, relative to (1+lam)^2 near the nilpotent center,
-# quadrature cancellation beats the O(h^2) truncation of the local expansion,
-# so the expansion wins.
-SMALL_ENERGY_GUARD = 1e-10
-
-# Relative rounding of the well depth D per unit of cancellation in it
-# (its terms' magnitudes over its value).  Near the nilpotent center
-# (lam -> -1, xi -> 0) the cancellation reaches 24/xi^2; there T and dT/dxi
-# miss 30-digit references by at most 0.9 times the floor this gives them.
+# Relative rounding of the well depth d per unit of cancellation in it (its
+# terms' magnitudes over its value); d taken directly cancels most at the
+# turning point, as g(xi) = xi + lam*sin(xi) does.
 CANCELLATION_FLOOR = EPS / 8.0
+
+# The smallest amplitudes: below the smallest normal double a and b lose
+# their precision, and at lam = -1 w = 1 - s >= xi^2/24 leaves it below
+# sqrt(24*TINY) ~ 7.3e-154 and soon underflows to 0.
+XI_MIN = TINY
+NILPOTENT_XI_MIN = math.sqrt(24.0 * TINY)
 
 # Tolerance of every period and derivative integral, relative to the rule
 # of |f|.  The first pass already lies past the integrand's bandwidth, so a
@@ -90,22 +89,21 @@ EVAL_NODES = 2 ** 15
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
 # the direct difference keeps only eps/x^2 of relative accuracy.
 _S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
-# Those of x - sin(x), for g near the nilpotent center, are (-1)^n / (2n+3)!.
+# Those of x - sin(x) = x^3 * sum_n (-1)^n x^(2n) / (2n+3)!, which gives the
+# sinc defect 1 - sin(x)/x near the nilpotent center.
 _SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
 
 
 @dataclass(frozen=True)
 class PeriodSample:
     """One measured period: both orbit coordinates, the value, an absolute
-    error estimate and the route that produced it.
+    error estimate and the route that produced it: "quadrature", or
+    "ode-oracle" for oracle.orbit_period.
 
     On the quadrature route err_est is the difference of the last midpoint
     rule and the one on every third of its nodes, floored at the rounding
-    of T (a few ulp, more where the well depth cancels), so it is never zero
-    there even where every rule integrates exactly.  Below
-    SMALL_ENERGY_GUARD * min(1, (1+lam)^2) (method "expansion") T is the
-    center expansion T(0+) + T'(0+)*h and err_est its O(h^2) truncation,
-    scaled by the same factor and floored the same way."""
+    of T (a few ulp, more where the well depth cancels at the turning
+    point), so it is never zero even where every rule integrates exactly."""
 
     lam: float
     xi: float
@@ -118,15 +116,23 @@ class PeriodSample:
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """A derivative of T with its absolute error estimate."""
+    """A derivative of T, or T - 2*pi, with its absolute error estimate."""
 
     value: float
     err_est: float
 
 
+def _sinc_defect(x):
+    """1 - sin(x)/x for |x| < 1, from its Taylor series."""
+    x2 = x * x
+    return reduce(lambda p, c: p * x2 + c, _SIN_DEFECT) * x2
+
+
 def _well(sys: PotentialSystem, xi, phi):
-    """(sin 2u, sin a, sin b, a, b, D) at the substituted nodes phi; xi is
-    one amplitude or a column of them, each taking a row of nodes phi."""
+    """(sin 2u, sin a, sin b, a, b, p, d) at the substituted nodes phi, with
+    p = (sin(a)/xi)*(sin(b)/xi), for a column of amplitudes xi.  p divides at
+    every node: a rounded 1/xi would shift a whole row alike, and d's
+    cancellation at the center (24 at lam = -1, xi = 1) would carry it to T."""
     u = 0.25 * math.pi - 0.5 * phi
     su = np.sin(u)
     cu = np.cos(u)
@@ -135,14 +141,21 @@ def _well(sys: PotentialSystem, xi, phi):
     b = xi * (su * su)
     sa = np.sin(a)
     sb = np.sin(b)
-    d = 0.5 * (xi * s2u) ** 2 + 2.0 * sys.lam * sa * sb
+    p = (sa / xi) * (sb / xi)
+    half = 0.5 * s2u * s2u
+    d = (2.0 * sys.lam) * p + half
+    if sys.lam < 0.0:  # rows below xi = 1 take w from the sinc defect
+        near = xi[:, 0] < 1.0
+        if np.count_nonzero(near):
+            da, db = _sinc_defect(np.stack((a[near], b[near])))
+            d[near] = half * ((1.0 + sys.lam) - sys.lam * (da + (1.0 - da) * db))
     bad = d <= 0.0
     if np.count_nonzero(bad):
         x = float(np.broadcast_to(xi, d.shape)[bad][0])
         raise NonMonotoneEnergy(
             f"energy level dips below the potential inside (0, {x:.6g}) "
             f"(lam={sys.lam:g}); the orbit is not centered at the origin")
-    return s2u, sa, sb, a, b, d
+    return s2u, sa, sb, a, b, p, d
 
 
 def _s(x, sx):
@@ -158,34 +171,44 @@ def _s(x, sx):
 
 
 def _period_integrand(sys: PotentialSystem, xi, phi):
-    s2u, _, _, _, _, d = _well(sys, xi, phi)
-    return xi * s2u / np.sqrt(d)
+    s2u, _, _, _, _, _, d = _well(sys, xi, phi)
+    return s2u / np.sqrt(d)
+
+
+def _deviation_integrand(sys: PotentialSystem, xi, phi):
+    # sin(2u)/sqrt(d) - sqrt(2), rationalized: 2*d - sin(2u)^2 = 4*lam*p,
+    # so nothing cancels
+    s2u, _, _, _, _, p, d = _well(sys, xi, phi)
+    return p / (d + s2u * np.sqrt(0.5 * d)) * (-SQRT8 * sys.lam)
 
 
 def _slope_integrand(sys: PotentialSystem, xi, phi):
     # d/dxi of xi*s2u/sqrt(D) is s2u*(2D - xi*dD/dxi) / (2*D^(3/2)), and
-    # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b)); lam goes last,
-    # so a subnormal lam rounds once, not at every factor
-    s2u, sa, sb, a, b, d = _well(sys, xi, phi)
-    return s2u * (sb * _s(a, sa) + sa * _s(b, sb)) / (d * np.sqrt(d)) * sys.lam
+    # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b)), D = xi^2*d; lam
+    # goes last, so a subnormal lam rounds once, not at every factor
+    s2u, sa, sb, a, b, _, d = _well(sys, xi, phi)
+    r = 1.0 / xi
+    return s2u * (sb * _s(a, sa) + sa * _s(b, sb)) * r * r * r / (d * np.sqrt(d)) * sys.lam
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, phi):
-    s2u, sa, sb, _, _, d = _well(sys, xi, phi)
-    return -xi * s2u * sa * sb / (d * np.sqrt(d))
+    s2u, _, _, _, _, p, d = _well(sys, xi, phi)
+    return -s2u * p / (d * np.sqrt(d))
 
 
 def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
     """_periodic at REL_TOL of integrand(sys, xi, phi), one integral per
     amplitude in xi; for _period_integrand that is
     integral_0^xi dx / sqrt(G(xi) - G(x)).
-    Its rounding floor: D cancels as h = G(xi) does at the center and as
-    g(xi) at the turning point, and T goes as D^-1/2; a derivative goes as
-    D^-3/2 and also carries sin(a) and sin(b), whose arguments round by
-    EPS*xi/2."""
-    lam, half, s2, sx = sys.lam, 0.5 * xi * xi, 2.0 * np.sin(0.5 * xi) ** 2, np.sin(xi)
-    cancellation = np.maximum((half + abs(lam) * s2) / (half + lam * s2),
-                              (xi + np.abs(lam * sx)) / (xi + lam * sx))
+    Its rounding floor: where d is taken directly it cancels as g(xi) at the
+    turning point, and T goes as d^-1/2; a derivative goes as d^-3/2, and
+    it and the deviation T - 2*pi are carried by sin(a) and sin(b), whose
+    arguments round by EPS*xi/2."""
+    cancellation = np.ones(xi.size)
+    direct = (xi >= 1.0) | (sys.lam >= 0.0)  # _well's rows that take d directly
+    x = xi[direct]
+    lsx = sys.lam * np.sin(x)
+    cancellation[direct] = (x + np.abs(lsx)) / (x + lsx)
     power, phase = (1.5, 0.5 * EPS) if derivative else (0.5, 0.0)
     floor = np.maximum(ROUNDING_FLOOR, power * CANCELLATION_FLOOR * cancellation + phase * xi)
     return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, REL_TOL, floor)
@@ -258,11 +281,12 @@ def require_converged(sample: PeriodSample) -> PeriodSample:
     return sample
 
 
-def _amplitudes(xi) -> np.ndarray:
+def _amplitudes(sys: PotentialSystem, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).ravel()
-    bad = ~((xi > 0.0) & (xi < math.inf))
+    least = NILPOTENT_XI_MIN if sys.lam == -1.0 else XI_MIN
+    bad = ~((xi >= least) & (xi < math.inf))
     if np.count_nonzero(bad):
-        raise ValueError(f"xi must be positive and finite, got {xi[bad][0]}")
+        raise ValueError(f"xi must be finite, >= {least!r} at lam={sys.lam:g}, got {xi[bad][0]}")
     return xi
 
 
@@ -270,89 +294,69 @@ def period_samples(sys: PotentialSystem, xi) -> list[PeriodSample]:
     """Periods of the orbits through (x, 0) for every amplitude x > 0 of the
     array xi, in one pass of the engine.  A sample that did not converge is
     returned flagged (converged=False) with its best estimate, not raised."""
-    xi = _amplitudes(xi)
+    xi = _amplitudes(sys, xi)
     return _samples(sys, xi, sys.G(xi).tolist())
 
 
 def period_at_amplitude(sys: PotentialSystem, xi: float) -> PeriodSample:
     """Period of the orbit through (xi, 0), xi > 0."""
-    if not (0.0 < xi < math.inf):
-        raise ValueError(f"xi must be positive and finite, got {xi}")
-    h = float(sys.G(xi))
-    return _period_sample(sys, xi, h)
+    xi = _amplitudes(sys, xi)
+    return require_converged(_samples(sys, xi, [float(sys.G(xi[0]))])[0])
 
 
 def period_at_energy(sys: PotentialSystem, h: float) -> PeriodSample:
     """Period of the orbit on energy level h > 0."""
-    xi = energy_to_amplitude(sys, h)
-    return _period_sample(sys, xi, h)
-
-
-def _period_sample(sys, xi, h):
-    return require_converged(_samples(sys, np.array([xi], dtype=float), [h])[0])
+    xi = _amplitudes(sys, energy_to_amplitude(sys, h))
+    return require_converged(_samples(sys, xi, [h])[0])
 
 
 def _samples(sys, xi, hs):
-    """Samples at the amplitudes xi on their levels hs: the center
-    expansion's where it holds, the others from one pass of the engine."""
-    xs = xi.tolist()
-    samples = [_expansion(sys, x, h) for x, h in zip(xs, hs)]
-    todo = [i for i, sample in enumerate(samples) if sample is None]
-    value, err, converged = _integral(_period_integrand, sys, xi[todo])
-    for i, v, e, c in zip(todo, value.tolist(), err.tolist(), converged.tolist()):
-        samples[i] = PeriodSample(lam=sys.lam, xi=xs[i], h=hs[i], T=SQRT8 * v,
-                                  err_est=SQRT8 * e, converged=c)
-    return samples
+    value, err, converged = _integral(_period_integrand, sys, xi)
+    return [PeriodSample(lam=sys.lam, xi=x, h=h, T=SQRT8 * v, err_est=SQRT8 * e, converged=c)
+            for x, h, v, e, c in zip(xi.tolist(), hs, value.tolist(), err.tolist(),
+                                     converged.tolist())]
 
 
-def _expansion(sys, xi, h):
-    """The center expansion's sample on a level h small enough for it, else
-    None.  Its parameter is h / (1+lam)^2: the quartic term of G takes over
-    once xi^2 reaches 1+lam."""
-    shrink = min(1.0, (1.0 + sys.lam) ** 2)
-    if h >= SMALL_ENERGY_GUARD * shrink:
-        return None
-    t0, dt0 = sys.center_asymptotics()
-    T = t0 + dt0 * h
-    return PeriodSample(lam=sys.lam, xi=xi, h=h, T=T, method="expansion",
-                        err_est=max(abs(dt0) * h * h / shrink, ROUNDING_FLOOR * abs(T)))
-
-
-def _derivatives(integrand, sys: PotentialSystem, xi):
-    xi = _amplitudes(xi)
+def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative"):
+    xi = _amplitudes(sys, xi)
     value, err, converged = _integral(integrand, sys, xi, derivative=True)
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
         raise NoConvergence(
-            f"derivative quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"{what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
             f"at xi={xi[i]:.6g}, lam={sys.lam:g}",
             best=SQRT8 * float(value[i]), err_est=SQRT8 * float(err[i]))
     return [DerivativeEstimate(value=SQRT8 * v, err_est=SQRT8 * e)
             for v, e in zip(value.tolist(), err.tolist())]
 
 
+def period_deviations(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
+    """T - 2*pi at every amplitude x > 0 of the array xi, to its own relative
+    accuracy however close T lies to 2*pi; raises like period_slopes."""
+    return _estimates(_deviation_integrand, sys, xi, "deviation")
+
+
 def period_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
     """dT/dxi at every amplitude x > 0 of the array xi, in one pass of the
     engine; raises NoConvergence at the first one that did not converge."""
-    return _derivatives(_slope_integrand, sys, xi)
+    return _estimates(_slope_integrand, sys, xi)
 
 
 def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dxi at the amplitude xi > 0; its sign is that of T'(h)."""
-    return _derivatives(_slope_integrand, sys, [xi])[0]
+    return _estimates(_slope_integrand, sys, xi)[0]
 
 
 def coupling_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dlam at the amplitude xi > 0, the amplitude held fixed."""
-    return _derivatives(_coupling_integrand, sys, [xi])[0]
+    return _estimates(_coupling_integrand, sys, xi)[0]
 
 
 def period_derivative(sys: PotentialSystem, h: float) -> float:
     """T'(h) = (dT/dxi) / g(xi) on the energy level h > 0.  Below xi = 1,
     g(xi) = xi + lam*sin(xi) cancels as lam -> -1, so it is taken there as
-    (1+lam)*xi - lam*(xi - sin xi), the defect from its Taylor series."""
+    xi*((1+lam) - lam*(1 - sin(xi)/xi)), the sinc defect from its series."""
     xi = energy_to_amplitude(sys, h)
-    x2 = xi * xi
-    g = ((1.0 + sys.lam) * xi - sys.lam * x2 * xi * reduce(lambda p, c: p * x2 + c, _SIN_DEFECT)
+    g = (xi * ((1.0 + sys.lam) - sys.lam * _sinc_defect(xi))
          if xi < 1.0 else float(sys.g(xi)))
     return period_slope(sys, xi).value / g

@@ -8,7 +8,7 @@ import pytest
 
 import periodkit
 from periodkit.cli import main
-from periodkit.model import PotentialSystem
+from periodkit.model import LAM_C, X_MIN, PotentialSystem
 from periodkit.quadrature import period_samples
 
 TWO_PI = 2 * math.pi
@@ -173,15 +173,33 @@ def test_period_at_a_subnormal_level_returns():
                            "--h", "5e-324"], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["samples"][0]["method"] == "expansion"
+    assert json.loads(proc.stdout)["samples"][0]["method"] == "quadrature"
 
 
 def test_no_convergence_names_its_best_estimate(capsys):
-    code, out, err = run_cli(capsys, ["period", "--lambda", "-1", "--xi", "0.001"])
+    # just below LAM_C the turning point at X_MIN is nearly double
+    lam = LAM_C * (1 - 1e-8)
+    code, out, err = run_cli(capsys, ["period", "--lambda", repr(lam), "--xi", repr(X_MIN)])
     assert (code, out) == (2, "")
-    best = period_samples(PotentialSystem(-1.0), [1e-3])[0]
+    best = period_samples(PotentialSystem(lam), [X_MIN])[0]
     assert not best.converged
     assert err.endswith(f"; best estimate {best.T!r} with err_est {best.err_est:.3e}\n")
+
+
+def test_period_at_the_nilpotent_center_converges(capsys):
+    code, out, _ = run_cli(capsys, ["period", "--lambda", "-1", "--xi", "0.001"])
+    assert code == 0
+    sample = json.loads(out)["samples"][0]
+    assert sample["method"] == "quadrature"
+    assert sample["T"] == pytest.approx(18166.147976523513, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam, xi, bound", [("1", "5e-324", "2.2250738585072014e-308"),
+                                            ("-1", "1e-160", "7.307651647702757e-154")])
+def test_period_refuses_the_smallest_amplitudes_naming_the_bound(capsys, lam, xi, bound):
+    code, out, err = run_cli(capsys, ["period", "--lambda", lam, "--xi", xi])
+    assert (code, out) == (2, "")
+    assert f">= {bound} at lam={lam}," in err and err.rstrip().endswith(f"got {xi}")
 
 
 def test_out_files_are_byte_identical(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,14 +14,18 @@ import periodkit
 import periodkit.quadrature as quadrature
 from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
-from periodkit.model import PotentialSystem, energy_to_amplitude
-from periodkit.quadrature import (EVAL_NODES, ROUNDING_FLOOR, SMALL_ENERGY_GUARD,
-                                  period_at_amplitude, period_at_energy,
-                                  period_derivative, period_samples, period_slope)
+from periodkit.model import LAM_C, X_MIN, PotentialSystem, energy_to_amplitude
+from periodkit.quadrature import (EVAL_NODES, NILPOTENT_XI_MIN, XI_MIN, period_at_amplitude,
+                                  period_at_energy, period_derivative, period_deviations,
+                                  period_samples, period_slope)
 from periodkit.oracle import orbit_period
 
 PI = math.pi
 TWO_PI = 2 * PI
+
+# Just below LAM_C the turning point at X_MIN is nearly double: g(X_MIN) is
+# 1e-8 of X_MIN, so the well depth's rounding alone exceeds REL_TOL there
+RUNAWAY_LAM = LAM_C * (1 - 1e-8)
 
 
 def test_linear_center_is_isochronous():
@@ -59,19 +64,44 @@ def test_small_energy_expansion():
     assert sample.T == pytest.approx(t0 + dt0 * 1e-6, abs=1e-11)
 
 
-def test_small_energy_guard_branch():
-    # below 1e-10 the expansion is returned directly with its own error model
-    s2 = PotentialSystem(2.0)
-    t0, dt0 = s2.center_asymptotics()
-    sample = period_at_energy(s2, 1e-12)
-    assert sample.T == t0 + dt0 * 1e-12
-    assert sample.err_est == max(abs(dt0) * 1e-24, ROUNDING_FLOOR * sample.T)
-    assert sample.method == "expansion"
-    # at the linear center the O(h^2) term vanishes but T still rounds
-    s0 = PotentialSystem(0.0)
-    sample = period_at_energy(s0, 1e-12)
-    assert sample.method == "expansion"
-    assert sample.err_est > 0.0
+def test_center_limit_is_exact():
+    # the scale-free well depth holds no factor xi, so the quadrature reaches
+    # T(0+) = 2*pi/sqrt(1+lam) at any amplitude; the first-order term
+    # T'(0+)*h, with h ~ (1+lam)*xi^2/2, is 6e-9 of T at (-1+1e-9, 1e-8)
+    for lam in (-1 + 1e-9, -0.99, -1e-8, 0.0, 1.0, 4.5):
+        s = PotentialSystem(lam)
+        t0, dt0 = s.center_asymptotics()
+        for xi in (1e-300, 1e-100, 1e-8):
+            sample = period_at_amplitude(s, xi)
+            assert sample.method == "quadrature"
+            limit = t0 + dt0 * (1 + lam) * xi * xi / 2
+            assert abs(sample.T - limit) <= sample.err_est, (lam, xi)
+
+
+@pytest.mark.parametrize("xi", [NILPOTENT_XI_MIN, 1e-100, 1e-20, 1e-8])
+def test_nilpotent_center_follows_the_quartic_well(xi):
+    # at lam = -1, G(x) = x^4/24 + O(x^6), so T*xi tends to
+    # 2*sqrt(2)*sqrt(24) * int_0^1 du / sqrt(1 - u^4)
+    with mpmath.workdps(30):
+        ref = float(2 * mpmath.sqrt(48) * mpmath.quad(lambda u: 1 / mpmath.sqrt(1 - u**4), [0, 1]))
+    sample = period_at_amplitude(PotentialSystem(-1.0), xi)
+    assert sample.T * xi == pytest.approx(ref, rel=1e-12, abs=0)
+    assert ref == pytest.approx(18.1661476, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam,xi,bound", [(1.0, 5e-324, XI_MIN), (0.0, XI_MIN / 2, XI_MIN),
+                                          (-1.0, 1e-160, NILPOTENT_XI_MIN)])
+def test_smallest_amplitudes_are_refused_with_their_bound(lam, xi, bound):
+    # below the smallest normal double a = xi*cos(u)^2 loses its precision,
+    # and at lam = -1 the sinc defect 1 - s >= xi^2/24 leaves the normal
+    # range below NILPOTENT_XI_MIN
+    s = PotentialSystem(lam)
+    message = re.escape(f">= {bound!r} at lam={lam:g}, got {xi!r}") + "$"
+    for call in (lambda: period_at_amplitude(s, xi), lambda: period_samples(s, [1.0, xi]),
+                 lambda: period_slope(s, xi), lambda: period_deviations(s, [xi])):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert period_at_amplitude(s, bound).converged
 
 
 def test_period_against_ode_oracle_spot():
@@ -128,10 +158,11 @@ def test_refinement_stability(monkeypatch):
         assert abs(a.T - b.T) <= max(a.err_est, 1e-15)
 
 
-def _mp_period(lam, xi):
-    """T(xi) to 30 digits: 4*sqrt(2) * int_0^{pi/4} xi*sin(2u) / sqrt(D) du with
-    the well depth D in product form, by Gauss-Legendre on pieces holding
-    about one oscillation of sin(xi*cos(u)^2) each."""
+def _mp_period(lam, xi, deviation=False):
+    """T(xi), or T(xi) - 2*pi, to 30 digits: 4*sqrt(2) * int_0^{pi/4}
+    xi*sin(2u) / sqrt(D) du with the well depth D in product form, by
+    Gauss-Legendre on pieces holding about one oscillation of
+    sin(xi*cos(u)^2) each."""
     with mpmath.workdps(30):
         lam, xi = mpmath.mpf(lam), mpmath.mpf(xi)
 
@@ -141,17 +172,22 @@ def _mp_period(lam, xi):
             return xi * mpmath.sin(2 * u) / mpmath.sqrt(d)
         n = 2 + int(xi / 8)
         pieces = [mpmath.pi / 4 * k / n for k in range(n + 1)]
-        return float(4 * mpmath.sqrt(2) * mpmath.quad(f, pieces, method="gauss-legendre"))
+        t = 4 * mpmath.sqrt(2) * mpmath.quad(f, pieces, method="gauss-legendre")
+        return float(t - 2 * mpmath.pi if deviation else t)
+
+
+# T at (RUNAWAY_LAM, X_MIN) to 40 digits: Gauss-Legendre on pieces split at
+# u = 10^(k/2), k = -16..-1, about the turning point's width of 1e-4
+RUNAWAY_T = 772.40368698099757292735
 
 
 def test_no_convergence_reports_best_estimate():
-    # at the nilpotent center the well depth cancels by 24/xi^2, so its
-    # rounding alone exceeds REL_TOL; the best estimate is still close
     with pytest.raises(NoConvergence) as excinfo:
-        period_at_amplitude(PotentialSystem(-1.0), 1e-3)
+        period_at_amplitude(PotentialSystem(RUNAWAY_LAM), X_MIN)
     err = excinfo.value
     assert err.sample is not None and not err.sample.converged
-    assert err.best == pytest.approx(_mp_period(-1.0, 1e-3), rel=1e-9)
+    assert (err.best, err.err_est) == (err.sample.T, err.sample.err_est)
+    assert abs(err.best - RUNAWAY_T) <= err.err_est
 
 
 @pytest.mark.parametrize("lam,xi", [(4.0, 874.8794453351767), (1.75, 647.7907785522094),
@@ -189,7 +225,6 @@ def test_exact_rule_error_estimate_covers_rounding(route):
             sample = period_at_amplitude(s0, float(xi))
         else:
             sample = period_at_energy(s0, float(s0.G(xi)))
-        assert sample.h >= SMALL_ENERGY_GUARD  # the quadrature branch
         assert abs(sample.T - TWO_PI) + TWO_PI_ROUNDING <= sample.err_est
         assert sample.err_est <= 1e-13 * sample.T
 
@@ -210,17 +245,18 @@ def test_derivative_near_side_equilibria_matches_reference():
 
 
 def test_panel_budget_bounds_memory():
-    # at the nilpotent center the integrand is rounding noise at small
-    # amplitude and never settles; the panel budget must end the quadrature
-    # in NoConvergence well inside a 1 GiB address space
+    # at a nearly double turning point the well depth's rounding exceeds
+    # REL_TOL; the quadrature must end in NoConvergence well inside a 1 GiB
+    # address space
     code = (
         "import resource\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
         "from periodkit import NoConvergence, PotentialSystem, period_at_amplitude\n"
+        "from periodkit.model import LAM_C, X_MIN\n"
         "try:\n"
-        "    period_at_amplitude(PotentialSystem(-1.0), 1e-3)\n"
+        "    period_at_amplitude(PotentialSystem(LAM_C * (1 - 1e-8)), X_MIN)\n"
         "except NoConvergence as e:\n"
         "    assert e.sample is not None and not e.sample.converged\n"
         "    print('noconvergence')\n")
@@ -253,14 +289,27 @@ def test_slope_matches_difference_of_periods(lam, xi):
     (-1 + 1e-4, 627.926259006561954185441439729),
 ])
 def test_small_energy_near_nilpotent_center_matches_reference(lam, ref):
-    try:
-        sample = period_at_amplitude(PotentialSystem(lam), 1e-3)
-    except NoConvergence as e:
-        assert e.best > 0.0
-        assert abs(e.best - ref) <= e.err_est
-    else:
-        assert sample.T > 0.0
-        assert abs(sample.T - ref) <= sample.err_est
+    sample = period_at_amplitude(PotentialSystem(lam), 1e-3)
+    assert abs(sample.T - ref) <= sample.err_est
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(-1.0, 4.5), xi=st.floats(1e-6, 30.0))
+def test_period_is_within_its_error_estimate_of_the_reference(lam, xi):
+    sample = period_at_amplitude(PotentialSystem(lam), xi)
+    assert abs(sample.T - _mp_period(lam, xi)) <= sample.err_est
+
+
+@pytest.mark.parametrize("lam", [-1 + 1e-9, -0.5, -1e-8, 1e-12, 1.0, 4.5])
+def test_deviation_is_the_period_less_two_pi(lam):
+    # the deviation integral keeps its relative accuracy as lam -> 0, where
+    # T - 2*pi taken from T would be rounding noise; 30-digit references
+    s = PotentialSystem(lam)
+    xs = [1e-3, 0.5, 3.0, 20.0, 100.0]
+    for x, dev in zip(xs, period_deviations(s, xs)):
+        ref = _mp_period(lam, x, deviation=True)
+        assert abs(dev.value - ref) <= dev.err_est, (x, dev, ref)
+    assert period_deviations(PotentialSystem(0.0), xs)[0].value == 0.0
 
 
 def _agree(a, b):
@@ -277,21 +326,20 @@ def _single(sys_, xi):
         return e.sample
 
 
-@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 1e-6, 2.25, 4.5])
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 0.0, 1e-6, 2.25, 4.5, RUNAWAY_LAM])
 def test_scan_agrees_with_single_calls(lam):
     s = PotentialSystem(lam)
-    samples = scan_period(s, 1e-3, 60.0, 41)
+    samples = scan_period(s, X_MIN if lam == RUNAWAY_LAM else 1e-3, 60.0, 41)
     for sample in samples:
         _agree(sample, _single(s, sample.xi))
-    if lam == -1.0:
-        assert not samples[0].converged
+    assert [x.converged for x in samples] == [lam != RUNAWAY_LAM] + [True] * 40
 
 
 def test_runaway_amplitude_leaves_batch_mates_alone():
-    # at the nilpotent center xi = 1e-3 runs into the panel budget; its
-    # batch-mates must come out as they do on their own
-    s = PotentialSystem(-1.0)
-    samples = period_samples(s, [1e-3, 1.0, 4.5])
+    # X_MIN fails at its first pass, rounding-limited; its batch-mates must
+    # come out as they do on their own
+    s = PotentialSystem(RUNAWAY_LAM)
+    samples = period_samples(s, [X_MIN, 1.0, 4.5])
     assert not samples[0].converged
     for sample in samples:
         _agree(sample, _single(s, sample.xi))

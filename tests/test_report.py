@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-import periodkit.quadrature as quadrature
 from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
@@ -94,17 +93,26 @@ def test_report_serialization_deterministic():
     json.loads(report_to_json(a))  # valid JSON
 
 
-@pytest.mark.parametrize("lam", [-1e-8, 1e-8])
-def test_small_h_fails_on_residuals_within_their_error(lam):
-    # at |lam| = 1e-8 the residual at h = 1e-3 is one or two ulp of T, below
-    # that T's err_est of 2.8e-15: its ratio to the 1e-2 residual is noise
+@pytest.mark.parametrize("lam", [-1e-12, -1e-8, 1e-12, 1e-8])
+def test_small_h_passes_at_tiny_coupling(lam):
+    # R = T - T0 - T0'*h is taken from the deviation integral, which is
+    # proportional to lam; through T it rounded at the ulp of 2*pi (9e-16),
+    # above R = 6.5e-16 at h = 1e-3 and lam = 1e-8
     rep = small_h_check(PotentialSystem(lam), [1e-2, 1e-3])
-    assert abs(rep.residual[1]) <= rep.err_est[1]
+    assert min(abs(r) - e for r, e in zip(rep.residual, rep.err_est)) > 0.0
     check = run_verify(lam, 1).checks["small-h"]
+    assert check.passed, check.detail
+    assert check.detail.startswith("residual ratio 1e-2/1e-3 = 99.96 ")
+
+
+def test_small_h_fails_on_residuals_within_their_error():
+    # at the linear center T - 2*pi and every term of R vanish exactly:
+    # the ratio of two zero residuals checks nothing
+    check = _check_small_h(PotentialSystem(0.0))
     assert not check.passed
-    assert check.margin <= 0.0
-    assert (f"residual {rep.residual[1]:.3e} at h=0.001 within its err_est "
-            f"{rep.err_est[1]:.3e}") in check.detail
+    assert check.margin == 0.0
+    assert check.detail == ("residual 0.000e+00 at h=0.01 within its err_est 0.000e+00; "
+                            "residual 0.000e+00 at h=0.001 within its err_est 0.000e+00")
 
 
 def test_small_h_passes_near_the_nilpotent_center():
@@ -113,15 +121,6 @@ def test_small_h_passes_near_the_nilpotent_center():
     check = run_verify(-0.99, 5).checks["small-h"]
     assert check.passed, check.detail
     assert check.detail.endswith("energies scaled by 0.0001")
-
-
-def test_small_h_fails_on_expansion_samples(monkeypatch):
-    # with the guard raised past the check's energies both samples are the
-    # center expansion, whose residual against itself checks nothing
-    monkeypatch.setattr(quadrature, "SMALL_ENERGY_GUARD", 1.0)
-    check = _check_small_h(PotentialSystem(1.0))
-    assert not check.passed
-    assert check.detail == "methods ('expansion', 'expansion'), not both quadrature"
 
 
 @pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
