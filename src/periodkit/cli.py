@@ -12,6 +12,7 @@ no flag changes it.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -31,6 +32,17 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every token starting with a minus sign and
+    a digit, or a minus sign, a point and a digit, as a value: argparse alone
+    reads -1e-8 and -1E-8 as an unknown option.  No option of periodkit
+    starts that way; subcommand parsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _common_options() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -41,7 +53,7 @@ def _common_options() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="periodkit",
         description="Period function of the planar center x'' + x + lam*sin(x) = 0")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -93,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--full-return", action="store_true",
-                   help="measure a full loop instead of doubling the half period")
+                   help="measure a full loop instead of four times the quarter period")
     p.add_argument("--dump-trace", default=None, metavar="PATH",
                    help="write one sampled period as CSV columns t,x,y,H")
 

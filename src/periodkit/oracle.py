@@ -4,28 +4,33 @@ Integrates x' = -y, y' = g(x) from (xi, 0) with scipy's compiled DOP853,
 Hairer's code for the explicit Runge-Kutta 8(5,3) pair of Dormand and
 Prince, with its stages, error norm and step control in C (deterministic
 given identical inputs), called directly rather than through
-scipy.integrate.ode, and measures the half period as the time at which
-y falls through the Poincare section y = 0.  That crossing happens at the
-left turning point, where y' = g(x) != 0, so the section is crossed
-transversally; evenness of G makes the full period exactly twice the half
-period.
+scipy.integrate.ode, and measures the quarter period as the time at which
+x falls through the section x = 0.  g is odd, so (x, y) -> (-x, -y) maps
+the flow to itself, and so does (x, y, t) -> (x, -y, -t): the orbit is
+symmetric about both axes and the full period is exactly four quarter
+periods.  The section is crossed transversally, since y = sqrt(2h) > 0
+at x = 0.
 
 orbit_periods integrates a whole batch of amplitudes as one stacked system,
 so every orbit shares the same steps.  The run stops at the first accepted
-step in which some orbit's y fell from > 0 to <= 0.  Each such crossing is
-then located by Hénon's step (M. Hénon, Physica D 5 (1982) 412): with y as
-the independent variable, dx/dy = -y/g(x) and dt/dy = 1/g(x) are integrated
-from the step's end to y = 0 by the same integrator at the same tolerance,
-which lands on the section exactly.  Written in u, y = y_end*(1 - u), every
+step in which some orbit's x fell from > 0 to <= 0.  Each such crossing is
+then located by Hénon's step (M. Hénon, Physica D 5 (1982) 412): with x as
+the independent variable, dy/dx = -g(x)/y and dt/dx = -1/y are integrated
+from the step's end to x = 0 by the same integrator at the same tolerance,
+which lands on the section exactly.  Written in u, x = x_end*(1 - u), every
 crossing of one step runs from u = 0 to u = 1, so they share one run (a
-crossing with y_end = 0 stays at the step's end).  The compiled integrator
+crossing with x_end = 0 stays at the step's end).  The compiled integrator
 has no dense output and keeps the callback of its current run in one slot
 per thread, so it is not re-entrant and this happens after the stacked run
 has returned; threads may run it concurrently.  The crossing orbits are
 retired and the stacked run restarts from the current time with the orbits
-still live.  The run is never bounded by a period from elsewhere: it ends
-when the last orbit crosses.  full_return and orbit_trace, which sample the orbit or record
-more than one crossing, integrate it with solve_ivp's DOP853 instead.
+still live.  The same run stops at once on an orbit whose y falls from > 0
+to <= 0 while x > 0: it turned back before reaching x = 0, so it does not
+enclose the origin.  The run is never bounded by a period from elsewhere:
+it ends when the last orbit crosses, or at MAX_EVENT_TIME/2, where the half
+period passes MAX_EVENT_TIME.  full_return and orbit_trace, which sample
+the orbit or record more than one crossing, integrate it with solve_ivp's
+DOP853 instead.
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
@@ -49,7 +54,7 @@ from .quadrature import PeriodSample
 MAX_EVENT_TIME = 1e4
 # Step budget of one compiled run.  At tol = 1e-12 an orbit of amplitude 33
 # takes about 60 steps per unit time, so a run that never crosses the
-# section ends at MAX_EVENT_TIME, well inside the budget.
+# section ends at MAX_EVENT_TIME/2, well inside the budget.
 MAX_STEPS = 10 ** 6
 
 # Empirical factor turning the solver tolerance into a period error estimate;
@@ -103,23 +108,23 @@ _y_falls.direction = -1
 
 
 def _stop_on_fall(t, s, lam, out, up, fell):
-    """Stop after the first accepted step in which some orbit's y fell from
-    > 0 to <= 0, marking those orbits in fell; up holds which y were > 0."""
-    y = s[up.size:]
-    np.less_equal(y, 0.0, out=fell)
+    """Stop after the first accepted step in which some entry of the state,
+    an orbit's x or its y, fell from > 0 to <= 0, marking those entries in
+    fell; up holds which entries were > 0."""
+    np.less_equal(s, 0.0, out=fell)
     fell &= up
-    np.greater(y, 0.0, out=up)
+    np.greater(s, 0.0, out=up)
     return -1 if fell.any() else 0
 
 
-def _section(u, s, lam, y_end):
-    """Hénon's right-hand side for the orbits that fell through y = 0 in one
-    step, with y = y_end*(1 - u) as the independent variable, u from 0 at the
-    step's end to 1 on the section: the state holds every orbit's x, then
-    its t, and dx/du = y_end*y/g(x), dt/du = -y_end/g(x)."""
-    x = s[:y_end.size]
-    gx = x + lam * np.sin(x)
-    return np.concatenate((y_end * (y_end * (1.0 - u)) / gx, -y_end / gx))
+def _section(u, s, lam, x_end):
+    """Hénon's right-hand side for the orbits that fell through x = 0 in one
+    step, with x = x_end*(1 - u) as the independent variable, u from 0 at the
+    step's end to 1 on the section: the state holds every orbit's y, then
+    its t, and dy/du = x_end*g(x)/y, dt/du = x_end/y."""
+    x = x_end * (1.0 - u)
+    dt = x_end / s[:x_end.size]
+    return np.concatenate((dt * (x + lam * np.sin(x)), dt))
 
 
 _FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
@@ -149,35 +154,37 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     return t, state
 
 
-def _half_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
-    """Time at which each orbit's y first falls through 0, all orbits in one
+def _quarter_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
+    """Time at which each orbit's x first falls through 0, all orbits in one
     stacked DOP853 run."""
-    t_half = [math.nan] * len(xis)
+    t_quarter = [math.nan] * len(xis)
     live = list(range(len(xis)))
     t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
     while live:
         n = len(live)
-        up, fell = state[n:] > 0.0, np.zeros(n, dtype=bool)
-        t, state = _run(_stacked, t, state, MAX_EVENT_TIME, tol,
+        up, fell = state > 0.0, np.zeros(2 * n, dtype=bool)
+        t, state = _run(_stacked, t, state, 0.5 * MAX_EVENT_TIME, tol,
                         (sys.lam, np.empty(2 * n), up, fell), solout=_stop_on_fall)
-        fell = np.flatnonzero(fell)
+        turned = np.flatnonzero(fell[n:] & (state[:n] > 0.0))
+        if turned.size:
+            i = int(turned[0])
+            raise EventMissed(
+                f"y fell through 0 at x={state[i]:.6g} > 0: the orbit from "
+                f"xi={xis[live[i]]:g} does not enclose the origin (lam={sys.lam:g})")
+        fell = np.flatnonzero(fell[:n])
         if not fell.size:
             raise EventMissed(
-                f"no half-period crossing of y=0 within t={MAX_EVENT_TIME:g} "
+                f"no quarter-period crossing of x=0 within t={0.5 * MAX_EVENT_TIME:g} "
                 f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
-        start = np.append(state[fell], [t] * fell.size)
-        crossing = _run(_section, 0.0, start, 1.0, tol, (sys.lam, state[n + fell]),
+        start = np.append(state[n + fell], [t] * fell.size)
+        crossing = _run(_section, 0.0, start, 1.0, tol, (sys.lam, state[fell]),
                         first_step=1.0)[1]
-        for i, x_cross, tc in zip(fell.tolist(), crossing[:fell.size], crossing[fell.size:]):
-            if x_cross >= 0.0:
-                raise EventMissed(
-                    f"section crossed at x={x_cross:.6g} >= 0: the orbit from "
-                    f"xi={xis[live[i]]:g} does not enclose the origin (lam={sys.lam:g})")
-            t_half[live[i]] = float(tc)
+        for i, tc in zip(fell.tolist(), crossing[fell.size:].tolist()):
+            t_quarter[live[i]] = tc
         keep = np.setdiff1d(np.arange(n), fell)
         live = [live[i] for i in keep]
         state = state[np.concatenate((keep, n + keep))]
-    return t_half
+    return t_quarter
 
 
 def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:
@@ -188,18 +195,19 @@ def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodS
         if not (0.0 < xi < math.inf):
             raise ValueError(f"xi must be positive and finite, got {xi}")
     _check_tol(tol)
-    return [PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=2.0 * th,
-                         err_est=_PERIOD_ERR_FACTOR * tol * 2.0 * th, method="ode-oracle")
-            for xi, th in zip(xis, _half_periods(sys, xis, tol))]
+    return [PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=4.0 * tq,
+                         err_est=_PERIOD_ERR_FACTOR * tol * 4.0 * tq, method="ode-oracle")
+            for xi, tq in zip(xis, _quarter_periods(sys, xis, tol))]
 
 
 def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
                  full_return: bool = False) -> PeriodSample:
     """Period of the orbit through (xi, 0) measured by time integration.
 
-    Default mode doubles the half-period crossing time.  full_return instead
-    measures the spacing of two consecutive falling crossings (a full loop),
-    as a cross-check on the symmetry argument.
+    Default mode is four times the quarter period, the time at which x
+    first falls through 0.  full_return instead measures the spacing of two
+    consecutive crossings of y = 0 from above (a full loop), as a
+    cross-check on the symmetry argument.
     """
     sample = orbit_periods(sys, [xi], tol)[0]
     if not full_return:

@@ -29,7 +29,14 @@ differentiated under the integral sign, are integrals of the same kind
     dT/dxi  = 2*sqrt(2) * int lam*sin(2u)*(sin(b)*S(a) + sin(a)*S(b)) / (xi^3 * d^(3/2)),
     dT/dlam = 2*sqrt(2) * int -sin(2u)*sin(a)*sin(b) / (xi^2 * d^(3/2)),
 
-with S(x) = sin(x) - x*cos(x), and T'(h) = (dT/dxi) / g(xi).
+with S(x) = sin(x) - x*cos(x), and T'(h) = (dT/dxi) / g(xi).  Below xi = 1
+they are taken in the scale-free form
+
+    dT/dxi  = 2*lam*xi * int (cos(u)^4*s3(a)*sinc(b) + sin(u)^4*sinc(a)*s3(b)) / w^(3/2),
+    dT/dlam = -2 * int s / w^(3/2),
+
+s3(x) = S(x)/x^3 and sinc from their series and w = (1+lam) - lam*(1 - s),
+so no power of xi is left to underflow at tiny amplitudes.
 
 The interval being the same for every amplitude, one engine, _periodic,
 integrates a whole array of them at once, each stopping at its own node
@@ -80,6 +87,12 @@ REL_TOL = 1e-10
 # second node count; an integrand that never settles stops earlier, when
 # its differences stall.
 MAX_NODES = 2 ** 20
+
+# At lam = -1 the derivatives grow like w^(-3/2) <= (24/xi^2)^(3/2), dT/dlam
+# like xi^-3; a rule's sum of MAX_NODES such values stays finite above
+# sqrt(24)*(MAX_NODES/max double)^(1/3) ~ 8.8e-101, the least amplitude of a
+# derivative there.
+NILPOTENT_DERIVATIVE_XI_MIN = math.sqrt(24.0) * (MAX_NODES / float(np.finfo(float).max)) ** (1 / 3)
 
 # Nodes per integrand evaluation: more rows, or more nodes of one row, are
 # evaluated in chunks, so memory stays bounded however many integrals arrive.
@@ -182,7 +195,36 @@ def _deviation_integrand(sys: PotentialSystem, xi, phi):
     return p / (d + s2u * np.sqrt(0.5 * d)) * (-SQRT8 * sys.lam)
 
 
-def _slope_integrand(sys: PotentialSystem, xi, phi):
+def _center(sys: PotentialSystem, xi, phi):
+    """(cos(u)^4, sin(u)^4, sinc a, sinc b, S(a)/a^3, S(b)/b^3, w^(3/2)) at
+    the nodes phi for a column of amplitudes below 1, every factor from its
+    series: none holds a power of xi, so none underflows at tiny xi.  w > 0
+    there, since G increases on (0, pi) for every lam >= -1."""
+    u = 0.25 * math.pi - 0.5 * phi
+    c2 = np.cos(u) ** 2
+    s2 = np.sin(u) ** 2
+    a = xi * c2
+    b = xi * s2
+    da, db = _sinc_defect(np.stack((a, b)))
+    w = (1.0 + sys.lam) - sys.lam * (da + (1.0 - da) * db)
+    return (c2 * c2, s2 * s2, 1.0 - da, 1.0 - db, np.polyval(_S_SERIES, a * a),
+            np.polyval(_S_SERIES, b * b), w * np.sqrt(w))
+
+
+def _by_amplitude(sys: PotentialSystem, xi, phi, direct, center):
+    """direct(sys, xi, phi) on the rows of xi at or above 1 and
+    center(sys, xi, phi) on those below."""
+    near = xi[:, 0] < 1.0
+    if not np.count_nonzero(near):
+        return direct(sys, xi, phi)
+    out = np.empty((xi.shape[0], phi.size))
+    out[near] = center(sys, xi[near], phi)
+    if not near.all():
+        out[~near] = direct(sys, xi[~near], phi)
+    return out
+
+
+def _slope_direct(sys: PotentialSystem, xi, phi):
     # d/dxi of xi*s2u/sqrt(D) is s2u*(2D - xi*dD/dxi) / (2*D^(3/2)), and
     # 2D - xi*dD/dxi = 2*lam*(sin b * S(a) + sin a * S(b)), D = xi^2*d; lam
     # goes last, so a subnormal lam rounds once, not at every factor
@@ -191,9 +233,27 @@ def _slope_integrand(sys: PotentialSystem, xi, phi):
     return s2u * (sb * _s(a, sa) + sa * _s(b, sb)) * r * r * r / (d * np.sqrt(d)) * sys.lam
 
 
-def _coupling_integrand(sys: PotentialSystem, xi, phi):
+def _slope_center(sys: PotentialSystem, xi, phi):
+    c4, s4, sinc_a, sinc_b, s3a, s3b, w32 = _center(sys, xi, phi)
+    return (c4 * s3a * sinc_b + s4 * sinc_a * s3b) * xi / w32 * (sys.lam / math.sqrt(2.0))
+
+
+def _slope_integrand(sys: PotentialSystem, xi, phi):
+    return _by_amplitude(sys, xi, phi, _slope_direct, _slope_center)
+
+
+def _coupling_direct(sys: PotentialSystem, xi, phi):
     s2u, _, _, _, _, p, d = _well(sys, xi, phi)
     return -s2u * p / (d * np.sqrt(d))
+
+
+def _coupling_center(sys: PotentialSystem, xi, phi):
+    _, _, sinc_a, sinc_b, _, _, w32 = _center(sys, xi, phi)
+    return sinc_a * sinc_b / w32 * (-1.0 / math.sqrt(2.0))
+
+
+def _coupling_integrand(sys: PotentialSystem, xi, phi):
+    return _by_amplitude(sys, xi, phi, _coupling_direct, _coupling_center)
 
 
 def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
@@ -281,9 +341,9 @@ def require_converged(sample: PeriodSample) -> PeriodSample:
     return sample
 
 
-def _amplitudes(sys: PotentialSystem, xi) -> np.ndarray:
+def _amplitudes(sys: PotentialSystem, xi, nilpotent_min: float = NILPOTENT_XI_MIN) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).ravel()
-    least = NILPOTENT_XI_MIN if sys.lam == -1.0 else XI_MIN
+    least = nilpotent_min if sys.lam == -1.0 else XI_MIN
     bad = ~((xi >= least) & (xi < math.inf))
     if np.count_nonzero(bad):
         raise ValueError(f"xi must be finite, >= {least!r} at lam={sys.lam:g}, got {xi[bad][0]}")
@@ -317,8 +377,9 @@ def _samples(sys, xi, hs):
                                      converged.tolist())]
 
 
-def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative"):
-    xi = _amplitudes(sys, xi)
+def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative",
+               nilpotent_min: float = NILPOTENT_DERIVATIVE_XI_MIN):
+    xi = _amplitudes(sys, xi, nilpotent_min)
     value, err, converged = _integral(integrand, sys, xi, derivative=True)
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
@@ -333,7 +394,7 @@ def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative"):
 def period_deviations(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
     """T - 2*pi at every amplitude x > 0 of the array xi, to its own relative
     accuracy however close T lies to 2*pi; raises like period_slopes."""
-    return _estimates(_deviation_integrand, sys, xi, "deviation")
+    return _estimates(_deviation_integrand, sys, xi, "deviation", NILPOTENT_XI_MIN)
 
 
 def period_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import periodkit
-from periodkit.cli import main
+from periodkit.cli import build_parser, main
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
 from periodkit.quadrature import period_samples
 
@@ -265,3 +265,26 @@ def test_payload_records_match_the_verify_report(capsys):
     assert payload["brackets"] == report["brackets"]
     assert payload["two_pi_levels"] == report["two_pi_levels"]
     assert payload["config"] == report["config"]
+
+
+@pytest.mark.parametrize("value", ["-1e-8", "-1E-8", "-.5"])
+def test_verify_reads_a_negative_coupling_in_any_notation(capsys, value):
+    # argparse alone takes -1e-8 for an unknown option and exits 2
+    code, out, _ = run_cli(capsys, ["verify", "--lambda", value, "--k-max", "5"])
+    assert code in (0, 1)
+    assert out == run_cli(capsys, ["verify", f"--lambda={value}", "--k-max", "5"])[1]
+
+
+@pytest.mark.parametrize("argv", [
+    "period --lambda V --xi V", "period --lambda V --h V",
+    "scan --lambda V --xi-min V --xi-max V --n 2", "critical --lambda V --xi-max V",
+    "two-pi --lambda V --k-max 1", "opial --lambda V --x-max V", "bessel j1 --xi V",
+    "bessel identity --xi-max V", "verify --lambda V --k-max 1",
+    "oracle --lambda V --xi V --tol V"])
+@pytest.mark.parametrize("value", ["-1e-8", "-1E-8", "-.5"])
+def test_every_numeric_flag_reads_negative_numbers(argv, value):
+    spaced = argv.replace("V", value).split()
+    joined = argv.replace(" V", "=" + value).split()
+    args = build_parser().parse_args(spaced)
+    assert args == build_parser().parse_args(joined)
+    assert float(value) in vars(args).values()

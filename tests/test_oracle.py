@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodkit import oracle
 from periodkit.errors import EventMissed, ToleranceUnmet
@@ -70,11 +72,21 @@ def test_drift_scales_with_tolerance():
     assert tight <= loose / 10.0
 
 
-def test_full_return_cross_check():
-    s1 = PotentialSystem(1.0)
-    doubled = orbit_period(s1, 7.0, tol=1e-11)
-    looped = orbit_period(s1, 7.0, tol=1e-11, full_return=True)
-    assert looped.T == pytest.approx(doubled.T, abs=1e-8)
+@pytest.mark.parametrize("lam", [-0.9, 1.0, 4.4])
+def test_full_return_cross_check(lam):
+    # four quarter periods against one full loop, which relies on no symmetry
+    s = PotentialSystem(lam)
+    quartered = orbit_period(s, 7.0, tol=1e-11)
+    looped = orbit_period(s, 7.0, tol=1e-11, full_return=True)
+    assert looped.T == pytest.approx(quartered.T, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(-0.99, 4.5), xis=st.lists(st.floats(0.3, 33.0), min_size=1, max_size=4))
+def test_oracle_agrees_with_quadrature_within_its_error(lam, xis):
+    s = PotentialSystem(lam)
+    for ode, quad in zip(orbit_periods(s, xis, tol=1e-11), period_samples(s, xis)):
+        assert abs(ode.T - quad.T) <= ode.err_est
 
 
 def test_convergence_under_tolerance_halving():
@@ -110,9 +122,29 @@ def test_batch_with_orbits_crossing_in_one_step(xis):
         assert abs(ode.T - quad.T) <= ode.err_est
 
 
-def test_trapped_orbit_in_a_batch_is_named():
+def _count_rhs_calls(monkeypatch):
+    """Count the calls of the stepper's and the section step's rhs."""
+    calls = [0]
+
+    def counted(f):
+        def g(t, s, *args):
+            calls[0] += 1
+            return f(t, s, *args)
+
+        return g
+
+    monkeypatch.setattr(oracle, "_stacked", counted(oracle._stacked))
+    monkeypatch.setattr(oracle, "_section", counted(oracle._section))
+    return calls
+
+
+def test_trapped_orbit_in_a_batch_is_named(monkeypatch):
+    # the orbit through (4.5, 0) turns back at x > 0; it stops there after
+    # 490 rhs calls, where a run to MAX_EVENT_TIME/2 would take far more
+    calls = _count_rhs_calls(monkeypatch)
     with pytest.raises(EventMissed, match=r"xi=4\.5\b.*lam=6"):
         orbit_periods(PotentialSystem(6.0), [1.0, 4.5], tol=1e-9)
+    assert calls[0] <= 1000
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -126,24 +158,14 @@ def test_error_estimate_covers_the_quadrature_gap(lam, tol):
 
 @pytest.mark.parametrize("lam", [-0.99, 1.0, 4.5])
 def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
-    # the 10 verify orbits share one stacked compiled DOP853 run: 1489-2137
-    # stepper plus 70-140 section-step rhs calls when measured over lam in
-    # [-0.99, 4.5]; one RK45 run per orbit took 10184-13772
-    calls = 0
-
-    def counted(f):
-        def g(t, s, *args):
-            nonlocal calls
-            calls += 1
-            return f(t, s, *args)
-
-        return g
-
-    monkeypatch.setattr(oracle, "_stacked", counted(oracle._stacked))
-    monkeypatch.setattr(oracle, "_section", counted(oracle._section))
+    # the 10 verify orbits share one stacked compiled DOP853 run to their
+    # quarter periods: 574-1473 stepper plus section-step rhs calls when
+    # measured over lam in [-0.99, 4.5]; to the half periods it took
+    # 926-2235, and one RK45 run per orbit 10184-13772
+    calls = _count_rhs_calls(monkeypatch)
     assert _check_oracle(PotentialSystem(lam), 11 * PI).passed
-    assert calls >= 1000
-    assert calls <= 2500
+    assert calls[0] >= 400
+    assert calls[0] <= 1500
 
 
 def test_compiled_runs_get_module_level_callbacks(monkeypatch):
@@ -173,9 +195,9 @@ def test_crossing_is_located_not_taken_at_the_step_end():
 
 
 def test_no_crossing_by_the_time_limit_raises():
-    # at the nilpotent center the period grows like 18.2/xi, so this orbit
-    # is still above the section at MAX_EVENT_TIME
-    with pytest.raises(EventMissed, match=r"no half-period crossing.*xi=0\.0005\b"):
+    # at the nilpotent center the period grows like 18.2/xi, so this orbit's
+    # quarter period is about 9100, past MAX_EVENT_TIME/2
+    with pytest.raises(EventMissed, match=r"no quarter-period crossing.*xi=0\.0005\b"):
         orbit_periods(PotentialSystem(-1.0), [0.3, 5e-4], tol=1e-10)
 
 

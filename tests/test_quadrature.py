@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,8 @@ import periodkit.quadrature as quadrature
 from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import LAM_C, X_MIN, PotentialSystem, energy_to_amplitude
-from periodkit.quadrature import (EVAL_NODES, NILPOTENT_XI_MIN, XI_MIN, period_at_amplitude,
+from periodkit.quadrature import (EVAL_NODES, NILPOTENT_DERIVATIVE_XI_MIN, NILPOTENT_XI_MIN,
+                                  XI_MIN, coupling_slope, period_at_amplitude,
                                   period_at_energy, period_derivative, period_deviations,
                                   period_samples, period_slope)
 from periodkit.oracle import orbit_period
@@ -94,14 +96,61 @@ def test_nilpotent_center_follows_the_quartic_well(xi):
 def test_smallest_amplitudes_are_refused_with_their_bound(lam, xi, bound):
     # below the smallest normal double a = xi*cos(u)^2 loses its precision,
     # and at lam = -1 the sinc defect 1 - s >= xi^2/24 leaves the normal
-    # range below NILPOTENT_XI_MIN
+    # range below NILPOTENT_XI_MIN; a derivative there has its own, higher
+    # bound
     s = PotentialSystem(lam)
-    message = re.escape(f">= {bound!r} at lam={lam:g}, got {xi!r}") + "$"
-    for call in (lambda: period_at_amplitude(s, xi), lambda: period_samples(s, [1.0, xi]),
-                 lambda: period_slope(s, xi), lambda: period_deviations(s, [xi])):
-        with pytest.raises(ValueError, match=message):
+    slope_bound = NILPOTENT_DERIVATIVE_XI_MIN if lam == -1.0 else bound
+    for call, least in ((lambda: period_at_amplitude(s, xi), bound),
+                        (lambda: period_samples(s, [1.0, xi]), bound),
+                        (lambda: period_slope(s, xi), slope_bound),
+                        (lambda: period_deviations(s, [xi]), bound)):
+        with pytest.raises(ValueError, match=re.escape(f">= {least!r} at lam={lam:g}, got {xi!r}") + "$"):
             call()
     assert period_at_amplitude(s, bound).converged
+
+
+@pytest.mark.parametrize("xi", [1e-100, 1e-80, 1e-20])
+def test_slope_at_tiny_amplitudes_follows_the_center(xi):
+    # dT/dxi = T'(h)*g(xi) -> T'(0+)*(1+lam)*xi; taken through S(a)*sin(b)/xi^3
+    # it underflowed to exactly 0 at 1e-100 and stalled at 1e-80
+    s = PotentialSystem(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = period_slope(s, xi)
+        coupling = coupling_slope(s, xi)
+    limit = s.center_asymptotics()[1] * (1 + s.lam) * xi
+    assert abs(est.value - limit) <= 1e-12 * abs(limit)
+    assert est.err_est > 0.0 and coupling.err_est > 0.0
+
+
+@pytest.mark.parametrize("xi", [NILPOTENT_DERIVATIVE_XI_MIN, 1e-50, 1e-20])
+def test_derivatives_at_the_nilpotent_center_follow_the_quartic_well(xi):
+    # at lam = -1, T*xi tends to 18.1661476..., so dT/dxi*xi^2 tends to minus
+    # that, and w -> xi^2*(cos(u)^4 + sin(u)^4)/6 gives dT/dlam*xi^3; d^(3/2)
+    # underflowed to 0 below about 1e-120 and both warned
+    with mpmath.workdps(30):
+        period = float(2 * mpmath.sqrt(48) * mpmath.quad(lambda u: 1 / mpmath.sqrt(1 - u**4), [0, 1]))
+        quarter = mpmath.pi / 4
+        coupling = float(-2 * mpmath.mpf(6) ** 1.5 * mpmath.quad(
+            lambda p: (mpmath.cos(quarter - p / 2) ** 4 + mpmath.sin(quarter - p / 2) ** 4) ** -1.5,
+            [0, mpmath.pi / 2]))
+    s = PotentialSystem(-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = period_slope(s, xi)
+        dlam = coupling_slope(s, xi)
+    assert slope.value * xi * xi == pytest.approx(-period, rel=1e-12, abs=0)
+    assert dlam.value * xi ** 3 == pytest.approx(coupling, rel=1e-12, abs=0)
+    assert slope.err_est > 0.0 and dlam.err_est > 0.0
+
+
+def test_derivatives_below_their_nilpotent_bound_are_refused():
+    s = PotentialSystem(-1.0)
+    xi = NILPOTENT_DERIVATIVE_XI_MIN / 2
+    message = re.escape(f">= {NILPOTENT_DERIVATIVE_XI_MIN!r} at lam=-1, got {xi!r}") + "$"
+    for call in (period_slope, coupling_slope):
+        with pytest.raises(ValueError, match=message):
+            call(s, xi)
 
 
 def test_period_against_ode_oracle_spot():
