@@ -30,13 +30,11 @@ from scipy.optimize import brentq
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, energy_to_amplitude, require_valid
-from .quadrature import (DerivativeEstimate, PeriodSample, coupling_slope,
+from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, coupling_slope,
                          period_deviations, period_samples, period_slopes,
                          require_converged)
 
 TWO_PI = 2.0 * math.pi
-EPS = float(np.finfo(float).eps)
-TINY = float(np.finfo(float).tiny)
 
 SCAN_STEP = math.pi / 8.0          # 2*pi-levels sit ~pi apart at large xi
 CRITICAL_REFINE_REL = 1e-8         # refine_err <= 1e-8 * xi_star
@@ -254,14 +252,16 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
     the interior points of all brackets in one batched quadrature; all sign
     changes of T - 2*pi are refined together by Chandrupatla's method to
     1e-12 relative in the amplitude, so extra crossings inside a bracket are
-    picked up too.  Levels are returned strictly increasing.
+    picked up too.  The interior and the refinement take T - 2*pi from the
+    deviation integral, which does not round at the ulp of 2*pi however
+    small lam is.  Levels are returned strictly increasing.
     """
     if sys.lam == 0.0:
         raise DegenerateIsochronous(
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
 
     def deviations(x):
-        return [require_converged(s).T - TWO_PI for s in period_samples(sys, x)]
+        return [d.value for d in period_deviations(sys, x)]
 
     grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
     devs = np.column_stack([[br.T_lo - TWO_PI for br in brackets],

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import _refine
 from .errors import BracketFailure, NoConvergence, RangeExceeded
-from .quadrature import ROUNDING_FLOOR, _periodic
+from .quadrature import EPS, ROUNDING_FLOOR, _periodic
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,7 +45,6 @@ SERIES_SWITCH = 12.0      # dispatcher hands off to the integral above this
 TRAPEZOID_TOL = 1e-13
 IDENTITY_TOL = 1e-10      # bound on |variational_integral - 2*pi*J1|
 ZERO_REL_TOL = 1e-14     # a zero's final bracket, relative
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

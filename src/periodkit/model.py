@@ -26,6 +26,31 @@ NILPOTENT = "nilpotent"
 X_MIN = 4.493409457909064
 LAM_C = -X_MIN / math.sin(X_MIN)
 
+# Taylor coefficients of x - sin(x) = x^3 * sum_n (-1)^n x^(2n) / (2n+3)!,
+# which gives the sinc defect 1 - sin(x)/x to the last bit below |x| = 1.
+_SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
+
+
+def _sinc_defect(x):
+    """1 - sin(x)/x for |x| < 1, from its Taylor series."""
+    x2, p = x * x, 0.0
+    for c in _SIN_DEFECT:  # Horner's rule; a float stays one, and fast
+        p = p * x2 + c
+    return p * x2
+
+
+def _near_center(x, out, series):
+    """out, but series(x) at the entries |x| < 1; for lam < 0, g takes the
+    series x*((1+lam) - lam*(1 - sinc x)) and G x^2/2 * ((1+lam) - lam*(1 -
+    sinc(x/2)^2)), two terms >= 0 that do not cancel even at lam = -1."""
+    if isinstance(x, float):  # one amplitude: the series in Python floats
+        return np.float64(series(x)) if abs(x) < 1.0 else out
+    near = np.abs(x) < 1.0
+    if not near.any():
+        return out
+    # no series term overflows off the center; a 0-d x gives a scalar
+    return np.where(near, series(np.where(near, x, 0.0)), out)[()]
+
 
 @dataclass(frozen=True)
 class PotentialSystem:
@@ -39,7 +64,9 @@ class PotentialSystem:
 
     def g(self, x):
         """Restoring force x + lam*sin(x); odd, g(0) = 0."""
-        return x + self.lam * np.sin(x)
+        out = x + self.lam * np.sin(x)
+        return out if self.lam >= 0.0 else _near_center(
+            x, out, lambda y: y * ((1.0 + self.lam) - self.lam * _sinc_defect(y)))
 
     def G(self, x):
         """Potential energy x^2/2 + lam*(1 - cos x); even, G(0) = 0.
@@ -49,7 +76,9 @@ class PotentialSystem:
         """
         x = np.asarray(x) if not np.isscalar(x) else x
         s = np.sin(np.multiply(x, 0.5))
-        return np.multiply(x, x) * 0.5 + self.lam * 2.0 * s * s
+        out = np.multiply(x, x) * 0.5 + self.lam * 2.0 * s * s
+        return out if self.lam >= 0.0 else _near_center(x, out, lambda y: (
+            0.5 * (y * y) * ((1.0 + self.lam) - self.lam * (d := _sinc_defect(0.5 * y)) * (2.0 - d))))
 
     def edge(self) -> float:
         """First zero of g on (0, inf), or inf when g has none.

@@ -371,6 +371,18 @@ def test_two_pi_levels_negative_coupling():
     assert all(b > a for a, b in zip(levels, levels[1:]))
 
 
+@pytest.mark.parametrize("lam", [1e-8, -1e-8])
+def test_two_pi_levels_hold_their_accuracy_at_tiny_coupling(lam):
+    # T - 2*pi ~ lam here; taken as T - TWO_PI it rounds at the ulp of 2*pi,
+    # which put the levels 4.4e-8 to 4.9e-8 relative off their root (the
+    # Newton step dev/slope), against the 1e-12 they are refined to
+    s = PotentialSystem(lam)
+    xs = [energy_to_amplitude(s, h) for h in find_two_pi_levels(s, two_pi_brackets(s, 5))]
+    assert len(xs) == 5
+    for x, dev, slope in zip(xs, quadrature.period_deviations(s, xs), quadrature.period_slopes(s, xs)):
+        assert abs(dev.value / slope.value) <= 1e-11 * x
+
+
 # ------------------------------------------------------------- expansion
 
 def test_small_h_check_linear_center():

@@ -195,6 +195,28 @@ def test_inversion_at_the_nilpotent_center():
     assert energy_to_amplitude(s, float(s.G(1e-4))) == pytest.approx(1e-4, rel=1e-6)
 
 
+@pytest.mark.parametrize("xi", [1e-4, 1e-3, 1e-2])
+def test_inversion_round_trips_at_the_nilpotent_center(xi):
+    # G = x^2/2 - 2*sin(x/2)^2 taken directly cancels to x^4/24 at lam = -1:
+    # G(1e-4) inverted to 6.6e-8 relative off; below 1 the bracket comes
+    # from its Taylor series
+    s = PotentialSystem(-1.0)
+    assert energy_to_amplitude(s, float(s.G(xi))) == pytest.approx(xi, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1.0 + 1e-6, -0.5])
+def test_g_and_G_below_one_match_the_reference(lam):
+    s = PotentialSystem(lam)
+    x = np.array([-0.9, 1e-8, 1e-4, 0.3, np.nextafter(1.0, 0.0), 1.0])
+    g, G = s.g(x), s.G(x)
+    with mpmath.workdps(60):  # 1 - cos(1e-8) loses 16 of them
+        for t, gv, Gv in zip(x.tolist(), g.tolist(), G.tolist()):
+            m = mpmath.mpf(t)
+            assert gv == pytest.approx(float(m + lam * mpmath.sin(m)), rel=4 * EPS, abs=0)
+            assert Gv == pytest.approx(float(m * m / 2 + lam * (1 - mpmath.cos(m))), rel=4 * EPS, abs=0)
+    assert type(s.G(0.5)) is type(s.g(0.5)) is np.float64
+
+
 def test_inversion_refuses_an_energy_whose_bracket_jumps_the_dip():
     # lam = 5: g < 0 on (4.105, 4.906), but the doubled bracket end 7.303
     # has g > 0; the level h = 40 lies outside the period annulus

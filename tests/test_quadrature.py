@@ -144,6 +144,31 @@ def test_derivatives_at_the_nilpotent_center_follow_the_quartic_well(xi):
     assert slope.err_est > 0.0 and dlam.err_est > 0.0
 
 
+@pytest.mark.parametrize("xi", [XI_MIN, 2.3e-308, 5e-308])
+def test_subnormal_slope_has_an_error_estimate(xi):
+    # dT/dxi ~ T'(0+)*(1+lam)*xi is subnormal here, and so is the rule of
+    # |f| that its relative floor scales; the estimate must still cover the
+    # gap to the center limit, which rounds there too
+    s = PotentialSystem(1.0)
+    est = period_slope(s, xi)
+    limit = s.center_asymptotics()[1] * (1 + s.lam) * xi
+    assert 0.0 < est.err_est <= 4 * math.ulp(0.0)
+    assert abs(est.value - limit) <= est.err_est
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 1.0])
+def test_periods_and_derivatives_are_continuous_at_one(lam):
+    # w takes the sinc defects below xi = 1 when lam < 0, and the rounding
+    # floor counts the turning point's cancellation from 1 up
+    s = PotentialSystem(lam)
+    below, one = np.nextafter(1.0, 0.0), 1.0
+    a, b = period_samples(s, [below, one])
+    assert abs(a.T - b.T) <= a.err_est + b.err_est
+    for f in (period_slope, coupling_slope):
+        a, b = f(s, below), f(s, one)
+        assert abs(a.value - b.value) <= a.err_est + b.err_est
+
+
 def test_derivatives_below_their_nilpotent_bound_are_refused():
     s = PotentialSystem(-1.0)
     xi = NILPOTENT_DERIVATIVE_XI_MIN / 2
@@ -447,30 +472,35 @@ def test_period_samples_reject_non_finite_amplitudes(bad):
 
 
 def _s_amplitudes():
+    # x > 0: the engine's a and b never vanish, and sinc(0) is 0/0
     one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
-    return np.concatenate([np.geomspace(1e-8, 1e3, 400), np.linspace(0.0, 2.0, 201), one])
+    return np.concatenate([np.geomspace(1e-8, 1e3, 400), np.linspace(0.0, 2.0, 201)[1:], one])
 
 
 def test_s_reuses_sine_bit_for_bit():
-    # the slope integrand passes _well's sines; each entry must go through
-    # the same operations as the two-branch form evaluated on every node
+    # the slope integrand passes _well's sinc values to _s3; each entry must
+    # go through the same operations as the two-branch form evaluated on
+    # every node, also where every node lies below 1
     x = _s_amplitudes()
+    sinc = np.sin(x) / x
     x2 = x * x
-    both = np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x2) * x2 * x,
-                    np.sin(x) - x * np.cos(x))
-    got = quadrature._s(x, np.sin(x))
+    both = np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x2), (sinc - np.cos(x)) / x2)
+    got = quadrature._s3(x, sinc)
     assert np.array_equal(got.view(np.int64), both.view(np.int64))
+    small = x < 1.0
+    got = quadrature._s3(x[small], sinc[small])
+    assert np.array_equal(got.view(np.int64), both[small].view(np.int64))
 
 
 def test_s_matches_reference():
-    # 30 digits of S(x) = sin(x) - x*cos(x): the difference cancels 17 digits
-    # at x = 1e-8, so it is taken at 50.  The series is relatively accurate
-    # below 1; above, S has zeros (tan x = x) and the direct difference is
-    # accurate relative to its terms
+    # 30 digits of s3(x) = (sin(x) - x*cos(x))/x^3: the difference cancels 17
+    # digits at x = 1e-8, so it is taken at 50.  The series is relatively
+    # accurate below 1; above, s3 has zeros (tan x = x) and the direct
+    # difference is accurate relative to its terms
     x = _s_amplitudes()
-    got = quadrature._s(x, np.sin(x))
+    got = quadrature._s3(x, np.sin(x) / x)
     with mpmath.workdps(50):
-        err = [float(abs(mpmath.mpf(v) - (mpmath.sin(t) - t * mpmath.cos(t))))
+        err = [float(abs(mpmath.mpf(v) - (mpmath.sin(t) - t * mpmath.cos(t)) / t ** 3))
                for v, t in zip(got.tolist(), map(mpmath.mpf, x.tolist()))]
-    scale = np.where(x < 1.0, np.abs(got), np.abs(np.sin(x)) + np.abs(x * np.cos(x)))
+    scale = np.where(x < 1.0, np.abs(got), (np.abs(np.sin(x)) + np.abs(x * np.cos(x))) / x ** 3)
     assert np.all(np.array(err) <= 4e-16 * scale)
