@@ -40,10 +40,9 @@ def _sinc_defect(x):
 
 
 def _near_center(x, out, series):
-    """out, but series(x) at the entries |x| < 1; for lam < 0, g takes the
-    series x*((1+lam) - lam*(1 - sinc x)) and G x^2/2 * ((1+lam) - lam*(1 -
-    sinc(x/2)^2)), two terms >= 0 that do not cancel even at lam = -1."""
-    if isinstance(x, float):  # one amplitude: the series in Python floats
+    """out, but series(x) at the entries |x| < 1."""
+    if isinstance(x, float):  # one amplitude, as in energy_to_amplitude's
+        # root search: Horner in Python floats takes a third of the time
         return np.float64(series(x)) if abs(x) < 1.0 else out
     near = np.abs(x) < 1.0
     if not near.any():
@@ -65,8 +64,12 @@ class PotentialSystem:
     def g(self, x):
         """Restoring force x + lam*sin(x); odd, g(0) = 0."""
         out = x + self.lam * np.sin(x)
-        return out if self.lam >= 0.0 else _near_center(
-            x, out, lambda y: y * ((1.0 + self.lam) - self.lam * _sinc_defect(y)))
+        return out if self.lam >= 0.0 else _near_center(x, out, self._g_series)
+
+    def _g_series(self, x):
+        """g below |x| = 1 for lam < 0 as x*((1+lam) - lam*(1 - sinc x)),
+        two terms >= 0 that do not cancel even at lam = -1."""
+        return x * ((1.0 + self.lam) - self.lam * _sinc_defect(x))
 
     def G(self, x):
         """Potential energy x^2/2 + lam*(1 - cos x); even, G(0) = 0.
@@ -77,8 +80,14 @@ class PotentialSystem:
         x = np.asarray(x) if not np.isscalar(x) else x
         s = np.sin(np.multiply(x, 0.5))
         out = np.multiply(x, x) * 0.5 + self.lam * 2.0 * s * s
-        return out if self.lam >= 0.0 else _near_center(x, out, lambda y: (
-            0.5 * (y * y) * ((1.0 + self.lam) - self.lam * (d := _sinc_defect(0.5 * y)) * (2.0 - d))))
+        return out if self.lam >= 0.0 else _near_center(x, out, self._G_series)
+
+    def _G_series(self, x):
+        """G below |x| = 1 for lam < 0 as x^2/2 * ((1+lam) - lam*d*(2 - d)),
+        d = 1 - sinc(x/2), since 1 - sinc(x/2)^2 = d*(2 - d); nor do these
+        two terms cancel."""
+        d = _sinc_defect(0.5 * x)
+        return 0.5 * (x * x) * ((1.0 + self.lam) - self.lam * d * (2.0 - d))
 
     def edge(self) -> float:
         """First zero of g on (0, inf), or inf when g has none.

@@ -22,14 +22,14 @@ nothing is subtracted (the deviation is rationalized):
 
 over phi in [0, pi/2], with s3(x) = (sin(x) - x*cos(x))/x^3; T'(h) =
 (dT/dxi) / g(xi).  T reaches the center limit 2*pi/sqrt(1+lam) at any
-amplitude.  For lam < 0 and xi < 1, w is taken as (1+lam) - lam*(1 - s),
-1 - s from the sinc defects' Taylor series: two terms >= 0, which do not
-cancel even at the nilpotent center lam = -1.  Each integrand is even in
-phi and about phi = pi/2 (G is even), and w = g(xi)/xi > 0 at the turning
-point u = 0 keeps it analytic, so it extends to an even, pi-periodic
-analytic function: the midpoint rule on [0, pi/2] is a full-period
-trapezoid rule, which converges geometrically (Trefethen & Weideman,
-SIAM Rev. 56, 2014).
+amplitude.  For lam < 0 and xi < 1, sinc is taken as 1 - d, the defect d
+from its Taylor series, and w as (1+lam) - lam*(1 - s): two terms >= 0,
+which do not cancel even at the nilpotent center lam = -1.  Each integrand
+is even in phi and about phi = pi/2 (G is even), and w = g(xi)/xi > 0 at
+the turning point u = 0 keeps it analytic, so it extends to an even,
+pi-periodic analytic function: the midpoint rule on [0, pi/2] is a
+full-period trapezoid rule, which converges geometrically (Trefethen &
+Weideman, SIAM Rev. 56, 2014).
 
 One engine, _periodic, integrates a whole array of amplitudes at once,
 each stopping at its own node count while those that share a count share
@@ -135,16 +135,16 @@ def _arguments(xi, phi):
 def _well(sys: PotentialSystem, xi, a, b):
     """(sinc a, sinc b, w) with w = 1 + lam*sinc(a)*sinc(b), the well depth
     over its value at lam = 0.  sin(x)/x keeps its relative accuracy down to
-    the smallest normal double; on the rows below xi = 1 with lam < 0, w is
-    taken as (1+lam) - lam*(1 - sinc(a)*sinc(b)) from the sinc defects, two
-    terms >= 0 that do not cancel even at the nilpotent center lam = -1."""
-    sa = np.sin(a) / a
-    sb = np.sin(b) / b
-    w = 1.0 + sys.lam * (sa * sb)
-    near = xi[:, 0] < 1.0 if sys.lam < 0.0 else ()
-    if np.count_nonzero(near):
-        da, db = _sinc_defect(np.stack((a[near], b[near])))
-        w[near] = (1.0 + sys.lam) - sys.lam * (da + (1.0 - da) * db)
+    the smallest normal double; on the rows below xi = 1 with lam < 0 all
+    three come from the sinc defects instead (_defect_well)."""
+    near = np.flatnonzero(xi[:, 0] < 1.0) if sys.lam < 0.0 else ()  # defect rows
+    if len(near) == len(xi):  # no sine to take
+        sa, sb, w = _defect_well(sys.lam, a, b)
+    else:
+        sa, sb = np.sin(a) / a, np.sin(b) / b
+        w = 1.0 + sys.lam * (sa * sb)
+        if len(near):
+            sa[near], sb[near], w[near] = _defect_well(sys.lam, a[near], b[near])
     bad = w <= 0.0
     if np.count_nonzero(bad):
         x = float(np.broadcast_to(xi, w.shape)[bad][0])
@@ -152,6 +152,15 @@ def _well(sys: PotentialSystem, xi, a, b):
             f"energy level dips below the potential inside (0, {x:.6g}) "
             f"(lam={sys.lam:g}); the orbit is not centered at the origin")
     return sa, sb, w
+
+
+def _defect_well(lam: float, a, b):
+    """_well from the defects d = 1 - sinc below 1: sinc = 1 - d, and w =
+    (1+lam) - lam*(1 - sinc(a)*sinc(b)), two terms >= 0 for lam < 0 that do
+    not cancel even at the nilpotent center lam = -1."""
+    da, db = _sinc_defect(np.stack((a, b)))
+    sa, sb = 1.0 - da, 1.0 - db
+    return sa, sb, (1.0 + lam) - lam * (da + sa * db)
 
 
 def _s3(x, sinc_x):
@@ -167,13 +176,16 @@ def _s3(x, sinc_x):
 
 
 def _period_integrand(sys: PotentialSystem, xi, phi):
-    return 4.0 / np.sqrt(_well(sys, xi, *_arguments(xi, phi)[2:])[2])
+    _, _, a, b = _arguments(xi, phi)
+    _, _, w = _well(sys, xi, a, b)
+    return 4.0 / np.sqrt(w)
 
 
 def _deviation_integrand(sys: PotentialSystem, xi, phi):
     # 4/sqrt(w) - 4, rationalized: 1 - w = -lam*s, so nothing cancels; lam
     # multiplies last, so a subnormal lam rounds once, not at every factor
-    sa, sb, w = _well(sys, xi, *_arguments(xi, phi)[2:])
+    _, _, a, b = _arguments(xi, phi)
+    sa, sb, w = _well(sys, xi, a, b)
     r = np.sqrt(w)
     return sa * sb / (r * (1.0 + r)) * (-4.0 * sys.lam)
 
@@ -188,7 +200,8 @@ def _slope_integrand(sys: PotentialSystem, xi, phi):
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, phi):
-    sa, sb, w = _well(sys, xi, *_arguments(xi, phi)[2:])
+    _, _, a, b = _arguments(xi, phi)
+    sa, sb, w = _well(sys, xi, a, b)
     return sa * sb / (w * np.sqrt(w)) * -2.0
 
 

@@ -19,7 +19,7 @@ from periodkit.model import LAM_C, X_MIN, PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (EVAL_NODES, NILPOTENT_DERIVATIVE_XI_MIN, NILPOTENT_XI_MIN,
                                   XI_MIN, coupling_slope, period_at_amplitude,
                                   period_at_energy, period_derivative, period_deviations,
-                                  period_samples, period_slope)
+                                  period_samples, period_slope, period_slopes)
 from periodkit.oracle import orbit_period
 
 PI = math.pi
@@ -167,6 +167,15 @@ def test_periods_and_derivatives_are_continuous_at_one(lam):
     for f in (period_slope, coupling_slope):
         a, b = f(s, below), f(s, one)
         assert abs(a.value - b.value) <= a.err_est + b.err_est
+
+
+@pytest.mark.parametrize("f", [period_slopes, period_deviations])
+def test_defect_rows_in_a_mixed_batch_match_single_calls(f):
+    # at lam < 0 the sincs come from their defects below xi = 1 and from
+    # sin(x)/x above; a batch holding both gives each row as it comes alone
+    s = PotentialSystem(-0.9)
+    xs = [*np.linspace(0.05, 0.95, 10).tolist(), 2.0]
+    assert f(s, xs) == [f(s, [x])[0] for x in xs]
 
 
 def test_derivatives_below_their_nilpotent_bound_are_refused():
