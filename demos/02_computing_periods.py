@@ -5,7 +5,8 @@ The period of the orbit at energy h is a singular integral,
     T(h) = 2*sqrt(2) * integral_0^xi dx / sqrt(h - G(x)),
 
 which the quadrature module regularizes with x = xi*sin(phi) and evaluates
-by the periodic midpoint rule, tripling its nodes until two rules agree.  The oracle module instead integrates the flow in time and reads
+by the periodic trapezoid rule, doubling its intervals until it agrees with
+the rule on every other node.  The oracle module instead integrates the flow in time and reads
 the period off a Poincare section.  The two routes share no code, so their
 agreement is a real check; this script measures it, then scans T along the
 annulus and prints the start of a plot-ready CSV.

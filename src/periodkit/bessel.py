@@ -11,9 +11,9 @@ alternating-term cancellation still leaves ~11 correct digits; one pass sums
 a whole array of arguments (a single one is a one-element pass), each
 stopping at its own term.  The integral route is the periods' engine,
 quadrature._periodic: a full-period trapezoid rule on an entire integrand,
-so it converges geometrically; one call serves a whole array of arguments,
-each stopping at its own node count.  Both routes floor their error bounds
-at the rounding of the value, so no bound is ever 0.
+which converges geometrically, doubling until it agrees with the rule on
+every other node; one call serves an array of arguments, each stopping at
+its own node count.  Both routes floor their bounds at the value's rounding.
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
 = 2*pi*J1(xi) for both the verification report and the CLI's `bessel

@@ -27,9 +27,9 @@ from its Taylor series, and w as (1+lam) - lam*(1 - s): two terms >= 0,
 which do not cancel even at the nilpotent center lam = -1.  Each integrand
 is even in phi and about phi = pi/2 (G is even), and w = g(xi)/xi > 0 at
 the turning point u = 0 keeps it analytic, so it extends to an even,
-pi-periodic analytic function: the midpoint rule on [0, pi/2] is a
-full-period trapezoid rule, which converges geometrically (Trefethen &
-Weideman, SIAM Rev. 56, 2014).
+pi-periodic analytic function: the trapezoid rule on [0, pi/2], its end
+nodes at half weight, is a full-period trapezoid rule, which converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
 
 One engine, _periodic, integrates a whole array of amplitudes at once,
 each stopping at its own node count while those that share a count share
@@ -103,8 +103,8 @@ class PeriodSample:
     error estimate and the route that produced it: "quadrature", or
     "ode-oracle" for oracle.orbit_period.
 
-    On the quadrature route err_est is the difference of the last midpoint
-    rule and the one on every third of its nodes, floored at the rounding of
+    On the quadrature route err_est is the difference of the last trapezoid
+    rule and the one on every other of its nodes, floored at the rounding of
     T (more where w cancels at the turning point), so it is never zero even
     where every rule integrates exactly."""
 
@@ -126,10 +126,12 @@ class DerivativeEstimate:
 
 
 def _arguments(xi, phi):
-    """(cos(u)^2, sin(u)^2, a, b) at the nodes phi for a column of amplitudes xi."""
+    """(cos(u)^2, sin(u)^2, a, b) at the nodes phi for a column of amplitudes
+    xi; b = 0 at the turning point u = 0, and b >= TINY gives sinc(b) and
+    s3(b) their limits 1 and 1/3 there without 0/0."""
     u = 0.25 * math.pi - 0.5 * phi
     c2, s2 = np.cos(u) ** 2, np.sin(u) ** 2
-    return c2, s2, xi * c2, xi * s2
+    return c2, s2, xi * c2, np.maximum(xi * s2, TINY)
 
 
 def _well(sys: PotentialSystem, xi, a, b):
@@ -164,13 +166,15 @@ def _defect_well(lam: float, a, b):
 
 
 def _s3(x, sinc_x):
-    """s3(x) = (sinc(x) - cos(x))/x^2 for x > 0, given sinc_x = sin(x)/x; the
-    entries below 1, where the difference cancels, from the Taylor series."""
-    small = x < 1.0
-    if small.all():  # no direct difference to overwrite
+    """s3(x) = (sinc(x) - cos(x))/x^2 for x > 0, given sinc_x = sin(x)/x: the
+    difference on the entries x >= 1 only, the Taylor series on the rest."""
+    big = x >= 1.0
+    if not big.any():
         return np.polyval(_S_SERIES, x * x)
-    out = (sinc_x - np.cos(x)) / (x * x)
-    if small.any():
+    out = np.cos(x, out=np.empty_like(x), where=big)
+    np.divide(np.subtract(sinc_x, out, out=out, where=big), x * x, out=out, where=big)
+    if not big.all():  # the series on no entries still costs a pass per term
+        small = ~big
         out[small] = np.polyval(_S_SERIES, x[small] ** 2)
     return out
 
@@ -223,59 +227,64 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool 
 
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     """(value, err_est, converged) arrays of len(xi) integrals over
-    [0, pi/2] by the midpoint rule, f(rows, v) giving integrand rows[i] at
+    [0, pi/2] by the trapezoid rule, f(rows, v) giving integrand rows[i] at
     the nodes v in row i.  Each integrand must extend to an even, pi-periodic
     analytic function whose bandwidth is that of cos(xi*cos v).
 
-    A pass evaluates the rule with 3N nodes, which holds the nodes of the
-    rule with N; integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), so 3N
-    is past the bandwidth, and N triples until |Q_3N - Q_N| <= rel_tol times
-    the rule of |f|, which is |Q_3N| for a one-signed integrand and stays
-    away from 0 for one whose integral vanishes.  err_est is that
-    difference, floored at floor (relative rounding, one per integral or
-    for all) times the rule of |f|, and at SUBNORMAL_FLOOR where that rule
-    is not 0.  An integral whose floor exceeds rel_tol, whose difference
-    stops shrinking or whose next pass would pass MAX_NODES stops alone
-    with converged=False.
+    Integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), past the bandwidth:
+    its first pass evaluates the 2N+1 nodes j*pi/(4N), which hold the rules
+    with 2N and, on every other node, N intervals; each later pass doubles
+    the intervals and evaluates only the new midpoints, until |fine -
+    coarse| <= rel_tol times the rule of |f|, which is |fine| for a
+    one-signed integrand and stays away from 0 for one whose integral
+    vanishes.  err_est is that difference, floored at floor (relative
+    rounding, one per integral or for all) times the rule of |f|, and at
+    SUBNORMAL_FLOOR where that rule is not 0.  An integral whose floor
+    exceeds rel_tol, whose difference stops shrinking or whose next pass
+    would pass MAX_NODES stops alone with converged=False.
     """
     n = xi.size
     value, err, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    floor = floor + np.zeros(n)
-    nodes = 3 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
+    rows, floor = np.arange(n), floor + np.zeros(n)
+    intervals = 2 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
     # a difference at least the last one has stopped shrinking; one whose
     # floor exceeds rel_tol has nothing to shrink to, and stops at once
-    last = np.where(floor > rel_tol, -math.inf, math.inf)
+    last, rules = np.where(floor > rel_tol, -math.inf, math.inf), None
     while rows.size:
-        q, coarse, scale = _midpoint(f, rows, nodes)
-        diff = np.abs(q - coarse)
+        coarse, fine, scale = rules = _trapezoid(f, rows, intervals, rules)
+        diff = np.abs(fine - coarse)
         e = np.maximum(np.maximum(diff, floor[rows] * scale), SUBNORMAL_FLOOR * (scale > 0.0))
         ok = e <= np.maximum(rel_tol * scale, TINY)  # subnormals hold no relative precision
-        done = ok | (diff >= last) | (3 * nodes > MAX_NODES)
-        out = rows[done]
-        value[out], err[out], converged[out] = q[done], e[done], ok[done]
-        go = ~done
-        rows, nodes, last = rows[go], 3 * nodes[go], diff[go]
+        # every row takes its result; the rows that go on overwrite theirs
+        value[rows], err[rows], converged[rows] = fine, e, ok
+        go = ~ok & (diff < last) & (2 * intervals < MAX_NODES)
+        rows, intervals, last, rules = rows[go], 2 * intervals[go], diff[go], rules[:, go]
     return value, err, converged
 
 
-def _midpoint(f, rows, nodes):
-    """Midpoint rules on [0, pi/2] for the integrals rows, nodes[i] nodes
-    for rows[i]: those of f, of f on every third node (the rule with a third
-    as many nodes) and of |f|.  The rows that share a node count are
-    evaluated together, at most EVAL_NODES nodes per evaluation of f."""
-    q = np.zeros((3, rows.size))
-    for n in sorted(set(nodes.tolist())):
-        at = np.flatnonzero(nodes == n)
-        h = HALF_PI / n
-        width = min(n, EVAL_NODES)
-        for j in range(0, n, width):
-            v = (np.arange(j, min(j + width, n)) + 0.5) * h
+def _trapezoid(f, rows, intervals, last):
+    """(coarse, fine, |f|) trapezoid rules on [0, pi/2] of the integrals rows,
+    the fine one with intervals[i] intervals: all its nodes, the ends at half
+    weight, without last, else last's rules and only the new midpoints.  The
+    rows that share a count are evaluated together, EVAL_NODES nodes at most."""
+    step = 1 if last is None else 2
+    q = np.zeros((3, rows.size)) if last is None else last[[1, 1, 2]] * [[1.0], [0.5], [0.5]]
+    for k in sorted(set(intervals.tolist())):
+        at = np.flatnonzero(intervals == k)
+        h = HALF_PI / k
+        count = k + 1 if last is None else k // 2
+        width = min(count, EVAL_NODES)
+        for j in range(0, count, width):
+            v = np.arange(step * j + step - 1, step * min(j + width, count), step) * h
             for i in range(0, at.size, EVAL_NODES // width):
                 part = at[i:i + EVAL_NODES // width]
                 fx = f(rows[part], v)
-                q[:, part] += [h * fx.sum(axis=1), 3.0 * h * fx[:, (1 - j) % 3::3].sum(axis=1),
-                               h * np.abs(fx).sum(axis=1)]
+                if last is None:
+                    fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k
+                    q[:, part] += [2.0 * h * fx[:, j % 2::2].sum(axis=1), h * fx.sum(axis=1),
+                                   h * np.abs(fx).sum(axis=1)]
+                else:
+                    q[1:, part] += [h * fx.sum(axis=1), h * np.abs(fx).sum(axis=1)]
     return q
 
 

@@ -144,6 +144,25 @@ def test_batched_trapezoid_matches_one_argument_calls():
         series_integral_gap([1.0, -1.0])
 
 
+def test_integrand_at_the_end_node(monkeypatch):
+    # the engine's rule ends on s = pi/2, where sin(xi*cos s)*cos s is 0 up
+    # to cos(pi/2) rounding to 6.1e-17, and on s = 0, where it is sin(xi)
+    captured = []
+    engine = bessel._periodic
+
+    def capture(f, *args):
+        captured.append(f)
+        return engine(f, *args)
+
+    monkeypatch.setattr(bessel, "_periodic", capture)
+    xs = np.array([1e-3, 0.5, 3.0, 100.0])
+    bessel._variational(xs)
+    got = captured[0](np.arange(xs.size), np.array([0.0, PI / 2]))
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got[:, 0], np.sin(xs))
+    assert np.all(np.abs(got[:, 1]) <= xs * np.finfo(float).eps ** 2)
+
+
 def test_small_argument_ratio():
     e = j1(1e-4)
     assert abs(e.value / 1e-4 - 0.5) <= 1e-8

@@ -432,22 +432,58 @@ def test_runaway_amplitude_leaves_batch_mates_alone():
 class _CountingIntegrand:
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.nodes = 0
         self.max_nodes = 0
         self._f = quadrature._period_integrand
         monkeypatch.setattr(quadrature, "_period_integrand", self)
 
     def __call__(self, sys_, xi, phi):
         self.calls += 1
+        self.nodes += np.broadcast(xi, phi).size
         self.max_nodes = max(self.max_nodes, np.broadcast(xi, phi).size)
         return self._f(sys_, xi, phi)
 
 
 def test_scan_integrand_evaluation_ceiling(monkeypatch):
-    # one evaluation per node count and chunk for all 1000 amplitudes: 23
-    # when measured; Gauss-Legendre bisection made 159, single calls 6625
+    # one evaluation per node count and chunk for all 1000 amplitudes: 17
+    # over 367,912 nodes when measured; the midpoint rule with tripling made
+    # 23 over 590,112, Gauss-Legendre bisection 159, single calls 6625
     counter = _CountingIntegrand(monkeypatch)
     scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
     assert counter.calls <= 200
+    assert counter.nodes <= 400_000
+
+
+def test_second_pass_evaluates_no_node_twice(monkeypatch):
+    # xi = 50 starts at N = 32, the rule with 64 intervals, and takes a
+    # second pass to 128: its 129 nodes, each once (tripling took 96 + 288)
+    counter = _CountingIntegrand(monkeypatch)
+    period_at_amplitude(PotentialSystem(2.25), 50.0)
+    assert counter.calls == 2
+    assert counter.nodes == 2 * 64 + 1
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 1.0, 4.5])
+def test_integrands_at_the_turning_point_node(lam):
+    # the rule's end node v = pi/2 is u = 0: b = 0, sinc(b) = 1, s3(b) =
+    # 1/3 and w = g(xi)/xi; 30-digit closed forms, and no 0/0 on the way
+    s = PotentialSystem(lam)
+    xs = [1e-3, 0.5, 3.0, 100.0]
+    with mpmath.workdps(30):
+        want = []
+        for x in map(mpmath.mpf, xs):
+            sinc = mpmath.sin(x) / x
+            r = mpmath.sqrt(1 + lam * sinc)
+            s3 = (mpmath.sin(x) - x * mpmath.cos(x)) / x ** 3
+            want.append([4 / r, -4 * lam * sinc / (r * (1 + r)), 2 * lam * x * s3 / r ** 3,
+                         -2 * sinc / r ** 3])
+    want = np.array(want, dtype=float).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for integrand, ref in zip((quadrature._period_integrand, quadrature._deviation_integrand,
+                                   quadrature._slope_integrand, quadrature._coupling_integrand), want):
+            got = integrand(s, np.array(xs)[:, None], np.array([quadrature.HALF_PI]))[:, 0]
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (integrand, got, ref)
 
 
 def test_eval_nodes_bound_integrand_nodes(monkeypatch):
@@ -489,16 +525,16 @@ def _s_amplitudes():
 def test_s_reuses_sine_bit_for_bit():
     # the slope integrand passes _well's sinc values to _s3; each entry must
     # go through the same operations as the two-branch form evaluated on
-    # every node, also where every node lies below 1
+    # every node, also where every node lies below 1, or every node above
     x = _s_amplitudes()
     sinc = np.sin(x) / x
     x2 = x * x
     both = np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x2), (sinc - np.cos(x)) / x2)
     got = quadrature._s3(x, sinc)
     assert np.array_equal(got.view(np.int64), both.view(np.int64))
-    small = x < 1.0
-    got = quadrature._s3(x[small], sinc[small])
-    assert np.array_equal(got.view(np.int64), both[small].view(np.int64))
+    for part in (x < 1.0, x >= 1.0):
+        got = quadrature._s3(x[part], sinc[part])
+        assert np.array_equal(got.view(np.int64), both[part].view(np.int64))
 
 
 def test_s_matches_reference():
