@@ -26,10 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
-from .model import PotentialSystem, energy_to_amplitude, require_valid
+from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
 from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, coupling_slope,
                          period_deviations, period_samples, period_slopes,
                          require_converged)
@@ -345,7 +344,7 @@ def opial_sign_changes(sys: PotentialSystem, x_max: float) -> list[float]:
         if vals[i] == 0.0:
             zeros.append(a)
         elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(brentq(_indicator_numerator, a, b, xtol=1e-13 * max(1.0, b)))
+            zeros.append(_brent(_indicator_numerator, a, b, 1e-13 * max(1.0, b)))
     return zeros
 
 

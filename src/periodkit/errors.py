@@ -18,6 +18,7 @@ class NonMonotoneEnergy(PeriodkitError):
 class NoConvergence(PeriodkitError):
     """Quadrature failed to meet its tolerance: its rounding floor exceeds
     it, its differences stopped shrinking, or it passed the node budget.
+    Also raised by model._brent past its iteration cap.
 
     Carries the best available estimate so callers that scan many points can
     record the value and flag it instead of aborting; the message names it

@@ -4,8 +4,10 @@ The planar system x' = -y, y' = g(x) has Hamiltonian H = y^2/2 + G(x) with
 G(x) = x^2/2 + lam*(1 - cos x).  For lam >= -1 the origin is a center; the
 orbit through (xi, 0) lives on the energy level h = G(xi) while xi is below
 the edge, the first zero of g on (0, inf).  This module holds the closed-form
-pieces (g, G, the edge, local period asymptotics) and the root-solving glue
-between energy and amplitude.
+pieces (g, G, the edge, local period asymptotics), the root-solving glue
+between energy and amplitude, and _brent, the scalar root finder behind the
+edge, the inversion and analysis.opial_sign_changes.  Like the rest of the
+numerics it needs numpy alone; scipy serves only the ODE oracle.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import NonMonotoneEnergy
+from .errors import NoConvergence, NonMonotoneEnergy
 
 ELEMENTARY = "elementary"
 NILPOTENT = "nilpotent"
@@ -29,6 +30,72 @@ LAM_C = -X_MIN / math.sin(X_MIN)
 # Taylor coefficients of x - sin(x) = x^3 * sum_n (-1)^n x^(2n) / (2n+3)!,
 # which gives the sinc defect 1 - sin(x)/x to the last bit below |x| = 1.
 _SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
+
+# Brent's relative tolerance, scipy's brentq default of 4 ulp, and its
+# iteration cap.  scipy stops at 100, but below h ~ 1e-200 the inversion's
+# interpolation products underflow and it creeps by steps of its tolerance,
+# for up to 101 iterations; a root found within 100 takes the same iterates.
+BRENT_RTOL = 4.0 * math.ulp(1.0)
+BRENT_MAXITER = 200
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """The root of f in [a, b], whose end values differ in sign, by Brent's
+    method step for step as scipy's C brentq runs it, to within
+    xtol + BRENT_RTOL*|x|: the same iterates and the same root to the bit.
+    Where an interpolation step divides by zero it bisects, as C does with
+    the inf or nan it gets.  A NaN value or ends of one sign raise
+    ValueError, BRENT_MAXITER iterations NoConvergence with the best
+    estimate."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, also where a step divides by zero
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NoConvergence(f"Brent's method on [{a:.17g}, {b:.17g}] did not converge in "
+                        f"{BRENT_MAXITER} iterations", best=xcur, err_est=2 * abs(sbis))
 
 
 def _sinc_defect(x):
@@ -94,12 +161,12 @@ class PotentialSystem:
 
         g > 0 on (0, pi], and g(x)/x = 1 + lam*sin(x)/x where sin(x)/x falls
         monotonically on (pi, X_MIN] to its minimum, so a zero exists iff
-        g(X_MIN) <= 0, in (pi, X_MIN].  The test uses brentq's own g, so the
-        bracket's signs agree even within rounding of LAM_C.
+        g(X_MIN) <= 0, in (pi, X_MIN].  The test uses the same g that _brent
+        brackets, so the bracket's signs agree even within rounding of LAM_C.
         """
         if self.g(X_MIN) > 0.0:
             return math.inf
-        return brentq(self.g, math.pi, X_MIN, xtol=1e-300)
+        return _brent(self.g, math.pi, X_MIN, 1e-300)
 
     def g_derivatives_at_zero(self) -> tuple[float, float, float]:
         """First three derivatives of g at the origin: (1+lam, 0, -lam)."""
@@ -169,8 +236,8 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     lo = hi = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
     while gap(hi) < 0.0:  # lo underflows to 0 for a subnormal h
         lo, hi = hi, min(max(2.0 * hi, math.ulp(0.0)), edge)
-    # brentq's default rtol (4 ulp) sets the accuracy; xtol need only be > 0
-    return lo if hi == lo else brentq(gap, lo, hi, xtol=1e-300)
+    # BRENT_RTOL (4 ulp) sets the accuracy; xtol need only be > 0
+    return lo if hi == lo else _brent(gap, lo, hi, 1e-300)
 
 
 def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:

@@ -32,6 +32,9 @@ period passes MAX_EVENT_TIME.  full_return and orbit_trace, which sample
 the orbit or record more than one crossing, integrate it with solve_ivp's
 DOP853 instead.
 
+scipy is imported inside the functions that integrate, so only an orbit
+loads it: the rest of periodkit needs numpy alone.
+
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
 Results are PeriodSample and OrbitTrace values; the payload format they are
@@ -44,8 +47,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._dop import dopri853
 
 from .errors import EventMissed, ToleranceUnmet
 from .model import PotentialSystem
@@ -141,6 +142,8 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     for good, so both are module-level functions and a run's own state
     reaches them through args, which it does not keep (a closure per run, or
     scipy.integrate.ode's new bound method per run, would be kept alive)."""
+    from scipy.integrate._dop import dopri853
+
     work = np.zeros(11 * state.size + 21)
     # safety factor, step-size change limits and first step as scipy's
     # dop853 integrator sets them
@@ -212,6 +215,8 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     sample = orbit_periods(sys, [xi], tol)[0]
     if not full_return:
         return sample
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(_rhs(sys), (0.0, 1.75 * sample.T), [xi, 0.0], method="DOP853",
                     rtol=tol, atol=tol, events=_y_falls)
     times = sol.t_events[0]
@@ -223,6 +228,8 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
 
 def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTrace:
     """One full period sampled at 2001 uniform times, with the energy drift."""
+    from scipy.integrate import solve_ivp
+
     period = orbit_periods(sys, [xi], tol)[0].T
     t_eval = np.linspace(0.0, period, 2001)
     sol = solve_ivp(_rhs(sys), (0.0, period), [xi, 0.0], method="DOP853",

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import periodkit
+from periodkit import model
 from periodkit.cli import build_parser, main
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
 from periodkit.quadrature import period_samples
@@ -184,6 +185,20 @@ def test_no_convergence_names_its_best_estimate(capsys):
     best = period_samples(PotentialSystem(lam), [X_MIN])[0]
     assert not best.converged
     assert err.endswith(f"; best estimate {best.T!r} with err_est {best.err_est:.3e}\n")
+
+
+def test_period_at_a_tiny_level_converges(capsys):
+    # the inversion takes 101 Brent iterations here, past brentq's cap of 100
+    code, out, err = run_cli(capsys, ["period", "--lambda", "-1e-8", "--h", "1.2e-288"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["samples"][0]["xi"] == pytest.approx(1.549193346228934e-144, rel=1e-15)
+
+
+def test_inversion_past_its_iteration_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(model, "BRENT_MAXITER", 3)
+    code, out, err = run_cli(capsys, ["period", "--lambda", "1", "--h", "5"])
+    assert (code, out) == (2, "")
+    assert "did not converge in 3 iterations; best estimate" in err
 
 
 def test_period_at_the_nilpotent_center_converges(capsys):

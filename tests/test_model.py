@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from periodkit.errors import NonMonotoneEnergy
-from periodkit.model import (ELEMENTARY, LAM_C, NILPOTENT, X_MIN, PotentialSystem,
-                             energy_to_amplitude, validate_center)
+from periodkit import analysis, model
+from periodkit.errors import NoConvergence, NonMonotoneEnergy
+from periodkit.model import (BRENT_MAXITER, ELEMENTARY, LAM_C, NILPOTENT, X_MIN,
+                             PotentialSystem, _brent, energy_to_amplitude, validate_center)
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -242,3 +244,85 @@ def test_inversion_refusal_names_the_edge_and_its_level(lam, h):
                        match=rf"G\({edge:.6g}\) = {float(s.G(edge)):.6g}") as excinfo:
         energy_to_amplitude(s, h)
     assert excinfo.value.x == edge
+
+
+# below h ~ 1e-200 at lam < 0 Brent's interpolation products underflow and it
+# creeps by steps of its tolerance: these took 101 iterations, past brentq's
+# cap of 100; the reference is sqrt(2h/(1+lam)), or (24h)^(1/4) at lam = -1
+@pytest.mark.parametrize("lam,h", [(-1e-8, 1.1997787370535245e-288),
+                                   (-1.0, 3.298666452230886e-290),
+                                   (-1e-12, 2.0937270036480865e-207)])
+def test_inversion_at_tiny_energies_converges(lam, h):
+    xi = energy_to_amplitude(PotentialSystem(lam), h)
+    with mpmath.workdps(30):
+        h = mpmath.mpf(h)
+        ref = (24 * h) ** 0.25 if lam == -1.0 else mpmath.sqrt(2 * h / (1 + mpmath.mpf(lam)))
+    assert xi == pytest.approx(float(ref), rel=8 * EPS, abs=0)
+
+
+def test_inversion_past_the_iteration_cap_names_its_best_estimate(monkeypatch):
+    root = energy_to_amplitude(PotentialSystem(1.0), 5.0)
+    monkeypatch.setattr(model, "BRENT_MAXITER", 3)
+    with pytest.raises(NoConvergence, match=r"did not converge in 3 iterations; best estimate "
+                                            r"\S+ with err_est") as excinfo:
+        energy_to_amplitude(PotentialSystem(1.0), 5.0)
+    assert 0.0 < abs(excinfo.value.best - root) <= excinfo.value.err_est
+
+
+def _brent_against_brentq(f, a, b, xtol):
+    """_brent and scipy's brentq at the same cap, with the points each one
+    evaluated: the same iterates and the same root to the bit."""
+    ours, theirs = [], []
+    root = _brent(lambda x: ours.append(x) or f(x), a, b, xtol)
+    ref = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=xtol, maxiter=BRENT_MAXITER)
+    assert type(root) is type(ref) is float
+    assert (root, ours) == (ref, theirs)
+    return root
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Every _brent call of model and analysis checked against brentq; the
+    number of calls made so far."""
+    calls = []
+
+    def compare(f, a, b, xtol):
+        calls.append(a)
+        return _brent_against_brentq(f, a, b, xtol)
+
+    monkeypatch.setattr(model, "_brent", compare)
+    monkeypatch.setattr(analysis, "_brent", compare)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [-1.0, -1.0 + 1e-9, -0.5, -1e-8, 1e-8, 0.5, 1.0, 4.5])
+def test_inversion_matches_scipy_brentq(compared, lam):
+    s = PotentialSystem(lam)
+    for h in np.geomspace(1e-300, 1e6, 184).tolist():
+        energy_to_amplitude(s, h)
+    # for lam > 0 the bracket's lower end sqrt(2h/(1+lam)) is the root itself
+    # at the smaller levels, and no search runs
+    assert len(compared) >= 35
+
+
+def test_edge_matches_scipy_brentq(compared):
+    lams = [LAM_C, math.nextafter(LAM_C, 50.0), 4.6034, *np.linspace(4.61, 50.0, 120).tolist()]
+    edges = [PotentialSystem(lam).edge() for lam in lams]
+    assert len(compared) == len(lams) - (edges[0] == math.inf)
+    assert all(PI < e <= X_MIN for e in edges[1:])
+
+
+def test_opial_zeros_match_scipy_brentq(compared):
+    zeros = analysis.opial_sign_changes(PotentialSystem(1.0), 200.0)
+    assert len(compared) == len(zeros) == 62
+
+
+@pytest.mark.parametrize("f", [lambda x: x - 2.0, lambda x: 1e-200, lambda x: -1e-200,
+                               lambda x: math.nan, lambda x: math.nan if x > 0.0 else -1.0,
+                               lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5])
+def test_brent_refuses_what_brentq_refuses(f):
+    with pytest.raises(ValueError) as ref:
+        brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=BRENT_MAXITER)
+    with pytest.raises(ValueError) as ours:
+        _brent(f, 0.0, 1.0, 1e-12)
+    assert str(ours.value) == str(ref.value)

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.integrate._dop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,13 +173,13 @@ def test_compiled_runs_get_module_level_callbacks(monkeypatch):
     # the compiled stepper keeps the fcn and solout of every run for good,
     # so a callback made per run would stay alive with all it refers to
     seen = []
-    compiled = oracle.dopri853
+    compiled = scipy.integrate._dop.dopri853
 
     def spy(fcn, t0, y0, t1, rtol, atol, solout, *rest):
         seen.append((fcn, solout))
         return compiled(fcn, t0, y0, t1, rtol, atol, solout, *rest)
 
-    monkeypatch.setattr(oracle, "dopri853", spy)
+    monkeypatch.setattr(scipy.integrate._dop, "dopri853", spy)
     assert _check_oracle(PotentialSystem(2.5), 11 * PI).passed
     callbacks = {c for run in seen for c in run if c is not None}
     assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section"}
