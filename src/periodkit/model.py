@@ -98,19 +98,23 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
                         f"{BRENT_MAXITER} iterations", best=xcur, err_est=2 * abs(sbis))
 
 
+def _horner(coeffs, x):
+    """The polynomial with coeffs, highest power first, at x by Horner's
+    rule, as np.polyval takes it to the bit; a float stays one, and fast."""
+    p = 0.0
+    for c in coeffs:
+        p = p * x + c
+    return p
+
+
 def _sinc_defect(x):
     """1 - sin(x)/x for |x| < 1, from its Taylor series."""
-    x2, p = x * x, 0.0
-    for c in _SIN_DEFECT:  # Horner's rule; a float stays one, and fast
-        p = p * x2 + c
-    return p * x2
+    x2 = x * x
+    return _horner(_SIN_DEFECT, x2) * x2
 
 
 def _near_center(x, out, series):
     """out, but series(x) at the entries |x| < 1."""
-    if isinstance(x, float):  # one amplitude, as in energy_to_amplitude's
-        # root search: Horner in Python floats takes a third of the time
-        return np.float64(series(x)) if abs(x) < 1.0 else out
     near = np.abs(x) < 1.0
     if not near.any():
         return out
@@ -129,7 +133,13 @@ class PotentialSystem:
             raise ValueError(f"lam must be finite and >= -1, got {self.lam}")
 
     def g(self, x):
-        """Restoring force x + lam*sin(x); odd, g(0) = 0."""
+        """Restoring force x + lam*sin(x); odd, g(0) = 0.  A finite float
+        takes math.sin and float arithmetic: numpy's bits, without its round
+        trips for one value."""
+        if isinstance(x, float) and abs(x) < math.inf:
+            x = float(x)
+            return np.float64(self._g_series(x) if self.lam < 0.0 and abs(x) < 1.0
+                              else x + self.lam * math.sin(x))
         out = x + self.lam * np.sin(x)
         return out if self.lam >= 0.0 else _near_center(x, out, self._g_series)
 
@@ -142,8 +152,15 @@ class PotentialSystem:
         """Potential energy x^2/2 + lam*(1 - cos x); even, G(0) = 0.
 
         1 - cos x is evaluated as 2*sin(x/2)^2 to avoid losing digits
-        for small x.
+        for small x.  A finite float takes math.sin and float arithmetic,
+        as in g.
         """
+        if isinstance(x, float) and abs(x) < math.inf:
+            x = float(x)
+            if self.lam < 0.0 and abs(x) < 1.0:
+                return np.float64(self._G_series(x))
+            s = math.sin(x * 0.5)
+            return np.float64(x * x * 0.5 + self.lam * 2.0 * s * s)
         x = np.asarray(x) if not np.isscalar(x) else x
         s = np.sin(np.multiply(x, 0.5))
         out = np.multiply(x, x) * 0.5 + self.lam * 2.0 * s * s

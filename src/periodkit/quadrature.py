@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NonMonotoneEnergy
-from .model import PotentialSystem, _sinc_defect, energy_to_amplitude
+from .model import PotentialSystem, _horner, _sinc_defect, energy_to_amplitude
 
 HALF_PI = 0.5 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -91,6 +91,14 @@ NILPOTENT_DERIVATIVE_XI_MIN = math.sqrt(24.0) * (MAX_NODES / float(np.finfo(floa
 # evaluated in chunks, so memory stays bounded however many integrals arrive.
 EVAL_NODES = 2 ** 15
 
+# Passes of at most CACHE_NODES nodes keep their nodes, read-only, with the
+# cos(u)^2 and sin(u)^2 that _arguments takes of them: the first passes to
+# 4096 intervals and the later ones to 8192, 16,328 nodes and 0.37 MiB in
+# all, whatever the calls.  Longer passes build their nodes as they go.
+CACHE_NODES = 4097
+_NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> nodes
+_SQUARES: dict = {}  # id(nodes) -> (nodes, cos(u)^2, sin(u)^2)
+
 # Taylor coefficients of s3(x) = (sin(x) - x*cos(x))/x^3 = sum_n c_n x^(2n),
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
 # the direct difference keeps only eps/x^2 of relative accuracy.
@@ -125,12 +133,19 @@ class DerivativeEstimate:
     err_est: float
 
 
+def _squares(phi):
+    """(cos(u)^2, sin(u)^2) at the nodes phi, u = pi/4 - phi/2."""
+    u = 0.25 * math.pi - 0.5 * phi
+    return np.cos(u) ** 2, np.sin(u) ** 2
+
+
 def _arguments(xi, phi):
     """(cos(u)^2, sin(u)^2, a, b) at the nodes phi for a column of amplitudes
-    xi; b = 0 at the turning point u = 0, and b >= TINY gives sinc(b) and
-    s3(b) their limits 1 and 1/3 there without 0/0."""
-    u = 0.25 * math.pi - 0.5 * phi
-    c2, s2 = np.cos(u) ** 2, np.sin(u) ** 2
+    xi, the squares from the node cache where phi is cached; b = 0 at the
+    turning point u = 0, and b >= TINY gives sinc(b) and s3(b) their limits
+    1 and 1/3 there without 0/0."""
+    cached = _SQUARES.get(id(phi))  # an entry holds its nodes, so ids stay unique
+    c2, s2 = cached[1:] if cached is not None else _squares(phi)
     return c2, s2, xi * c2, np.maximum(xi * s2, TINY)
 
 
@@ -170,12 +185,12 @@ def _s3(x, sinc_x):
     difference on the entries x >= 1 only, the Taylor series on the rest."""
     big = x >= 1.0
     if not big.any():
-        return np.polyval(_S_SERIES, x * x)
+        return _horner(_S_SERIES, x * x)
     out = np.cos(x, out=np.empty_like(x), where=big)
     np.divide(np.subtract(sinc_x, out, out=out, where=big), x * x, out=out, where=big)
     if not big.all():  # the series on no entries still costs a pass per term
         small = ~big
-        out[small] = np.polyval(_S_SERIES, x[small] ** 2)
+        out[small] = _horner(_S_SERIES, x[small] ** 2)
     return out
 
 
@@ -215,13 +230,13 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool 
     cancels as g(xi) at the turning point, and T goes as w^-1/2; a
     derivative goes as w^-3/2, and it and the deviation T - 2*pi are carried
     by sinc(a) and sinc(b), whose arguments round by EPS*xi/2."""
-    cancellation = np.ones(xi.size)
-    direct = (xi >= 1.0) | (sys.lam >= 0.0)  # _well's rows that take w directly
-    x = xi[direct]
-    lsx = sys.lam * np.sin(x)
-    cancellation[direct] = (x + np.abs(lsx)) / (x + lsx)
-    power, phase = (1.5, 0.5 * EPS) if derivative else (0.5, 0.0)
-    floor = np.maximum(ROUNDING_FLOOR, power * CANCELLATION_FLOOR * cancellation + phase * xi)
+    lsx = sys.lam * np.sin(xi)
+    direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
+    cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
+    floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
+    if derivative:
+        floor += 0.5 * EPS * xi
+    floor = np.maximum(ROUNDING_FLOOR, floor)
     return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, REL_TOL, floor)
 
 
@@ -243,23 +258,42 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     exceeds rel_tol, whose difference stops shrinking or whose next pass
     would pass MAX_NODES stops alone with converged=False.
     """
-    n = xi.size
-    value, err, converged = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    rows, floor = np.arange(n), floor + np.zeros(n)
+    rows, floor = np.arange(xi.size), floor + np.zeros(xi.size)
     intervals = 2 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
     # a difference at least the last one has stopped shrinking; one whose
     # floor exceeds rel_tol has nothing to shrink to, and stops at once
-    last, rules = np.where(floor > rel_tol, -math.inf, math.inf), None
-    while rows.size:
+    last, rules, value = np.where(floor > rel_tol, -math.inf, math.inf), None, None
+    while True:
         coarse, fine, scale = rules = _trapezoid(f, rows, intervals, rules)
         diff = np.abs(fine - coarse)
-        e = np.maximum(np.maximum(diff, floor[rows] * scale), SUBNORMAL_FLOOR * (scale > 0.0))
+        e = np.maximum(np.maximum(diff, floor * scale), SUBNORMAL_FLOOR * (scale > 0.0))
         ok = e <= np.maximum(rel_tol * scale, TINY)  # subnormals hold no relative precision
         # every row takes its result; the rows that go on overwrite theirs
-        value[rows], err[rows], converged[rows] = fine, e, ok
+        if value is None:
+            value, err, converged = fine, e, ok
+        else:
+            value[rows], err[rows], converged[rows] = fine, e, ok
+        if ok.all():  # every row converged, as most single integrals do at once
+            return value, err, converged
         go = ~ok & (diff < last) & (2 * intervals < MAX_NODES)
-        rows, intervals, last, rules = rows[go], 2 * intervals[go], diff[go], rules[:, go]
-    return value, err, converged
+        if not go.any():
+            return value, err, converged
+        rows, intervals, last, rules, floor = (
+            rows[go], 2 * intervals[go], diff[go], rules[:, go], floor[go])
+
+
+def _nodes(k: int, step: int, count: int):
+    """The count nodes j*pi/(2k), j = step - 1, 2*step - 1, ...: all of a
+    first pass (step 1) or the midpoints of a later one (step 2), cached
+    read-only with their squares (_arguments)."""
+    v = _NODES.get((k, step))
+    if v is None:
+        v = np.arange(step - 1, step * count, step) * (HALF_PI / k)
+        squares = _squares(v)
+        for array in (v, *squares):
+            array.flags.writeable = False
+        _NODES[k, step], _SQUARES[id(v)] = v, (v, *squares)
+    return v
 
 
 def _trapezoid(f, rows, intervals, last):
@@ -267,24 +301,32 @@ def _trapezoid(f, rows, intervals, last):
     the fine one with intervals[i] intervals: all its nodes, the ends at half
     weight, without last, else last's rules and only the new midpoints.  The
     rows that share a count are evaluated together, EVAL_NODES nodes at most."""
-    step = 1 if last is None else 2
-    q = np.zeros((3, rows.size)) if last is None else last[[1, 1, 2]] * [[1.0], [0.5], [0.5]]
-    for k in sorted(set(intervals.tolist())):
-        at = np.flatnonzero(intervals == k)
+    first = last is None
+    step = 1 if first else 2
+    if first:
+        q = np.zeros((3, rows.size))
+    else:  # the last fine rule is the new coarse one; the midpoints add to half of it
+        q = np.empty_like(last)
+        q[0] = last[1]
+        np.multiply(last[1:], 0.5, out=q[1:])
+    counts = sorted(set(intervals.tolist()))
+    for k in counts:
+        at = np.flatnonzero(intervals == k) if len(counts) > 1 else None  # None: every row
         h = HALF_PI / k
-        count = k + 1 if last is None else k // 2
+        count = k + 1 if first else k // 2
         width = min(count, EVAL_NODES)
         for j in range(0, count, width):
-            v = np.arange(step * j + step - 1, step * min(j + width, count), step) * h
-            for i in range(0, at.size, EVAL_NODES // width):
-                part = at[i:i + EVAL_NODES // width]
+            v = (_nodes(k, step, count) if count <= CACHE_NODES  # one chunk, j = 0
+                 else np.arange(step * j + step - 1, step * min(j + width, count), step) * h)
+            block = EVAL_NODES // width
+            for i in range(0, rows.size if at is None else at.size, block):
+                part = slice(i, i + block) if at is None else at[i:i + block]
                 fx = f(rows[part], v)
-                if last is None:
+                if first:
                     fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k
-                    q[:, part] += [2.0 * h * fx[:, j % 2::2].sum(axis=1), h * fx.sum(axis=1),
-                                   h * np.abs(fx).sum(axis=1)]
-                else:
-                    q[1:, part] += [h * fx.sum(axis=1), h * np.abs(fx).sum(axis=1)]
+                    q[0, part] += 2.0 * h * fx[:, j % 2::2].sum(axis=1)
+                q[1, part] += h * fx.sum(axis=1)
+                q[2, part] += h * np.abs(fx).sum(axis=1)
     return q
 
 

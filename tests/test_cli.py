@@ -123,6 +123,18 @@ def test_verify_failure_maps_to_exit_one(capsys, monkeypatch):
     assert "[FAIL] opial" in err
 
 
+def test_verify_near_the_side_equilibria_writes_its_report(capsys, tmp_path):
+    # the critical-period search does not converge there; the payload is
+    # still written, with alternation failing, and the exit code is 1
+    out = tmp_path / "near_edge.json"
+    code, _, err = run_cli(capsys, ["verify", "--lambda", "4.60333884", "--k-max", "5",
+                                    "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["critical_periods"] == [] and not payload["checks"]["alternation"]["passed"]
+    assert "[FAIL] alternation: margin=-inf" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["period", "--lambda", "1"])  # neither --xi nor --h

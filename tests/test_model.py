@@ -219,6 +219,21 @@ def test_g_and_G_below_one_match_the_reference(lam):
     assert type(s.G(0.5)) is type(s.g(0.5)) is np.float64
 
 
+@settings(max_examples=400, deadline=None)
+@given(lam=st.floats(-1.0, 6.0),
+       x=st.one_of(st.floats(5e-324, 1.0, exclude_max=True), st.floats(5e-324, 1e6)),
+       negative=st.booleans())
+def test_scalar_g_and_G_are_the_array_path_to_the_bit(lam, x, negative):
+    # one float goes through math.sin and float arithmetic, an array through
+    # numpy: the same bits, also on the series below |x| = 1 at lam < 0
+    s, x = PotentialSystem(lam), -x if negative else x
+    assert math.sin(x).hex() == float(np.sin(x)).hex()
+    for f in (s.g, s.G):
+        one = f(x)
+        assert type(one) is np.float64
+        assert float(one).hex() == float(f(np.array([x]))[0]).hex()
+
+
 def test_inversion_refuses_an_energy_whose_bracket_jumps_the_dip():
     # lam = 5: g < 0 on (4.105, 4.906), but the doubled bracket end 7.303
     # has g > 0; the level h = 40 lies outside the period annulus

@@ -499,6 +499,72 @@ def test_eval_nodes_bound_integrand_nodes(monkeypatch):
     assert counter.max_nodes == EVAL_NODES
 
 
+def _bits(estimates):
+    return [(float(d.value).hex(), float(d.err_est).hex()) for d in estimates]
+
+
+def _cached(monkeypatch):
+    """An empty node cache for this test; the module's returns after it."""
+    monkeypatch.setattr(quadrature, "_NODES", {})
+    monkeypatch.setattr(quadrature, "_SQUARES", {})
+
+
+def test_cold_and_warm_node_cache_give_the_same_bits(monkeypatch):
+    # without the cache (every pass builds its nodes), with an empty one and
+    # with a full one: the same bits
+    xs = np.geomspace(1e-3, 3000.0, 37)
+    s = PotentialSystem(-0.5), PotentialSystem(2.25)
+
+    def run():
+        return [[(x.T.hex(), x.err_est.hex(), x.converged) for x in period_samples(s[1], xs)],
+                _bits(period_deviations(s[0], xs)), _bits(period_slopes(s[1], xs)),
+                period_at_amplitude(s[0], 2.0).T.hex()]
+
+    _cached(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "CACHE_NODES", 0)
+        uncached = run()
+    assert not quadrature._NODES
+    assert run() == uncached
+    assert quadrature._NODES
+    assert run() == uncached
+
+
+def test_cached_nodes_are_read_only(monkeypatch):
+    # an integrand that writes into its nodes raises instead of changing
+    # them for every later call
+    s = PotentialSystem(1.0)
+    before = period_at_amplitude(s, 2.0)
+
+    def scribbles(sys_, xi, phi):
+        phi[0] = 1.0
+        return np.ones(np.broadcast(xi, phi).shape)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_period_integrand", scribbles)
+        with pytest.raises(ValueError, match="read-only"):
+            period_at_amplitude(s, 2.0)
+    assert period_at_amplitude(s, 2.0) == before
+    for v, c2, s2 in quadrature._SQUARES.values():
+        assert not (v.flags.writeable or c2.flags.writeable or s2.flags.writeable)
+
+
+def test_node_cache_stays_within_its_bound(monkeypatch):
+    # first passes to 4096 intervals (k + 1 nodes) and later ones to 8192
+    # (k/2 nodes): 16,328 nodes and three arrays of them, 0.37 MiB
+    _cached(monkeypatch)
+    scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
+    for xi in (1e4, 1e5):  # first passes of 8193 and 65537 nodes
+        period_at_amplitude(PotentialSystem(1.0), xi)
+    with pytest.raises(NoConvergence):
+        period_at_amplitude(PotentialSystem(RUNAWAY_LAM), X_MIN)
+    period_slopes(PotentialSystem(-0.9), np.linspace(0.5, 3000.0, 50))
+    assert max(v.size for v in quadrature._NODES.values()) <= 4097
+    assert sum(v.size for v in quadrature._NODES.values()) <= 16_328
+    assert sum(a.nbytes for entry in quadrature._SQUARES.values() for a in entry) <= 3 * 8 * 16_328
+    assert len(quadrature._SQUARES) == len(quadrature._NODES) > 0
+
+
 @pytest.mark.parametrize("xi", [3.9, [1.0, 2.0, 3.9]])
 def test_non_monotone_energy_names_the_amplitude(xi):
     # lam = 6 has a side equilibrium near x = 3.8, inside the orbit through 3.9

@@ -132,3 +132,17 @@ def test_small_h_residuals_clear_their_error(lam):
     check = _check_small_h(sys_)
     assert check.passed
     assert check.detail.startswith("residual ratio 1e-2/1e-3 = ")
+
+
+def test_verify_near_the_side_equilibria_returns_a_report():
+    # just below LAM_C the turning point near X_MIN is nearly double and the
+    # slope integral there does not converge: the critical-period search
+    # raises, and the report says so in a failing alternation check
+    rep = run_verify(4.60333884, 5)
+    assert rep.critical_periods == []
+    alternation = rep.checks["alternation"]
+    assert not alternation.passed and alternation.margin == -math.inf
+    assert "xi=4.49456" in alternation.detail and "best estimate" in alternation.detail
+    assert [name for name, c in rep.checks.items() if not c.passed] == ["alternation"]
+    payload = json.loads(report_to_json(rep))
+    assert payload["passed"] is False and payload["critical_periods"] == []
