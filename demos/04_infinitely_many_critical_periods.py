@@ -14,7 +14,6 @@ import math
 from periodkit import (PotentialSystem, find_critical_periods,
                        find_two_pi_levels, run_verify, two_pi_brackets)
 
-TWO_PI = 2 * math.pi
 K_MAX = 8
 
 sys = PotentialSystem(1.0)
@@ -25,8 +24,8 @@ print(f"bracket pairs for lam = 1 (k = 1..{K_MAX}):")
 print("  k     h_k        T(h_k)-2pi     hbar_k     T(hbar_k)-2pi")
 brackets = two_pi_brackets(sys, K_MAX)
 for br in brackets:
-    print(f"  {br.k:2d}  {br.h_lo:9.2f}   {br.T_lo - TWO_PI:+.6f}    "
-          f"{br.h_hi:9.2f}    {br.T_hi - TWO_PI:+.6f}")
+    print(f"  {br.k:2d}  {br.h_lo:9.2f}   {br.dev_lo:+.6f}    "
+          f"{br.h_hi:9.2f}    {br.dev_hi:+.6f}")
 print("every left end sits above 2*pi and every right end below: "
       f"{all(br.sign_lo >= 0 >= br.sign_hi for br in brackets)}\n")
 

@@ -57,8 +57,9 @@ class CriticalPeriod:
 
 @dataclass(frozen=True)
 class TwoPiBracket:
-    """One bracketing pair (h_lo, h_hi) with the measured signs of T - 2*pi
-    at the ends; sign_lo * sign_hi <= 0 whenever the center is valid."""
+    """One bracketing pair (h_lo, h_hi) with the measured deviations
+    dev = T - 2*pi at the ends, their error estimates and their signs;
+    sign_lo * sign_hi <= 0 whenever the center is valid."""
 
     k: int
     h_lo: float
@@ -69,6 +70,8 @@ class TwoPiBracket:
     T_hi: float
     err_lo: float
     err_hi: float
+    dev_lo: float
+    dev_hi: float
     degenerate: bool = False
 
 
@@ -205,41 +208,42 @@ def bracket_amplitudes(k: int) -> tuple[float, float]:
 
 
 def two_pi_brackets(sys: PotentialSystem, k_max: int) -> list[TwoPiBracket]:
-    """The first k_max bracketing pairs with measured periods and signs.
+    """The first k_max bracketing pairs with measured deviations and signs.
 
-    All 2*k_max ends are measured in one batched quadrature.  Raises
-    SignViolation if a measured period contradicts the inequality its end is
-    supposed to satisfy by more than 10x the quadrature error; that means
-    the computation, not the orbit, is wrong.
+    All 2*k_max ends are measured in one batched call of the deviation
+    integral, which does not round at the ulp of 2*pi however small lam is;
+    each end's sign is that of its deviation beyond its error estimate, 0
+    within it.  Raises NoConvergence if an end's integral does not
+    converge, and SignViolation if a deviation contradicts the inequality
+    its end is supposed to satisfy by more than 10x its error estimate; that
+    means the computation, not the orbit, is wrong.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     require_valid(sys, (2.0 * k_max + 1.0) * math.pi + 1.0)
 
     direction = 0 if sys.lam == 0.0 else (1 if sys.lam > 0.0 else -1)
-    ends = period_samples(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]))
+    ends = period_deviations(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]))
     out = []
     for k in range(1, k_max + 1):
         h_lo = 2.0 * (k * math.pi) ** 2
         h_hi = 0.5 * ((2 * k + 1) * math.pi) ** 2 + 2.0 * sys.lam
-        s_lo = require_converged(ends[2 * k - 2])
-        s_hi = require_converged(ends[2 * k - 1])
-        dev_lo = s_lo.T - TWO_PI
-        dev_hi = s_hi.T - TWO_PI
+        lo, hi = ends[2 * k - 2], ends[2 * k - 1]
         if direction != 0:
-            if direction * dev_lo < -SIGN_VIOLATION_FACTOR * s_lo.err_est:
+            if direction * lo.value < -SIGN_VIOLATION_FACTOR * lo.err_est:
                 raise SignViolation(
-                    f"T(h_{k}) - 2*pi = {dev_lo:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={s_lo.err_est:.3e})")
-            if direction * dev_hi > SIGN_VIOLATION_FACTOR * s_hi.err_est:
+                    f"T(h_{k}) - 2*pi = {lo.value:.3e} violates its inequality "
+                    f"(lam={sys.lam:g}, err={lo.err_est:.3e})")
+            if direction * hi.value > SIGN_VIOLATION_FACTOR * hi.err_est:
                 raise SignViolation(
-                    f"T(hbar_{k}) - 2*pi = {dev_hi:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={s_hi.err_est:.3e})")
-        sign_lo = _sign_with_tol(dev_lo, s_lo.err_est)
-        sign_hi = _sign_with_tol(dev_hi, s_hi.err_est)
+                    f"T(hbar_{k}) - 2*pi = {hi.value:.3e} violates its inequality "
+                    f"(lam={sys.lam:g}, err={hi.err_est:.3e})")
+        sign_lo = _sign_with_tol(lo.value, lo.err_est)
+        sign_hi = _sign_with_tol(hi.value, hi.err_est)
         out.append(TwoPiBracket(
             k=k, h_lo=h_lo, h_hi=h_hi, sign_lo=sign_lo, sign_hi=sign_hi,
-            T_lo=s_lo.T, T_hi=s_hi.T, err_lo=s_lo.err_est, err_hi=s_hi.err_est,
+            T_lo=TWO_PI + lo.value, T_hi=TWO_PI + hi.value, err_lo=lo.err_est,
+            err_hi=hi.err_est, dev_lo=lo.value, dev_hi=hi.value,
             degenerate=(sign_lo == 0 and sign_hi == 0)))
     return out
 
@@ -266,7 +270,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
     devs = np.reshape(deviations(grids.ravel()), (-1, 9))
     x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
     d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
-    cross = d0 * d1 <= 0.0  # a zero end is its own root
+    cross = np.sign(d0) * np.sign(d1) <= 0.0  # a zero end is its own root; no underflow
     roots = _refine(deviations, x0[cross], x1[cross], d0[cross], d1[cross], LEVEL_REFINE_REL)
     return sorted(sys.G(roots).tolist())
 

@@ -16,10 +16,10 @@ every other node; one call serves an array of arguments, each stopping at
 its own node count.  Both routes floor their bounds at the value's rounding.
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
-= 2*pi*J1(xi) for both the verification report and the CLI's `bessel
-identity`, and series_integral_gap the agreement of the series and integral
-routes for the report; each is one series and one trapezoid pass.  This
-module returns numbers only; the payload format lives in report.py.
+= 2*pi*J1(xi) for the CLI's `bessel identity`, in one series and one
+trapezoid pass; the verification report checks the series against the
+period's coupling derivative at lam = 0 instead.  This module returns
+numbers only; the payload format lives in report.py.
 
 Zeros are bracketed from the zeros (k + 1/4)*pi of the large-argument form
 sqrt(2/(pi*xi)) * cos(xi - 3*pi/4) and refined all together by the analysis
@@ -60,16 +60,12 @@ def _require_arg(xi: float) -> None:
         raise ValueError(f"xi must be finite and >= 0, got {xi}")
 
 
-def _require_series_arg(xi: float) -> None:
-    _require_arg(xi)
-    if xi > SERIES_MAX_ARG:
-        raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
-
-
 def j1_series(xi: float) -> BesselEval:
     """Power-series evaluation, valid for 0 <= xi <= 14: the array pass
     _series on the one argument xi."""
-    _require_series_arg(xi)
+    _require_arg(xi)
+    if xi > SERIES_MAX_ARG:
+        raise RangeExceeded(f"series route limited to xi <= {SERIES_MAX_ARG:g}, got {xi:g}")
     xi = abs(xi)  # -0.0 as 0.0, as j1_integral has it
     value, err = (float(v[0]) for v in _series(np.array([xi], dtype=float)))
     return BesselEval(xi=xi, value=value, method="series", err_bound=err)
@@ -204,11 +200,3 @@ def identity_gap(xi_max: float, n: int) -> float:
     j1_values[low] = _series(xs[low])[0]
     return float(np.max(np.abs(raw - TWO_PI * j1_values)))
 
-
-def series_integral_gap(xs) -> float:
-    """max |j1_series(x) - j1_integral(x)| over the arguments xs, each in
-    [0, SERIES_MAX_ARG], from one series and one trapezoid pass."""
-    xs = np.asarray(xs, dtype=float)
-    for x in xs.tolist():
-        _require_series_arg(x)
-    return float(np.max(np.abs(_series(xs)[0] - _variational(xs)[0] / TWO_PI)))

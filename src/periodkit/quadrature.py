@@ -406,9 +406,15 @@ def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     return _estimates(_slope_integrand, sys, xi)[0]
 
 
+def coupling_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
+    """dT/dlam, the amplitude held fixed, at every amplitude x > 0 of the
+    array xi, in one pass of the engine; raises like period_slopes."""
+    return _estimates(_coupling_integrand, sys, xi)
+
+
 def coupling_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dlam at the amplitude xi > 0, the amplitude held fixed."""
-    return _estimates(_coupling_integrand, sys, xi)[0]
+    return coupling_slopes(sys, xi)[0]
 
 
 def period_derivative(sys: PotentialSystem, h: float) -> float:

@@ -10,8 +10,7 @@ from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
 from periodkit.errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                               NonMonotoneEnergy, SignViolation)
 from periodkit.model import PotentialSystem, energy_to_amplitude
-from periodkit.quadrature import (DerivativeEstimate, PeriodSample,
-                                  period_at_amplitude, period_derivative)
+from periodkit.quadrature import DerivativeEstimate, period_at_amplitude, period_derivative
 from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
@@ -332,15 +331,25 @@ def test_two_pi_brackets_swapped_signs(lam):
 
 
 def test_sign_violation_raised_on_contradiction(monkeypatch):
-    # force a measured period on the wrong side of 2*pi by far more than
-    # its error estimate: the bracket must refuse to continue
+    # force a measured deviation T - 2*pi on the wrong side of 0 by far
+    # more than its error estimate: the bracket must refuse to continue
     def fake(sys, xi):
-        return [PeriodSample(lam=sys.lam, xi=x, h=float(sys.G(x)),
-                             T=TWO_PI - 0.1, err_est=1e-12) for x in xi]
+        return [DerivativeEstimate(value=-0.1, err_est=1e-12) for _ in xi]
 
-    monkeypatch.setattr(analysis, "period_samples", fake)
+    monkeypatch.setattr(analysis, "period_deviations", fake)
     with pytest.raises(SignViolation):
         two_pi_brackets(PotentialSystem(1.0), 1)
+
+
+@pytest.mark.parametrize("lam", [1e-12, -1e-12])
+def test_two_pi_brackets_resolve_every_sign_at_tiny_coupling(lam):
+    # T - 2*pi ~ 1e-15 here; taken as T - TWO_PI it rounded at the ulp of
+    # 2*pi, which left 5 or 6 of 20 brackets degenerate and 11 or 12 signs 0
+    direction = 1 if lam > 0.0 else -1
+    for br in two_pi_brackets(PotentialSystem(lam), 20):
+        assert not br.degenerate
+        assert (br.sign_lo, br.sign_hi) == (direction, -direction), br.k
+        assert direction * br.dev_lo > br.err_lo and -direction * br.dev_hi > br.err_hi
 
 
 # ------------------------------------------------------------- 2*pi levels
@@ -381,6 +390,18 @@ def test_two_pi_levels_hold_their_accuracy_at_tiny_coupling(lam):
     assert len(xs) == 5
     for x, dev, slope in zip(xs, quadrature.period_deviations(s, xs), quadrature.period_slopes(s, xs)):
         assert abs(dev.value / slope.value) <= 1e-11 * x
+
+
+@pytest.mark.parametrize("lam", [1e-200, -1e-300])
+def test_two_pi_levels_where_products_of_deviations_underflow(lam):
+    # the scan's deviations are ~lam; their products underflowed to 0, read
+    # as a sign change in every grid cell, and the refinement raised
+    # BracketFailure on cells with none
+    s = PotentialSystem(lam)
+    brackets = two_pi_brackets(s, 5)
+    levels = find_two_pi_levels(s, brackets)
+    assert len(levels) == 5
+    assert all(br.h_lo < h < br.h_hi for br, h in zip(brackets, levels))
 
 
 # ------------------------------------------------------------- expansion

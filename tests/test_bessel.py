@@ -7,7 +7,7 @@ import pytest
 
 import periodkit.bessel as bessel
 from periodkit.bessel import (identity_gap, j1, j1_integral, j1_series, j1_zeros,
-                              series_integral_gap, variational_integral)
+                              variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
 
 PI = math.pi
@@ -34,7 +34,7 @@ def test_series_reference_values():
     assert j1_series(0.2).value == pytest.approx(0.1 - 0.0005 + 0.2**5 / 384, abs=1e-9)
 
 
-IDENTITY_GRID = np.linspace(0.0, 20.0, 60)  # the verify's identity_gap grid
+IDENTITY_GRID = np.linspace(0.0, 20.0, 60)  # a 60-point identity_gap grid
 # arguments whose (x/2)**2 rounds differently under np.square than under
 # Python's **, which changes the series in its last bit
 SQUARING_WITNESSES = np.array([7.324682871947078, 11.203767423119835, 3.912252204480078])
@@ -43,6 +43,7 @@ SQUARING_WITNESSES = np.array([7.324682871947078, 11.203767423119835, 3.91225220
 @pytest.mark.parametrize("xs", [*np.linspace(0.1, 14.0, 29)] + [
     pytest.param(IDENTITY_GRID[IDENTITY_GRID <= 12.0], id="identity-grid"),
     pytest.param(np.linspace(0.0, 12.0, 60), id="series-integral-grid"),
+    pytest.param(np.linspace(0.2, 12.0, 60), id="bessel-link-grid"),
     pytest.param(np.linspace(0.0, 14.0, 821), id="821-in-0-14"),
     pytest.param(SQUARING_WITNESSES, id="squaring-witnesses")])
 def test_series_against_exact_arithmetic(xs):
@@ -137,11 +138,6 @@ def test_batched_trapezoid_matches_one_argument_calls():
     grid = np.linspace(0.0, 20.0, 120)
     assert identity_gap(20.0, 120) == max(
         abs(variational_integral(x) - TWO_PI * j1(x).value) for x in grid.tolist())
-    grid = np.linspace(0.0, 12.0, 60)
-    assert series_integral_gap(grid) == max(
-        abs(j1_series(x).value - j1_integral(x).value) for x in grid.tolist())
-    with pytest.raises(ValueError, match="got -1"):
-        series_integral_gap([1.0, -1.0])
 
 
 def test_integrand_at_the_end_node(monkeypatch):

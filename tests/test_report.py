@@ -3,12 +3,14 @@ import math
 
 import pytest
 
+import periodkit.analysis as analysis
+import periodkit.quadrature as quadrature
 from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import period_at_amplitude
-from periodkit.report import (CHECK_NAMES, _check_small_h, fmt_float, report_to_dict,
-                              report_to_json, run_verify, sample_dicts,
+from periodkit.quadrature import DerivativeEstimate, period_at_amplitude
+from periodkit.report import (CHECK_NAMES, _check_bessel_link, _check_small_h, fmt_float,
+                              report_to_dict, report_to_json, run_verify, sample_dicts,
                               samples_to_csv, to_json)
 
 TWO_PI = 2 * math.pi
@@ -91,6 +93,47 @@ def test_report_serialization_deterministic():
     assert d["passed"] is True
     assert list(d["checks"]) == list(CHECK_NAMES)
     json.loads(report_to_json(a))  # valid JSON
+
+
+def test_check_names():
+    assert CHECK_NAMES == ("small-h", "opial", "bessel-link", "oracle-agreement",
+                           "alternation", "sign-brackets")
+
+
+@pytest.mark.parametrize("factor", [-1.0, 1.0 + 1e-11])
+def test_bessel_link_fails_on_a_wrong_coupling_integrand(monkeypatch, factor):
+    # dT/dlam at lam = 0 is -2*pi*J1(xi)/xi, of order 1 on [0.2, 12]: a
+    # flipped sign, or a relative error of 1e-11, is past the 1e-12 bound
+    check = _check_bessel_link()
+    assert check.passed and check.margin > 0.0
+    integrand = quadrature._coupling_integrand
+    monkeypatch.setattr(quadrature, "_coupling_integrand",
+                        lambda *args: factor * integrand(*args))
+    check = _check_bessel_link()
+    assert not check.passed and check.margin < 0.0
+
+
+@pytest.mark.parametrize("planted", [
+    pytest.param(lambda d: -d.value, id="flipped"),
+    pytest.param(lambda d: 0.5 * d.err_est, id="within-its-error"),
+    pytest.param(lambda d: -2.0 * d.err_est, id="wrong-side-within-the-violation-factor")])
+def test_sign_brackets_fails_on_one_planted_end(monkeypatch, planted):
+    # at lam = 1e-8 every |T - 2*pi| at a bracket end is below 2.1e-9, so an
+    # absolute tolerance of 1e-8 passed whatever the signs; each end's
+    # deviation must clear its own error estimate instead
+    check = run_verify(1e-8, 5).checks["sign-brackets"]
+    assert check.passed and check.margin > 0.0
+    deviations = analysis.period_deviations
+
+    def planted_deviations(sys, xi):
+        devs = deviations(sys, xi)
+        if len(devs) == 10:  # the bracket ends of k_max = 5; 2 is 4*pi, T > 2*pi
+            devs[2] = DerivativeEstimate(planted(devs[2]), devs[2].err_est)
+        return devs
+
+    monkeypatch.setattr(analysis, "period_deviations", planted_deviations)
+    check = run_verify(1e-8, 5).checks["sign-brackets"]
+    assert not check.passed and check.margin < 0.0
 
 
 @pytest.mark.parametrize("lam", [-1e-12, -1e-8, 1e-12, 1e-8])
