@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
-from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, coupling_slope,
-                         period_deviations, period_samples, period_slopes,
-                         require_converged)
+from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, coupling_slopes,
+                         period_deviations, period_samples, period_slopes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,13 +45,15 @@ REFINE_MAXITER = 2046
 @dataclass(frozen=True)
 class CriticalPeriod:
     """A refined extremum of T: T' changes sign across
-    [xi_star - refine_err, xi_star + refine_err]."""
+    [xi_star - refine_err, xi_star + refine_err].  dev_star = T_star - 2*pi
+    from the deviation integral keeps the digits T_star rounds away."""
 
     xi_star: float
     h_star: float
     T_star: float
     kind: str                      # "max" iff T' goes + -> -
     refine_err: float
+    dev_star: float
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,8 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalP
     require_valid(sys, xi_max + 1.0)
 
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
-    slopes = period_slopes(sys, grid)
-    value = np.array([s.value for s in slopes])
-    drowned = np.abs(value) < [s.err_est for s in slopes]
+    value, err = period_slopes(sys, grid)
+    drowned = np.abs(value) < err
     drowned = drowned[:-1] & drowned[1:]
     change = np.sign(value[:-1]) * np.sign(value[1:]) < 0.0
     for i in np.flatnonzero(change & drowned):
@@ -136,12 +136,12 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalP
 
     i = np.flatnonzero(change & ~drowned)
     xrtol = 0.5 * CRITICAL_REFINE_REL
-    xi_star = _refine(lambda x: [s.value for s in period_slopes(sys, x)],
+    xi_star = _refine(lambda x: period_slopes(sys, x)[0],
                       grid[i], grid[i + 1], value[i], value[i + 1], xrtol)
-    return [CriticalPeriod(xi_star=s.xi, h_star=s.h, T_star=require_converged(s).T,
-                           kind="max" if v > 0.0 else "min",
-                           refine_err=(xrtol + 4.0 * EPS) * s.xi)
-            for s, v in zip(period_samples(sys, xi_star), value[i])]
+    devs = period_deviations(sys, xi_star)[0].tolist()
+    return [CriticalPeriod(xi_star=x, h_star=h, T_star=TWO_PI + d, dev_star=d,
+                           kind="max" if v > 0.0 else "min", refine_err=(xrtol + 4.0 * EPS) * x)
+            for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), devs, value[i])]
 
 
 def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
@@ -223,28 +223,27 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int) -> list[TwoPiBracket]:
     require_valid(sys, (2.0 * k_max + 1.0) * math.pi + 1.0)
 
     direction = 0 if sys.lam == 0.0 else (1 if sys.lam > 0.0 else -1)
-    ends = period_deviations(sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)]))
+    devs, errs = (a.reshape(-1, 2).tolist() for a in period_deviations(
+        sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)])))
     out = []
-    for k in range(1, k_max + 1):
+    for k, (dev_lo, dev_hi), (err_lo, err_hi) in zip(range(1, k_max + 1), devs, errs):
         h_lo = 2.0 * (k * math.pi) ** 2
         h_hi = 0.5 * ((2 * k + 1) * math.pi) ** 2 + 2.0 * sys.lam
-        lo, hi = ends[2 * k - 2], ends[2 * k - 1]
         if direction != 0:
-            if direction * lo.value < -SIGN_VIOLATION_FACTOR * lo.err_est:
+            if direction * dev_lo < -SIGN_VIOLATION_FACTOR * err_lo:
                 raise SignViolation(
-                    f"T(h_{k}) - 2*pi = {lo.value:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={lo.err_est:.3e})")
-            if direction * hi.value > SIGN_VIOLATION_FACTOR * hi.err_est:
+                    f"T(h_{k}) - 2*pi = {dev_lo:.3e} violates its inequality "
+                    f"(lam={sys.lam:g}, err={err_lo:.3e})")
+            if direction * dev_hi > SIGN_VIOLATION_FACTOR * err_hi:
                 raise SignViolation(
-                    f"T(hbar_{k}) - 2*pi = {hi.value:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={hi.err_est:.3e})")
-        sign_lo = _sign_with_tol(lo.value, lo.err_est)
-        sign_hi = _sign_with_tol(hi.value, hi.err_est)
+                    f"T(hbar_{k}) - 2*pi = {dev_hi:.3e} violates its inequality "
+                    f"(lam={sys.lam:g}, err={err_hi:.3e})")
+        sign_lo = _sign_with_tol(dev_lo, err_lo)
+        sign_hi = _sign_with_tol(dev_hi, err_hi)
         out.append(TwoPiBracket(
             k=k, h_lo=h_lo, h_hi=h_hi, sign_lo=sign_lo, sign_hi=sign_hi,
-            T_lo=TWO_PI + lo.value, T_hi=TWO_PI + hi.value, err_lo=lo.err_est,
-            err_hi=hi.err_est, dev_lo=lo.value, dev_hi=hi.value,
-            degenerate=(sign_lo == 0 and sign_hi == 0)))
+            T_lo=TWO_PI + dev_lo, T_hi=TWO_PI + dev_hi, err_lo=err_lo, err_hi=err_hi,
+            dev_lo=dev_lo, dev_hi=dev_hi, degenerate=(sign_lo == 0 and sign_hi == 0)))
     return out
 
 
@@ -264,7 +263,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
 
     def deviations(x):
-        return [d.value for d in period_deviations(sys, x)]
+        return period_deviations(sys, x)[0]
 
     grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
     devs = np.reshape(deviations(grids.ravel()), (-1, 9))
@@ -292,14 +291,14 @@ def small_h_check(sys: PotentialSystem, h_list) -> LowEnergyReport:
     root = math.sqrt(1.0 + sys.lam)
     dev0 = -TWO_PI * sys.lam / (root * (1.0 + root))  # T(0+) - 2*pi
     dt0 = sys.center_asymptotics()[1]
-    devs = period_deviations(sys, [energy_to_amplitude(sys, h) for h in hs])
-    res = [d.value - dev0 - dt0 * h for d, h in zip(devs, hs)]
+    xs = [energy_to_amplitude(sys, h) for h in hs]
+    devs, errs = (a.tolist() for a in period_deviations(sys, xs))
+    res = [d - dev0 - dt0 * h for d, h in zip(devs, hs)]
     orders = [math.nan if r0 == 0.0 or r1 == 0.0 or h0 == h1
               else math.log(abs(r0 / r1)) / math.log(h0 / h1)
               for r0, r1, h0, h1 in zip(res, res[1:], hs, hs[1:])]
-    return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(TWO_PI + d.value for d in devs),
-                           residual=tuple(res), orders=tuple(orders),
-                           err_est=tuple(d.err_est for d in devs))
+    return LowEnergyReport(lam=sys.lam, h=tuple(hs), T=tuple(TWO_PI + d for d in devs),
+                           residual=tuple(res), orders=tuple(orders), err_est=tuple(errs))
 
 
 def opial_indicator(sys: PotentialSystem, x):
@@ -359,4 +358,5 @@ def lam_derivative_at_zero(xi: float) -> DerivativeEstimate:
     of the linear center), so its zeros in xi are the positive zeros of J1
     and its xi -> 0 limit is -pi.
     """
-    return coupling_slope(PotentialSystem(0.0), xi)
+    value, err = coupling_slopes(PotentialSystem(0.0), xi)
+    return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))

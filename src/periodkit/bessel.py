@@ -13,11 +13,13 @@ stopping at its own term.  The integral route is the periods' engine,
 quadrature._periodic: a full-period trapezoid rule on an entire integrand,
 which converges geometrically, doubling until it agrees with the rule on
 every other node; one call serves an array of arguments, each stopping at
-its own node count.  Both routes floor their bounds at the value's rounding.
+its own node count, its integrand reading s from the engine's node triple.
+Both routes floor their bounds at the value's rounding.
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds
-= 2*pi*J1(xi) for the CLI's `bessel identity`, in one series and one
-trapezoid pass; the verification report checks the series against the
+= 2*pi*J1(xi) on [0, SERIES_MAX_ARG] for the CLI's `bessel identity`, J1
+from the series at every point: one series and one trapezoid pass, which
+share no code.  The verification report checks the series against the
 period's coupling derivative at lam = 0 instead.  This module returns
 numbers only; the payload format lives in report.py.
 
@@ -109,8 +111,8 @@ def _variational(xi) -> tuple[np.ndarray, np.ndarray]:
     even and pi-periodic, so this is 4 times the integral over [0, pi/2],
     taken to TRAPEZOID_TOL relative to that of |sin(x cos s) cos s|."""
     xi = np.asarray(xi, dtype=float)
-    value, err, ok = _periodic(lambda rows, s: np.sin(xi[rows, None] * np.cos(s)) * np.cos(s),
-                               xi, TRAPEZOID_TOL, ROUNDING_FLOOR)
+    value, err, ok = _periodic(lambda rows, nodes: np.sin(xi[rows, None] * np.cos(nodes[0]))
+                               * np.cos(nodes[0]), xi, TRAPEZOID_TOL, ROUNDING_FLOOR)
     if not ok.all():
         i = int(np.argmin(ok))
         raise NoConvergence(f"periodic trapezoid did not converge at xi={xi[i]:.6g}",
@@ -185,18 +187,16 @@ def j1_zeros(n: int) -> list[float]:
 
 def identity_gap(xi_max: float, n: int) -> float:
     """max |variational_integral(x) - 2*pi*J1(x)| over n >= 2 equispaced x
-    in [0, xi_max]; IDENTITY_TOL bounds it.  One trapezoid pass serves every
-    x, and also gives J1 beyond SERIES_SWITCH, as the dispatcher would: there
-    J1 *is* the integral over 2*pi, so the gap compares the integral with
-    itself and only the x <= SERIES_SWITCH part tests the identity."""
+    in [0, xi_max], xi_max <= SERIES_MAX_ARG, with J1 from the power series
+    at every x: one trapezoid and one series pass.  IDENTITY_TOL bounds it.
+    Beyond SERIES_MAX_ARG the only J1 left is the integral itself, so a
+    larger xi_max raises RangeExceeded."""
     if not (0.0 < xi_max < math.inf):
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    if xi_max > SERIES_MAX_ARG:
+        raise RangeExceeded(f"identity sweep limited to xi_max <= {SERIES_MAX_ARG:g}, got {xi_max:g}")
     if n < 2:
         raise ValueError(f"identity grid needs n >= 2 points, got {n}")
     xs = np.linspace(0.0, xi_max, n)
-    raw = _variational(xs)[0]
-    j1_values = raw / TWO_PI
-    low = xs <= SERIES_SWITCH
-    j1_values[low] = _series(xs[low])[0]
-    return float(np.max(np.abs(raw - TWO_PI * j1_values)))
+    return float(np.max(np.abs(_variational(xs)[0] - TWO_PI * _series(xs)[0])))
 

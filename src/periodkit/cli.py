@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=("j1", "zeros", "identity"))
     p.add_argument("--xi", type=float, help="argument for j1")
     p.add_argument("--n", type=int, help="zero count / identity grid size")
-    p.add_argument("--xi-max", type=float, default=20.0,
-                   help="identity sweep upper end (default 20)")
+    p.add_argument("--xi-max", type=float, default=14.0,
+                   help="identity sweep upper end, at most 14 (default 14)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full verification pipeline (JSON report)")

@@ -34,7 +34,9 @@ geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
 One engine, _periodic, integrates a whole array of amplitudes at once,
 each stopping at its own node count while those that share a count share
 each integrand evaluation: a scan is one call of it, a single period the
-same call with one amplitude, and bessel's J1 integral another call.
+same call with one amplitude, and bessel's J1 integral another call.  Its
+integrands take a read-only node triple (phi, cos(u)^2, sin(u)^2), and the
+batched functions below return its (value, err_est) arrays as they are.
 """
 
 from __future__ import annotations
@@ -91,13 +93,13 @@ NILPOTENT_DERIVATIVE_XI_MIN = math.sqrt(24.0) * (MAX_NODES / float(np.finfo(floa
 # evaluated in chunks, so memory stays bounded however many integrals arrive.
 EVAL_NODES = 2 ** 15
 
-# Passes of at most CACHE_NODES nodes keep their nodes, read-only, with the
-# cos(u)^2 and sin(u)^2 that _arguments takes of them: the first passes to
-# 4096 intervals and the later ones to 8192, 16,328 nodes and 0.37 MiB in
-# all, whatever the calls.  Longer passes build their nodes as they go.
+# Passes of at most CACHE_NODES nodes keep their node triple (phi, cos(u)^2,
+# sin(u)^2), read-only: first passes to 4096 intervals, later ones to 8192,
+# 16,328 nodes and 0.37 MiB in all.  Each key is written once, whole, so
+# racing threads at most build the same arrays twice.  Longer passes build
+# the triple once per chunk.
 CACHE_NODES = 4097
-_NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> nodes
-_SQUARES: dict = {}  # id(nodes) -> (nodes, cos(u)^2, sin(u)^2)
+_NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> node triple
 
 # Taylor coefficients of s3(x) = (sin(x) - x*cos(x))/x^3 = sum_n c_n x^(2n),
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
@@ -134,18 +136,16 @@ class DerivativeEstimate:
 
 
 def _squares(phi):
-    """(cos(u)^2, sin(u)^2) at the nodes phi, u = pi/4 - phi/2."""
+    """The node triple (phi, cos(u)^2, sin(u)^2) at the nodes phi, u = pi/4 - phi/2."""
     u = 0.25 * math.pi - 0.5 * phi
-    return np.cos(u) ** 2, np.sin(u) ** 2
+    return phi, np.cos(u) ** 2, np.sin(u) ** 2
 
 
-def _arguments(xi, phi):
-    """(cos(u)^2, sin(u)^2, a, b) at the nodes phi for a column of amplitudes
-    xi, the squares from the node cache where phi is cached; b = 0 at the
-    turning point u = 0, and b >= TINY gives sinc(b) and s3(b) their limits
-    1 and 1/3 there without 0/0."""
-    cached = _SQUARES.get(id(phi))  # an entry holds its nodes, so ids stay unique
-    c2, s2 = cached[1:] if cached is not None else _squares(phi)
+def _arguments(xi, nodes):
+    """(cos(u)^2, sin(u)^2, a, b) at the node triple nodes for a column of
+    amplitudes xi; b = 0 at the turning point u = 0, and b >= TINY gives
+    sinc(b) and s3(b) their limits 1 and 1/3 there without 0/0."""
+    _, c2, s2 = nodes
     return c2, s2, xi * c2, np.maximum(xi * s2, TINY)
 
 
@@ -194,38 +194,38 @@ def _s3(x, sinc_x):
     return out
 
 
-def _period_integrand(sys: PotentialSystem, xi, phi):
-    _, _, a, b = _arguments(xi, phi)
+def _period_integrand(sys: PotentialSystem, xi, nodes):
+    _, _, a, b = _arguments(xi, nodes)
     _, _, w = _well(sys, xi, a, b)
     return 4.0 / np.sqrt(w)
 
 
-def _deviation_integrand(sys: PotentialSystem, xi, phi):
+def _deviation_integrand(sys: PotentialSystem, xi, nodes):
     # 4/sqrt(w) - 4, rationalized: 1 - w = -lam*s, so nothing cancels; lam
     # multiplies last, so a subnormal lam rounds once, not at every factor
-    _, _, a, b = _arguments(xi, phi)
+    _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     r = np.sqrt(w)
     return sa * sb / (r * (1.0 + r)) * (-4.0 * sys.lam)
 
 
-def _slope_integrand(sys: PotentialSystem, xi, phi):
+def _slope_integrand(sys: PotentialSystem, xi, nodes):
     # d/dxi of 4/sqrt(w) is -2*lam*(ds/dxi)/w^(3/2), and d sinc(a)/dxi =
     # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
-    c2, s2, a, b = _arguments(xi, phi)
+    c2, s2, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     q = (c2 * c2) * _s3(a, sa) * sb + (s2 * s2) * sa * _s3(b, sb)
     return q / (w * np.sqrt(w)) * xi * (2.0 * sys.lam)
 
 
-def _coupling_integrand(sys: PotentialSystem, xi, phi):
-    _, _, a, b = _arguments(xi, phi)
+def _coupling_integrand(sys: PotentialSystem, xi, nodes):
+    _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     return sa * sb / (w * np.sqrt(w)) * -2.0
 
 
 def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
-    """_periodic at REL_TOL of integrand(sys, xi, phi), one integral per
+    """_periodic at REL_TOL of integrand(sys, xi, nodes), one integral per
     amplitude in xi.  Its rounding floor: where w is taken directly it
     cancels as g(xi) at the turning point, and T goes as w^-1/2; a
     derivative goes as w^-3/2, and it and the deviation T - 2*pi are carried
@@ -237,14 +237,16 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool 
     if derivative:
         floor += 0.5 * EPS * xi
     floor = np.maximum(ROUNDING_FLOOR, floor)
-    return _periodic(lambda rows, phi: integrand(sys, xi[rows, None], phi), xi, REL_TOL, floor)
+    return _periodic(lambda rows, nodes: integrand(sys, xi[rows, None], nodes),
+                     xi, REL_TOL, floor)
 
 
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     """(value, err_est, converged) arrays of len(xi) integrals over
-    [0, pi/2] by the trapezoid rule, f(rows, v) giving integrand rows[i] at
-    the nodes v in row i.  Each integrand must extend to an even, pi-periodic
-    analytic function whose bandwidth is that of cos(xi*cos v).
+    [0, pi/2] by the trapezoid rule, f(rows, nodes) giving integrand rows[i]
+    in row i at the node triple nodes = (v, cos(u)^2, sin(u)^2), u = pi/4 -
+    v/2, which it must not write.  Each integrand must extend to an even,
+    pi-periodic analytic function whose bandwidth is that of cos(xi*cos v).
 
     Integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), past the bandwidth:
     its first pass evaluates the 2N+1 nodes j*pi/(4N), which hold the rules
@@ -283,17 +285,16 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
 
 
 def _nodes(k: int, step: int, count: int):
-    """The count nodes j*pi/(2k), j = step - 1, 2*step - 1, ...: all of a
-    first pass (step 1) or the midpoints of a later one (step 2), cached
-    read-only with their squares (_arguments)."""
-    v = _NODES.get((k, step))
-    if v is None:
-        v = np.arange(step - 1, step * count, step) * (HALF_PI / k)
-        squares = _squares(v)
-        for array in (v, *squares):
+    """The node triple of the count nodes j*pi/(2k), j = step - 1,
+    2*step - 1, ...: all of a first pass (step 1) or the midpoints of a
+    later one (step 2), cached read-only."""
+    nodes = _NODES.get((k, step))
+    if nodes is None:
+        nodes = _squares(np.arange(step - 1, step * count, step) * (HALF_PI / k))
+        for array in nodes:
             array.flags.writeable = False
-        _NODES[k, step], _SQUARES[id(v)] = v, (v, *squares)
-    return v
+        _NODES[k, step] = nodes
+    return nodes
 
 
 def _trapezoid(f, rows, intervals, last):
@@ -316,12 +317,13 @@ def _trapezoid(f, rows, intervals, last):
         count = k + 1 if first else k // 2
         width = min(count, EVAL_NODES)
         for j in range(0, count, width):
-            v = (_nodes(k, step, count) if count <= CACHE_NODES  # one chunk, j = 0
-                 else np.arange(step * j + step - 1, step * min(j + width, count), step) * h)
+            nodes = (_nodes(k, step, count) if count <= CACHE_NODES  # one chunk, j = 0
+                     else _squares(np.arange(step * j + step - 1, step * min(j + width, count),
+                                             step) * h))
             block = EVAL_NODES // width
             for i in range(0, rows.size if at is None else at.size, block):
                 part = slice(i, i + block) if at is None else at[i:i + block]
-                fx = f(rows[part], v)
+                fx = f(rows[part], nodes)
                 if first:
                     fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k
                     q[0, part] += 2.0 * h * fx[:, j % 2::2].sum(axis=1)
@@ -386,16 +388,16 @@ def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative",
             f"{what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
             f"at xi={xi[i]:.6g}, lam={sys.lam:g}",
             best=float(value[i]), err_est=float(err[i]))
-    return [DerivativeEstimate(value=v, err_est=e) for v, e in zip(value.tolist(), err.tolist())]
+    return value, err
 
 
-def period_deviations(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
+def period_deviations(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """T - 2*pi at every amplitude x > 0 of the array xi, to its own relative
     accuracy however close T lies to 2*pi; raises like period_slopes."""
     return _estimates(_deviation_integrand, sys, xi, "deviation", NILPOTENT_XI_MIN)
 
 
-def period_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
+def period_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """dT/dxi at every amplitude x > 0 of the array xi, in one pass of the
     engine; raises NoConvergence at the first one that did not converge."""
     return _estimates(_slope_integrand, sys, xi)
@@ -403,21 +405,17 @@ def period_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
 
 def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dxi at the amplitude xi > 0; its sign is that of T'(h)."""
-    return _estimates(_slope_integrand, sys, xi)[0]
+    value, err = period_slopes(sys, xi)
+    return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))
 
 
-def coupling_slopes(sys: PotentialSystem, xi) -> list[DerivativeEstimate]:
+def coupling_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """dT/dlam, the amplitude held fixed, at every amplitude x > 0 of the
     array xi, in one pass of the engine; raises like period_slopes."""
     return _estimates(_coupling_integrand, sys, xi)
 
 
-def coupling_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
-    """dT/dlam at the amplitude xi > 0, the amplitude held fixed."""
-    return coupling_slopes(sys, xi)[0]
-
-
 def period_derivative(sys: PotentialSystem, h: float) -> float:
     """T'(h) = (dT/dxi) / g(xi) on the energy level h > 0."""
     xi = energy_to_amplitude(sys, h)
-    return period_slope(sys, xi).value / float(sys.g(xi))
+    return float(period_slopes(sys, xi)[0][0]) / float(sys.g(xi))

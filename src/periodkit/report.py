@@ -98,7 +98,7 @@ def _check_bessel_link() -> CheckResult:
     # dT/dlam at lam = 0 from the coupling integrand against -2*pi*J1(xi)/xi
     # from the power series: two codes that share only the engine loop
     xs = np.linspace(0.2, 12.0, 60)
-    slopes = np.array([d.value for d in coupling_slopes(PotentialSystem(0.0), xs)])
+    slopes = coupling_slopes(PotentialSystem(0.0), xs)[0]
     gap = float(np.max(np.abs(slopes + TWO_PI * _series(xs)[0] / xs)))
     return CheckResult(gap <= 1e-12, 1e-12 - gap,
                        f"max |dT/dlam + 2*pi*J1(xi)/xi| at lam=0 = {gap:.3e} "
@@ -115,19 +115,19 @@ def _check_oracle(sys, xi_max) -> CheckResult:
 
 
 def _check_alternation(criticals, levels, k_max) -> CheckResult:
+    # order and gaps on T - 2*pi from the deviation integral: T rounds at the
+    # ulp of 2*pi, which at tiny |lam| is all of the gap
     kinds = [c.kind for c in criticals]
+    devs = [c.dev_star for c in criticals]
     alternates = all(kinds[i] != kinds[i + 1] for i in range(len(kinds) - 1))
-    ordered = all(
-        (criticals[i].T_star > criticals[i + 1].T_star) == (kinds[i] == "max")
-        for i in range(len(criticals) - 1))
+    ordered = all((devs[i] > devs[i + 1]) == (kinds[i] == "max") for i in range(len(devs) - 1))
     enough = len(criticals) >= max(k_max - 1, 1)
 
     interleaved = all(
         any(a < c.h_star < b for c in criticals)
         for a, b in zip(levels, levels[1:]))
 
-    gaps = [abs(criticals[i].T_star - criticals[i + 1].T_star)
-            for i in range(len(criticals) - 1)]
+    gaps = [abs(a - b) for a, b in zip(devs, devs[1:])]
     margin = min(gaps) if gaps else 0.0
     ok = alternates and ordered and enough and interleaved
     return CheckResult(ok, margin if ok else -1.0,

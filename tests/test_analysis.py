@@ -10,7 +10,7 @@ from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
 from periodkit.errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                               NonMonotoneEnergy, SignViolation)
 from periodkit.model import PotentialSystem, energy_to_amplitude
-from periodkit.quadrature import DerivativeEstimate, period_at_amplitude, period_derivative
+from periodkit.quadrature import period_at_amplitude, period_derivative
 from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
@@ -185,7 +185,7 @@ def test_ambiguous_bracket_warning(monkeypatch):
     # a derivative sign change drowned in its own error estimate at both
     # grid ends is reported and skipped, not refined into a fake extremum
     def noisy(sys, xi):
-        return [DerivativeEstimate(1e-12 if x < 4.0 else -1e-12, 1e-9) for x in xi]
+        return np.where(xi < 4.0, 1e-12, -1e-12), np.full(xi.shape, 1e-9)
 
     monkeypatch.setattr(analysis, "period_slopes", noisy)
     with pytest.warns(AmbiguousBracket):
@@ -334,7 +334,7 @@ def test_sign_violation_raised_on_contradiction(monkeypatch):
     # force a measured deviation T - 2*pi on the wrong side of 0 by far
     # more than its error estimate: the bracket must refuse to continue
     def fake(sys, xi):
-        return [DerivativeEstimate(value=-0.1, err_est=1e-12) for _ in xi]
+        return np.full(xi.shape, -0.1), np.full(xi.shape, 1e-12)
 
     monkeypatch.setattr(analysis, "period_deviations", fake)
     with pytest.raises(SignViolation):
@@ -388,8 +388,8 @@ def test_two_pi_levels_hold_their_accuracy_at_tiny_coupling(lam):
     s = PotentialSystem(lam)
     xs = [energy_to_amplitude(s, h) for h in find_two_pi_levels(s, two_pi_brackets(s, 5))]
     assert len(xs) == 5
-    for x, dev, slope in zip(xs, quadrature.period_deviations(s, xs), quadrature.period_slopes(s, xs)):
-        assert abs(dev.value / slope.value) <= 1e-11 * x
+    devs, slopes = quadrature.period_deviations(s, xs)[0], quadrature.period_slopes(s, xs)[0]
+    assert np.all(np.abs(devs / slopes) <= 1e-11 * np.array(xs))
 
 
 @pytest.mark.parametrize("lam", [1e-200, -1e-300])

@@ -9,6 +9,7 @@ import periodkit.bessel as bessel
 from periodkit.bessel import (identity_gap, j1, j1_integral, j1_series, j1_zeros,
                               variational_integral)
 from periodkit.errors import BracketFailure, RangeExceeded
+from periodkit.quadrature import _squares
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -59,6 +60,23 @@ def test_series_against_exact_arithmetic(xs):
 def test_series_range_guard():
     with pytest.raises(RangeExceeded):
         j1_series(14.5)
+    # past the series' range the identity would compare the integral with itself
+    with pytest.raises(RangeExceeded, match="xi_max <= 14, got 20"):
+        identity_gap(20.0, 200)
+
+
+def test_identity_gap_fails_on_a_planted_defect(monkeypatch):
+    # a relative error of 1e-9 in the integral above x = 12 must show; while
+    # J1 came from the integral there, the gap on [0, 20] passed with it
+    assert identity_gap(14.0, 200) <= bessel.IDENTITY_TOL
+    variational = bessel._variational
+
+    def planted(xi):
+        value, err = variational(xi)
+        return np.where(np.asarray(xi) > 12.0, value * (1.0 + 1e-9), value), err
+
+    monkeypatch.setattr(bessel, "_variational", planted)
+    assert identity_gap(14.0, 200) > bessel.IDENTITY_TOL
 
 
 def test_cross_method_agreement():
@@ -135,9 +153,9 @@ def test_batched_trapezoid_matches_one_argument_calls():
     for x, v, d in zip(xs.tolist(), values.tolist(), diffs.tolist()):
         alone = bessel._variational(np.array([x]))
         assert (v, d) == (alone[0][0], alone[1][0])
-    grid = np.linspace(0.0, 20.0, 120)
-    assert identity_gap(20.0, 120) == max(
-        abs(variational_integral(x) - TWO_PI * j1(x).value) for x in grid.tolist())
+    grid = np.linspace(0.0, 14.0, 120)
+    assert identity_gap(14.0, 120) == max(
+        abs(variational_integral(x) - TWO_PI * j1_series(x).value) for x in grid.tolist())
 
 
 def test_integrand_at_the_end_node(monkeypatch):
@@ -153,7 +171,7 @@ def test_integrand_at_the_end_node(monkeypatch):
     monkeypatch.setattr(bessel, "_periodic", capture)
     xs = np.array([1e-3, 0.5, 3.0, 100.0])
     bessel._variational(xs)
-    got = captured[0](np.arange(xs.size), np.array([0.0, PI / 2]))
+    got = captured[0](np.arange(xs.size), _squares(np.array([0.0, PI / 2])))
     assert np.all(np.isfinite(got))
     assert np.array_equal(got[:, 0], np.sin(xs))
     assert np.all(np.abs(got[:, 1]) <= xs * np.finfo(float).eps ** 2)

@@ -74,7 +74,14 @@ def test_bessel_subcommands(capsys):
 
     code, out, _ = run_cli(capsys, ["bessel", "identity", "--n", "40"])
     assert code == 0
-    assert json.loads(out)["passed"] is True
+    payload = json.loads(out)
+    assert payload["passed"] is True and payload["xi_max"] == 14.0
+
+    # above the series' range J1 would be the integral the identity checks
+    code, out, err = run_cli(capsys, ["bessel", "identity", "--xi-max", "20"])
+    assert code == 2
+    assert out == ""
+    assert "xi_max <= 14, got 20" in err
 
 
 def test_opial_json(capsys):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import mpmath
@@ -17,7 +18,7 @@ from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import LAM_C, X_MIN, PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import (EVAL_NODES, NILPOTENT_DERIVATIVE_XI_MIN, NILPOTENT_XI_MIN,
-                                  XI_MIN, coupling_slope, period_at_amplitude,
+                                  XI_MIN, coupling_slopes, period_at_amplitude,
                                   period_at_energy, period_derivative, period_deviations,
                                   period_samples, period_slope, period_slopes)
 from periodkit.oracle import orbit_period
@@ -117,10 +118,10 @@ def test_slope_at_tiny_amplitudes_follows_the_center(xi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = period_slope(s, xi)
-        coupling = coupling_slope(s, xi)
+        coupling_err = coupling_slopes(s, xi)[1][0]
     limit = s.center_asymptotics()[1] * (1 + s.lam) * xi
     assert abs(est.value - limit) <= 1e-12 * abs(limit)
-    assert est.err_est > 0.0 and coupling.err_est > 0.0
+    assert est.err_est > 0.0 and coupling_err > 0.0
 
 
 @pytest.mark.parametrize("xi", [NILPOTENT_DERIVATIVE_XI_MIN, 1e-50, 1e-20])
@@ -138,10 +139,10 @@ def test_derivatives_at_the_nilpotent_center_follow_the_quartic_well(xi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         slope = period_slope(s, xi)
-        dlam = coupling_slope(s, xi)
+        (dlam,), (dlam_err,) = coupling_slopes(s, xi)
     assert slope.value * xi * xi == pytest.approx(-period, rel=1e-12, abs=0)
-    assert dlam.value * xi ** 3 == pytest.approx(coupling, rel=1e-12, abs=0)
-    assert slope.err_est > 0.0 and dlam.err_est > 0.0
+    assert dlam * xi ** 3 == pytest.approx(coupling, rel=1e-12, abs=0)
+    assert slope.err_est > 0.0 and dlam_err > 0.0
 
 
 @pytest.mark.parametrize("xi", [XI_MIN, 2.3e-308, 5e-308])
@@ -164,9 +165,9 @@ def test_periods_and_derivatives_are_continuous_at_one(lam):
     below, one = np.nextafter(1.0, 0.0), 1.0
     a, b = period_samples(s, [below, one])
     assert abs(a.T - b.T) <= a.err_est + b.err_est
-    for f in (period_slope, coupling_slope):
-        a, b = f(s, below), f(s, one)
-        assert abs(a.value - b.value) <= a.err_est + b.err_est
+    for f in (period_slopes, coupling_slopes):
+        (a, b), (err_a, err_b) = f(s, [below, one])
+        assert abs(a - b) <= err_a + err_b
 
 
 @pytest.mark.parametrize("f", [period_slopes, period_deviations])
@@ -175,14 +176,15 @@ def test_defect_rows_in_a_mixed_batch_match_single_calls(f):
     # sin(x)/x above; a batch holding both gives each row as it comes alone
     s = PotentialSystem(-0.9)
     xs = [*np.linspace(0.05, 0.95, 10).tolist(), 2.0]
-    assert f(s, xs) == [f(s, [x])[0] for x in xs]
+    batch = np.array(f(s, xs))
+    assert np.array_equal(batch, np.hstack([f(s, [x]) for x in xs]))
 
 
 def test_derivatives_below_their_nilpotent_bound_are_refused():
     s = PotentialSystem(-1.0)
     xi = NILPOTENT_DERIVATIVE_XI_MIN / 2
     message = re.escape(f">= {NILPOTENT_DERIVATIVE_XI_MIN!r} at lam=-1, got {xi!r}") + "$"
-    for call in (period_slope, coupling_slope):
+    for call in (period_slope, coupling_slopes):
         with pytest.raises(ValueError, match=message):
             call(s, xi)
 
@@ -389,10 +391,10 @@ def test_deviation_is_the_period_less_two_pi(lam):
     # T - 2*pi taken from T would be rounding noise; 30-digit references
     s = PotentialSystem(lam)
     xs = [1e-3, 0.5, 3.0, 20.0, 100.0]
-    for x, dev in zip(xs, period_deviations(s, xs)):
+    for x, dev, err in zip(xs, *period_deviations(s, xs)):
         ref = _mp_period(lam, x, deviation=True)
-        assert abs(dev.value - ref) <= dev.err_est, (x, dev, ref)
-    assert period_deviations(PotentialSystem(0.0), xs)[0].value == 0.0
+        assert abs(dev - ref) <= err, (x, dev, ref)
+    assert period_deviations(PotentialSystem(0.0), xs)[0][0] == 0.0
 
 
 def _agree(a, b):
@@ -437,11 +439,11 @@ class _CountingIntegrand:
         self._f = quadrature._period_integrand
         monkeypatch.setattr(quadrature, "_period_integrand", self)
 
-    def __call__(self, sys_, xi, phi):
+    def __call__(self, sys_, xi, nodes):
         self.calls += 1
-        self.nodes += np.broadcast(xi, phi).size
-        self.max_nodes = max(self.max_nodes, np.broadcast(xi, phi).size)
-        return self._f(sys_, xi, phi)
+        self.nodes += np.broadcast(xi, nodes[0]).size
+        self.max_nodes = max(self.max_nodes, np.broadcast(xi, nodes[0]).size)
+        return self._f(sys_, xi, nodes)
 
 
 def test_scan_integrand_evaluation_ceiling(monkeypatch):
@@ -482,7 +484,8 @@ def test_integrands_at_the_turning_point_node(lam):
         warnings.simplefilter("error", RuntimeWarning)
         for integrand, ref in zip((quadrature._period_integrand, quadrature._deviation_integrand,
                                    quadrature._slope_integrand, quadrature._coupling_integrand), want):
-            got = integrand(s, np.array(xs)[:, None], np.array([quadrature.HALF_PI]))[:, 0]
+            nodes = quadrature._squares(np.array([quadrature.HALF_PI]))
+            got = integrand(s, np.array(xs)[:, None], nodes)[:, 0]
             assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (integrand, got, ref)
 
 
@@ -500,34 +503,64 @@ def test_eval_nodes_bound_integrand_nodes(monkeypatch):
 
 
 def _bits(estimates):
-    return [(float(d.value).hex(), float(d.err_est).hex()) for d in estimates]
+    return [(v.hex(), e.hex()) for v, e in zip(*(a.tolist() for a in estimates))]
 
 
 def _cached(monkeypatch):
     """An empty node cache for this test; the module's returns after it."""
     monkeypatch.setattr(quadrature, "_NODES", {})
-    monkeypatch.setattr(quadrature, "_SQUARES", {})
+
+
+def _cache_workload():
+    """Bits of periods, deviations and slopes whose passes fill the cache."""
+    xs = np.geomspace(1e-3, 3000.0, 37)
+    s = PotentialSystem(-0.5), PotentialSystem(2.25)
+    return [[(x.T.hex(), x.err_est.hex(), x.converged) for x in period_samples(s[1], xs)],
+            _bits(period_deviations(s[0], xs)), _bits(period_slopes(s[1], xs)),
+            period_at_amplitude(s[0], 2.0).T.hex()]
 
 
 def test_cold_and_warm_node_cache_give_the_same_bits(monkeypatch):
     # without the cache (every pass builds its nodes), with an empty one and
     # with a full one: the same bits
-    xs = np.geomspace(1e-3, 3000.0, 37)
-    s = PotentialSystem(-0.5), PotentialSystem(2.25)
-
-    def run():
-        return [[(x.T.hex(), x.err_est.hex(), x.converged) for x in period_samples(s[1], xs)],
-                _bits(period_deviations(s[0], xs)), _bits(period_slopes(s[1], xs)),
-                period_at_amplitude(s[0], 2.0).T.hex()]
-
     _cached(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(quadrature, "CACHE_NODES", 0)
-        uncached = run()
+        uncached = _cache_workload()
     assert not quadrature._NODES
-    assert run() == uncached
+    assert _cache_workload() == uncached
     assert quadrature._NODES
-    assert run() == uncached
+    assert _cache_workload() == uncached
+
+
+def test_threads_filling_a_cold_node_cache_get_the_serial_bits(monkeypatch):
+    # three threads race on every key of an empty cache, switching as often
+    # as the interpreter lets them: each key is written once with its whole
+    # triple, so a race at most builds the same read-only arrays twice
+    serial = _cache_workload()
+    _cached(monkeypatch)
+    start, results = threading.Barrier(3), [None] * 3
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = _cache_workload()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 3
+    assert quadrature._NODES
+    for nodes in quadrature._NODES.values():
+        assert isinstance(nodes, tuple) and len(nodes) == 3
+        assert not any(a.flags.writeable for a in nodes)
 
 
 def test_cached_nodes_are_read_only(monkeypatch):
@@ -536,17 +569,17 @@ def test_cached_nodes_are_read_only(monkeypatch):
     s = PotentialSystem(1.0)
     before = period_at_amplitude(s, 2.0)
 
-    def scribbles(sys_, xi, phi):
-        phi[0] = 1.0
-        return np.ones(np.broadcast(xi, phi).shape)
+    def scribbles(sys_, xi, nodes):
+        nodes[0][0] = 1.0
+        return np.ones(np.broadcast(xi, nodes[0]).shape)
 
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_period_integrand", scribbles)
         with pytest.raises(ValueError, match="read-only"):
             period_at_amplitude(s, 2.0)
     assert period_at_amplitude(s, 2.0) == before
-    for v, c2, s2 in quadrature._SQUARES.values():
-        assert not (v.flags.writeable or c2.flags.writeable or s2.flags.writeable)
+    for nodes in quadrature._NODES.values():
+        assert len(nodes) == 3 and not any(a.flags.writeable for a in nodes)
 
 
 def test_node_cache_stays_within_its_bound(monkeypatch):
@@ -559,10 +592,10 @@ def test_node_cache_stays_within_its_bound(monkeypatch):
     with pytest.raises(NoConvergence):
         period_at_amplitude(PotentialSystem(RUNAWAY_LAM), X_MIN)
     period_slopes(PotentialSystem(-0.9), np.linspace(0.5, 3000.0, 50))
-    assert max(v.size for v in quadrature._NODES.values()) <= 4097
-    assert sum(v.size for v in quadrature._NODES.values()) <= 16_328
-    assert sum(a.nbytes for entry in quadrature._SQUARES.values() for a in entry) <= 3 * 8 * 16_328
-    assert len(quadrature._SQUARES) == len(quadrature._NODES) > 0
+    assert quadrature._NODES
+    assert max(v.size for v, _, _ in quadrature._NODES.values()) <= 4097
+    assert sum(v.size for v, _, _ in quadrature._NODES.values()) <= 16_328
+    assert sum(a.nbytes for entry in quadrature._NODES.values() for a in entry) <= 3 * 8 * 16_328
 
 
 @pytest.mark.parametrize("xi", [3.9, [1.0, 2.0, 3.9]])

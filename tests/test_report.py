@@ -8,7 +8,7 @@ import periodkit.quadrature as quadrature
 from periodkit.analysis import small_h_check
 from periodkit.errors import DegenerateIsochronous
 from periodkit.model import PotentialSystem
-from periodkit.quadrature import DerivativeEstimate, period_at_amplitude
+from periodkit.quadrature import period_at_amplitude
 from periodkit.report import (CHECK_NAMES, _check_bessel_link, _check_small_h, fmt_float,
                               report_to_dict, report_to_json, run_verify, sample_dicts,
                               samples_to_csv, to_json)
@@ -114,9 +114,9 @@ def test_bessel_link_fails_on_a_wrong_coupling_integrand(monkeypatch, factor):
 
 
 @pytest.mark.parametrize("planted", [
-    pytest.param(lambda d: -d.value, id="flipped"),
-    pytest.param(lambda d: 0.5 * d.err_est, id="within-its-error"),
-    pytest.param(lambda d: -2.0 * d.err_est, id="wrong-side-within-the-violation-factor")])
+    pytest.param(lambda dev, err: -dev, id="flipped"),
+    pytest.param(lambda dev, err: 0.5 * err, id="within-its-error"),
+    pytest.param(lambda dev, err: -2.0 * err, id="wrong-side-within-the-violation-factor")])
 def test_sign_brackets_fails_on_one_planted_end(monkeypatch, planted):
     # at lam = 1e-8 every |T - 2*pi| at a bracket end is below 2.1e-9, so an
     # absolute tolerance of 1e-8 passed whatever the signs; each end's
@@ -126,10 +126,10 @@ def test_sign_brackets_fails_on_one_planted_end(monkeypatch, planted):
     deviations = analysis.period_deviations
 
     def planted_deviations(sys, xi):
-        devs = deviations(sys, xi)
+        devs, errs = deviations(sys, xi)
         if len(devs) == 10:  # the bracket ends of k_max = 5; 2 is 4*pi, T > 2*pi
-            devs[2] = DerivativeEstimate(planted(devs[2]), devs[2].err_est)
-        return devs
+            devs[2] = planted(devs[2], errs[2])
+        return devs, errs
 
     monkeypatch.setattr(analysis, "period_deviations", planted_deviations)
     check = run_verify(1e-8, 5).checks["sign-brackets"]
@@ -175,6 +175,19 @@ def test_small_h_residuals_clear_their_error(lam):
     check = _check_small_h(sys_)
     assert check.passed
     assert check.detail.startswith("residual ratio 1e-2/1e-3 = ")
+
+
+@pytest.mark.parametrize("k_max", [3, 5, 20])
+@pytest.mark.parametrize("lam", [1e-14, -1e-14, 1e-16, -1e-16, 1e-20, 1e-100, -1e-200, 1e-300,
+                                 -1e-307])
+def test_verify_passes_at_tiny_coupling(lam, k_max):
+    # |T - 2*pi| is below the ulp of 2*pi here, so T_star rounds to 2*pi at
+    # every extremum and ordering on it failed alternation (margin -1);
+    # dev_star from the deviation integral keeps the extrema apart
+    rep = run_verify(lam, k_max)
+    assert rep.passed, {name: c for name, c in rep.checks.items() if not c.passed}
+    assert rep.checks["alternation"].margin > 0.0
+    assert all(c.T_star == TWO_PI + c.dev_star for c in rep.critical_periods)
 
 
 def test_verify_near_the_side_equilibria_returns_a_report():
