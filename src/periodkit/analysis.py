@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
-from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, coupling_slopes,
-                         period_deviations, period_samples, period_slopes)
+from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, _one_amplitude,
+                         coupling_slopes, period_deviations, period_samples, period_slopes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -358,5 +358,5 @@ def lam_derivative_at_zero(xi: float) -> DerivativeEstimate:
     of the linear center), so its zeros in xi are the positive zeros of J1
     and its xi -> 0 limit is -pi.
     """
-    value, err = coupling_slopes(PotentialSystem(0.0), xi)
+    value, err = coupling_slopes(PotentialSystem(0.0), _one_amplitude(np.ravel(xi)))
     return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))

@@ -100,17 +100,22 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
 
 def _horner(coeffs, x):
     """The polynomial with coeffs, highest power first, at x by Horner's
-    rule, as np.polyval takes it to the bit; a float stays one, and fast."""
-    p = 0.0
-    for c in coeffs:
-        p = p * x + c
+    rule, as np.polyval takes it to the bit; a float stays one, and fast,
+    and an array takes one new array, which each step updates in place."""
+    p = x * 0.0
+    p += coeffs[0]
+    for c in coeffs[1:]:
+        p *= x
+        p += c
     return p
 
 
 def _sinc_defect(x):
     """1 - sin(x)/x for |x| < 1, from its Taylor series."""
     x2 = x * x
-    return _horner(_SIN_DEFECT, x2) * x2
+    d = _horner(_SIN_DEFECT, x2)
+    d *= x2
+    return d
 
 
 def _near_center(x, out, series):
@@ -180,10 +185,15 @@ class PotentialSystem:
         monotonically on (pi, X_MIN] to its minimum, so a zero exists iff
         g(X_MIN) <= 0, in (pi, X_MIN].  The test uses the same g that _brent
         brackets, so the bracket's signs agree even within rounding of LAM_C.
+        The first call stores the edge in the instance's __dict__, outside
+        the fields, so ==, hash and repr do not see it; racing threads at
+        most find the same root twice.
         """
-        if self.g(X_MIN) > 0.0:
-            return math.inf
-        return _brent(self.g, math.pi, X_MIN, 1e-300)
+        edge = self.__dict__.get("_edge")
+        if edge is None:
+            edge = math.inf if self.g(X_MIN) > 0.0 else _brent(self.g, math.pi, X_MIN, 1e-300)
+            self.__dict__["_edge"] = edge
+        return edge
 
     def g_derivatives_at_zero(self) -> tuple[float, float, float]:
         """First three derivatives of g at the origin: (1+lam, 0, -lam)."""

@@ -44,7 +44,7 @@ written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,7 +223,7 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     if times.size < 2:
         raise EventMissed("full-return mode saw fewer than two section crossings")
     period = float(times[1] - times[0])
-    return replace(sample, T=period, err_est=_PERIOD_ERR_FACTOR * tol * period)
+    return sample._replace(T=period, err_est=_PERIOD_ERR_FACTOR * tol * period)
 
 
 def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTrace:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,11 +108,11 @@ _NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> node triple
 _S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
 
 
-@dataclass(frozen=True)
-class PeriodSample:
+class PeriodSample(NamedTuple):
     """One measured period: both orbit coordinates, the value, an absolute
     error estimate and the route that produced it: "quadrature", or
-    "ode-oracle" for oracle.orbit_period.
+    "ode-oracle" for oracle.orbit_period.  A named tuple, so a scan builds
+    its rows without a Python frame each; _replace gives a changed copy.
 
     On the quadrature route err_est is the difference of the last trapezoid
     rule and the one on every other of its nodes, floored at the rounding of
@@ -146,20 +147,33 @@ def _arguments(xi, nodes):
     amplitudes xi; b = 0 at the turning point u = 0, and b >= TINY gives
     sinc(b) and s3(b) their limits 1 and 1/3 there without 0/0."""
     _, c2, s2 = nodes
-    return c2, s2, xi * c2, np.maximum(xi * s2, TINY)
+    b = xi * s2
+    return c2, s2, xi * c2, np.maximum(b, TINY, out=b)
 
+
+# The integrands below chain their ufuncs in place on the block-sized arrays
+# they own, each allocated once: a block of at most EVAL_NODES doubles is too
+# small for numpy to elide temporaries, so an expression would allocate every
+# intermediate.  Each ufunc keeps its operands; only commutative products
+# swap, which is exact.  Each returns a fresh array, which the engine
+# overwrites.
 
 def _well(sys: PotentialSystem, xi, a, b):
     """(sinc a, sinc b, w) with w = 1 + lam*sinc(a)*sinc(b), the well depth
-    over its value at lam = 0.  sin(x)/x keeps its relative accuracy down to
-    the smallest normal double; on the rows below xi = 1 with lam < 0 all
-    three come from the sinc defects instead (_defect_well)."""
+    over its value at lam = 0, three fresh arrays.  sin(x)/x keeps its
+    relative accuracy down to the smallest normal double; on the rows below
+    xi = 1 with lam < 0 all three come from the sinc defects instead
+    (_defect_well)."""
     near = np.flatnonzero(xi[:, 0] < 1.0) if sys.lam < 0.0 else ()  # defect rows
     if len(near) == len(xi):  # no sine to take
         sa, sb, w = _defect_well(sys.lam, a, b)
     else:
-        sa, sb = np.sin(a) / a, np.sin(b) / b
-        w = 1.0 + sys.lam * (sa * sb)
+        sa, sb = np.sin(a), np.sin(b)
+        sa /= a
+        sb /= b
+        w = sa * sb
+        w *= sys.lam
+        w += 1.0
         if len(near):
             sa[near], sb[near], w[near] = _defect_well(sys.lam, a[near], b[near])
     bad = w <= 0.0
@@ -175,9 +189,12 @@ def _defect_well(lam: float, a, b):
     """_well from the defects d = 1 - sinc below 1: sinc = 1 - d, and w =
     (1+lam) - lam*(1 - sinc(a)*sinc(b)), two terms >= 0 for lam < 0 that do
     not cancel even at the nilpotent center lam = -1."""
-    da, db = _sinc_defect(np.stack((a, b)))
-    sa, sb = 1.0 - da, 1.0 - db
-    return sa, sb, (1.0 + lam) - lam * (da + sa * db)
+    d = _sinc_defect(np.stack((a, b)))
+    (da, db), (sa, sb) = d, 1.0 - d
+    w = sa * db
+    w += da
+    w *= lam
+    return sa, sb, np.subtract(1.0 + lam, w, out=w)
 
 
 def _s3(x, sinc_x):
@@ -197,7 +214,8 @@ def _s3(x, sinc_x):
 def _period_integrand(sys: PotentialSystem, xi, nodes):
     _, _, a, b = _arguments(xi, nodes)
     _, _, w = _well(sys, xi, a, b)
-    return 4.0 / np.sqrt(w)
+    np.sqrt(w, out=w)
+    return np.divide(4.0, w, out=w)
 
 
 def _deviation_integrand(sys: PotentialSystem, xi, nodes):
@@ -205,8 +223,13 @@ def _deviation_integrand(sys: PotentialSystem, xi, nodes):
     # multiplies last, so a subnormal lam rounds once, not at every factor
     _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
-    r = np.sqrt(w)
-    return sa * sb / (r * (1.0 + r)) * (-4.0 * sys.lam)
+    r = np.sqrt(w, out=w)
+    d = r + 1.0
+    d *= r
+    sa *= sb
+    sa /= d
+    sa *= -4.0 * sys.lam
+    return sa
 
 
 def _slope_integrand(sys: PotentialSystem, xi, nodes):
@@ -214,14 +237,25 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
     c2, s2, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
-    q = (c2 * c2) * _s3(a, sa) * sb + (s2 * s2) * sa * _s3(b, sb)
-    return q / (w * np.sqrt(w)) * xi * (2.0 * sys.lam)
+    q = _s3(a, sa)
+    q *= c2 * c2
+    q *= sb
+    sa *= s2 * s2
+    sa *= _s3(b, sb)
+    q += sa
+    q /= np.multiply(w, np.sqrt(w), out=w)
+    q *= xi
+    q *= 2.0 * sys.lam
+    return q
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, nodes):
     _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
-    return sa * sb / (w * np.sqrt(w)) * -2.0
+    sa *= sb
+    sa /= np.multiply(w, np.sqrt(w), out=w)
+    sa *= -2.0
+    return sa
 
 
 def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
@@ -328,7 +362,7 @@ def _trapezoid(f, rows, intervals, last):
                     fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k
                     q[0, part] += 2.0 * h * fx[:, j % 2::2].sum(axis=1)
                 q[1, part] += h * fx.sum(axis=1)
-                q[2, part] += h * np.abs(fx).sum(axis=1)
+                q[2, part] += h * np.abs(fx, out=fx).sum(axis=1)
     return q
 
 
@@ -351,6 +385,14 @@ def _amplitudes(sys: PotentialSystem, xi, nilpotent_min: float = NILPOTENT_XI_MI
     return xi
 
 
+def _one_amplitude(xi: np.ndarray) -> np.ndarray:
+    """xi, the raveled amplitudes given to a scalar entry point, unless it
+    holds other than one: a ValueError names the count."""
+    if xi.size != 1:
+        raise ValueError(f"expected one amplitude, got {xi.size}")
+    return xi
+
+
 def period_samples(sys: PotentialSystem, xi) -> list[PeriodSample]:
     """Periods of the orbits through (x, 0) for every amplitude x > 0 of the
     array xi, in one pass of the engine.  A sample that did not converge is
@@ -361,7 +403,7 @@ def period_samples(sys: PotentialSystem, xi) -> list[PeriodSample]:
 
 def period_at_amplitude(sys: PotentialSystem, xi: float) -> PeriodSample:
     """Period of the orbit through (xi, 0), xi > 0."""
-    xi = _amplitudes(sys, xi)
+    xi = _one_amplitude(_amplitudes(sys, xi))
     return require_converged(_samples(sys, xi, [float(sys.G(xi[0]))])[0])
 
 
@@ -373,7 +415,8 @@ def period_at_energy(sys: PotentialSystem, h: float) -> PeriodSample:
 
 def _samples(sys, xi, hs):
     value, err, converged = _integral(_period_integrand, sys, xi)
-    return [PeriodSample(lam=sys.lam, xi=x, h=h, T=v, err_est=e, converged=c)
+    new, lam = tuple.__new__, sys.lam
+    return [new(PeriodSample, (lam, x, h, v, e, "quadrature", c))
             for x, h, v, e, c in zip(xi.tolist(), hs, value.tolist(), err.tolist(),
                                      converged.tolist())]
 
@@ -405,7 +448,7 @@ def period_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
 
 def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dxi at the amplitude xi > 0; its sign is that of T'(h)."""
-    value, err = period_slopes(sys, xi)
+    value, err = period_slopes(sys, _one_amplitude(np.ravel(xi)))
     return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))
 
 

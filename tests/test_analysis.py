@@ -499,6 +499,13 @@ def test_lam_derivative_input_guards():
         lam_derivative_at_zero(0.0)
 
 
+@pytest.mark.parametrize("xi", [[1.0, 2.0], np.ones((3, 1)), []])
+def test_lam_derivative_refuses_other_than_one_amplitude(xi):
+    with pytest.raises(ValueError, match=f"expected one amplitude, got {np.size(xi)}"):
+        lam_derivative_at_zero(xi)
+    assert lam_derivative_at_zero([2.0]) == lam_derivative_at_zero(2.0)
+
+
 def test_lam_derivative_is_the_variational_integral():
     # dT/dlam at lam = 0 is -2*pi*J1(xi)/xi; a central difference in lam
     # was 2.1e-10 off here

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -318,6 +320,46 @@ def test_inversion_matches_scipy_brentq(compared, lam):
     # for lam > 0 the bracket's lower end sqrt(2h/(1+lam)) is the root itself
     # at the smaller levels, and no search runs
     assert len(compared) >= 35
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0, LAM_C, 4.6034, 5.0, 50.0])
+def test_edge_is_stored_once_per_system(lam):
+    # the stored edge is the root a fresh search finds, and it stays out of
+    # the fields: ==, hash and repr are those of a system that never ran it
+    s = PotentialSystem(lam)
+    fresh = math.inf if s.g(X_MIN) > 0.0 else _brent(s.g, PI, X_MIN, 1e-300)
+    assert s.edge() == fresh and s.edge() == fresh
+    other = PotentialSystem(lam)
+    assert s == other and hash(s) == hash(other) and repr(s) == repr(other)
+
+
+def test_edge_stored_by_racing_threads():
+    # threads that race on a cold system at most find the same root twice
+    s = PotentialSystem(5.0)
+    want = _brent(s.g, PI, X_MIN, 1e-300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(s.edge) for _ in range(64)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 64 and s.edge() == want
+
+
+def test_inversions_search_the_edge_once(monkeypatch):
+    brent = model._brent
+    edge_searches = []
+
+    def counted(f, a, b, xtol):
+        edge_searches.append((a, b) == (PI, X_MIN))
+        return brent(f, a, b, xtol)
+
+    monkeypatch.setattr(model, "_brent", counted)
+    s = PotentialSystem(5.0)
+    for h in np.linspace(0.01, 5.0, 100).tolist():
+        energy_to_amplitude(s, h)
+    assert len(edge_searches) >= 100 and sum(edge_searches) == 1
 
 
 def test_edge_matches_scipy_brentq(compared):

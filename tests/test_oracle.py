@@ -15,7 +15,7 @@ from periodkit import oracle
 from periodkit.errors import EventMissed, ToleranceUnmet
 from periodkit.model import PotentialSystem
 from periodkit.oracle import energy_drift, orbit_period, orbit_periods, orbit_trace
-from periodkit.quadrature import period_at_amplitude, period_samples
+from periodkit.quadrature import PeriodSample, period_at_amplitude, period_samples
 from periodkit.report import _check_oracle
 
 PI = math.pi
@@ -80,6 +80,18 @@ def test_full_return_cross_check(lam):
     quartered = orbit_period(s, 7.0, tol=1e-11)
     looped = orbit_period(s, 7.0, tol=1e-11, full_return=True)
     assert looped.T == pytest.approx(quartered.T, abs=1e-8)
+
+
+def test_full_return_replaces_only_the_period():
+    # full_return takes the quarter-period sample's _replace: the same
+    # orbit and route, its own period and error estimate
+    s = PotentialSystem(1.0)
+    quartered = orbit_period(s, 3.0)
+    looped = orbit_period(s, 3.0, full_return=True)
+    assert type(looped) is PeriodSample and looped.method == "ode-oracle"
+    assert looped.T != quartered.T
+    assert looped.err_est == oracle._PERIOD_ERR_FACTOR * 1e-10 * looped.T
+    assert looped._replace(T=quartered.T, err_est=quartered.err_est) == quartered
 
 
 @settings(max_examples=25, deadline=None)
