@@ -12,6 +12,7 @@ no flag changes it.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -232,9 +233,15 @@ def _run(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on its first call: parse_args keeps no state
+    between calls, so one parser serves every call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except SignViolation as exc:

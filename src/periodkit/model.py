@@ -98,11 +98,12 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
                         f"{BRENT_MAXITER} iterations", best=xcur, err_est=2 * abs(sbis))
 
 
-def _horner(coeffs, x):
+def _horner(coeffs, x, out=None):
     """The polynomial with coeffs, highest power first, at x by Horner's
     rule, as np.polyval takes it to the bit; a float stays one, and fast,
-    and an array takes one new array, which each step updates in place."""
-    p = x * 0.0
+    and an array takes one new array, or out, which each step updates in
+    place."""
+    p = x * 0.0 if out is None else np.multiply(x, 0.0, out=out)
     p += coeffs[0]
     for c in coeffs[1:]:
         p *= x

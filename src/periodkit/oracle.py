@@ -32,8 +32,11 @@ period passes MAX_EVENT_TIME.  full_return and orbit_trace, which sample
 the orbit or record more than one crossing, integrate it with solve_ivp's
 DOP853 instead.
 
-scipy is imported inside the functions that integrate, so only an orbit
-loads it: the rest of periodkit needs numpy alone.
+The first orbit loads the one compiled extension the runs call,
+scipy/integrate/_dop, from its file, without executing the scipy.integrate
+package (some 350 modules), so periodkit needs numpy alone until then and
+an orbit adds that one extension.  full_return and orbit_trace import
+solve_ivp, and with it scipy.integrate.
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
@@ -43,7 +46,11 @@ written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +135,35 @@ def _section(u, s, lam, x_end):
     return np.concatenate((dt * (x + lam * np.sin(x)), dt))
 
 
+_DOP = None  # scipy's compiled scipy.integrate._dop, once loaded
+_DOP_LOCK = threading.Lock()
+
+
+def _dop():
+    """The compiled scipy.integrate._dop module, loaded from its file on the
+    first call and kept here for the process, not in sys.modules: a later
+    import of scipy.integrate would find it there and not set the package's
+    _dop attribute.
+    Finding the file imports no module: scipy's directory comes from its
+    import spec.  A missing file raises ImportError naming the path."""
+    global _DOP
+    with _DOP_LOCK:
+        if _DOP is None:
+            scipy = importlib.util.find_spec("scipy")
+            if scipy is None:
+                raise ImportError("the ODE oracle needs scipy, which is not installed")
+            path = os.path.join(os.path.dirname(scipy.origin), "integrate")
+            spec = importlib.machinery.FileFinder(path, (
+                importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES)).find_spec("scipy.integrate._dop")
+            if spec is None:
+                raise ImportError(f"no compiled extension _dop in {path}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            _DOP = module
+    return _DOP
+
+
 _FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
              -3: "step size becomes too small", -4: "problem is probably stiff"}
 
@@ -142,15 +178,14 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     for good, so both are module-level functions and a run's own state
     reaches them through args, which it does not keep (a closure per run, or
     scipy.integrate.ode's new bound method per run, would be kept alive)."""
-    from scipy.integrate._dop import dopri853
-
     work = np.zeros(11 * state.size + 21)
     # safety factor, step-size change limits and first step as scipy's
     # dop853 integrator sets them
     work[1:4] = 0.9, 0.3, 6.0
     work[6] = first_step
-    t, state, istate = dopri853(fcn, t0, state, t1, tol, tol, solout, int(solout is not None),
-                                work, np.zeros(21, dtype=np.int32), MAX_STEPS, -1, args)
+    t, state, istate = _dop().dopri853(fcn, t0, state, t1, tol, tol, solout,
+                                       int(solout is not None), work,
+                                       np.zeros(21, dtype=np.int32), MAX_STEPS, -1, args)
     if istate < 0:
         raise ToleranceUnmet(
             f"integrator failed: {_FAILURES.get(istate, 'unknown failure')} (istate {istate})")

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, NonMonotoneEnergy
-from .model import PotentialSystem, _horner, _sinc_defect, energy_to_amplitude
+from .model import _SIN_DEFECT, PotentialSystem, _horner, energy_to_amplitude
 
 HALF_PI = 0.5 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -188,26 +188,32 @@ def _well(sys: PotentialSystem, xi, a, b):
 def _defect_well(lam: float, a, b):
     """_well from the defects d = 1 - sinc below 1: sinc = 1 - d, and w =
     (1+lam) - lam*(1 - sinc(a)*sinc(b)), two terms >= 0 for lam < 0 that do
-    not cancel even at the nilpotent center lam = -1."""
-    d = _sinc_defect(np.stack((a, b)))
-    (da, db), (sa, sb) = d, 1.0 - d
+    not cancel even at the nilpotent center lam = -1.  Each defect is
+    _sinc_defect's series, the block of squares shared."""
+    x2 = a * a
+    da = _horner(_SIN_DEFECT, x2)
+    da *= x2
+    db = _horner(_SIN_DEFECT, np.multiply(b, b, out=x2))
+    db *= x2
+    sa = np.subtract(1.0, da, out=x2)
     w = sa * db
     w += da
     w *= lam
-    return sa, sb, np.subtract(1.0 + lam, w, out=w)
+    return sa, np.subtract(1.0, db, out=da), np.subtract(1.0 + lam, w, out=w)
 
 
-def _s3(x, sinc_x):
-    """s3(x) = (sinc(x) - cos(x))/x^2 for x > 0, given sinc_x = sin(x)/x: the
-    difference on the entries x >= 1 only, the Taylor series on the rest."""
-    big = x >= 1.0
+def _s3(x, sinc_x, out=None):
+    """s3(x) = (sinc(x) - cos(x))/x^2 for x > 0, given sinc_x = sin(x)/x, in
+    out (a new array by default; it may be x itself): the difference on the
+    entries x >= 1 only, the Taylor series on the rest."""
+    x2, big = x * x, x >= 1.0
     if not big.any():
-        return _horner(_S_SERIES, x * x)
-    out = np.cos(x, out=np.empty_like(x), where=big)
-    np.divide(np.subtract(sinc_x, out, out=out, where=big), x * x, out=out, where=big)
+        return _horner(_S_SERIES, x2, out)
+    out = np.cos(x, out=out, where=big)
+    np.divide(np.subtract(sinc_x, out, out=out, where=big), x2, out=out, where=big)
     if not big.all():  # the series on no entries still costs a pass per term
-        small = ~big
-        out[small] = _horner(_S_SERIES, x[small] ** 2)
+        small = np.logical_not(big, out=big)
+        out[small] = _horner(_S_SERIES, x2[small])
     return out
 
 
@@ -224,7 +230,7 @@ def _deviation_integrand(sys: PotentialSystem, xi, nodes):
     _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     r = np.sqrt(w, out=w)
-    d = r + 1.0
+    d = np.add(r, 1.0, out=a)
     d *= r
     sa *= sb
     sa /= d
@@ -237,13 +243,13 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
     c2, s2, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
-    q = _s3(a, sa)
+    q = _s3(a, sa, out=a)
     q *= c2 * c2
     q *= sb
     sa *= s2 * s2
-    sa *= _s3(b, sb)
+    sa *= _s3(b, sb, out=b)
     q += sa
-    q /= np.multiply(w, np.sqrt(w), out=w)
+    q /= np.multiply(w, np.sqrt(w, out=b), out=w)
     q *= xi
     q *= 2.0 * sys.lam
     return q
@@ -253,7 +259,7 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
     _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     sa *= sb
-    sa /= np.multiply(w, np.sqrt(w), out=w)
+    sa /= np.multiply(w, np.sqrt(w, out=sb), out=w)
     sa *= -2.0
     return sa
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import periodkit
-from periodkit import model
+from periodkit import cli, model
 from periodkit.cli import build_parser, main
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
 from periodkit.quadrature import period_samples
@@ -146,6 +146,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["period", "--lambda", "1"])  # neither --xi nor --h
     assert excinfo.value.code == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process: a sequence of calls, a usage
+    # error among them, writes what it writes on a fresh parser per call
+    sequence = [["verify", "--lambda", "1", "--k-max", "1"], ["period", "--lambda", "1"],
+                ["scan", "--lambda", "2.25", "--xi-min", "1", "--xi-max", "9", "--n", "5"],
+                ["verify", "--lambda", "1", "--k-max", "1"]]
+
+    def outputs():
+        got = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    shared = outputs()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
 
 
 def test_invalid_lambda_is_usage_error(capsys):

@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.integrate._dop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,13 +184,14 @@ def test_compiled_runs_get_module_level_callbacks(monkeypatch):
     # the compiled stepper keeps the fcn and solout of every run for good,
     # so a callback made per run would stay alive with all it refers to
     seen = []
-    compiled = scipy.integrate._dop.dopri853
+    dop = oracle._dop()  # the extension module _run calls
+    compiled = dop.dopri853
 
     def spy(fcn, t0, y0, t1, rtol, atol, solout, *rest):
         seen.append((fcn, solout))
         return compiled(fcn, t0, y0, t1, rtol, atol, solout, *rest)
 
-    monkeypatch.setattr(scipy.integrate._dop, "dopri853", spy)
+    monkeypatch.setattr(dop, "dopri853", spy)
     assert _check_oracle(PotentialSystem(2.5), 11 * PI).passed
     callbacks = {c for run in seen for c in run if c is not None}
     assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section"}

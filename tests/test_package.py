@@ -1,10 +1,13 @@
 """The package's public names and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
 
 import periodkit
+from periodkit.model import PotentialSystem
+from periodkit.oracle import orbit_periods
 
 
 def test_all_names_resolve_once():
@@ -14,9 +17,20 @@ def test_all_names_resolve_once():
     assert [name for name in periodkit.__all__ if not hasattr(periodkit, name)] == []
 
 
+def _fresh(code: str) -> list[str]:
+    """stdout lines of code run in a fresh interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_scipy_loads_only_with_an_orbit():
-    # the quadrature, the searches, J1 and the CLI need numpy alone; scipy's
-    # integrators are imported by the first ODE orbit
+    # the quadrature, the searches, J1 and the CLI need numpy alone; the
+    # quarter-period oracle loads scipy's compiled DOP853 from its file,
+    # without the scipy package or scipy.integrate
     code = (
         "import math, sys\n"
         "import periodkit, periodkit.cli\n"
@@ -30,10 +44,57 @@ def test_scipy_loads_only_with_an_orbit():
         "assert periodkit.cli.main(['period', '--lambda', '-1e-8', '--h', '1.2e-288']) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         "print(repr(orbit_period(PotentialSystem(1), 2.0).T))\n"
-        "assert 'scipy.integrate' in sys.modules\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "5.00988108828493"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], "
+        "sorted(m for m in sys.modules if 'scipy' in m)\n")
+    assert _fresh(code)[-1] == "5.00988108828493"
+
+
+_ORBITS = ("from periodkit import PotentialSystem, oracle\n"
+           "def orbits():\n"
+           "    return [s.T for lam in (-0.5, 1.0, 4.5)\n"
+           "            for s in oracle.orbit_periods(PotentialSystem(lam), [0.3, 2.0, 9.0])]\n")
+
+_SCIPY_INTEGRATE = (
+    "import scipy.integrate\n"
+    "scipy.integrate.ode(lambda t, y: -y).set_integrator('dop853').set_initial_value([1.0])\n"
+    "full = oracle.orbit_period(PotentialSystem(1.0), 3.0, full_return=True).T\n"
+    "assert callable(scipy.integrate._dop.dopri853)\n")
+
+
+def test_oracle_and_scipy_integrate_load_in_either_order():
+    # the oracle's extension module stands outside sys.modules, so it does
+    # not hide scipy.integrate's own _dop, loaded before or after it
+    first = _fresh(_ORBITS + "a = orbits()\n" + _SCIPY_INTEGRATE + "print(repr((a, orbits(), full)))")
+    last = _fresh(_ORBITS + _SCIPY_INTEGRATE + "print(repr((orbits(), orbits(), full)))")
+    (a, b, full), (c, d, full2) = ast.literal_eval(first[-1]), ast.literal_eval(last[-1])
+    here = [s.T for lam in (-0.5, 1.0, 4.5)
+            for s in orbit_periods(PotentialSystem(lam), [0.3, 2.0, 9.0])]
+    assert a == b == c == d == here and full == full2
+
+
+def test_threads_loading_the_compiled_stepper_get_the_serial_periods():
+    # three threads run the first orbits of a fresh process at once, the
+    # load slowed to let them meet there: the extension is loaded once, and
+    # every period is the serial one
+    code = _ORBITS + (
+        "import importlib.util, sys, threading, time\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "loads, load = [], importlib.util.module_from_spec\n"
+        "def slow_load(spec):\n"
+        "    loads.append(spec.name)\n"
+        "    time.sleep(0.05)\n"
+        "    return load(spec)\n"
+        "importlib.util.module_from_spec = slow_load\n"
+        "start, got = threading.Barrier(3, timeout=60), {}\n"
+        "def run(i):\n"
+        "    start.wait()\n"
+        "    got[i] = orbits()\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads) and len(got) == 3\n"
+        "assert list(got.values()) == [orbits()] * 3, got\n"
+        "assert loads == ['scipy.integrate._dop'], loads\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        "print('ok')\n")
+    assert _fresh(code)[-1] == "ok"

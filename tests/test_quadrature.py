@@ -563,23 +563,35 @@ def test_reference_scan_python_calls():
     assert calls <= 300
 
 
-def test_period_integrand_block_peak_memory():
-    # one full block, EVAL_NODES // 65 rows of 65 nodes: 5.13 blocks at the
-    # peak when measured (a, b, sinc a, sinc b and w), 6 with an
-    # expression's temporaries
+def _block_peak(integrand):
+    """Peak tracemalloc memory of one warm integrand call on a full block,
+    EVAL_NODES // 65 rows of 65 nodes at lam = 2.25, in blocks."""
     nodes = quadrature._nodes(64, 1, 65)
     xi = np.linspace(0.9047, 904.7, EVAL_NODES // 65)[:, None]
     s = PotentialSystem(2.25)
-    quadrature._period_integrand(s, xi, nodes)
+    integrand(s, xi, nodes)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = quadrature._period_integrand(s, xi, nodes)
+        out = integrand(s, xi, nodes)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert out.shape == (504, 65)
-    assert peak < 5.5 * out.nbytes
+    return peak / out.nbytes
+
+
+def test_period_integrand_block_peak_memory():
+    # 5.13 blocks at the peak when measured (a, b, sinc a, sinc b and w), 6
+    # with an expression's temporaries
+    assert _block_peak(quadrature._period_integrand) < 5.5
+
+
+def test_slope_integrand_block_peak_memory():
+    # 6.31 blocks at the peak when measured: the period integrand's five,
+    # with s3 and sqrt(w) written over a and b, and one block of squares
+    # while s3 runs
+    assert _block_peak(quadrature._slope_integrand) < 6.5
 
 
 @pytest.mark.parametrize("entry", [period_at_amplitude, period_slope])
