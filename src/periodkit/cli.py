@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-return", action="store_true",
                    help="measure a full loop instead of four times the quarter period")
     p.add_argument("--dump-trace", default=None, metavar="PATH",
-                   help="write one sampled period as CSV columns t,x,y,H")
+                   help="write the accepted steps of one period, non-uniform in t, "
+                        "as CSV columns t,x,y,H")
 
     return parser
 

@@ -22,21 +22,26 @@ crossing of one step runs from u = 0 to u = 1, so they share one run (a
 crossing with x_end = 0 stays at the step's end).  The compiled integrator
 has no dense output and keeps the callback of its current run in one slot
 per thread, so it is not re-entrant and this happens after the stacked run
-has returned; threads may run it concurrently.  The crossing orbits are
-retired and the stacked run restarts from the current time with the orbits
-still live.  The same run stops at once on an orbit whose y falls from > 0
-to <= 0 while x > 0: it turned back before reaching x = 0, so it does not
-enclose the origin.  The run is never bounded by a period from elsewhere:
-it ends when the last orbit crosses, or at MAX_EVENT_TIME/2, where the half
-period passes MAX_EVENT_TIME.  full_return and orbit_trace, which sample
-the orbit or record more than one crossing, integrate it with solve_ivp's
-DOP853 instead.
+has returned; threads may run it concurrently.  Each crossing is recorded,
+an orbit is retired once it has crossed as often as asked (once for the
+quarter period), and the stacked run restarts from the current time with
+the orbits still live.  The same run stops at once on an orbit whose y
+falls from > 0 to <= 0 while x > 0: it turned back before reaching x = 0,
+so it does not enclose the origin.  A fall of y at x = -xi, half way round
+a full loop, only restarts the run.  The run is never bounded by a period
+from elsewhere: it ends when the last orbit is retired, or at
+MAX_EVENT_TIME/2, where the half period passes MAX_EVENT_TIME.
 
-The first orbit loads the one compiled extension the runs call,
-scipy/integrate/_dop, from its file, without executing the scipy.integrate
-package (some 350 modules), so periodkit needs numpy alone until then and
-an orbit adds that one extension.  full_return and orbit_trace import
-solve_ivp, and with it scipy.integrate.
+full_return takes the time between an orbit's first two falls of x through
+0, which relies on no symmetry.  orbit_trace runs one orbit over [0, T] and
+keeps every accepted step; up to the quarter-period crossing these are the
+steps of the run that measured T, so the energy drift over them vouches for
+that run.
+
+Every path loads the one compiled extension the runs call,
+scipy/integrate/_dop, from its file on its first orbit, without executing
+the scipy.integrate package (some 350 modules), so periodkit needs numpy
+alone until then and an orbit adds that one extension.
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
@@ -72,8 +77,9 @@ _PERIOD_ERR_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class OrbitTrace:
-    """Sampled orbit: rows (t, x, y), the initial energy, and the worst
-    energy-conservation drift seen along the samples."""
+    """One period as the accepted steps of its run: rows (t, x, y),
+    non-uniform in t, the initial energy, and the worst energy-conservation
+    drift over those steps."""
 
     samples: np.ndarray
     h0: float
@@ -85,7 +91,7 @@ def _stacked(t, s, lam, out, *_):
     holds every orbit's x, then every orbit's y.  It is the oracle's inner
     loop, called once per stage for every live orbit, so it splits the state
     by slicing and writes through ufuncs, entering no Python frame but its
-    own.  The stopping rule's state rides along unused."""
+    own.  The solout's state rides along unused."""
     n = s.size // 2
     x, g = s[:n], out[n:]
     np.negative(s[n:], out=out[:n])
@@ -95,24 +101,9 @@ def _stacked(t, s, lam, out, *_):
     return out
 
 
-def _rhs(sys: PotentialSystem):
-    """_stacked for solve_ivp, which keeps the derivatives it is given, so
-    each call writes a new array."""
-    lam = sys.lam
-    return lambda t, s: _stacked(t, s, lam, np.empty_like(s))
-
-
 def _check_tol(tol: float) -> None:
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
-
-
-def _y_falls(t, s):
-    """Event: y falls through the section y = 0."""
-    return s[1]
-
-
-_y_falls.direction = -1
 
 
 def _stop_on_fall(t, s, lam, out, up, fell):
@@ -192,10 +183,10 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     return t, state
 
 
-def _quarter_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
-    """Time at which each orbit's x first falls through 0, all orbits in one
-    stacked DOP853 run."""
-    t_quarter = [math.nan] * len(xis)
+def _falls(sys: PotentialSystem, xis: list[float], tol: float, count: int) -> list[list[float]]:
+    """Times of each orbit's first count falls of x through 0, all orbits in
+    one stacked DOP853 run."""
+    falls = [[] for _ in xis]
     live = list(range(len(xis)))
     t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
     while live:
@@ -203,6 +194,10 @@ def _quarter_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list
         up, fell = state > 0.0, np.zeros(2 * n, dtype=bool)
         t, state = _run(_stacked, t, state, 0.5 * MAX_EVENT_TIME, tol,
                         (sys.lam, np.empty(2 * n), up, fell), solout=_stop_on_fall)
+        if not fell.any():
+            raise EventMissed(
+                f"no quarter-period crossing of x=0 within t={0.5 * MAX_EVENT_TIME:g} "
+                f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
         turned = np.flatnonzero(fell[n:] & (state[:n] > 0.0))
         if turned.size:
             i = int(turned[0])
@@ -211,31 +206,37 @@ def _quarter_periods(sys: PotentialSystem, xis: list[float], tol: float) -> list
                 f"xi={xis[live[i]]:g} does not enclose the origin (lam={sys.lam:g})")
         fell = np.flatnonzero(fell[:n])
         if not fell.size:
-            raise EventMissed(
-                f"no quarter-period crossing of x=0 within t={0.5 * MAX_EVENT_TIME:g} "
-                f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
+            continue  # y fell through 0 at x = -xi, half way round a full loop
         start = np.append(state[n + fell], [t] * fell.size)
         crossing = _run(_section, 0.0, start, 1.0, tol, (sys.lam, state[fell]),
                         first_step=1.0)[1]
         for i, tc in zip(fell.tolist(), crossing[fell.size:].tolist()):
-            t_quarter[live[i]] = tc
-        keep = np.setdiff1d(np.arange(n), fell)
+            falls[live[i]].append(tc)
+        keep = np.flatnonzero([len(falls[i]) < count for i in live])
         live = [live[i] for i in keep]
         state = state[np.concatenate((keep, n + keep))]
-    return t_quarter
+    return falls
 
 
-def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:
-    """Periods of the orbits through (xi, 0) for every amplitude of xis,
-    measured by time integration of all of them as one stacked system."""
+def _periods(sys: PotentialSystem, xis, tol: float, count: int) -> list[PeriodSample]:
+    """Periods of the orbits through (xi, 0) from the first count falls of
+    each orbit's x through 0: four times the first (count 1) or the spacing
+    of the first two (count 2)."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float)).tolist()
     for xi in xis:
         if not (0.0 < xi < math.inf):
             raise ValueError(f"xi must be positive and finite, got {xi}")
     _check_tol(tol)
-    return [PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=4.0 * tq,
-                         err_est=_PERIOD_ERR_FACTOR * tol * 4.0 * tq, method="ode-oracle")
-            for xi, tq in zip(xis, _quarter_periods(sys, xis, tol))]
+    periods = [4.0 * f[0] if count == 1 else f[1] - f[0] for f in _falls(sys, xis, tol, count)]
+    return [PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=T,
+                         err_est=_PERIOD_ERR_FACTOR * tol * T, method="ode-oracle")
+            for xi, T in zip(xis, periods)]
+
+
+def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:
+    """Periods of the orbits through (xi, 0) for every amplitude of xis,
+    measured by time integration of all of them as one stacked system."""
+    return _periods(sys, xis, tol, 1)
 
 
 def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
@@ -243,41 +244,36 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     """Period of the orbit through (xi, 0) measured by time integration.
 
     Default mode is four times the quarter period, the time at which x
-    first falls through 0.  full_return instead measures the spacing of two
-    consecutive crossings of y = 0 from above (a full loop), as a
-    cross-check on the symmetry argument.
+    first falls through 0.  full_return instead measures the time between
+    the first and the second fall of x through 0 (a full loop) on the same
+    run, as a cross-check on the symmetry argument.  Both modes run on the
+    compiled DOP853 and load nothing of scipy but its _dop extension.
     """
-    sample = orbit_periods(sys, [xi], tol)[0]
-    if not full_return:
-        return sample
-    from scipy.integrate import solve_ivp
+    return _periods(sys, [xi], tol, 2 if full_return else 1)[0]
 
-    sol = solve_ivp(_rhs(sys), (0.0, 1.75 * sample.T), [xi, 0.0], method="DOP853",
-                    rtol=tol, atol=tol, events=_y_falls)
-    times = sol.t_events[0]
-    if times.size < 2:
-        raise EventMissed("full-return mode saw fewer than two section crossings")
-    period = float(times[1] - times[0])
-    return sample._replace(T=period, err_est=_PERIOD_ERR_FACTOR * tol * period)
+
+def _record(t, s, lam, out, steps):
+    """Keep every accepted step (t, x, y) of a one-orbit run in steps."""
+    steps.append((t, s[0], s[1]))
+    return 0
 
 
 def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTrace:
-    """One full period sampled at 2001 uniform times, with the energy drift."""
-    from scipy.integrate import solve_ivp
-
+    """One full period as the accepted steps of one compiled DOP853 run over
+    [0, T], non-uniform in t, with the energy drift over them.  Up to the
+    quarter-period crossing they are the steps orbit_period's own run takes."""
     period = orbit_periods(sys, [xi], tol)[0].T
-    t_eval = np.linspace(0.0, period, 2001)
-    sol = solve_ivp(_rhs(sys), (0.0, period), [xi, 0.0], method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval)
-    if sol.status != 0:
-        raise ToleranceUnmet(f"trace integration failed: {sol.message}")
-    x, y = sol.y
+    steps = []
+    _run(_stacked, 0.0, np.array([xi, 0.0]), period, tol, (sys.lam, np.empty(2), steps),
+         solout=_record)
+    samples = np.array(steps)
+    x, y = samples[:, 1], samples[:, 2]
     h0 = float(sys.G(xi))
     drift = float(np.max(np.abs(0.5 * y * y + np.asarray(sys.G(x)) - h0)))
-    samples = np.column_stack([sol.t, x, y])
     return OrbitTrace(samples=samples, h0=h0, max_drift=drift)
 
 
 def energy_drift(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> float:
-    """Worst |H(x,y) - h0| over one full period (integrator quality gate)."""
+    """Worst |H(x,y) - h0| over the accepted steps of one full period
+    (integrator quality gate)."""
     return orbit_trace(sys, xi, tol).max_drift

@@ -82,8 +82,8 @@ def test_full_return_cross_check(lam):
 
 
 def test_full_return_replaces_only_the_period():
-    # full_return takes the quarter-period sample's _replace: the same
-    # orbit and route, its own period and error estimate
+    # full_return keeps the quarter-period sample's fields, the same orbit
+    # and route, with its own period and error estimate
     s = PotentialSystem(1.0)
     quartered = orbit_period(s, 3.0)
     looped = orbit_period(s, 3.0, full_return=True)
@@ -182,7 +182,8 @@ def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
 
 def test_compiled_runs_get_module_level_callbacks(monkeypatch):
     # the compiled stepper keeps the fcn and solout of every run for good,
-    # so a callback made per run would stay alive with all it refers to
+    # so a callback made per run would stay alive with all it refers to;
+    # the quarter periods, the full loop and the trace all run on it
     seen = []
     dop = oracle._dop()  # the extension module _run calls
     compiled = dop.dopri853
@@ -192,9 +193,13 @@ def test_compiled_runs_get_module_level_callbacks(monkeypatch):
         return compiled(fcn, t0, y0, t1, rtol, atol, solout, *rest)
 
     monkeypatch.setattr(dop, "dopri853", spy)
-    assert _check_oracle(PotentialSystem(2.5), 11 * PI).passed
+    s = PotentialSystem(2.5)
+    assert _check_oracle(s, 11 * PI).passed
+    orbit_period(s, 3.0, full_return=True)
+    orbit_trace(s, 3.0)
     callbacks = {c for run in seen for c in run if c is not None}
-    assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section"}
+    assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section",
+                                                "_record"}
     for c in callbacks:
         assert c.__module__ == "periodkit.oracle"
         assert c.__qualname__ == c.__name__ and getattr(oracle, c.__name__) is c
@@ -272,8 +277,8 @@ def test_stacked_rhs_is_one_frame_and_exact():
     # the rhs is the oracle's inner loop: splitting the state by np.split
     # entered 15 Python frames per call, slicing enters only the rhs itself
     lam = 2.5
-    f = oracle._rhs(PotentialSystem(lam))
     s = np.linspace(-3.0, 4.0, 20)
+    out = np.empty_like(s)
     frames = 0
 
     def profile(frame, event, arg):
@@ -282,10 +287,32 @@ def test_stacked_rhs_is_one_frame_and_exact():
 
     sys.setprofile(profile)
     try:
-        out = f(0.0, s)
+        written = oracle._stacked(0.0, s, lam, out)
     finally:
         sys.setprofile(None)
     assert frames <= 3
+    assert written is out
     x, y = s[:10], s[10:]
     expected = np.concatenate((-y, x + lam * np.sin(x)))
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("lam, xi", [(-0.99, 33.0), (1.0, 3.0), (4.5, 10.0)])
+def test_trace_takes_the_steps_of_the_measured_run(monkeypatch, lam, xi):
+    # the drift gate reads the trace, so the trace must be the run that
+    # measured the period: the same accepted steps, bit for bit, up to the
+    # quarter-period crossing
+    steps = []
+    stop = oracle._stop_on_fall
+
+    def spy(t, s, *args):
+        steps.append((t, *s.tolist()))
+        return stop(t, s, *args)
+
+    monkeypatch.setattr(oracle, "_stop_on_fall", spy)
+    orbit_period(PotentialSystem(lam), xi, tol=1e-11)
+    monkeypatch.undo()
+    trace = orbit_trace(PotentialSystem(lam), xi, tol=1e-11)
+    assert len(steps) >= 10 and trace.samples.shape[0] > len(steps)
+    measured = np.array(steps)
+    assert np.array_equal(trace.samples[:len(steps)].view(np.int64), measured.view(np.int64))

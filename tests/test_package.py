@@ -49,6 +49,24 @@ def test_scipy_loads_only_with_an_orbit():
     assert _fresh(code)[-1] == "5.00988108828493"
 
 
+def test_no_oracle_path_loads_a_scipy_module(tmp_path):
+    # the full loop, the trace, its drift and the CLI's oracle run on the
+    # same compiled stepper as the quarter period; through solve_ivp they
+    # imported 355 scipy modules
+    trace = tmp_path / "trace.csv"
+    code = (
+        "import sys\n"
+        "from periodkit import PotentialSystem, energy_drift, orbit_period, orbit_trace\n"
+        "from periodkit.cli import main\n"
+        "s = PotentialSystem(1.0)\n"
+        "orbit_period(s, 3.0, full_return=True); orbit_trace(s, 3.0); energy_drift(s, 3.0)\n"
+        "assert main(['oracle', '--lambda', '1', '--xi', '3', '--full-return',\n"
+        f"             '--dump-trace', {str(trace)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    assert _fresh(code)[-1] == "[]"
+    assert trace.read_text().splitlines()[0] == "t,x,y,H"
+
+
 _ORBITS = ("from periodkit import PotentialSystem, oracle\n"
            "def orbits():\n"
            "    return [s.T for lam in (-0.5, 1.0, 4.5)\n"
