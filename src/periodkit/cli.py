@@ -23,7 +23,7 @@ from .bessel import IDENTITY_TOL, identity_gap, j1, j1_zeros
 from .errors import (DegenerateIsochronous, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, SignViolation)
 from .model import PotentialSystem
-from .oracle import orbit_period, orbit_trace
+from .oracle import _periods, _trace
 from .quadrature import period_at_amplitude, period_at_energy
 from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, _write_atomic,
                      bracket_dict, critical_dict, csv_table, report_to_json,
@@ -219,10 +219,11 @@ def _run(args) -> int:
 
     if args.command == "oracle":
         sys_ = PotentialSystem(args.lam)
-        sample = orbit_period(sys_, args.xi, tol=args.tol,
-                              full_return=args.full_return)
+        # one run gives the payload's period and, from its first fall, the
+        # trace's end time, so the quarter period is not integrated twice
+        (sample, period), = _periods(sys_, [args.xi], args.tol, 2 if args.full_return else 1)
         if args.dump_trace:
-            trace = orbit_trace(sys_, args.xi, tol=args.tol)
+            trace = _trace(sys_, args.xi, args.tol, period)
             rows = [{"t": t, "x": x, "y": y, "H": 0.5 * y * y + float(sys_.G(x))}
                     for t, x, y in trace.samples]
             _write_atomic(args.dump_trace, csv_table(("t", "x", "y", "H"), rows))

@@ -218,25 +218,29 @@ def _falls(sys: PotentialSystem, xis: list[float], tol: float, count: int) -> li
     return falls
 
 
-def _periods(sys: PotentialSystem, xis, tol: float, count: int) -> list[PeriodSample]:
+def _periods(sys: PotentialSystem, xis, tol: float, count: int) -> list[tuple[PeriodSample, float]]:
     """Periods of the orbits through (xi, 0) from the first count falls of
     each orbit's x through 0: four times the first (count 1) or the spacing
-    of the first two (count 2)."""
+    of the first two (count 2), each with four times its first fall, the
+    quarter-period T, which a full loop's run measures on its way."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float)).tolist()
     for xi in xis:
         if not (0.0 < xi < math.inf):
             raise ValueError(f"xi must be positive and finite, got {xi}")
     _check_tol(tol)
-    periods = [4.0 * f[0] if count == 1 else f[1] - f[0] for f in _falls(sys, xis, tol, count)]
-    return [PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=T,
-                         err_est=_PERIOD_ERR_FACTOR * tol * T, method="ode-oracle")
-            for xi, T in zip(xis, periods)]
+    periods = []
+    for xi, f in zip(xis, _falls(sys, xis, tol, count)):
+        T = 4.0 * f[0] if count == 1 else f[1] - f[0]
+        periods.append((PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=T,
+                                     err_est=_PERIOD_ERR_FACTOR * tol * T, method="ode-oracle"),
+                        4.0 * f[0]))
+    return periods
 
 
 def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:
     """Periods of the orbits through (xi, 0) for every amplitude of xis,
     measured by time integration of all of them as one stacked system."""
-    return _periods(sys, xis, tol, 1)
+    return [sample for sample, _ in _periods(sys, xis, tol, 1)]
 
 
 def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
@@ -249,7 +253,7 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     run, as a cross-check on the symmetry argument.  Both modes run on the
     compiled DOP853 and load nothing of scipy but its _dop extension.
     """
-    return _periods(sys, [xi], tol, 2 if full_return else 1)[0]
+    return _periods(sys, [xi], tol, 2 if full_return else 1)[0][0]
 
 
 def _record(t, s, lam, out, steps):
@@ -262,7 +266,12 @@ def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTra
     """One full period as the accepted steps of one compiled DOP853 run over
     [0, T], non-uniform in t, with the energy drift over them.  Up to the
     quarter-period crossing they are the steps orbit_period's own run takes."""
-    period = orbit_periods(sys, [xi], tol)[0].T
+    return _trace(sys, xi, tol, _periods(sys, [xi], tol, 1)[0][1])
+
+
+def _trace(sys: PotentialSystem, xi: float, tol: float, period: float) -> OrbitTrace:
+    """orbit_trace over [0, period], period the T already measured (the
+    second item of _periods' pair)."""
     steps = []
     _run(_stacked, 0.0, np.array([xi, 0.0]), period, tol, (sys.lam, np.empty(2), steps),
          solout=_record)

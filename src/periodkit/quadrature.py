@@ -34,9 +34,14 @@ geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
 One engine, _periodic, integrates a whole array of amplitudes at once,
 each stopping at its own node count while those that share a count share
 each integrand evaluation: a scan is one call of it, a single period the
-same call with one amplitude, and bessel's J1 integral another call.  Its
-integrands take a read-only node triple (phi, cos(u)^2, sin(u)^2), and the
-batched functions below return its (value, err_est) arrays as they are.
+same call with one amplitude, and bessel's J1 integral another call.  A
+call with one amplitude holds its per-integral bookkeeping (the input check,
+the rounding floor, the start count, the three trapezoid sums and the stop
+test) in floats rather than arrays of one value, chosen on xi.size == 1 in
+_amplitudes, _integral and _periodic; integrands, node cache and chunk walk
+are shared, and the results are the array path's bits.  Its integrands take
+a read-only node triple (phi, cos(u)^2, sin(u)^2), and the batched
+functions below return its (value, err_est) arrays as they are.
 """
 
 from __future__ import annotations
@@ -269,14 +274,28 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool 
     amplitude in xi.  Its rounding floor: where w is taken directly it
     cancels as g(xi) at the turning point, and T goes as w^-1/2; a
     derivative goes as w^-3/2, and it and the deviation T - 2*pi are carried
-    by sinc(a) and sinc(b), whose arguments round by EPS*xi/2."""
-    lsx = sys.lam * np.sin(xi)
-    direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
-    cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
-    floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
-    if derivative:
-        floor += 0.5 * EPS * xi
-    floor = np.maximum(ROUNDING_FLOOR, floor)
+    by sinc(a) and sinc(b), whose arguments round by EPS*xi/2.  One
+    amplitude takes its floor in floats, to the same bits."""
+    if xi.size == 1:
+        x = xi.item()
+        if sys.lam >= 0.0 or x >= 1.0:  # _well takes w directly
+            lsx = sys.lam * math.sin(x)
+            g = x + lsx  # 0 only past the edge, where numpy's quotient is inf
+            cancellation = (x + abs(lsx)) / g if g else math.inf
+        else:
+            cancellation = 1.0
+        floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
+        if derivative:
+            floor += 0.5 * EPS * x
+        floor = max(floor, ROUNDING_FLOOR)  # floor is never NaN
+    else:
+        lsx = sys.lam * np.sin(xi)
+        direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
+        cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
+        floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
+        if derivative:
+            floor += 0.5 * EPS * xi
+        floor = np.maximum(ROUNDING_FLOOR, floor)
     return _periodic(lambda rows, nodes: integrand(sys, xi[rows, None], nodes),
                      xi, REL_TOL, floor)
 
@@ -299,7 +318,13 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     SUBNORMAL_FLOOR where that rule is not 0.  An integral whose floor
     exceeds rel_tol, whose difference stops shrinking or whose next pass
     would pass MAX_NODES stops alone with converged=False.
+
+    One amplitude (xi.size == 1, floor a float) runs _periodic_one, the same
+    arithmetic on floats: the same bits without numpy's dispatch on arrays
+    of one value.
     """
+    if xi.size == 1:
+        return _periodic_one(f, xi.item(), rel_tol, floor)
     rows, floor = np.arange(xi.size), floor + np.zeros(xi.size)
     intervals = 2 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
     # a difference at least the last one has stopped shrinking; one whose
@@ -324,6 +349,23 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
             rows[go], 2 * intervals[go], diff[go], rules[:, go], floor[go])
 
 
+def _periodic_one(f, x: float, rel_tol: float, floor: float):
+    """_periodic of the one amplitude x, its start count, stop test and
+    sums (_trapezoid_one) held in floats; math.log2 rounds as np.log2 does
+    at the powers of two, where the start count steps."""
+    intervals = 2 * min(2 ** math.ceil(math.log2(0.25 * x + 16.0)), MAX_NODES // 4)
+    last, rules = -math.inf if floor > rel_tol else math.inf, None
+    while True:
+        coarse, fine, scale = rules = _trapezoid_one(f, intervals, rules)
+        # max keeps a NaN only as its first argument; np.maximum keeps any
+        diff, floored = abs(fine - coarse), floor * scale
+        e = max(diff, floored, SUBNORMAL_FLOOR * (scale > 0.0)) if floored == floored else floored
+        ok = e <= max(rel_tol * scale, TINY)
+        if ok or not (diff < last and 2 * intervals < MAX_NODES):
+            return np.array([fine]), np.array([e]), np.array([ok])
+        intervals, last = 2 * intervals, diff
+
+
 def _nodes(k: int, step: int, count: int):
     """The node triple of the count nodes j*pi/(2k), j = step - 1,
     2*step - 1, ...: all of a first pass (step 1) or the midpoints of a
@@ -337,13 +379,26 @@ def _nodes(k: int, step: int, count: int):
     return nodes
 
 
+def _chunks(k: int, first: bool):
+    """(j, nodes) for each chunk of at most EVAL_NODES nodes of a pass with k
+    intervals, node j of the pass its first: all k + 1 nodes of a first pass,
+    else the k // 2 new midpoints; a pass of at most CACHE_NODES nodes is one
+    cached chunk."""
+    step = 1 if first else 2
+    count = k + 1 if first else k // 2
+    if count <= CACHE_NODES:
+        return ((0, _nodes(k, step, count)),)
+    h = HALF_PI / k
+    return ((j, _squares(np.arange(step * j + step - 1, step * min(j + EVAL_NODES, count), step) * h))
+            for j in range(0, count, EVAL_NODES))
+
+
 def _trapezoid(f, rows, intervals, last):
     """(coarse, fine, |f|) trapezoid rules on [0, pi/2] of the integrals rows,
     the fine one with intervals[i] intervals: all its nodes, the ends at half
     weight, without last, else last's rules and only the new midpoints.  The
     rows that share a count are evaluated together, EVAL_NODES nodes at most."""
     first = last is None
-    step = 1 if first else 2
     if first:
         q = np.zeros((3, rows.size))
     else:  # the last fine rule is the new coarse one; the midpoints add to half of it
@@ -354,13 +409,8 @@ def _trapezoid(f, rows, intervals, last):
     for k in counts:
         at = np.flatnonzero(intervals == k) if len(counts) > 1 else None  # None: every row
         h = HALF_PI / k
-        count = k + 1 if first else k // 2
-        width = min(count, EVAL_NODES)
-        for j in range(0, count, width):
-            nodes = (_nodes(k, step, count) if count <= CACHE_NODES  # one chunk, j = 0
-                     else _squares(np.arange(step * j + step - 1, step * min(j + width, count),
-                                             step) * h))
-            block = EVAL_NODES // width
+        block = EVAL_NODES // min(k + 1 if first else k // 2, EVAL_NODES)
+        for j, nodes in _chunks(k, first):
             for i in range(0, rows.size if at is None else at.size, block):
                 part = slice(i, i + block) if at is None else at[i:i + block]
                 fx = f(rows[part], nodes)
@@ -370,6 +420,22 @@ def _trapezoid(f, rows, intervals, last):
                 q[1, part] += h * fx.sum(axis=1)
                 q[2, part] += h * np.abs(fx, out=fx).sum(axis=1)
     return q
+
+
+def _trapezoid_one(f, k: int, last):
+    """_trapezoid of the one integral f(slice(None), nodes) with k
+    intervals, its three rules floats."""
+    h = HALF_PI / k
+    first = last is None
+    coarse, fine, scale = (0.0, 0.0, 0.0) if first else (last[1], 0.5 * last[1], 0.5 * last[2])
+    for j, nodes in _chunks(k, first):
+        fx = f(slice(None), nodes)[0]
+        if first:
+            fx[-j % k::k] *= 0.5
+            coarse += 2.0 * h * float(np.add.reduce(fx[j % 2::2]))
+        fine += h * float(np.add.reduce(fx))
+        scale += h * float(np.add.reduce(np.abs(fx, out=fx)))
+    return coarse, fine, scale
 
 
 def require_converged(sample: PeriodSample) -> PeriodSample:
@@ -385,9 +451,12 @@ def require_converged(sample: PeriodSample) -> PeriodSample:
 def _amplitudes(sys: PotentialSystem, xi, nilpotent_min: float = NILPOTENT_XI_MIN) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).ravel()
     least = nilpotent_min if sys.lam == -1.0 else XI_MIN
-    bad = ~((xi >= least) & (xi < math.inf))
-    if np.count_nonzero(bad):
-        raise ValueError(f"xi must be finite, >= {least!r} at lam={sys.lam:g}, got {xi[bad][0]}")
+    if xi.size == 1:  # one amplitude, checked as a float
+        bad = () if least <= xi.item() < math.inf else xi
+    else:
+        bad = xi[~((xi >= least) & (xi < math.inf))]
+    if len(bad):
+        raise ValueError(f"xi must be finite, >= {least!r} at lam={sys.lam:g}, got {bad[0]}")
     return xi
 
 
