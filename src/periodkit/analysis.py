@@ -341,13 +341,13 @@ def opial_sign_changes(sys: PotentialSystem, x_max: float) -> list[float]:
     grid = np.arange(step, x_max + step, step)
     grid[-1] = min(grid[-1], x_max)
     vals = _indicator_numerator(grid)
+    # a node where the numerator is exactly zero is a zero itself; a strict
+    # sign change is refined on its interval
     zeros = []
-    for i in range(len(grid) - 1):
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
         a, b = float(grid[i]), float(grid[i + 1])
-        if vals[i] == 0.0:
-            zeros.append(a)
-        elif vals[i] * vals[i + 1] < 0.0:
-            zeros.append(_brent(_indicator_numerator, a, b, 1e-13 * max(1.0, b)))
+        zeros.append(a if vals[i] == 0.0
+                     else _brent(_indicator_numerator, a, b, 1e-13 * max(1.0, b)))
     return zeros
 
 

@@ -20,14 +20,13 @@ import time
 from .analysis import (find_critical_periods, find_two_pi_levels,
                        opial_sign_changes, scan_period, two_pi_brackets)
 from .bessel import IDENTITY_TOL, identity_gap, j1, j1_zeros
-from .errors import (DegenerateIsochronous, NoConvergence, NonMonotoneEnergy,
-                     PeriodkitError, SignViolation)
+from .errors import PeriodkitError, SignViolation
 from .model import PotentialSystem
 from .oracle import _periods, _trace
 from .quadrature import period_at_amplitude, period_at_energy
-from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, _write_atomic,
-                     bracket_dict, critical_dict, csv_table, report_to_json,
-                     run_verify, sample_dicts, samples_to_csv, to_json)
+from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, SAMPLE_FIELDS,
+                     _write_atomic, csv_table, field_records, report_to_json,
+                     run_verify, sample_dicts, to_json)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -44,65 +43,54 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _common_options() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format (default json; bessel j1/identity and verify: json only)")
-    p.add_argument("--out", default=None, help="write payload to this path")
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="output format (default json; bessel j1/identity and verify: json only)")
+    output.add_argument("--out", default=None, help="write payload to this path")
+    coupled = argparse.ArgumentParser(add_help=False, parents=[output])
+    coupled.add_argument("--lambda", dest="lam", type=float, required=True)
+
     parser = _Parser(
         prog="periodkit",
         description="Period function of the planar center x'' + x + lam*sin(x) = 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("period", parents=[common],
-                       help="one period at --xi or --h")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = sub.add_parser("period", parents=[coupled], help="one period at --xi or --h")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--xi", type=float)
     group.add_argument("--h", type=float)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[coupled],
                        help="uniform amplitude scan of the period function")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--xi-min", type=float, required=True)
     p.add_argument("--xi-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("critical", parents=[common],
+    p = sub.add_parser("critical", parents=[coupled],
                        help="locate and classify the extrema of T")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--xi-max", type=float, required=True)
 
-    p = sub.add_parser("two-pi", parents=[common],
+    p = sub.add_parser("two-pi", parents=[coupled],
                        help="bracket pairs and the 2*pi-period energy levels")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--k-max", type=int, required=True)
 
-    p = sub.add_parser("opial", parents=[common],
+    p = sub.add_parser("opial", parents=[coupled],
                        help="zeros of the even-potential monotonicity indicator")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
 
-    p = sub.add_parser("bessel", parents=[common], help="J1 toolbox")
+    p = sub.add_parser("bessel", parents=[output], help="J1 toolbox")
     p.add_argument("op", choices=("j1", "zeros", "identity"))
     p.add_argument("--xi", type=float, help="argument for j1")
     p.add_argument("--n", type=int, help="zero count / identity grid size")
     p.add_argument("--xi-max", type=float, default=14.0,
                    help="identity sweep upper end, at most 14 (default 14)")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[coupled],
                        help="run the full verification pipeline (JSON report)")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--k-max", type=int, required=True)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="period by direct ODE integration")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p = sub.add_parser("oracle", parents=[coupled], help="period by direct ODE integration")
     p.add_argument("--xi", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--full-return", action="store_true",
@@ -110,22 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-trace", default=None, metavar="PATH",
                    help="write the accepted steps of one period, non-uniform in t, "
                         "as CSV columns t,x,y,H")
-
     return parser
 
 
 def _emit(args, text: str) -> None:
     if args.out:
         _write_atomic(args.out, text)
-        meta = {"written": args.out, "timestamp": time.time(),
-                "argv": sys.argv[1:]}
+        meta = {"written": args.out, "timestamp": time.time(), "argv": sys.argv[1:]}
         _write_atomic(args.out + ".meta.json", to_json(meta))
     else:
         sys.stdout.write(text)
 
 
-def _numbered(name: str, values) -> list[dict]:
-    return [{"k": k, name: v} for k, v in enumerate(values, 1)]
+def _numbered(name: str, values) -> tuple:
+    """CSV table of values numbered from 1: header k, name, and its records."""
+    return ("k", name), [{"k": k, name: v} for k, v in enumerate(values, 1)]
 
 
 def _run(args) -> int:
@@ -134,81 +121,7 @@ def _run(args) -> int:
     if csv and name in ("bessel j1", "bessel identity", "verify"):
         raise ValueError(f"{name} writes JSON only; --format csv is not supported")
 
-    def emit_json(payload: dict) -> None:
-        _emit(args, to_json({**payload, "config": CONFIG}))
-
-    def emit_samples(samples) -> None:
-        if csv:
-            _emit(args, samples_to_csv(samples))
-        else:
-            emit_json({"samples": sample_dicts(samples)})
-
-    if args.command == "period":
-        sys_ = PotentialSystem(args.lam)
-        if args.xi is not None:
-            emit_samples([period_at_amplitude(sys_, args.xi)])
-        else:
-            emit_samples([period_at_energy(sys_, args.h)])
-        return 0
-
-    if args.command == "scan":
-        sys_ = PotentialSystem(args.lam)
-        emit_samples(scan_period(sys_, args.xi_min, args.xi_max, args.n))
-        return 0
-
-    if args.command == "critical":
-        sys_ = PotentialSystem(args.lam)
-        crit = [critical_dict(c) for c in find_critical_periods(sys_, args.xi_max)]
-        if csv:
-            _emit(args, csv_table(CRITICAL_FIELDS, crit))
-        else:
-            emit_json({"lambda": args.lam, "critical_periods": crit})
-        return 0
-
-    if args.command == "two-pi":
-        sys_ = PotentialSystem(args.lam)
-        measured = two_pi_brackets(sys_, args.k_max)
-        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, measured)
-        brackets = [bracket_dict(b) for b in measured]
-        if csv:  # every bracket field but the degenerate flag
-            _emit(args, csv_table(BRACKET_FIELDS[:-1], brackets))
-        else:
-            emit_json({"lambda": args.lam, "brackets": brackets, "two_pi_levels": levels})
-        return 0
-
-    if args.command == "opial":
-        zeros = opial_sign_changes(PotentialSystem(args.lam), args.x_max)
-        if csv:
-            _emit(args, csv_table(("k", "x_zero"), _numbered("x_zero", zeros)))
-        else:
-            emit_json({"lambda": args.lam, "x_max": args.x_max, "indicator_zeros": zeros})
-        return 0
-
-    if args.command == "bessel":
-        if args.op == "j1":
-            if args.xi is None:
-                raise ValueError("bessel j1 needs --xi")
-            e = j1(args.xi)
-            emit_json({"xi": e.xi, "value": e.value, "method": e.method,
-                       "err_bound": e.err_bound})
-        elif args.op == "zeros":
-            if args.n is None:
-                raise ValueError("bessel zeros needs --n")
-            zeros = j1_zeros(args.n)
-            if csv:
-                _emit(args, csv_table(("k", "zero"), _numbered("zero", zeros)))
-            else:
-                emit_json({"zeros": zeros})
-        else:
-            n = 200 if args.n is None else args.n
-            worst = identity_gap(args.xi_max, n)
-            emit_json({"xi_max": args.xi_max, "grid": n, "max_identity_gap": worst,
-                       "passed": worst <= IDENTITY_TOL})
-            if worst > IDENTITY_TOL:
-                return CHECK_FAILURE
-        return 0
-
-    if args.command == "verify":
+    if name == "verify":
         report = run_verify(args.lam, args.k_max)
         _emit(args, report_to_json(report))
         for name, check in report.checks.items():
@@ -217,8 +130,45 @@ def _run(args) -> int:
                   file=sys.stderr)
         return 0 if report.passed else CHECK_FAILURE
 
-    if args.command == "oracle":
-        sys_ = PotentialSystem(args.lam)
+    # the rest set a JSON payload (config added on writing) and a CSV table,
+    # header and records (None: JSON only), or samples, which give both
+    sys_ = None if args.command == "bessel" else PotentialSystem(args.lam)
+    code, table, samples = 0, None, None
+    if name == "bessel j1":
+        if args.xi is None:
+            raise ValueError("bessel j1 needs --xi")
+        e = j1(args.xi)
+        payload = {"xi": e.xi, "value": e.value, "method": e.method, "err_bound": e.err_bound}
+    elif name == "bessel zeros":
+        if args.n is None:
+            raise ValueError("bessel zeros needs --n")
+        zeros = j1_zeros(args.n)
+        payload, table = {"zeros": zeros}, _numbered("zero", zeros)
+    elif name == "bessel identity":
+        n = 200 if args.n is None else args.n
+        worst = identity_gap(args.xi_max, n)
+        passed = worst <= IDENTITY_TOL
+        payload = {"xi_max": args.xi_max, "grid": n, "max_identity_gap": worst, "passed": passed}
+        code = 0 if passed else CHECK_FAILURE
+    elif name == "period":
+        samples = [period_at_amplitude(sys_, args.xi) if args.xi is not None
+                   else period_at_energy(sys_, args.h)]
+    elif name == "scan":
+        samples = scan_period(sys_, args.xi_min, args.xi_max, args.n)
+    elif name == "critical":
+        crit = field_records(find_critical_periods(sys_, args.xi_max), CRITICAL_FIELDS)
+        payload, table = {"lambda": args.lam, "critical_periods": crit}, (CRITICAL_FIELDS, crit)
+    elif name == "two-pi":
+        measured = two_pi_brackets(sys_, args.k_max)
+        levels = [] if args.lam == 0.0 else find_two_pi_levels(sys_, measured)
+        brackets = field_records(measured, BRACKET_FIELDS)
+        payload = {"lambda": args.lam, "brackets": brackets, "two_pi_levels": levels}
+        table = BRACKET_FIELDS[:-1], brackets  # every bracket field but the degenerate flag
+    elif name == "opial":
+        zeros = opial_sign_changes(sys_, args.x_max)
+        payload = {"lambda": args.lam, "x_max": args.x_max, "indicator_zeros": zeros}
+        table = _numbered("x_zero", zeros)
+    elif name == "oracle":
         # one run gives the payload's period and, from its first fall, the
         # trace's end time, so the quarter period is not integrated twice
         (sample, period), = _periods(sys_, [args.xi], args.tol, 2 if args.full_return else 1)
@@ -229,10 +179,14 @@ def _run(args) -> int:
             _write_atomic(args.dump_trace, csv_table(("t", "x", "y", "H"), rows))
             print(f"trace written to {args.dump_trace} "
                   f"(max energy drift {trace.max_drift:.3e})", file=sys.stderr)
-        emit_samples([sample])
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+        samples = [sample]
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    if samples is not None:
+        dicts = sample_dicts(samples)
+        payload, table = {"samples": dicts}, (SAMPLE_FIELDS, dicts)
+    _emit(args, csv_table(*table) if csv else to_json({**payload, "config": CONFIG}))
+    return code
 
 
 @functools.cache
@@ -246,13 +200,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _run(args)
-    except SignViolation as exc:
+    except (PeriodkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
-    except (DegenerateIsochronous, NonMonotoneEnergy, NoConvergence,
-            PeriodkitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CHECK_FAILURE if isinstance(exc, SignViolation) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -409,8 +409,8 @@ def _trapezoid(f, rows, intervals, last):
     for k in counts:
         at = np.flatnonzero(intervals == k) if len(counts) > 1 else None  # None: every row
         h = HALF_PI / k
-        block = EVAL_NODES // min(k + 1 if first else k // 2, EVAL_NODES)
         for j, nodes in _chunks(k, first):
+            block = EVAL_NODES // nodes[0].size  # a short last chunk takes more rows
             for i in range(0, rows.size if at is None else at.size, block):
                 part = slice(i, i + block) if at is None else at[i:i + block]
                 fx = f(rows[part], nodes)

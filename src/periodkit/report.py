@@ -235,12 +235,10 @@ def sample_dicts(samples: list[PeriodSample]) -> list[dict]:
             for s in sorted(samples, key=lambda s: s.xi)]
 
 
-def bracket_dict(b: TwoPiBracket) -> dict:
-    return {name: getattr(b, name) for name in BRACKET_FIELDS}
-
-
-def critical_dict(c: CriticalPeriod) -> dict:
-    return {name: getattr(c, name) for name in CRITICAL_FIELDS}
+def field_records(items, fields) -> list[dict]:
+    """Payload records of brackets or critical periods: each item's
+    attributes named by fields."""
+    return [{name: getattr(item, name) for name in fields} for item in items]
 
 
 def csv_table(header, records) -> str:
@@ -272,9 +270,9 @@ def report_to_dict(report: VerifyReport) -> dict:
             name: {"passed": c.passed, "margin": c.margin, "detail": c.detail}
             for name, c in report.checks.items()
         },
-        "brackets": [bracket_dict(b) for b in report.brackets],
+        "brackets": field_records(report.brackets, BRACKET_FIELDS),
         "two_pi_levels": list(report.two_pi_levels),
-        "critical_periods": [critical_dict(c) for c in report.critical_periods],
+        "critical_periods": field_records(report.critical_periods, CRITICAL_FIELDS),
     }
 
 

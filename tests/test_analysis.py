@@ -468,6 +468,19 @@ def test_opial_zero_set_is_coupling_independent():
     assert za == zb
 
 
+def test_opial_zero_at_a_grid_node_is_that_node(monkeypatch):
+    # a numerator exactly zero on a grid node (node 150, x = 1.51*pi, far
+    # from every true zero) adds that node itself and no refined root
+    s1 = PotentialSystem(1.0)
+    plain = opial_sign_changes(s1, 20.0)
+    step = PI / 100.0
+    node = float(np.arange(step, 20.0 + step, step)[150])
+    f = analysis._indicator_numerator
+    monkeypatch.setattr(analysis, "_indicator_numerator",
+                        lambda x: np.where(x == node, 0.0, f(x)) if np.ndim(x) else f(x))
+    assert opial_sign_changes(s1, 20.0) == sorted(plain + [node])
+
+
 # ------------------------------------------------ coupling derivative
 
 def test_lam_derivative_small_amplitude_limit():

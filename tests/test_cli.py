@@ -325,6 +325,45 @@ def test_payload_records_match_the_verify_report(capsys):
     assert payload["config"] == report["config"]
 
 
+# each table's argv and the JSON payload key of the records it writes
+TABLE_ARGV = {
+    "period --xi": (["period", "--lambda", "1", "--xi", "2"], "samples"),
+    "period --h": (["period", "--lambda", "1", "--h", "0.5"], "samples"),
+    "scan": (["scan", "--lambda", "2.25", "--xi-min", "1", "--xi-max", "30", "--n", "5"], "samples"),
+    "critical": (["critical", "--lambda", "1", "--xi-max", "37.7"], "critical_periods"),
+    "two-pi": (["two-pi", "--lambda", "1", "--k-max", "5"], "brackets"),
+    "opial": (["opial", "--lambda", "1", "--x-max", "20"], "indicator_zeros"),
+    "bessel zeros": (["bessel", "zeros", "--n", "5"], "zeros"),
+    "oracle": (["oracle", "--lambda", "1", "--xi", "3"], "samples"),
+}
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+@pytest.mark.parametrize("command", list(TABLE_ARGV))
+def test_one_record_list_feeds_both_formats(capsys, command):
+    argv, key = TABLE_ARGV[command]
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, *lines = out.splitlines()
+    header = header.split(",")
+    rows = [dict(zip(header, map(_cell, line.split(",")))) for line in lines]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    records = json.loads(out)[key]
+    if header[0] == "k" and len(header) == 2:  # a list of values, numbered in the CSV
+        records = [{"k": k, header[1]: v} for k, v in enumerate(records, 1)]
+    assert len(rows) == len(records) > 0
+    # the CSV leaves out only two-pi's degenerate flag
+    assert set(records[0]) - set(header) == ({"degenerate"} if command == "two-pi" else set())
+    assert rows == [{name: r[name] for name in header} for r in records]
+
+
 @pytest.mark.parametrize("value", ["-1e-8", "-1E-8", "-.5"])
 def test_verify_reads_a_negative_coupling_in_any_notation(capsys, value):
     # argparse alone takes -1e-8 for an unknown option and exits 2

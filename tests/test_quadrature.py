@@ -616,6 +616,17 @@ def test_eval_nodes_bound_integrand_nodes(monkeypatch):
     assert counter.max_nodes == EVAL_NODES
 
 
+def test_short_last_chunk_takes_its_rows_together(monkeypatch):
+    # passes past EVAL_NODES nodes end in a short chunk, which fits all 50
+    # rows in one evaluation: 101 calls (150 with one row per call there),
+    # with the bits of single calls
+    counter = _CountingIntegrand(monkeypatch)
+    xs = np.linspace(7e4, 1e5, 50)
+    samples = period_samples(PotentialSystem(1.0), xs)
+    assert counter.calls == 101
+    assert samples == [period_at_amplitude(PotentialSystem(1.0), x) for x in xs]
+
+
 def _bits(estimates):
     return [(v.hex(), e.hex()) for v, e in zip(*(a.tolist() for a in estimates))]
 
