@@ -6,9 +6,9 @@ class PeriodkitError(Exception):
 
 
 class NonMonotoneEnergy(PeriodkitError):
-    """Raised when g(x) <= 0 is detected at a probe point x > 0 inside a
-    search bracket, i.e. the potential is not strictly increasing there and
-    the orbit family around the origin does not extend that far."""
+    """The orbit family around the origin does not reach that far: the
+    period integrand's w <= 0, an energy at or above the edge's level, or
+    amplitudes past the edge (require_valid).  x, where given, is the edge."""
 
     def __init__(self, msg, x=None):
         super().__init__(msg)
@@ -39,7 +39,8 @@ class RangeExceeded(PeriodkitError):
 
 
 class BracketFailure(PeriodkitError):
-    """A root bracket did not contain a sign change even after widening."""
+    """A bracket held no sign change even after widening, lost it while
+    refined, or reached the refinement's iteration cap."""
 
 
 class SignViolation(PeriodkitError):
@@ -53,13 +54,13 @@ class DegenerateIsochronous(PeriodkitError):
 
 
 class EventMissed(PeriodkitError):
-    """The orbit integration never crossed the negative-x half of the
-    Poincare section y = 0; the starting point is not on an orbit around
-    the origin (diagnostic for an invalid parameter/amplitude pair)."""
+    """An orbit did not reach the section x = 0: its y fell through 0 while
+    x > 0, so it does not enclose the origin, or no crossing came within
+    MAX_EVENT_TIME/2 (an invalid parameter/amplitude pair)."""
 
 
 class ToleranceUnmet(PeriodkitError):
-    """The ODE integrator stalled before reaching the requested tolerance."""
+    """A compiled DOP853 run failed (istate < 0), e.g. on its step budget."""
 
 
 class AmbiguousBracket(UserWarning):

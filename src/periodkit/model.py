@@ -6,13 +6,20 @@ orbit through (xi, 0) lives on the energy level h = G(xi) while xi is below
 the edge, the first zero of g on (0, inf).  This module holds the closed-form
 pieces (g, G, the edge, local period asymptotics), the root-solving glue
 between energy and amplitude, and _brent, the scalar root finder behind the
-edge, the inversion and analysis.opial_sign_changes.  Like the rest of the
-numerics it needs numpy alone; scipy serves only the ODE oracle.
+edge, the inversion and analysis.opial_sign_changes.  _brent calls scipy's
+compiled brentq, and the ODE oracle scipy's compiled DOP853; _scipy_extension
+loads each from its file on first use, without executing the scipy package,
+so periodkit loads no scipy module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,63 +46,56 @@ BRENT_RTOL = 4.0 * math.ulp(1.0)
 BRENT_MAXITER = 200
 
 
+_EXTENSIONS = {}  # scipy's compiled extensions by module name, once loaded
+_EXTENSIONS_LOCK = threading.Lock()
+
+
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension scipy.<subpackage>.<name>, loaded from its
+    file on the first call without executing the scipy package, and kept
+    for the process.  Finding the file imports no module: scipy's directory
+    comes from its import spec.  A single-phase extension enters sys.modules
+    as it loads; an entry this load made is removed, since a later import of
+    the subpackage would find it there and not set the package's attribute.
+    A missing file raises ImportError naming the path."""
+    key = f"scipy.{subpackage}.{name}"
+    with _EXTENSIONS_LOCK:
+        if key not in _EXTENSIONS:
+            scipy = importlib.util.find_spec("scipy")
+            if scipy is None:
+                raise ImportError(f"{key} needs scipy, which is not installed")
+            path = os.path.join(os.path.dirname(scipy.origin), subpackage)
+            spec = importlib.machinery.FileFinder(path, (
+                importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES)).find_spec(key)
+            if spec is None:
+                raise ImportError(f"no compiled extension {name} in {path}")
+            imported = key in sys.modules
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if not imported:
+                sys.modules.pop(key, None)
+            _EXTENSIONS[key] = module
+        return _EXTENSIONS[key]
+
+
 def _brent(f, a: float, b: float, xtol: float) -> float:
-    """The root of f in [a, b], whose end values differ in sign, by Brent's
-    method step for step as scipy's C brentq runs it, to within
-    xtol + BRENT_RTOL*|x|: the same iterates and the same root to the bit.
-    Where an interpolation step divides by zero it bisects, as C does with
-    the inf or nan it gets.  A NaN value or ends of one sign raise
-    ValueError, BRENT_MAXITER iterations NoConvergence with the best
-    estimate."""
+    """The root of f in [a, b], whose end values differ in sign, by scipy's
+    compiled brentq, to within xtol + BRENT_RTOL*|x|.  A NaN value or ends
+    of one sign raise brentq's ValueError, BRENT_MAXITER iterations
+    NoConvergence with the best estimate, within the bracket's width."""
     def value(x):
-        fx = float(f(x))
+        fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xpre, xcur]
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect, also where a step divides by zero
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise NoConvergence(f"Brent's method on [{a:.17g}, {b:.17g}] did not converge in "
-                        f"{BRENT_MAXITER} iterations", best=xcur, err_est=2 * abs(sbis))
+    root, _, _, flag = _scipy_extension("optimize", "_zeros")._brentq(
+        value, a, b, xtol, BRENT_RTOL, BRENT_MAXITER, (), True, False)
+    if flag != 0:  # C's CONVERR: the cap was reached
+        raise NoConvergence(f"Brent's method on [{a:.17g}, {b:.17g}] did not converge in "
+                            f"{BRENT_MAXITER} iterations", best=root, err_est=abs(b - a))
+    return root
 
 
 def _horner(coeffs, x, out=None):

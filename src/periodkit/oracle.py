@@ -39,9 +39,9 @@ steps of the run that measured T, so the energy drift over them vouches for
 that run.
 
 Every path loads the one compiled extension the runs call,
-scipy/integrate/_dop, from its file on its first orbit, without executing
-the scipy.integrate package (some 350 modules), so periodkit needs numpy
-alone until then and an orbit adds that one extension.
+scipy/integrate/_dop, from its file on its first orbit by
+model._scipy_extension, without executing the scipy.integrate package
+(some 350 modules), so an orbit adds that one extension.
 
 This route shares no code with the quadrature module, which is the point:
 every period number here is an independent check on the singular integral.
@@ -51,17 +51,13 @@ written in (CSV and JSON, including the `t,x,y,H` trace) lives in report.py.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EventMissed, ToleranceUnmet
-from .model import PotentialSystem
+from .model import PotentialSystem, _scipy_extension
 from .quadrature import PeriodSample
 
 MAX_EVENT_TIME = 1e4
@@ -126,33 +122,8 @@ def _section(u, s, lam, x_end):
     return np.concatenate((dt * (x + lam * np.sin(x)), dt))
 
 
-_DOP = None  # scipy's compiled scipy.integrate._dop, once loaded
-_DOP_LOCK = threading.Lock()
-
-
-def _dop():
-    """The compiled scipy.integrate._dop module, loaded from its file on the
-    first call and kept here for the process, not in sys.modules: a later
-    import of scipy.integrate would find it there and not set the package's
-    _dop attribute.
-    Finding the file imports no module: scipy's directory comes from its
-    import spec.  A missing file raises ImportError naming the path."""
-    global _DOP
-    with _DOP_LOCK:
-        if _DOP is None:
-            scipy = importlib.util.find_spec("scipy")
-            if scipy is None:
-                raise ImportError("the ODE oracle needs scipy, which is not installed")
-            path = os.path.join(os.path.dirname(scipy.origin), "integrate")
-            spec = importlib.machinery.FileFinder(path, (
-                importlib.machinery.ExtensionFileLoader,
-                importlib.machinery.EXTENSION_SUFFIXES)).find_spec("scipy.integrate._dop")
-            if spec is None:
-                raise ImportError(f"no compiled extension _dop in {path}")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            _DOP = module
-    return _DOP
+def _dop():  # the compiled scipy.integrate._dop module the runs call
+    return _scipy_extension("integrate", "_dop")
 
 
 _FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",

@@ -405,14 +405,13 @@ def _trapezoid(f, rows, intervals, last):
         q = np.empty_like(last)
         q[0] = last[1]
         np.multiply(last[1:], 0.5, out=q[1:])
-    counts = sorted(set(intervals.tolist()))
-    for k in counts:
-        at = np.flatnonzero(intervals == k) if len(counts) > 1 else None  # None: every row
+    for k in sorted(set(intervals.tolist())):
+        at = np.flatnonzero(intervals == k)
         h = HALF_PI / k
         for j, nodes in _chunks(k, first):
             block = EVAL_NODES // nodes[0].size  # a short last chunk takes more rows
-            for i in range(0, rows.size if at is None else at.size, block):
-                part = slice(i, i + block) if at is None else at[i:i + block]
+            for i in range(0, at.size, block):
+                part = at[i:i + block]
                 fx = f(rows[part], nodes)
                 if first:
                     fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k

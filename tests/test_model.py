@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -372,6 +374,31 @@ def test_edge_matches_scipy_brentq(compared):
 def test_opial_zeros_match_scipy_brentq(compared):
     zeros = analysis.opial_sign_changes(PotentialSystem(1.0), 200.0)
     assert len(compared) == len(zeros) == 62
+
+
+def test_repeated_root_searches_retain_no_memory():
+    # every _brent call hands the compiled brentq a new closure, and none of
+    # them stays alive after the call
+    def searches():
+        for lam in (-1.0, 1.0, 5.0, 50.0):
+            s = PotentialSystem(lam)
+            s.edge()
+            for h in (1e-200, 0.5, 1.0):
+                energy_to_amplitude(s, h)
+        analysis.opial_sign_changes(PotentialSystem(1.0), 20.0)
+
+    searches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            searches()
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - start) / 20
+    finally:
+        tracemalloc.stop()
+    assert retained <= 32
 
 
 @pytest.mark.parametrize("f", [lambda x: x - 2.0, lambda x: 1e-200, lambda x: -1e-200,

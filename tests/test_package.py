@@ -90,11 +90,37 @@ def test_oracle_and_scipy_integrate_load_in_either_order():
     assert a == b == c == d == here and full == full2
 
 
+_ROOTS = ("from periodkit import PotentialSystem, energy_to_amplitude, opial_sign_changes\n"
+          "def roots():\n"
+          "    return ([energy_to_amplitude(PotentialSystem(lam), h)\n"
+          "             for lam in (-1.0, -1e-8, 1.0, 5.0) for h in (1.2e-288, 0.5, 1.0)],\n"
+          "            [PotentialSystem(lam).edge() for lam in (4.7, 5.0, 50.0)],\n"
+          "            opial_sign_changes(PotentialSystem(1.0), 20.0))\n")
+
+_SCIPY_OPTIMIZE = (
+    "import sys, scipy.optimize\n"
+    "assert abs(scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0) - 2 ** 0.5) < 1e-11\n"
+    "assert sys.modules['scipy.optimize._zeros'] is scipy.optimize._zeros\n"
+    "assert callable(scipy.optimize._zeros._brentq)\n")
+
+
+def test_root_finder_and_scipy_optimize_load_in_either_order():
+    # the root finder's extension module leaves no entry in sys.modules, so
+    # a later import of scipy.optimize loads its own _zeros, and one made
+    # earlier serves the root finder as well
+    first = _fresh(_ROOTS + "a = roots()\n" + _SCIPY_OPTIMIZE + "print(repr((a, roots())))")
+    last = _fresh(_ROOTS + _SCIPY_OPTIMIZE + "print(repr((roots(), roots())))")
+    (a, b), (c, d) = ast.literal_eval(first[-1]), ast.literal_eval(last[-1])
+    here = {}
+    exec(_ROOTS, here)
+    assert a == b == c == d == here["roots"]()
+
+
 def test_threads_loading_the_compiled_stepper_get_the_serial_periods():
-    # three threads run the first orbits of a fresh process at once, the
-    # load slowed to let them meet there: the extension is loaded once, and
-    # every period is the serial one
-    code = _ORBITS + (
+    # three threads make the first inversions and run the first orbits of a
+    # fresh process at once, each load slowed to let them meet there: each
+    # extension is loaded once, and every root and period is the serial one
+    code = _ROOTS + _ORBITS + (
         "import importlib.util, sys, threading, time\n"
         "sys.setswitchinterval(1e-6)\n"
         "loads, load = [], importlib.util.module_from_spec\n"
@@ -106,13 +132,13 @@ def test_threads_loading_the_compiled_stepper_get_the_serial_periods():
         "start, got = threading.Barrier(3, timeout=60), {}\n"
         "def run(i):\n"
         "    start.wait()\n"
-        "    got[i] = orbits()\n"
+        "    got[i] = roots(), orbits()\n"
         "threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]\n"
         "for t in threads: t.start()\n"
         "for t in threads: t.join(60)\n"
         "assert not any(t.is_alive() for t in threads) and len(got) == 3\n"
-        "assert list(got.values()) == [orbits()] * 3, got\n"
-        "assert loads == ['scipy.integrate._dop'], loads\n"
+        "assert list(got.values()) == [(roots(), orbits())] * 3, got\n"
+        "assert loads == ['scipy.optimize._zeros', 'scipy.integrate._dop'], loads\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "print('ok')\n")
     assert _fresh(code)[-1] == "ok"
