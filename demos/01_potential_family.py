@@ -7,9 +7,11 @@ where the family is valid, how energy and amplitude convert, and what the
 period does right at the center.
 """
 
+import math
+
 import numpy as np
 
-from periodkit import PotentialSystem, energy_to_amplitude, validate_center
+from periodkit import PotentialSystem, energy_to_amplitude
 from periodkit.model import LAM_C, X_MIN
 
 # --- the force and the potential ------------------------------------------
@@ -25,14 +27,14 @@ print("g is odd, G is even, both vanish at the origin.\n")
 # at X_MIN, the root of tan x = x in (pi, 3*pi/2), so that holds exactly for
 # lam <= LAM_C = -X_MIN/sin(X_MIN); beyond, g picks up extra zeros and a pair
 # of side equilibria ends the annulus at the edge, the first zero of g.
+# At lam = -1 the linear part vanishes and the center is nilpotent.
 
 print(f"X_MIN = {X_MIN!r}, LAM_C = {LAM_C!r}")
 for lam in (-1.0, 0.0, 2.0, 4.5, 5.0, 6.0):
-    s = PotentialSystem(lam)
-    v = validate_center(s, 100.0)
-    print(f"lam = {lam:5.1f}: {'global' if v.is_global else 'NOT global':10s} "
-          f"(edge {s.edge():.4f}), g(x)/x in [{v.semilinear_bounds[0]:.3f}, "
-          f"{v.semilinear_bounds[1]:.3f}], center is {v.center_kind}")
+    edge = PotentialSystem(lam).edge()
+    print(f"lam = {lam:5.1f}: {'global' if edge == math.inf else 'NOT global':10s} "
+          f"(edge {edge:.4f}, lam {'<=' if lam <= LAM_C else '> '} LAM_C), "
+          f"center is {'nilpotent' if lam == -1.0 else 'elementary'}")
 
 # --- energy <-> amplitude --------------------------------------------------
 # Orbits are labelled either by energy h or by the amplitude xi where they

@@ -19,17 +19,16 @@ from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
                      EventMissed, NoConvergence, NonMonotoneEnergy,
                      PeriodkitError, RangeExceeded, SignViolation,
                      ToleranceUnmet)
-from .model import (CenterValidity, PotentialSystem, energy_to_amplitude,
-                    validate_center)
+from .model import PotentialSystem, energy_to_amplitude
 from .oracle import OrbitTrace, energy_drift, orbit_period, orbit_trace
 from .quadrature import (DerivativeEstimate, PeriodSample, period_at_amplitude,
                          period_at_energy, period_derivative, period_slope)
 from .report import CheckResult, VerifyReport, run_verify
 
 __all__ = [
-    "AmbiguousBracket", "BesselEval", "BracketFailure", "CenterValidity",
-    "CheckResult", "CriticalPeriod", "DegenerateIsochronous",
-    "DerivativeEstimate", "EventMissed", "LowEnergyReport", "NoConvergence",
+    "AmbiguousBracket", "BesselEval", "BracketFailure", "CheckResult",
+    "CriticalPeriod", "DegenerateIsochronous", "DerivativeEstimate",
+    "EventMissed", "LowEnergyReport", "NoConvergence",
     "NonMonotoneEnergy", "OrbitTrace", "PeriodSample",
     "PeriodkitError", "PotentialSystem", "RangeExceeded",
     "SignViolation", "ToleranceUnmet", "TwoPiBracket",
@@ -39,5 +38,5 @@ __all__ = [
     "opial_indicator", "opial_sign_changes", "orbit_period", "orbit_trace",
     "period_at_amplitude", "period_at_energy", "period_derivative",
     "period_slope", "run_verify", "scan_period", "small_h_check",
-    "two_pi_brackets", "validate_center", "variational_integral",
+    "two_pi_brackets", "variational_integral",
 ]

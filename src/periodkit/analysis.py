@@ -250,10 +250,11 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int) -> list[TwoPiBracket]:
 def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> list[float]:
     """Energies h with T(h) = 2*pi, at least one per bracket of two_pi_brackets.
 
-    Each bracket is scanned at amplitude step pi/8 from end to end, the
-    points of all brackets in one batched quadrature; all sign changes of
-    T - 2*pi are refined together by Chandrupatla's method to 1e-12 relative
-    in the amplitude, so extra crossings inside a bracket are picked up too.
+    Each bracket is scanned at amplitude step pi/8 between its measured
+    ends, the inner points of all brackets in one batched quadrature; all
+    sign changes of T - 2*pi are refined together by Chandrupatla's method
+    to 1e-12 relative in the amplitude, so extra crossings inside a bracket
+    are picked up too.
     The scan and the refinement take T - 2*pi from the deviation integral,
     which does not round at the ulp of 2*pi however small lam is.  Levels
     are returned strictly increasing.
@@ -266,7 +267,8 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
         return period_deviations(sys, x)[0]
 
     grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
-    devs = np.reshape(deviations(grids.ravel()), (-1, 9))
+    inner = np.reshape(deviations(grids[:, 1:-1].ravel()), (-1, 7))
+    devs = np.column_stack(([br.dev_lo for br in brackets], inner, [br.dev_hi for br in brackets]))
     x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
     d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
     cross = np.sign(d0) * np.sign(d1) <= 0.0  # a zero end is its own root; no underflow

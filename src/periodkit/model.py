@@ -3,13 +3,15 @@
 The planar system x' = -y, y' = g(x) has Hamiltonian H = y^2/2 + G(x) with
 G(x) = x^2/2 + lam*(1 - cos x).  For lam >= -1 the origin is a center; the
 orbit through (xi, 0) lives on the energy level h = G(xi) while xi is below
-the edge, the first zero of g on (0, inf).  This module holds the closed-form
-pieces (g, G, the edge, local period asymptotics), the root-solving glue
-between energy and amplitude, and _brent, the scalar root finder behind the
-edge, the inversion and analysis.opial_sign_changes.  _brent calls scipy's
-compiled brentq, and the ODE oracle scipy's compiled DOP853; _scipy_extension
-loads each from its file on first use, without executing the scipy package,
-so periodkit loads no scipy module.
+the edge, the first zero of g on (0, inf), which exists only past LAM_C, on
+(pi, X_MIN]; edge() and require_valid alone answer where the family is valid.
+This module holds the closed-form pieces (g, G, the edge, local period
+asymptotics), the root-solving glue between energy and amplitude, and
+_brent, the scalar root finder behind the edge, the inversion and
+analysis.opial_sign_changes.  _brent calls scipy's compiled brentq, and the
+ODE oracle scipy's compiled DOP853; _scipy_extension loads each from its
+file on first use, without executing the scipy package, so periodkit loads
+no scipy module.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NonMonotoneEnergy
-
-ELEMENTARY = "elementary"
-NILPOTENT = "nilpotent"
 
 # Root of tan x = x in (pi, 3*pi/2), where sin(x)/x takes its minimum, and
 # the coupling above which g(X_MIN) < 0, i.e. side equilibria appear.
@@ -196,10 +195,6 @@ class PotentialSystem:
             self.__dict__["_edge"] = edge
         return edge
 
-    def g_derivatives_at_zero(self) -> tuple[float, float, float]:
-        """First three derivatives of g at the origin: (1+lam, 0, -lam)."""
-        return (1.0 + self.lam, 0.0, -self.lam)
-
     def center_asymptotics(self) -> tuple[float, float]:
         """Limit values (T(0+), T'(0+)) of the period function at the center.
 
@@ -208,36 +203,19 @@ class PotentialSystem:
             T(0+)  = 2*pi / sqrt(g'(0))
             T'(0+) = pi * (5*g''(0)^2 - 3*g'(0)*g'''(0)) / (12*g'(0)^(7/2))
 
-        which reduces to (2*pi/sqrt(1+lam), lam*pi/(4*(1+lam)^(5/2))).
+        with g'(0) = 1+lam, g''(0) = 0 and g'''(0) = -lam, which reduces to
+        (2*pi/sqrt(1+lam), lam*pi/(4*(1+lam)^(5/2))).
         For lam = -1 the center is nilpotent and the period blows up; the
         pair (+inf, -inf) is returned as an explicit sentinel and must not
         be fed into further arithmetic.
         """
-        g1, g2, g3 = self.g_derivatives_at_zero()
+        g1, g3 = 1.0 + self.lam, -self.lam
         if g1 == 0.0:
             return (math.inf, -math.inf)
         t0 = 2.0 * math.pi / math.sqrt(g1)
-        dt0 = math.pi * (5.0 * g2 * g2 - 3.0 * g1 * g3) / (12.0 * g1 ** 3.5)
+        # 0.0 stands for 5*g''(0)^2 and keeps the sign of zero at lam = -0.0
+        dt0 = math.pi * (0.0 - 3.0 * g1 * g3) / (12.0 * g1 ** 3.5)
         return (t0, dt0)
-
-    @property
-    def center_kind(self) -> str:
-        return NILPOTENT if self.lam == -1.0 else ELEMENTARY
-
-
-@dataclass(frozen=True)
-class CenterValidity:
-    """Validity of the orbit family on (0, x_probe].
-
-    is_global holds when the edge lies past x_probe, so x*g(x) > 0 on the
-    window; otherwise first_sign_failure is the edge.  semilinear_bounds
-    are the empirical min/max of g(x)/x over [x_probe/2, x_probe].
-    """
-
-    is_global: bool
-    first_sign_failure: float | None
-    semilinear_bounds: tuple[float, float]
-    center_kind: str
 
 
 def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
@@ -266,30 +244,6 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
         lo, hi = hi, min(max(2.0 * hi, math.ulp(0.0)), edge)
     # BRENT_RTOL (4 ulp) sets the accuracy; xtol need only be > 0
     return lo if hi == lo else _brent(gap, lo, hi, 1e-300)
-
-
-def validate_center(sys: PotentialSystem, x_probe: float) -> CenterValidity:
-    """Whether g has a zero on (0, x_probe], from the edge of the annulus.
-
-    When the edge lies past x_probe the orbit family through every amplitude
-    in the window is valid and is_global is True; otherwise the edge is
-    reported as first_sign_failure.  Also reports the empirical bounds of
-    g(x)/x on the outer half-window, sampled on a grid (the semilinearity
-    certificate that keeps T bounded for large h).
-    """
-    if not (0.0 < x_probe < math.inf):
-        raise ValueError(f"x_probe must be positive and finite, got {x_probe}")
-    edge = sys.edge()
-
-    x = np.linspace(x_probe / 10_000, x_probe, 10_000)
-    outer = x[x >= 0.5 * x_probe]
-    ratio = sys.g(outer) / outer
-    return CenterValidity(
-        is_global=edge > x_probe,
-        first_sign_failure=None if edge > x_probe else edge,
-        semilinear_bounds=(float(ratio.min()), float(ratio.max())),
-        center_kind=sys.center_kind,
-    )
 
 
 def require_valid(sys: PotentialSystem, x_max: float) -> None:

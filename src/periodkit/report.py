@@ -1,12 +1,12 @@
 """Desk-scale verification pipeline and deterministic serialization.
 
-run_verify chains the whole toolkit for one parameter value: center
-validation, bracket inequalities, 2*pi-level localization, critical-period
-detection with alternation/interleaving checks, the link dT/dlam =
--2*pi*J1(xi)/xi at lam = 0 between the period integral and the J1 series,
-and spot agreement between the quadrature and ODE routes.  Every check lands
-in a named pass/fail map with a numeric margin (positive = slack to spare),
-and the report is produced even when a check fails.
+run_verify chains the whole toolkit for one parameter value: the edge,
+bracket inequalities, 2*pi-level localization, critical-period detection
+with alternation/interleaving checks, the link dT/dlam = -2*pi*J1(xi)/xi
+at lam = 0 between the period integral and the J1 series, and spot
+agreement between the quadrature and ODE routes.  Every check lands in a
+named pass/fail map with a numeric margin (positive = slack to spare), and
+the report is produced even when a check fails.
 
 This module also owns the payload format: sample_dicts for period
 samples, field_records for brackets and critical periods, one CSV writer
@@ -34,7 +34,7 @@ from .analysis import (CriticalPeriod, TwoPiBracket, find_critical_periods,
                        small_h_check, two_pi_brackets)
 from .bessel import _series
 from .errors import DegenerateIsochronous, NoConvergence, SignViolation
-from .model import PotentialSystem
+from .model import PotentialSystem, require_valid
 from .oracle import orbit_periods
 from .quadrature import (REL_TOL, PeriodSample, coupling_slopes, period_samples,
                          require_converged)
@@ -138,12 +138,11 @@ def _check_alternation(criticals, levels, k_max) -> CheckResult:
 
 def _check_sign_brackets(sys, brackets) -> CheckResult:
     # each end's deviation must clear its error estimate on the side its
-    # inequality requires, which is what its resolved sign says
+    # inequality requires: exactly when its resolved sign is that side
     direction = 1 if sys.lam > 0.0 else -1
-    ok = all(br.sign_lo == direction and br.sign_hi == -direction for br in brackets)
     slack = min(min(direction * br.dev_lo - br.err_lo, -direction * br.dev_hi - br.err_hi)
                 for br in brackets)
-    return CheckResult(ok, slack,
+    return CheckResult(slack > 0.0, slack,
                        f"worst deviation beyond its err_est on the required side = "
                        f"{slack:.3e} over {len(brackets)} brackets")
 
@@ -152,8 +151,8 @@ def run_verify(lam: float, k_max: int) -> VerifyReport:
     """Run the whole pipeline for one parameter value.
 
     lam must be nonzero (the linear center is degenerate for every check
-    that hunts sign changes) and validated on the amplitude window the
-    brackets need; k_max is capped at 20 to keep desk-scale runtimes.  A
+    that hunts sign changes) with its edge past the window the searches
+    need, asked first; k_max is capped at 20 to keep desk-scale runtimes.  A
     critical-period search that does not converge fails the alternation
     check, with no critical periods, instead of raising.
     """
@@ -165,8 +164,9 @@ def run_verify(lam: float, k_max: int) -> VerifyReport:
 
     sys = PotentialSystem(lam)
     xi_max = (2.0 * k_max + 1.0) * math.pi
+    require_valid(sys, xi_max + 1.0)  # the searches' window, before any check
 
-    # small-h first: it refuses the nilpotent center before any quadrature
+    # small-h next: it refuses the nilpotent center before any quadrature
     checks: dict[str, CheckResult] = {"small-h": _check_small_h(sys)}
 
     brackets: list[TwoPiBracket] = []

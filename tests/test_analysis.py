@@ -332,13 +332,15 @@ def test_two_pi_brackets_swapped_signs(lam):
 
 def test_sign_violation_raised_on_contradiction(monkeypatch):
     # force a measured deviation T - 2*pi on the wrong side of 0 by far
-    # more than its error estimate: the bracket must refuse to continue
-    def fake(sys, xi):
-        return np.full(xi.shape, -0.1), np.full(xi.shape, 1e-12)
+    # more than its error estimate: the bracket must refuse to continue,
+    # at h_k (T >= 2*pi for lam > 0) and at hbar_k (T <= 2*pi)
+    for dev, end in ((-0.1, "h_1"), (0.1, "hbar_1")):
+        def fake(sys, xi, dev=dev):
+            return np.full(xi.shape, dev), np.full(xi.shape, 1e-12)
 
-    monkeypatch.setattr(analysis, "period_deviations", fake)
-    with pytest.raises(SignViolation):
-        two_pi_brackets(PotentialSystem(1.0), 1)
+        monkeypatch.setattr(analysis, "period_deviations", fake)
+        with pytest.raises(SignViolation, match=rf"^T\({end}\) - 2\*pi = {dev:.3e} "):
+            two_pi_brackets(PotentialSystem(1.0), 1)
 
 
 @pytest.mark.parametrize("lam", [1e-12, -1e-12])
@@ -365,6 +367,24 @@ def test_two_pi_levels_basic():
     from periodkit.quadrature import period_at_energy
     for h in levels:
         assert abs(period_at_energy(s1, h).T - TWO_PI) <= 1e-9
+
+
+def test_two_pi_levels_take_the_bracket_ends_as_measured(monkeypatch):
+    # two_pi_brackets measured each end's deviation; the level scan
+    # integrates only the 7 inner points of its 9 per bracket
+    s = PotentialSystem(1.0)
+    brackets = two_pi_brackets(s, 5)
+    sizes = []
+    deviations = analysis.period_deviations
+
+    def counted(sys, xi):
+        sizes.append(np.size(xi))
+        return deviations(sys, xi)
+
+    monkeypatch.setattr(analysis, "period_deviations", counted)
+    levels = find_two_pi_levels(s, brackets)
+    assert sizes[0] == 7 * len(brackets)
+    assert all(br.h_lo < h < br.h_hi for br, h in zip(brackets, levels))
 
 
 def test_two_pi_levels_rejects_linear_center():
@@ -436,6 +456,9 @@ def test_opial_indicator_values():
     s1 = PotentialSystem(1.0)
     assert opial_indicator(s1, 2 * PI) == pytest.approx(0.0, abs=1e-16)
     assert opial_indicator(s1, PI) == pytest.approx(-4 / PI**3, rel=1e-13)
+    for x in (0.0, -1.0, [1.0, 0.0]):
+        with pytest.raises(ValueError, match="x must be positive"):
+            opial_indicator(s1, x)
 
 
 def test_opial_indicator_negative_inside_first_arch():

@@ -52,6 +52,9 @@ def test_two_pi_json(capsys):
     assert payload["brackets"][0]["k"] == 1
     assert len(payload["two_pi_levels"]) >= 1
 
+    code, out, err = run_cli(capsys, ["two-pi", "--lambda", "1", "--k-max", "0"])
+    assert (code, out, err) == (2, "", "error: k_max must be >= 1\n")
+
 
 def test_critical_csv(capsys):
     code, out, _ = run_cli(capsys, ["critical", "--lambda", "1", "--xi-max",
@@ -83,10 +86,16 @@ def test_bessel_subcommands(capsys):
     assert out == ""
     assert "xi_max <= 14, got 20" in err
 
-    # j1 needs its argument and zeros their count
-    for op, message in (("j1", "bessel j1 needs --xi"), ("zeros", "bessel zeros needs --n")):
-        code, out, err = run_cli(capsys, ["bessel", op])
+    # j1 needs its argument and zeros a positive count
+    for argv, message in ((["j1"], "bessel j1 needs --xi"), (["zeros"], "bessel zeros needs --n"),
+                          (["zeros", "--n", "0"], "need n >= 1")):
+        code, out, err = run_cli(capsys, ["bessel", *argv])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    # far out the trapezoid runs out of nodes; the error names its best estimate
+    code, out, err = run_cli(capsys, ["bessel", "j1", "--xi", "1e8"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: periodic trapezoid did not converge at xi=1e+08; best estimate ")
 
 
 def test_opial_json(capsys):
@@ -126,6 +135,16 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "--lambda", "-1", "--k-max", "5"])
     assert (code, out) == (2, "")
     assert err == "error: expansion residuals need an elementary center (lam > -1)\n"
+
+    # the edge comes first: past it verify asks nothing else, where
+    # T'(0+) alone would overflow at lam = 1e100
+    def too_early(*args):
+        raise AssertionError("small_h_check ran past the edge")
+
+    monkeypatch.setattr(report, "small_h_check", too_early)
+    code, out, err = run_cli(capsys, ["verify", "--lambda", "1e100", "--k-max", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: center for lam=1e+100 is only valid below x=3.14159, needed 10.4248\n"
 
 
 def test_verify_failure_maps_to_exit_one(capsys, monkeypatch):
@@ -275,7 +294,7 @@ def test_period_refuses_the_smallest_amplitudes_naming_the_bound(capsys, lam, xi
     assert f">= {bound} at lam={lam}," in err and err.rstrip().endswith(f"got {xi}")
 
 
-def test_out_files_are_byte_identical(capsys, tmp_path):
+def test_out_files_are_byte_identical(capsys, tmp_path, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         code, _, _ = run_cli(capsys, ["two-pi", "--lambda", "1", "--k-max", "1",
@@ -283,6 +302,16 @@ def test_out_files_are_byte_identical(capsys, tmp_path):
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.json.meta.json").exists()
+
+    # a write that cannot land leaves no temporary file behind
+    def refused(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refused)
+    with pytest.raises(OSError, match="replace refused"):
+        report._write_atomic(str(tmp_path / "c.json"), "{}\n")
+    assert not list(tmp_path.glob(".periodkit-*"))
+    assert not (tmp_path / "c.json").exists()
 
 
 NONFINITE_ARGV = {
@@ -292,6 +321,7 @@ NONFINITE_ARGV = {
     "opial": ["opial", "--lambda", "1", "--x-max={}"],
     "oracle": ["oracle", "--lambda", "1", "--xi={}"],
     "bessel j1": ["bessel", "j1", "--xi={}"],
+    "bessel identity": ["bessel", "identity", "--xi-max={}"],
 }
 
 

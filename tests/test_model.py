@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 
 from periodkit import analysis, model
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
-from periodkit.model import (BRENT_MAXITER, ELEMENTARY, LAM_C, NILPOTENT, X_MIN,
-                             PotentialSystem, _brent, energy_to_amplitude, validate_center)
+from periodkit.model import (BRENT_MAXITER, LAM_C, X_MIN, PotentialSystem, _brent,
+                             energy_to_amplitude)
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -41,12 +41,6 @@ def test_parity():
         assert np.all(sys.G(-x) == sys.G(x))
         assert sys.g(0.0) == 0.0
         assert sys.G(0.0) == 0.0
-
-
-def test_g_derivatives_at_zero():
-    assert PotentialSystem(0.0).g_derivatives_at_zero() == (1.0, 0.0, 0.0)
-    assert PotentialSystem(1.0).g_derivatives_at_zero() == (2.0, 0.0, -1.0)
-    assert PotentialSystem(-1.0).g_derivatives_at_zero() == (0.0, 0.0, 1.0)
 
 
 def test_center_asymptotics_values():
@@ -120,40 +114,22 @@ def test_non_monotone_energy_detection():
         energy_to_amplitude(s6, float(s6.G(6.0)))
 
 
-def test_validate_center_global_cases():
-    v = validate_center(PotentialSystem(1.0), 100.0)
-    assert v.is_global and v.first_sign_failure is None
-    assert v.center_kind == ELEMENTARY
-    lo, hi = v.semilinear_bounds
-    assert 0.0 < lo <= hi < math.inf
-
-    v = validate_center(PotentialSystem(-1.0), 100.0)
-    assert v.is_global
-    assert v.center_kind == NILPOTENT
-
-
-def test_validate_center_failure_location():
+def test_edge_failure_location():
     # first zero of x + 6 sin x sits between pi and 3*pi/2 (g negative there);
     # the frozen location comes from bisection on g itself
-    v = validate_center(PotentialSystem(6.0), 100.0)
-    assert not v.is_global
-    assert v.first_sign_failure == pytest.approx(3.8350087, abs=1e-4)
     s6 = PotentialSystem(6.0)
-    assert s6.g(v.first_sign_failure - 1e-3) > 0.0
-    assert s6.g(v.first_sign_failure + 1e-3) < 0.0
+    edge = s6.edge()
+    assert edge == pytest.approx(3.8350087, abs=1e-4)
+    assert s6.g(edge - 1e-3) > 0.0
+    assert s6.g(edge + 1e-3) < 0.0
 
 
 @pytest.mark.parametrize("lam,expect", [(-1.0, True), (0.0, True), (2.0, True),
                                         (4.0, True), (4.5, True),
                                         (5.0, False), (6.0, False), (10.0, False)])
-def test_validate_center_threshold(lam, expect):
-    assert validate_center(PotentialSystem(lam), 100.0).is_global is expect
-
-
-@pytest.mark.parametrize("x_probe", [math.nan, math.inf, -math.inf, 0.0])
-def test_validate_center_rejects_bad_window(x_probe):
-    with pytest.raises(ValueError, match=f"got {x_probe}"):
-        validate_center(PotentialSystem(1.0), x_probe)
+def test_edge_threshold(lam, expect):
+    # the center is global, with no edge, exactly up to LAM_C
+    assert (PotentialSystem(lam).edge() == math.inf) is expect
 
 
 def test_x_min_against_30_digit_reference():
@@ -188,10 +164,10 @@ def test_edge_is_the_first_zero_of_g(lam):
 # one 0.01 grid step
 @pytest.mark.parametrize("lam,x_probe,edge", [(6.0, 1e5, "3.83501"),
                                               (4.60335, 100.0, "4.49121")])
-def test_validate_center_finds_zeros_a_grid_misses(lam, x_probe, edge):
-    v = validate_center(PotentialSystem(lam), x_probe)
-    assert not v.is_global
-    assert f"{v.first_sign_failure:.6g}" == edge
+def test_edge_finds_zeros_a_grid_misses(lam, x_probe, edge):
+    found = PotentialSystem(lam).edge()
+    assert found <= x_probe
+    assert f"{found:.6g}" == edge
 
 
 def test_inversion_at_the_nilpotent_center():
