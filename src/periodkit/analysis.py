@@ -168,9 +168,10 @@ def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
                                  f"lost its sign change at x = {x1[j]:.17g}")
         dx, tol = np.abs(x2 - x1), np.abs(xmin) * xrtol
         done = zero | (dx < tol)
-        root[todo[done]] = xmin[done]
-        todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol = (
-            v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol))
+        if done.any():  # closed brackets leave the state
+            root[todo[done]] = xmin[done]
+            todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol = (
+                v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol))
         if not todo.size:
             return root
         if it == REFINE_MAXITER:
@@ -186,10 +187,13 @@ def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
             tl = 0.5 * tol / dx
             t = np.clip(t, tl, 1 - tl)
         x = x1 + t * (x2 - x1)
-        fx = np.where(x == a, fa, fb)
         inner = (x != a) & (x != b)
-        if inner.any():
-            fx[inner] = f(x[inner])
+        if inner.all():
+            fx = f(x)
+        else:
+            fx = np.where(x == a, fa, fb)
+            if inner.any():
+                fx[inner] = f(x[inner])
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)

@@ -171,7 +171,7 @@ def _run(args) -> int:
     elif name == "oracle":
         # one run gives the payload's period and, from its first fall, the
         # trace's end time, so the quarter period is not integrated twice
-        (sample, period), = _periods(sys_, [args.xi], args.tol, 2 if args.full_return else 1)
+        sample, period = _periods(sys_, args.xi, args.tol, 2 if args.full_return else 1)
         if args.dump_trace:
             trace = _trace(sys_, args.xi, args.tol, period)
             rows = [{"t": t, "x": x, "y": y, "H": 0.5 * y * y + float(sys_.G(x))}

@@ -1,42 +1,59 @@
 """Brute-force period measurement by direct time integration.
 
-Integrates x' = -y, y' = g(x) from (xi, 0) with scipy's compiled DOP853,
-Hairer's code for the explicit Runge-Kutta 8(5,3) pair of Dormand and
-Prince, with its stages, error norm and step control in C (deterministic
-given identical inputs), called directly rather than through
-scipy.integrate.ode, and measures the quarter period as the time at which
-x falls through the section x = 0.  g is odd, so (x, y) -> (-x, -y) maps
+Integrates x' = -y, y' = g(x) with scipy's compiled DOP853, Hairer's code
+for the explicit Runge-Kutta 8(5,3) pair of Dormand and Prince, with its
+stages, error norm and step control in C (deterministic given identical
+inputs), called directly rather than through scipy.integrate.ode, and
+measures the quarter period as the time the orbit from (xi, 0) takes to
+reach the section x = 0.  g is odd, so (x, y) -> (-x, -y) maps
 the flow to itself, and so does (x, y, t) -> (x, -y, -t): the orbit is
 symmetric about both axes and the full period is exactly four quarter
 periods.  The section is crossed transversally, since y = sqrt(2h) > 0
 at x = 0.
 
-orbit_periods integrates a whole batch of amplitudes as one stacked system,
-so every orbit shares the same steps.  The run stops at the first accepted
-step in which some orbit's x fell from > 0 to <= 0.  Each such crossing is
-then located by Hénon's step (M. Hénon, Physica D 5 (1982) 412): with x as
-the independent variable, dy/dx = -g(x)/y and dt/dx = -1/y are integrated
-from the step's end to x = 0 by the same integrator at the same tolerance,
-which lands on the section exactly.  Written in u, x = x_end*(1 - u), every
-crossing of one step runs from u = 0 to u = 1, so they share one run (a
-crossing with x_end = 0 stays at the step's end).  The compiled integrator
-has no dense output and keeps the callback of its current run in one slot
-per thread, so it is not re-entrant and this happens after the stacked run
-has returned; threads may run it concurrently.  Each crossing is recorded,
-an orbit is retired once it has crossed as often as asked (once for the
-quarter period), and the stacked run restarts from the current time with
-the orbits still live.  The same run stops at once on an orbit whose y
-falls from > 0 to <= 0 while x > 0: it turned back before reaching x = 0,
-so it does not enclose the origin.  A fall of y at x = -xi, half way round
-a full loop, only restarts the run.  The run is never bounded by a period
-from elsewhere: it ends when the last orbit is retired, or at
-MAX_EVENT_TIME/2, where the half period passes MAX_EVENT_TIME.
+Every crossing of a section x = x_t is located by Hénon's step (M.
+Hénon, Physica D 5 (1982) 412): the run stops after the first accepted step
+whose end x_end lies on or past the section, and with x as the independent
+variable dy/dx = -g(x)/y and dt/dx = -1/y are integrated from that step's
+end back to x = x_t by the same integrator at the same tolerance, which
+lands on the section exactly.  Written in u, x = x_t + (x_end - x_t)*(1 -
+u), every crossing runs from u = 0 to u = 1, so all crossings of a run share
+one Hénon run.  The compiled integrator has no dense output and keeps the
+callback of its current run in one slot per thread, so it is not re-entrant
+and the Hénon run follows the stepper's run once it has returned; threads
+may run orbits concurrently.
 
-full_return takes the time between an orbit's first two falls of x through
-0, which relies on no symmetry.  orbit_trace runs one orbit over [0, T] and
-keeps every accepted step; up to the quarter-period crossing these are the
-steps of the run that measured T, so the energy drift over them vouches for
-that run.
+One orbit (orbit_period in both modes, orbit_trace, the CLI's oracle
+command) is one run from (xi, 0), stopped at each fall of x or y from > 0
+to <= 0: a fall of x through 0 is located on x_t = 0, a fall of y at x > 0
+means the orbit turned back before x = 0 and does not enclose the origin
+(EventMissed at once), and a fall of y at x = -xi, half way round a full
+loop, only restarts the run.  The quarter period is the first crossing;
+full_return takes the time between the first two, which relies on no
+symmetry.  The run is never bounded by a period from elsewhere: it ends at
+the crossing asked for, or at MAX_EVENT_TIME/2, where the half period
+passes MAX_EVENT_TIME.  orbit_trace runs one orbit over [0, T] and keeps
+every accepted step; up to the quarter-period crossing these are the steps
+of the run that measured T, so the energy drift over them vouches for that
+run.
+
+orbit_periods, the batch verify checks, cuts each quarter period into ARCS
+arcs of about equal time: arc i starts on the orbit at x_i =
+xi*cos(i*pi/(2*ARCS)), with y_i = sqrt(2*(G(xi) - G(x_i))) > 0 (y_0 = 0),
+and ends on the section x = x_(i+1) (x_ARCS = 0).  The seeds assume energy
+conservation, which the one-orbit routes do not: full_return, which
+assumes no symmetry and no seed, and the drift of orbit_trace keep that
+assumption checked.  All arcs of all orbits start at t = 0 as one stacked
+system, its step capped at (pi/2)/ARCS, an arc's time at lam = 0, so that
+the Hénon run stays short and no step end passes the turning point x = -xi,
+a quarter period (at least 0.66 up to LAM_C) past the section.  The run
+keeps each arc's first step end on or past its section and stops once
+every arc has one, so it lasts as long as the longest arc and needs no
+restart; one Hénon run then locates every crossing, and a quarter period is
+the sum of its arc times.  An orbit with a seed above its energy (G(x_i) >
+G(xi)) or with an arc whose y falls through 0 before its section does not
+enclose the origin and raises EventMissed naming it; so does a quarter
+period past MAX_EVENT_TIME/2, or an arc that has not crossed by then.
 
 Every path loads the one compiled extension the runs call,
 scipy/integrate/_dop, from its file on its first orbit by
@@ -66,6 +83,9 @@ MAX_EVENT_TIME = 1e4
 # section ends at MAX_EVENT_TIME/2, well inside the budget.
 MAX_STEPS = 10 ** 6
 
+# Arcs per quarter period in orbit_periods.
+ARCS = 8
+
 # Empirical factor turning the solver tolerance into a period error estimate;
 # calibrated against the quadrature route (see tests).
 _PERIOD_ERR_FACTOR = 100.0
@@ -84,16 +104,16 @@ class OrbitTrace:
 
 def _stacked(t, s, lam, out, *_):
     """Right-hand side of the stacked system, written into out: the state
-    holds every orbit's x, then every orbit's y.  It is the oracle's inner
-    loop, called once per stage for every live orbit, so it splits the state
-    by slicing and writes through ufuncs, entering no Python frame but its
-    own.  The solout's state rides along unused."""
+    holds every orbit's (or arc's) x, then every y.  It is the oracle's
+    inner loop, called once per stage, so it splits the state by slicing and
+    writes through ufuncs in place, entering no Python frame but its own.
+    The solout's state rides along unused."""
     n = s.size // 2
     x, g = s[:n], out[n:]
-    np.negative(s[n:], out=out[:n])
-    np.sin(x, out=g)
-    np.multiply(g, lam, out=g)
-    np.add(g, x, out=g)
+    np.negative(s[n:], out[:n])
+    np.sin(x, g)
+    g *= lam
+    g += x
     return out
 
 
@@ -102,23 +122,51 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
 
 
+def _check_xi(xi: float) -> None:
+    if not (0.0 < xi < math.inf):
+        raise ValueError(f"xi must be positive and finite, got {xi}")
+
+
 def _stop_on_fall(t, s, lam, out, up, fell):
-    """Stop after the first accepted step in which some entry of the state,
-    an orbit's x or its y, fell from > 0 to <= 0, marking those entries in
-    fell; up holds which entries were > 0."""
+    """Stop after the first accepted step in which x or y of a one-orbit
+    run fell from > 0 to <= 0, marking it in fell; up holds which were > 0."""
     np.less_equal(s, 0.0, out=fell)
     fell &= up
     np.greater(s, 0.0, out=up)
     return -1 if fell.any() else 0
 
 
-def _section(u, s, lam, x_end):
-    """Hénon's right-hand side for the orbits that fell through x = 0 in one
-    step, with x = x_end*(1 - u) as the independent variable, u from 0 at the
-    step's end to 1 on the section: the state holds every orbit's y, then
-    its t, and dy/du = x_end*g(x)/y, dt/du = x_end/y."""
-    x = x_end * (1.0 - u)
-    dt = x_end / s[:x_end.size]
+def _stop_on_sections(t, s, lam, out, x_t, up, fell, crossed, at):
+    """Keep each arc's first accepted step end on or past its section, x <=
+    x_t, as (t, x, y) in the columns of at, marking it in crossed; stop once
+    every arc has crossed, or at once when some arc's y fell from > 0 to <=
+    0 before it crossed, marking that arc in fell (up holds which y were >
+    0)."""
+    m = x_t.size
+    x, y = s[:m], s[m:]
+    np.less_equal(y, 0.0, out=fell)
+    fell &= up
+    fell &= ~crossed
+    np.greater(y, 0.0, out=up)
+    new = x <= x_t
+    new &= ~crossed
+    if new.any():
+        at[0, new] = t
+        at[1, new] = x[new]
+        at[2, new] = y[new]
+        crossed |= new
+    return -1 if fell.any() or crossed.all() else 0
+
+
+def _section(u, s, lam, x_t, x_end):
+    """Hénon's right-hand side for crossings of the sections x = x_t, with x
+    = x_t + (x_end - x_t)*(1 - u) as the independent variable, u from 0 at
+    each step's end x_end to 1 on its section: the state holds every
+    crossing's y, then its t, and dy/du = (x_end - x_t)*g(x)/y, dt/du =
+    (x_end - x_t)/y.  At x_t = 0 this is x_end*(1 - u), bit for bit."""
+    d = x_end - x_t
+    x = x_t + d * (1.0 - u)
+    dt = d / s[:d.size]
     return np.concatenate((dt * (x + lam * np.sin(x)), dt))
 
 
@@ -131,10 +179,11 @@ _FAILURES = {-1: "input is not consistent", -2: "larger nsteps is needed",
 
 
 def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
-         solout=None, first_step: float = 0.0):
+         solout=None, first_step: float = 0.0, max_step: float = 0.0):
     """Integrate s' = fcn(t, s, *args) from (t0, state) to t1 by the compiled
     DOP853, or until solout(t, s, *args) returns -1 after an accepted step:
-    (t, state).  A failed run raises ToleranceUnmet.
+    (t, state).  max_step caps the step (0: t1 - t0).  A failed run raises
+    ToleranceUnmet.
 
     The compiled dop853 keeps a reference to the fcn and solout of every run
     for good, so both are module-level functions and a run's own state
@@ -144,7 +193,7 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     # safety factor, step-size change limits and first step as scipy's
     # dop853 integrator sets them
     work[1:4] = 0.9, 0.3, 6.0
-    work[6] = first_step
+    work[5:7] = max_step, first_step
     t, state, istate = _dop().dopri853(fcn, t0, state, t1, tol, tol, solout,
                                        int(solout is not None), work,
                                        np.zeros(21, dtype=np.int32), MAX_STEPS, -1, args)
@@ -154,69 +203,106 @@ def _run(fcn, t0: float, state: np.ndarray, t1: float, tol: float, args: tuple,
     return t, state
 
 
-def _falls(sys: PotentialSystem, xis: list[float], tol: float, count: int) -> list[list[float]]:
-    """Times of each orbit's first count falls of x through 0, all orbits in
-    one stacked DOP853 run."""
-    falls = [[] for _ in xis]
-    live = list(range(len(xis)))
-    t, state = 0.0, np.concatenate((xis, np.zeros(len(xis))))
-    while live:
-        n = len(live)
-        up, fell = state > 0.0, np.zeros(2 * n, dtype=bool)
+def _no_crossing(sys: PotentialSystem, xi: float) -> EventMissed:
+    return EventMissed(f"no quarter-period crossing of x=0 within t={0.5 * MAX_EVENT_TIME:g} "
+                       f"(lam={sys.lam:g}, xi={xi:g})")
+
+
+def _falls(sys: PotentialSystem, xi: float, tol: float, count: int) -> list[float]:
+    """Times of the first count falls of x through 0 on one DOP853 run of
+    the orbit through (xi, 0), restarted after each fall of x or y."""
+    falls = []
+    t, state = 0.0, np.array([xi, 0.0])
+    while len(falls) < count:
+        up, fell = state > 0.0, np.zeros(2, dtype=bool)
         t, state = _run(_stacked, t, state, 0.5 * MAX_EVENT_TIME, tol,
-                        (sys.lam, np.empty(2 * n), up, fell), solout=_stop_on_fall)
+                        (sys.lam, np.empty(2), up, fell), solout=_stop_on_fall)
         if not fell.any():
+            raise _no_crossing(sys, xi)
+        if fell[1] and state[0] > 0.0:
             raise EventMissed(
-                f"no quarter-period crossing of x=0 within t={0.5 * MAX_EVENT_TIME:g} "
-                f"(lam={sys.lam:g}, xi={xis[live[0]]:g})")
-        turned = np.flatnonzero(fell[n:] & (state[:n] > 0.0))
-        if turned.size:
-            i = int(turned[0])
-            raise EventMissed(
-                f"y fell through 0 at x={state[i]:.6g} > 0: the orbit from "
-                f"xi={xis[live[i]]:g} does not enclose the origin (lam={sys.lam:g})")
-        fell = np.flatnonzero(fell[:n])
-        if not fell.size:
-            continue  # y fell through 0 at x = -xi, half way round a full loop
-        start = np.append(state[n + fell], [t] * fell.size)
-        crossing = _run(_section, 0.0, start, 1.0, tol, (sys.lam, state[fell]),
-                        first_step=1.0)[1]
-        for i, tc in zip(fell.tolist(), crossing[fell.size:].tolist()):
-            falls[live[i]].append(tc)
-        keep = np.flatnonzero([len(falls[i]) < count for i in live])
-        live = [live[i] for i in keep]
-        state = state[np.concatenate((keep, n + keep))]
+                f"y fell through 0 at x={state[0]:.6g} > 0: the orbit from "
+                f"xi={xi:g} does not enclose the origin (lam={sys.lam:g})")
+        if fell[0]:  # else y fell through 0 at x = -xi, half way round a loop
+            crossing = _run(_section, 0.0, np.array([state[1], t]), 1.0, tol,
+                            (sys.lam, 0.0, state[:1]), first_step=1.0)[1]
+            falls.append(float(crossing[1]))
     return falls
 
 
-def _periods(sys: PotentialSystem, xis, tol: float, count: int) -> list[tuple[PeriodSample, float]]:
-    """Periods of the orbits through (xi, 0) from the first count falls of
-    each orbit's x through 0: four times the first (count 1) or the spacing
-    of the first two (count 2), each with four times its first fall, the
+def _quarters(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
+    """Quarter periods of the orbits through (xi, 0), each the sum of the
+    times of its ARCS arcs, all arcs as one stacked DOP853 run with its step
+    capped at (pi/2)/ARCS and one Hénon run onto their sections."""
+    if not xis:
+        return []
+    n, m = len(xis), len(xis) * ARCS
+    xi = np.array(xis)
+    x = np.multiply.outer(xi, np.cos(np.arange(ARCS) * (0.5 * math.pi / ARCS))).ravel()
+    x_t = np.zeros(m)
+    x_t[:-1] = x[1:]
+    x_t[ARCS - 1::ARCS] = 0.0
+    depth = np.repeat(sys.G(xi), ARCS) - sys.G(x)
+    depth[::ARCS] = 0.0  # each orbit starts at rest on its turning point
+    below = np.flatnonzero(depth < 0.0)
+    if below.size:
+        i = int(below[0])
+        raise EventMissed(
+            f"G(x={x[i]:.6g}) exceeds the energy: the orbit from xi={xis[i // ARCS]:g} "
+            f"does not enclose the origin (lam={sys.lam:g})")
+    y = np.sqrt(2.0 * depth)
+    up, fell, crossed, at = y > 0.0, np.zeros(m, dtype=bool), np.zeros(m, dtype=bool), np.empty((3, m))
+    state = _run(_stacked, 0.0, np.concatenate((x, y)), 0.5 * MAX_EVENT_TIME, tol,
+                 (sys.lam, np.empty(2 * m), x_t, up, fell, crossed, at),
+                 solout=_stop_on_sections, max_step=0.5 * math.pi / ARCS)[1]
+    if fell.any():
+        i = int(np.flatnonzero(fell)[0])
+        raise EventMissed(
+            f"y fell through 0 at x={state[i]:.6g} before the section x={x_t[i]:.6g}: the "
+            f"orbit from xi={xis[i // ARCS]:g} does not enclose the origin (lam={sys.lam:g})")
+    if not crossed.all():
+        raise _no_crossing(sys, xis[int(np.argmin(crossed)) // ARCS])
+    times = _run(_section, 0.0, np.concatenate((at[2], at[0])), 1.0, tol,
+                 (sys.lam, x_t, at[1]), first_step=1.0)[1][m:]
+    quarters = [math.fsum(arcs) for arcs in times.reshape(n, ARCS).tolist()]
+    for amp, q in zip(xis, quarters):
+        if q > 0.5 * MAX_EVENT_TIME:
+            raise _no_crossing(sys, amp)
+    return quarters
+
+
+def _sample(sys: PotentialSystem, xi: float, T: float, tol: float) -> PeriodSample:
+    return PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=T,
+                        err_est=_PERIOD_ERR_FACTOR * tol * T, method="ode-oracle")
+
+
+def _periods(sys: PotentialSystem, xi: float, tol: float, count: int) -> tuple[PeriodSample, float]:
+    """Period of the orbit through (xi, 0) from the first count falls of its
+    x through 0 on one run: four times the first (count 1) or the spacing of
+    the first two (count 2), with four times its first fall, the
     quarter-period T, which a full loop's run measures on its way."""
-    xis = np.atleast_1d(np.asarray(xis, dtype=float)).tolist()
-    for xi in xis:
-        if not (0.0 < xi < math.inf):
-            raise ValueError(f"xi must be positive and finite, got {xi}")
+    xi = float(xi)
+    _check_xi(xi)
     _check_tol(tol)
-    periods = []
-    for xi, f in zip(xis, _falls(sys, xis, tol, count)):
-        T = 4.0 * f[0] if count == 1 else f[1] - f[0]
-        periods.append((PeriodSample(lam=sys.lam, xi=xi, h=float(sys.G(xi)), T=T,
-                                     err_est=_PERIOD_ERR_FACTOR * tol * T, method="ode-oracle"),
-                        4.0 * f[0]))
-    return periods
+    f = _falls(sys, xi, tol, count)
+    return _sample(sys, xi, 4.0 * f[0] if count == 1 else f[1] - f[0], tol), 4.0 * f[0]
 
 
 def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:
     """Periods of the orbits through (xi, 0) for every amplitude of xis,
-    measured by time integration of all of them as one stacked system."""
-    return [sample for sample, _ in _periods(sys, xis, tol, 1)]
+    each four times the sum of its arc times, all arcs integrated as one
+    stacked system."""
+    xis = np.atleast_1d(np.asarray(xis, dtype=float)).tolist()
+    for xi in xis:
+        _check_xi(xi)
+    _check_tol(tol)
+    return [_sample(sys, xi, 4.0 * q, tol) for xi, q in zip(xis, _quarters(sys, xis, tol))]
 
 
 def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
                  full_return: bool = False) -> PeriodSample:
-    """Period of the orbit through (xi, 0) measured by time integration.
+    """Period of the orbit through (xi, 0) measured by time integration on
+    one run.
 
     Default mode is four times the quarter period, the time at which x
     first falls through 0.  full_return instead measures the time between
@@ -224,7 +310,7 @@ def orbit_period(sys: PotentialSystem, xi: float, tol: float = 1e-10,
     run, as a cross-check on the symmetry argument.  Both modes run on the
     compiled DOP853 and load nothing of scipy but its _dop extension.
     """
-    return _periods(sys, [xi], tol, 2 if full_return else 1)[0][0]
+    return _periods(sys, xi, tol, 2 if full_return else 1)[0]
 
 
 def _record(t, s, lam, out, steps):
@@ -237,7 +323,7 @@ def orbit_trace(sys: PotentialSystem, xi: float, tol: float = 1e-10) -> OrbitTra
     """One full period as the accepted steps of one compiled DOP853 run over
     [0, T], non-uniform in t, with the energy drift over them.  Up to the
     quarter-period crossing they are the steps orbit_period's own run takes."""
-    return _trace(sys, xi, tol, _periods(sys, [xi], tol, 1)[0][1])
+    return _trace(sys, xi, tol, _periods(sys, xi, tol, 1)[1])
 
 
 def _trace(sys: PotentialSystem, xi: float, tol: float, period: float) -> OrbitTrace:

@@ -84,6 +84,11 @@ NILPOTENT_XI_MIN = math.sqrt(24.0 * TINY)
 # work, not the result.
 REL_TOL = 1e-10
 
+# w = 1 + lam*s is about lam, so the derivative integrands' w^(3/2) would
+# overflow past |lam| ~ 1e205; past this coupling they divide by sqrt(w)
+# and by w in turn, and below it keep the product w*sqrt(w), bit for bit.
+RESCALED_LAM = 1e150
+
 # Nodes of one integral, at most.  A valid orbit stops at its first or
 # second node count; an integrand that never settles stops earlier, when
 # its differences stall.
@@ -254,7 +259,13 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     sa *= s2 * s2
     sa *= _s3(b, sb, out=b)
     q += sa
-    q /= np.multiply(w, np.sqrt(w, out=b), out=w)
+    r = np.sqrt(w, out=b)
+    if abs(sys.lam) > RESCALED_LAM:  # lam/w is about 1/s, q/sqrt(w) about lam^-1/2
+        q /= r
+        q *= np.divide(sys.lam, w, out=w)
+        q *= 2.0 * xi
+        return q
+    q /= np.multiply(w, r, out=w)
     q *= xi
     q *= 2.0 * sys.lam
     return q
@@ -264,7 +275,12 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
     _, _, a, b = _arguments(xi, nodes)
     sa, sb, w = _well(sys, xi, a, b)
     sa *= sb
-    sa /= np.multiply(w, np.sqrt(w, out=sb), out=w)
+    r = np.sqrt(w, out=sb)
+    if abs(sys.lam) > RESCALED_LAM:  # s/sqrt(w), then /w, underflows only where the result does
+        sa /= r
+        sa /= w
+    else:
+        sa /= np.multiply(w, r, out=w)
     sa *= -2.0
     return sa
 

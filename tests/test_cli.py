@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import periodkit
-from periodkit import cli, model, report
+from periodkit import analysis, cli, model, report
 from periodkit.cli import build_parser, main
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
-from periodkit.quadrature import period_samples
+from periodkit.quadrature import period_samples, period_slopes
 
 TWO_PI = 2 * math.pi
 
@@ -64,6 +65,17 @@ def test_critical_csv(capsys):
     assert lines[0] == "xi_star,h_star,T_star,kind,refine_err"
     assert len(lines) >= 2
     assert lines[1].split(",")[3] in ("max", "min")
+
+
+def test_critical_at_a_huge_coupling_sees_no_zero_slope(capsys):
+    # w*sqrt(w) overflowed past lam ~ 1e205: the slopes on the search grid
+    # were exactly 0 and numpy warned of the overflow (an error here)
+    sys_ = PotentialSystem(1e300)
+    grid = np.arange(analysis.SCAN_STEP, 1.0 + 1e-12, analysis.SCAN_STEP)
+    assert (period_slopes(sys_, grid)[0] > 0.0).all()
+    code, out, err = run_cli(capsys, ["critical", "--lambda", "1e300", "--xi-max", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["critical_periods"] == []
 
 
 def test_bessel_subcommands(capsys):

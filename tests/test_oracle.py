@@ -102,6 +102,20 @@ def test_oracle_agrees_with_quadrature_within_its_error(lam, xis):
         assert abs(ode.T - quad.T) <= ode.err_est
 
 
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(-0.99, 4.5),
+       xis=st.lists(st.sampled_from([0.3, 1.0, 2.7, 7.0, 19.0, 33.0]) | st.floats(0.3, 33.0),
+                    min_size=1, max_size=4))
+def test_arcs_agree_with_one_run_within_their_errors(lam, xis):
+    # orbit_periods sums each quarter period over its arcs, seeded by energy;
+    # orbit_period measures it on one run from (xi, 0), which assumes nothing
+    s = PotentialSystem(lam)
+    for arcs, xi in zip(orbit_periods(s, xis, tol=1e-11), xis):
+        one = orbit_period(s, xi, tol=1e-11)
+        assert arcs.xi == one.xi and arcs.h == one.h
+        assert abs(arcs.T - one.T) <= arcs.err_est + one.err_est
+
+
 def test_convergence_under_tolerance_halving():
     s1 = PotentialSystem(1.0)
     quad = period_at_amplitude(s1, 5.0)
@@ -126,8 +140,8 @@ def test_orbit_trace_contract():
 
 @pytest.mark.parametrize("xis", [[1.0, 1.0], [2.0, 3.0, 2.0, 3.0]])
 def test_batch_with_orbits_crossing_in_one_step(xis):
-    # equal amplitudes cross the section in the same step; each crossing of
-    # that step must retire its own orbit at its own time
+    # equal amplitudes' arcs cross their sections in the same steps; each
+    # crossing must be located at its own time and summed into its own orbit
     s1 = PotentialSystem(1.0)
     odes = orbit_periods(s1, xis, tol=1e-10)
     for ode, quad in zip(odes, period_samples(s1, xis)):
@@ -172,6 +186,17 @@ def test_dump_trace_measures_its_period_once(monkeypatch, tmp_path, capsys, lam,
     capsys.readouterr()
 
 
+def test_orbit_turning_back_between_its_arc_seeds_is_named(monkeypatch):
+    # every arc seed of the orbit through (5.9, 0) at lam = 6 lies below its
+    # energy, but G peaks above it near x = 3.77: the arc from x = 4.17 turns
+    # back at once, and the batch stops there after 85 rhs calls
+    calls = _count_rhs_calls(monkeypatch)
+    with pytest.raises(EventMissed, match=r"y fell through 0 at x=4\.12.* before the section "
+                                          r"x=3\.2778.*xi=5\.9\b.*lam=6"):
+        orbit_periods(PotentialSystem(6.0), [1.0, 5.9], tol=1e-9)
+    assert calls[0] <= 500
+
+
 def test_trapped_orbit_in_a_batch_is_named(monkeypatch):
     # the orbit through (4.5, 0) turns back at x > 0; it stops there after
     # 490 rhs calls, where a run to MAX_EVENT_TIME/2 would take far more
@@ -190,22 +215,28 @@ def test_error_estimate_covers_the_quadrature_gap(lam, tol):
         assert abs(ode.T - quad.T) <= ode.err_est
 
 
-@pytest.mark.parametrize("lam", [-0.99, 1.0, 4.5])
+@pytest.mark.parametrize("lam", [-0.99, 1.0, 4.5, 1e-12])
 def test_verify_oracle_rhs_call_ceiling(monkeypatch, lam):
-    # the 10 verify orbits share one stacked compiled DOP853 run to their
-    # quarter periods: 574-1473 stepper plus section-step rhs calls when
-    # measured over lam in [-0.99, 4.5]; to the half periods it took
-    # 926-2235, and one RK45 run per orbit 10184-13772
+    # the 10 verify orbits' 80 arcs share one stacked compiled DOP853 run
+    # and one Hénon run: 916, 196, 492 and 156 stepper plus section-step rhs
+    # calls here, 76-916 over lam in [-0.99, 4.5].  Near lam = 0 the step
+    # cap keeps the Hénon run short: uncapped, 3 steps overshot the
+    # sections so far that it took 269 calls, 307 in all.  Each orbit as one
+    # stacked run to its quarter-period crossing took 574-1473 (1219, 941,
+    # 1473 and 112 here); to the half periods it took 926-2235, and one
+    # RK45 run per orbit 10184-13772
+    floor, ceiling = {-0.99: (600, 1200), 1.0: (100, 400), 4.5: (300, 800),
+                      1e-12: (100, 224)}[lam]
     calls = _count_rhs_calls(monkeypatch)
     assert _check_oracle(PotentialSystem(lam), 11 * PI).passed
-    assert calls[0] >= 400
-    assert calls[0] <= 1500
+    assert floor <= calls[0] <= ceiling
 
 
 def test_compiled_runs_get_module_level_callbacks(monkeypatch):
     # the compiled stepper keeps the fcn and solout of every run for good,
     # so a callback made per run would stay alive with all it refers to;
-    # the quarter periods, the full loop and the trace all run on it
+    # the batch's arcs, the quarter period, the full loop and the trace all
+    # run on it
     seen = []
     dop = oracle._dop()  # the extension module _run calls
     compiled = dop.dopri853
@@ -220,8 +251,8 @@ def test_compiled_runs_get_module_level_callbacks(monkeypatch):
     orbit_period(s, 3.0, full_return=True)
     orbit_trace(s, 3.0)
     callbacks = {c for run in seen for c in run if c is not None}
-    assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_fall", "_section",
-                                                "_record"}
+    assert {c.__name__ for c in callbacks} == {"_stacked", "_stop_on_sections", "_stop_on_fall",
+                                                "_section", "_record"}
     for c in callbacks:
         assert c.__module__ == "periodkit.oracle"
         assert c.__qualname__ == c.__name__ and getattr(oracle, c.__name__) is c
@@ -239,6 +270,12 @@ def test_no_crossing_by_the_time_limit_raises():
     # quarter period is about 9100, past MAX_EVENT_TIME/2
     with pytest.raises(EventMissed, match=r"no quarter-period crossing.*xi=0\.0005\b"):
         orbit_periods(PotentialSystem(-1.0), [0.3, 5e-4], tol=1e-10)
+
+
+def test_empty_batch_runs_nothing(monkeypatch):
+    calls = _count_rhs_calls(monkeypatch)
+    assert orbit_periods(PotentialSystem(1.0), []) == []
+    assert calls[0] == 0
 
 
 def test_exhausted_step_budget_raises_without_a_warning(monkeypatch):

@@ -262,6 +262,64 @@ def _mp_period(lam, xi, deviation=False):
         return float(t - 2 * mpmath.pi if deviation else t)
 
 
+def _mp_slopes(lam, xi):
+    """(dT/dxi, dT/dlam) to 40 digits, from T = 4*sqrt(2) * int_0^{pi/4}
+    xi*sin(2u) / sqrt(D) du with D = (xi*sin(2u))^2/2 + 2*lam*sin(a)*sin(b),
+    differentiated under the integral sign; D is taken over 1 + lam, since
+    mpmath.quad stops on absolute differences and needs integrands of
+    order 1."""
+    with mpmath.workdps(40):
+        lam, xi = mpmath.mpf(lam), mpmath.mpf(xi)
+        scale = 1 + lam
+
+        def parts(u):
+            c2, s2, s = mpmath.cos(u) ** 2, mpmath.sin(u) ** 2, mpmath.sin(2 * u)
+            a, b = xi * c2, xi * s2
+            d = ((xi * s) ** 2 / 2 + 2 * lam * mpmath.sin(a) * mpmath.sin(b)) / scale
+            dd = (xi * s * s + 2 * lam * (c2 * mpmath.cos(a) * mpmath.sin(b)
+                                          + s2 * mpmath.sin(a) * mpmath.cos(b))) / scale
+            return s, d, dd, mpmath.sin(a) * mpmath.sin(b)
+
+        def d_xi(u):
+            s, d, dd, _ = parts(u)
+            return s / mpmath.sqrt(d) - xi * s * dd / (2 * d ** 1.5)
+
+        def d_lam(u):
+            s, d, _, sines = parts(u)
+            return -xi * s * sines / d ** 1.5
+
+        k, pieces = 4 * mpmath.sqrt(2), [0, mpmath.pi / 8, mpmath.pi / 4]
+        return (float(k * mpmath.quad(d_xi, pieces, method="gauss-legendre") / mpmath.sqrt(scale)),
+                float(k * mpmath.quad(d_lam, pieces, method="gauss-legendre") / scale ** 1.5))
+
+
+@pytest.mark.parametrize("lam", [1e205, 1e206, 1e300])
+def test_derivatives_at_huge_couplings_match_mpmath(lam):
+    # w*sqrt(w) overflowed past lam ~ 1e205 and gave slopes of exactly 0;
+    # dT/dlam goes as lam^-3/2, subnormal at 1e206 and 0 at 1e300, where
+    # the reference rounds to 0 too
+    xs = [0.5, 1.0, 3.0]
+    slopes, slope_errs = period_slopes(PotentialSystem(lam), xs)
+    couplings, coupling_errs = coupling_slopes(PotentialSystem(lam), xs)
+    for xi, v, ve, c, ce in zip(xs, slopes, slope_errs, couplings, coupling_errs):
+        ref_xi, ref_lam = _mp_slopes(lam, xi)
+        assert v > 0.0 and abs(v - ref_xi) <= ve
+        assert abs(c - ref_lam) <= ce
+
+
+def test_derivatives_below_the_rescaled_couplings_keep_their_bits(monkeypatch):
+    # past RESCALED_LAM the derivative integrands divide by sqrt(w) and w in
+    # turn; below it they keep w*sqrt(w), whose bits every verify depends on
+    s = PotentialSystem(4.5)
+    xs = np.linspace(0.3, 20.0, 7)
+    kept = period_slopes(s, xs), coupling_slopes(s, xs)
+    monkeypatch.setattr(quadrature, "RESCALED_LAM", -1.0)
+    rescaled = period_slopes(s, xs), coupling_slopes(s, xs)
+    for (v, e), (rv, re_) in zip(kept, rescaled):
+        assert np.allclose(v, rv, rtol=1e-14, atol=0.0) and np.allclose(e, re_, rtol=1e-6)
+    assert not all(np.array_equal(v, rv) for (v, _), (rv, _) in zip(kept, rescaled))
+
+
 # T at (RUNAWAY_LAM, X_MIN) to 40 digits: Gauss-Legendre on pieces split at
 # u = 10^(k/2), k = -16..-1, about the turning point's width of 1e-4
 RUNAWAY_T = 772.40368698099757292735
