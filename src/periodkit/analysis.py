@@ -13,10 +13,13 @@ The analysis rests on two families of distinguished amplitudes:
 (inequalities as written for lam > 0; both flip for lam in (-1, 0)).  Each
 pair brackets at least one energy with T = 2*pi, and between consecutive
 sign-changing 2*pi-levels the derivative T' must vanish, which is how the
-critical periods are located and counted.  Each search samples its grid in
-one batched quadrature and refines all its sign changes together, one more
+critical periods are located and counted.  Both searches are one, _search:
+one batched quadrature samples T - 2*pi on the level grids and dT/dxi on
+the slope grid, and all sign changes of both are refined together, one more
 batched quadrature per iteration of Chandrupatla's bracketing method, which
-_refine runs over numpy arrays; bessel.j1_zeros refines with it too.
+_refine runs over numpy arrays, each bracket to its own tolerance;
+find_two_pi_levels and find_critical_periods run it with one kind of
+bracket, and bessel.j1_zeros refines with _refine too.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousBracket, BracketFailure, DegenerateIsochronous, SignViolation
+from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous, NoConvergence,
+                     SignViolation)
 from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
-from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, _one_amplitude,
-                         coupling_slopes, period_deviations, period_samples, period_slopes)
+from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, _deviations_and_slopes,
+                         _one_amplitude, coupling_slopes, period_deviations, period_samples,
+                         period_slopes)
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,7 +116,7 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalP
 
     dT/dxi is sampled on a grid of step pi/8 in one batched quadrature;
     all sign changes are refined together by Chandrupatla's method on
-    dT/dxi to within refine_err <= 1e-8 * xi_star.
+    dT/dxi to within refine_err <= 1e-8 * xi_star (_search).
     Sign changes where both endpoint slopes drown in their own error
     estimates are reported via the AmbiguousBracket warning and skipped.
     lam = 0 is the isochronous center: the empty list is returned without
@@ -122,40 +127,94 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalP
     if sys.lam == 0.0:
         return []
     require_valid(sys, xi_max + 1.0)
-
-    grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP)
-    value, err = period_slopes(sys, grid)
-    drowned = np.abs(value) < err
-    drowned = drowned[:-1] & drowned[1:]
-    change = np.sign(value[:-1]) * np.sign(value[1:]) < 0.0
-    for i in np.flatnonzero(change & drowned):
-        warnings.warn(
-            f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
-            f"its error estimate at both ends; not refined",
-            AmbiguousBracket)
-
-    i = np.flatnonzero(change & ~drowned)
-    xrtol = 0.5 * CRITICAL_REFINE_REL
-    xi_star = _refine(lambda x: period_slopes(sys, x)[0],
-                      grid[i], grid[i + 1], value[i], value[i + 1], xrtol)
-    devs = period_deviations(sys, xi_star)[0].tolist()
-    return [CriticalPeriod(xi_star=x, h_star=h, T_star=TWO_PI + d, dev_star=d,
-                           kind="max" if v > 0.0 else "min", refine_err=(xrtol + 4.0 * EPS) * x)
-            for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), devs, value[i])]
+    _, criticals, failure = _search(sys, [], xi_max)
+    if failure is not None:
+        raise failure
+    return criticals
 
 
-def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
+def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | None):
+    """(levels, extrema, failure): the 2*pi-levels inside brackets and the
+    extrema of T on (0, xi_max] (none if xi_max is None), found together.
+
+    One engine call takes T - 2*pi on the 7 inner points of each bracket's
+    9-point grid (the ends are the bracket's) and dT/dxi on the pi/8 grid;
+    one _refine run takes every sign change of both, each kind to its own
+    tolerance, one engine call per iteration.  Every row keeps the bits of
+    its own kind's call.  failure is the NoConvergence that stopped the
+    extremum search, leaving no extrema, else None; a level search that does
+    not converge raises it.
+    """
+    try:
+        grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
+        grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP) if xi_max is not None else np.empty(0)
+        value, err = _values(sys, grids[:, 1:-1].ravel(), grid)
+        n = value.size - grid.size
+        devs = np.column_stack(([br.dev_lo for br in brackets], value[:n].reshape(-1, 7),
+                                [br.dev_hi for br in brackets]))
+        x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
+        d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
+        # a zero end is its own root; a product of signs does not underflow
+        cross = np.flatnonzero(np.sign(d0) * np.sign(d1) <= 0.0)
+
+        slopes = value[n:]
+        drowned = np.abs(slopes) < err[n:]
+        drowned = drowned[:-1] & drowned[1:]
+        change = np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0.0
+        for i in np.flatnonzero(change & drowned):
+            warnings.warn(
+                f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
+                f"its error estimate at both ends; not refined",
+                AmbiguousBracket)
+        i = np.flatnonzero(change & ~drowned)
+
+        def values(x, slope):  # the level brackets come first
+            split = x.size - np.count_nonzero(slope)
+            return _values(sys, x[:split], x[split:])[0]
+
+        slope, xrtol = np.repeat([False, True], [cross.size, i.size]), 0.5 * CRITICAL_REFINE_REL
+        lo, hi = np.concatenate((x0[cross], grid[i])), np.concatenate((x1[cross], grid[i + 1]))
+        f_lo, f_hi = np.concatenate((d0[cross], slopes[i])), np.concatenate((d1[cross], slopes[i + 1]))
+        roots = _refine(values, lo, hi, f_lo, f_hi, np.where(slope, xrtol, LEVEL_REFINE_REL), (slope,))
+        levels, xi_star = sorted(sys.G(roots[~slope]).tolist()), roots[slope]
+        if xi_max is None:
+            return levels, [], None
+        dev_star = period_deviations(sys, xi_star)[0].tolist()
+    except NoConvergence as exc:
+        if xi_max is None:
+            raise
+        return _search(sys, brackets, None)[0], [], exc
+    return levels, [CriticalPeriod(xi_star=x, h_star=h, T_star=TWO_PI + d, dev_star=d,
+                                   kind="max" if v > 0.0 else "min",
+                                   refine_err=(xrtol + 4.0 * EPS) * x)
+                    for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), dev_star,
+                                          slopes[i])], None
+
+
+def _values(sys: PotentialSystem, xd, xs):
+    """(value, err_est) of T - 2*pi at the amplitudes xd, then of dT/dxi at
+    xs, from one engine call."""
+    if not xs.size:
+        return period_deviations(sys, xd)
+    if not xd.size:
+        return period_slopes(sys, xs)
+    return _deviations_and_slopes(sys, xd, xs)
+
+
+def _refine(f, lo, hi, f_lo, f_hi, xrtol, args=()) -> np.ndarray:
     """The root of f in each bracket [lo, hi] whose end values f_lo, f_hi
     differ in sign, by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng.
     Softw. 28 (1997) 145-149) step for step as scipy's find_root runs it,
     until f is 0 to the smallest normal double or the bracket is narrower
-    than xrtol times its root: one call of f per iteration, on an array
-    holding one new point per open bracket.  The ends keep the values given,
+    than xrtol (one per bracket, or one for all) times its root: one call
+    f(x, *args) per iteration, x holding one new point per open bracket and
+    each of args (an array of one entry per bracket) its entries at those
+    brackets, as find_root passes its args.  The ends keep the values given,
     also where an iterate lands on one, since a quadrature can round an ulp
     apart in another batch and undo a sign change of a value near zero.  A
     lost sign change, a NaN or REFINE_MAXITER iterations raise BracketFailure."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    root, todo = np.empty(a.size), np.arange(a.size)
+    root, todo, xrtol = np.empty(a.size), np.arange(a.size), np.broadcast_to(xrtol, a.shape)
     x1, x2, x3, f1, f2, f3, t = a, b, b, fa, fb, fb, 0.5
     for it in range(REFINE_MAXITER + 1):
         near = np.abs(f1) < np.abs(f2)
@@ -170,8 +229,8 @@ def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
         done = zero | (dx < tol)
         if done.any():  # closed brackets leave the state
             root[todo[done]] = xmin[done]
-            todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol = (
-                v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol))
+            todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol, xrtol, *args = (
+                v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol, xrtol, *args))
         if not todo.size:
             return root
         if it == REFINE_MAXITER:
@@ -189,11 +248,11 @@ def _refine(f, lo, hi, f_lo, f_hi, xrtol: float) -> np.ndarray:
         x = x1 + t * (x2 - x1)
         inner = (x != a) & (x != b)
         if inner.all():
-            fx = f(x)
+            fx = f(x, *args)
         else:
             fx = np.where(x == a, fa, fb)
             if inner.any():
-                fx[inner] = f(x[inner])
+                fx[inner] = f(x[inner], *(v[inner] for v in args))
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -266,18 +325,7 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
     if sys.lam == 0.0:
         raise DegenerateIsochronous(
             "lam = 0: T is identically 2*pi, every energy is a 2*pi-level")
-
-    def deviations(x):
-        return period_deviations(sys, x)[0]
-
-    grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
-    inner = np.reshape(deviations(grids[:, 1:-1].ravel()), (-1, 7))
-    devs = np.column_stack(([br.dev_lo for br in brackets], inner, [br.dev_hi for br in brackets]))
-    x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
-    d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
-    cross = np.sign(d0) * np.sign(d1) <= 0.0  # a zero end is its own root; no underflow
-    roots = _refine(deviations, x0[cross], x1[cross], d0[cross], d1[cross], LEVEL_REFINE_REL)
-    return sorted(sys.G(roots).tolist())
+    return _search(sys, brackets, None)[0]
 
 
 def small_h_check(sys: PotentialSystem, h_list) -> LowEnergyReport:

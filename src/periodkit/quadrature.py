@@ -38,7 +38,7 @@ same call with one amplitude, and bessel's J1 integral another call.  A
 call with one amplitude holds its per-integral bookkeeping (the input check,
 the rounding floor, the start count, the three trapezoid sums and the stop
 test) in floats rather than arrays of one value, chosen on xi.size == 1 in
-_amplitudes, _integral and _periodic; integrands, node cache and chunk walk
+_amplitudes, _floor and _periodic; integrands, node cache and chunk walk
 are shared, and the results are the array path's bits.  Its integrands take
 a read-only node triple (phi, cos(u)^2, sin(u)^2), and the batched
 functions below return its (value, err_est) arrays as they are.
@@ -177,6 +177,15 @@ def _well(sys: PotentialSystem, xi, a, b):
     near = np.flatnonzero(xi[:, 0] < 1.0) if sys.lam < 0.0 else ()  # defect rows
     if len(near) == len(xi):  # no sine to take
         sa, sb, w = _defect_well(sys.lam, a, b)
+    elif len(near):  # a mixed block takes the sines of its other rows only
+        far = xi[:, :1] >= 1.0
+        sa, sb = np.sin(a, out=None, where=far), np.sin(b, out=None, where=far)
+        np.divide(sa, a, out=sa, where=far)
+        np.divide(sb, b, out=sb, where=far)
+        w = np.multiply(sa, sb, out=None, where=far)
+        np.multiply(w, sys.lam, out=w, where=far)
+        np.add(w, 1.0, out=w, where=far)
+        sa[near], sb[near], w[near] = _defect_well(sys.lam, a[near], b[near])
     else:
         sa, sb = np.sin(a), np.sin(b)
         sa /= a
@@ -184,8 +193,6 @@ def _well(sys: PotentialSystem, xi, a, b):
         w = sa * sb
         w *= sys.lam
         w += 1.0
-        if len(near):
-            sa[near], sb[near], w[near] = _defect_well(sys.lam, a[near], b[near])
     bad = w <= 0.0
     if np.count_nonzero(bad):
         x = float(np.broadcast_to(xi, w.shape)[bad][0])
@@ -287,11 +294,17 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
 
 def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
     """_periodic at REL_TOL of integrand(sys, xi, nodes), one integral per
-    amplitude in xi.  Its rounding floor: where w is taken directly it
-    cancels as g(xi) at the turning point, and T goes as w^-1/2; a
-    derivative goes as w^-3/2, and it and the deviation T - 2*pi are carried
-    by sinc(a) and sinc(b), whose arguments round by EPS*xi/2.  One
-    amplitude takes its floor in floats, to the same bits."""
+    amplitude in xi, floored by _floor."""
+    return _periodic(lambda rows, nodes: integrand(sys, xi[rows, None], nodes),
+                     xi, REL_TOL, _floor(sys, xi, derivative))
+
+
+def _floor(sys: PotentialSystem, xi: np.ndarray, derivative: bool):
+    """The rounding floor of the integrals at the amplitudes xi: where w is
+    taken directly it cancels as g(xi) at the turning point, and T goes as
+    w^-1/2; a derivative goes as w^-3/2, and it and the deviation T - 2*pi
+    are carried by sinc(a) and sinc(b), whose arguments round by EPS*xi/2.
+    One amplitude takes its floor in floats, to the same bits."""
     if xi.size == 1:
         x = xi.item()
         if sys.lam >= 0.0 or x >= 1.0:  # _well takes w directly
@@ -303,24 +316,22 @@ def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool 
         floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
         if derivative:
             floor += 0.5 * EPS * x
-        floor = max(floor, ROUNDING_FLOOR)  # floor is never NaN
-    else:
-        lsx = sys.lam * np.sin(xi)
-        direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
-        cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
-        floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
-        if derivative:
-            floor += 0.5 * EPS * xi
-        floor = np.maximum(ROUNDING_FLOOR, floor)
-    return _periodic(lambda rows, nodes: integrand(sys, xi[rows, None], nodes),
-                     xi, REL_TOL, floor)
+        return max(floor, ROUNDING_FLOOR)  # floor is never NaN
+    lsx = sys.lam * np.sin(xi)
+    direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
+    cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
+    floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
+    if derivative:
+        floor += 0.5 * EPS * xi
+    return np.maximum(ROUNDING_FLOOR, floor)
 
 
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     """(value, err_est, converged) arrays of len(xi) integrals over
     [0, pi/2] by the trapezoid rule, f(rows, nodes) giving integrand rows[i]
     in row i at the node triple nodes = (v, cos(u)^2, sin(u)^2), u = pi/4 -
-    v/2, which it must not write.  Each integrand must extend to an even,
+    v/2, which it must not write; rows is an ascending index array, or
+    slice(None) for one amplitude.  Each integrand must extend to an even,
     pi-periodic analytic function whose bandwidth is that of cos(xi*cos v).
 
     Integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), past the bandwidth:
@@ -534,6 +545,32 @@ def period_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """dT/dxi at every amplitude x > 0 of the array xi, in one pass of the
     engine; raises NoConvergence at the first one that did not converge."""
     return _estimates(_slope_integrand, sys, xi)
+
+
+def _deviations_and_slopes(sys: PotentialSystem, xd, xs) -> tuple[np.ndarray, np.ndarray]:
+    """period_deviations at the amplitudes xd, then period_slopes at xs, as
+    one (value, err_est) pair from one pass of the engine, two rows at least:
+    each row keeps its own integrand, floor and stop test, so the bits of its
+    own call, and a row that did not converge raises from that call, a
+    deviation first."""
+    xd = _amplitudes(sys, xd)
+    xs = _amplitudes(sys, xs, NILPOTENT_DERIVATIVE_XI_MIN)
+    xi, n = np.concatenate((xd, xs)), xd.size
+
+    def f(rows, nodes):  # rows ascend: the deviation rows come first
+        x, split = xi[rows, None], np.searchsorted(rows, n)
+        if split == rows.size:
+            return _deviation_integrand(sys, x, nodes)
+        if not split:
+            return _slope_integrand(sys, x, nodes)
+        return np.concatenate((_deviation_integrand(sys, x[:split], nodes),
+                               _slope_integrand(sys, x[split:], nodes)))
+
+    value, err, converged = _periodic(f, xi, REL_TOL, _floor(sys, xi, True))
+    if np.count_nonzero(~converged):
+        period_deviations(sys, xd)
+        period_slopes(sys, xs)
+    return value, err
 
 
 def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:

@@ -30,11 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (CriticalPeriod, TwoPiBracket, find_critical_periods,
-                       find_two_pi_levels, opial_indicator, opial_sign_changes,
-                       small_h_check, two_pi_brackets)
+from .analysis import (CriticalPeriod, TwoPiBracket, _search, opial_indicator,
+                       opial_sign_changes, small_h_check, two_pi_brackets)
 from .bessel import _series
-from .errors import DegenerateIsochronous, NoConvergence, SignViolation
+from .errors import DegenerateIsochronous, SignViolation
 from .model import PotentialSystem, require_valid
 from .oracle import orbit_periods
 from .quadrature import (REL_TOL, PeriodSample, coupling_slopes, period_samples,
@@ -85,11 +84,8 @@ def _check_small_h(sys) -> CheckResult:
 
 
 def _check_opial(sys) -> CheckResult:
-    x = np.linspace(1e-3, TWO_PI - 1e-3, 300)
-    slack = float(np.min(-np.sign(sys.lam) * opial_indicator(sys, x)))
-    zeros = opial_sign_changes(sys, 2.0 * TWO_PI + 0.5)
-    dist = max(min(abs(z - TWO_PI) for z in zeros),
-               min(abs(z - 2.0 * TWO_PI) for z in zeros))
+    least, dist = _opial_reference()
+    slack = abs(sys.lam) * least
     margin = min(slack, 1e-10 - dist)
     return CheckResult(slack > 0.0 and dist <= 1e-10, margin,
                        f"one-signed slack on (0, 2*pi) = {slack:.3e}, "
@@ -97,22 +93,26 @@ def _check_opial(sys) -> CheckResult:
 
 
 @functools.cache
-def _bessel_link_reference() -> tuple[np.ndarray, np.ndarray]:
-    """The bessel-link amplitudes and 2*pi*J1(xi)/xi on them from the power
-    series, which no coupling enters: one series pass per process, shared
-    read-only."""
-    xs = np.linspace(0.2, 12.0, 60)
-    reference = TWO_PI * _series(xs)[0] / xs
-    xs.flags.writeable = reference.flags.writeable = False
-    return xs, reference
+def _opial_reference() -> tuple[float, float]:
+    """The least of -indicator/lam on 300 points of (0, 2*pi) and the
+    farthest of 2*pi and 4*pi from its nearest zero, which no coupling
+    enters: lam only scales the indicator, and a product with |lam| rounds
+    monotonically, so |lam| times the least is the least of the products."""
+    x = np.linspace(1e-3, TWO_PI - 1e-3, 300)
+    least = float(np.min(-opial_indicator(PotentialSystem(1.0), x)))
+    zeros = opial_sign_changes(PotentialSystem(1.0), 2.0 * TWO_PI + 0.5)
+    return least, max(min(abs(z - TWO_PI) for z in zeros),
+                      min(abs(z - 2.0 * TWO_PI) for z in zeros))
 
 
+@functools.cache
 def _check_bessel_link() -> CheckResult:
-    # dT/dlam at lam = 0 from the coupling integrand against -2*pi*J1(xi)/xi
-    # from the power series: two codes that share only the engine loop
-    xs, reference = _bessel_link_reference()
+    """dT/dlam at lam = 0 from the coupling integrand against -2*pi*J1(xi)/xi
+    from the power series, two codes that share only the engine loop; no
+    coupling enters, so it runs once per process."""
+    xs = np.linspace(0.2, 12.0, 60)
     slopes = coupling_slopes(PotentialSystem(0.0), xs)[0]
-    gap = float(np.max(np.abs(slopes + reference)))
+    gap = float(np.max(np.abs(slopes + TWO_PI * _series(xs)[0] / xs)))
     return CheckResult(gap <= 1e-12, 1e-12 - gap,
                        f"max |dT/dlam + 2*pi*J1(xi)/xi| at lam=0 = {gap:.3e} "
                        f"on {xs.size} amplitudes in [0.2, 12]")
@@ -186,23 +186,19 @@ def run_verify(lam: float, k_max: int) -> VerifyReport:
     checks: dict[str, CheckResult] = {"small-h": _check_small_h(sys)}
 
     brackets: list[TwoPiBracket] = []
-    levels: list[float] = []
     try:
         brackets = two_pi_brackets(sys, k_max)
-        levels = find_two_pi_levels(sys, brackets)
         checks["sign-brackets"] = _check_sign_brackets(sys, brackets)
     except SignViolation as exc:
         checks["sign-brackets"] = CheckResult(False, -math.inf, str(exc))
 
-    # near LAM_C a slope integral at a nearly double turning point does not
-    # converge, which leaves no extrema to check
-    try:
-        criticals = find_critical_periods(sys, xi_max)
-        checks["alternation"] = _check_alternation(criticals, levels, k_max)
-    except NoConvergence as exc:
-        criticals = []
-        checks["alternation"] = CheckResult(False, -math.inf,
-                                            f"critical-period search failed: {exc}")
+    # the levels and the extrema in one search; near LAM_C a slope integral
+    # at a nearly double turning point does not converge, which leaves no
+    # extrema to check
+    levels, criticals, failure = _search(sys, brackets, xi_max)
+    checks["alternation"] = (
+        _check_alternation(criticals, levels, k_max) if failure is None else
+        CheckResult(False, -math.inf, f"critical-period search failed: {failure}"))
 
     checks["opial"] = _check_opial(sys)
     checks["bessel-link"] = _check_bessel_link()

@@ -15,7 +15,7 @@ from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
                                 two_pi_brackets)
-from periodkit.report import run_verify
+from periodkit.report import _check_bessel_link, run_verify
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -166,8 +166,10 @@ class _EngineCalls:
 @pytest.mark.parametrize("lam", [-0.9, 1.0, 4.4])
 def test_refinement_engine_call_ceilings(monkeypatch, lam):
     # one engine call per refinement iteration over all open brackets: 7-9
-    # for 40 extrema and 6-7 for 20 levels when measured; refining bracket
-    # by bracket took 184-186, 84-86 and 291-292 for a whole verify
+    # for 40 extrema and 6-7 for 20 levels when measured, and 10-12 for a
+    # whole verify that refines both in one run; refining bracket by bracket
+    # took 184-186, 84-86 and 291-292 for a whole verify, and the two
+    # searches one after the other 17-20
     s = PotentialSystem(lam)
     brackets = two_pi_brackets(s, 20)
     counter = _EngineCalls(monkeypatch)
@@ -176,9 +178,21 @@ def test_refinement_engine_call_ceilings(monkeypatch, lam):
     counter.calls = 0
     assert len(find_two_pi_levels(s, brackets)) == 20
     assert counter.calls <= 10
+    _check_bessel_link()  # once per process, maybe not yet in this one
     counter.calls = 0
     run_verify(lam, 20)
-    assert counter.calls <= 45
+    assert counter.calls <= 13
+
+
+@pytest.mark.parametrize("lam,calls", [(-0.99, 11), (1.0, 10), (2.5, 11), (4.4, 12)])
+def test_verify_engine_calls(monkeypatch, lam, calls):
+    # small-h, the bracket ends, the grids of both searches, one call per
+    # iteration of their one refinement, the extrema's deviations and the
+    # oracle's periods; the bessel-link check runs once per process
+    _check_bessel_link()
+    counter = _EngineCalls(monkeypatch)
+    run_verify(lam, 5)
+    assert counter.calls == calls
 
 
 def test_ambiguous_bracket_warning(monkeypatch):
@@ -233,16 +247,39 @@ def _assert_refine_matches_find_root(f, lo, hi, f_lo, f_hi, xrtol, refine=analys
 
 @pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
 def test_refine_matches_scipy_find_root_in_a_verify(monkeypatch, lam):
-    # the same roots to the bit, from the same sequence of evaluated batches
-    searches = []
+    # verify refines its levels and its extrema in one run; each kind gives
+    # the roots, and evaluates the batches, of find_root on that kind alone
+    # with its own integral, to the bit
+    s = PotentialSystem(lam)
+    kinds = {False: (analysis.LEVEL_REFINE_REL, quadrature.period_deviations),
+             True: (0.5 * analysis.CRITICAL_REFINE_REL, quadrature.period_slopes)}
+    refine, searches = analysis._refine, []
 
-    def compared(f, lo, hi, f_lo, f_hi, xrtol):
-        searches.append(xrtol)
-        return _assert_refine_matches_find_root(f, lo, hi, f_lo, f_hi, xrtol)[0]
+    def compared(f, lo, hi, f_lo, f_hi, xrtol, args):
+        (slope,), batches = args, []
+
+        def recorded(x, kind):
+            batches.append((x.copy(), kind.copy()))
+            return f(x, kind)
+
+        root = refine(recorded, lo, hi, f_lo, f_hi, xrtol, args)
+        for kind, (rtol, integral) in kinds.items():
+            at = slope == kind
+            assert np.all(xrtol[at] == rtol)
+            ours = [x[k == kind] for x, k in batches if np.any(k == kind)]
+            theirs = []
+            ref = _find_root_reference(_recorded(lambda x: integral(s, x)[0], theirs),
+                                       lo[at], hi[at], f_lo[at], f_hi[at], rtol)
+            assert ref.success.all()
+            assert np.array_equal(root[at].view(np.int64), ref.x.view(np.int64))
+            assert len(ours) == len(theirs)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+            searches.append((kind, int(np.count_nonzero(at))))
+        return root
 
     monkeypatch.setattr(analysis, "_refine", compared)
-    run_verify(lam, 20)
-    assert sorted(searches) == sorted([analysis.LEVEL_REFINE_REL, 0.5 * analysis.CRITICAL_REFINE_REL])
+    report = run_verify(lam, 20)
+    assert searches == [(False, len(report.two_pi_levels)), (True, len(report.critical_periods))]
 
 
 def test_refine_takes_a_zero_end_as_its_root():

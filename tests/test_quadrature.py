@@ -652,6 +652,20 @@ def test_slope_integrand_block_peak_memory():
     assert _block_peak(quadrature._slope_integrand) < 6.5
 
 
+@pytest.mark.parametrize("name", ["period", "deviation", "slope"])
+def test_a_mixed_block_gives_each_row_its_own_bits(name):
+    # at lam < 0 the rows below xi = 1 take the well from the sinc defects,
+    # the others from their sines, which a mixed block takes on those rows
+    # only; each row gets the bits it gets alone
+    integrand = getattr(quadrature, f"_{name}_integrand")
+    s = PotentialSystem(-0.5)
+    nodes = quadrature._nodes(64, 1, 65)
+    xi = np.geomspace(0.01, 30.0, 40).reshape(2, 20).T.ravel()[:, None]  # below and above 1 in turn
+    assert 0 < np.count_nonzero(xi < 1.0) < xi.size
+    alone = np.vstack([integrand(s, x[None], nodes) for x in xi])
+    assert np.array_equal(integrand(s, xi, nodes).view(np.int64), alone.view(np.int64))
+
+
 @pytest.mark.parametrize("entry", [period_at_amplitude, period_slope])
 @pytest.mark.parametrize("xi", [[1.0, 2.0], np.ones((3, 1)), []])
 def test_scalar_entry_points_refuse_other_than_one_amplitude(entry, xi):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,9 +6,10 @@ import pytest
 
 import periodkit.analysis as analysis
 import periodkit.quadrature as quadrature
-from periodkit.analysis import small_h_check
-from periodkit.errors import DegenerateIsochronous
-from periodkit.model import PotentialSystem
+from periodkit.analysis import (find_critical_periods, find_two_pi_levels, small_h_check,
+                                two_pi_brackets)
+from periodkit.errors import DegenerateIsochronous, NoConvergence
+from periodkit.model import LAM_C, PotentialSystem
 from periodkit.quadrature import period_at_amplitude
 from periodkit.report import (CHECK_NAMES, _check_bessel_link, _check_small_h, fmt_float,
                               report_to_dict, report_to_json, run_verify, sample_dicts,
@@ -101,14 +103,18 @@ def test_check_names():
 
 
 @pytest.mark.parametrize("factor", [-1.0, 1.0 + 1e-11])
-def test_bessel_link_fails_on_a_wrong_coupling_integrand(monkeypatch, factor):
+def test_bessel_link_fails_on_a_wrong_coupling_integrand(monkeypatch, request, factor):
     # dT/dlam at lam = 0 is -2*pi*J1(xi)/xi, of order 1 on [0.2, 12]: a
-    # flipped sign, or a relative error of 1e-11, is past the 1e-12 bound
+    # flipped sign, or a relative error of 1e-11, is past the 1e-12 bound.
+    # The check runs once per process, so its cache is cleared around the
+    # planted integrand
     check = _check_bessel_link()
     assert check.passed and check.margin > 0.0
     integrand = quadrature._coupling_integrand
     monkeypatch.setattr(quadrature, "_coupling_integrand",
                         lambda *args: factor * integrand(*args))
+    _check_bessel_link.cache_clear()
+    request.addfinalizer(_check_bessel_link.cache_clear)
     check = _check_bessel_link()
     assert not check.passed and check.margin < 0.0
 
@@ -202,3 +208,49 @@ def test_verify_near_the_side_equilibria_returns_a_report():
     assert [name for name, c in rep.checks.items() if not c.passed] == ["alternation"]
     payload = json.loads(report_to_json(rep))
     assert payload["passed"] is False and payload["critical_periods"] == []
+
+
+def _bits(items):
+    """Each float of the records or numbers items as its hex string."""
+    def fields(item):
+        return dataclasses.astuple(item) if dataclasses.is_dataclass(item) else (item,)
+
+    return [tuple(v.hex() if isinstance(v, float) else v for v in fields(item)) for item in items]
+
+
+def _searched_alone(lam, k_max):
+    """The brackets, levels and extrema of verify's window, each search run
+    on its own."""
+    s = PotentialSystem(lam)
+    brackets = two_pi_brackets(s, k_max)
+    return brackets, find_two_pi_levels(s, brackets), (2 * k_max + 1) * math.pi
+
+
+@pytest.mark.parametrize("k_max", [5, 20])
+@pytest.mark.parametrize("lam", [-0.99, -0.5, -1e-8, 1e-8, 1.0, 2.5, 4.5])
+def test_verify_finds_the_bits_of_the_searches_run_alone(lam, k_max):
+    # verify refines its 2*pi-levels and its extrema in one search, both
+    # kinds in every engine call; each keeps the bits of its own search
+    brackets, levels, xi_max = _searched_alone(lam, k_max)
+    extrema = find_critical_periods(PotentialSystem(lam), xi_max)
+    rep = run_verify(lam, k_max)
+    assert _bits(rep.brackets) == _bits(brackets)
+    assert _bits(rep.two_pi_levels) == _bits(levels)
+    assert _bits(rep.critical_periods) == _bits(extrema)
+    assert len(extrema) >= 2 * k_max - 1
+
+
+def test_verify_keeps_its_levels_where_the_slopes_do_not_converge():
+    # just below LAM_C a slope of the pi/8 grid does not converge: the
+    # extremum search fails as it does alone, and the levels found with it
+    # are those of the level search alone
+    lam = LAM_C * (1.0 - 1e-6)
+    brackets, levels, xi_max = _searched_alone(lam, 5)
+    with pytest.raises(NoConvergence) as alone:
+        find_critical_periods(PotentialSystem(lam), xi_max)
+    rep = run_verify(lam, 5)
+    assert rep.checks["alternation"].detail == f"critical-period search failed: {alone.value}"
+    assert rep.critical_periods == [] and len(levels) == 5
+    assert _bits(rep.brackets) == _bits(brackets)
+    assert _bits(rep.two_pi_levels) == _bits(levels)
+    assert [name for name, c in rep.checks.items() if not c.passed] == ["alternation"]
