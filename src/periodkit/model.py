@@ -195,6 +195,24 @@ class PotentialSystem:
             self.__dict__["_edge"] = edge
         return edge
 
+    def center_curvature(self) -> tuple[float, float]:
+        """(c2, size): c2 = T''(0+)/2, the h^2 coefficient of the period
+        function at an elementary center (lam > -1), T(h) = T(0+) +
+        T'(0+)*h + c2*h^2 + O(h^3), and the sum of its two terms' magnitudes,
+
+            c2 = 35*pi*lam^2/(384*(1+lam)^(9/2)) - pi*lam/(48*(1+lam)^(7/2))
+               = pi*lam*(27*lam - 8)/(384*(1+lam)^(9/2)),
+
+        from T = 4*int w^(-1/2) d(phi) (quadrature) with sinc(a)*sinc(b)
+        expanded to fourth order in xi, and h = G(xi) inverted to second
+        order in h.  c2 vanishes at lam = 8/27 as well as at 0; its size only
+        at 0.  At the nilpotent center both diverge; +inf stands for them."""
+        lam, g1 = self.lam, 1.0 + self.lam
+        if g1 == 0.0:
+            return math.inf, math.inf
+        return (math.pi * lam * (27.0 * lam - 8.0) / (384.0 * g1 ** 4.5),
+                math.pi * abs(lam) * (35.0 * abs(lam) + 8.0 * g1) / (384.0 * g1 ** 4.5))
+
     def center_asymptotics(self) -> tuple[float, float]:
         """Limit values (T(0+), T'(0+)) of the period function at the center.
 

@@ -56,6 +56,30 @@ def test_center_asymptotics_values():
     assert t0 == math.inf and dt0 == -math.inf
 
 
+@pytest.mark.parametrize("lam", [-0.9, -0.5, 8 / 27, 1.0, 4.4])
+def test_center_curvature_matches_mpmath(lam):
+    # (T(h) - T(0+) - T'(0+)*h)/h^2 at h = 1e-6*(1+lam)^2 from 40-digit
+    # periods (the energy inverted by findroot, T as the product-form
+    # integral): c2 within 1e-5 of the size of its two terms, also at lam =
+    # 8/27, where c2 vanishes
+    c2, size = PotentialSystem(lam).center_curvature()
+    assert size >= abs(c2) > 0.0 or lam == 8 / 27
+    with mpmath.workdps(40):
+        m, h = mpmath.mpf(lam), mpmath.mpf(1e-6) * (1 + mpmath.mpf(lam)) ** 2
+        xi = mpmath.findroot(lambda x: x * x / 2 + m * (1 - mpmath.cos(x)) - h,
+                             mpmath.sqrt(2 * h / (1 + m)))
+
+        def f(u):
+            a, b = xi * mpmath.cos(u) ** 2, xi * mpmath.sin(u) ** 2
+            d = (xi * mpmath.sin(2 * u)) ** 2 / 2 + 2 * m * mpmath.sin(a) * mpmath.sin(b)
+            return xi * mpmath.sin(2 * u) / mpmath.sqrt(d)
+        t = 4 * mpmath.sqrt(2) * mpmath.quad(f, [0, mpmath.pi / 8, mpmath.pi / 4])
+        t0, dt0 = 2 * mpmath.pi / mpmath.sqrt(1 + m), m * mpmath.pi / (4 * (1 + m) ** 2.5)
+        fit = float((t - t0 - dt0 * h) / h ** 2)
+    assert abs(fit - c2) <= 1e-5 * size, (fit, c2)
+    assert PotentialSystem(-1.0).center_curvature() == (math.inf, math.inf)
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0])
 def test_center_asymptotics_closed_form(lam):
     # the general derivative formula must reduce to lam*pi/(4*(1+lam)^(5/2))

@@ -198,12 +198,13 @@ def test_orbit_turning_back_between_its_arc_seeds_is_named(monkeypatch):
 
 
 def test_trapped_orbit_in_a_batch_is_named(monkeypatch):
-    # the orbit through (4.5, 0) turns back at x > 0; it stops there after
-    # 490 rhs calls, where a run to MAX_EVENT_TIME/2 would take far more
+    # the orbit through (4.5, 0) turns back at x > 0: its arc seed at x =
+    # 4.41 lies above its energy (G(4.41) > G(4.5)), so the batch raises
+    # before any run, where a run to MAX_EVENT_TIME/2 would take far more
     calls = _count_rhs_calls(monkeypatch)
-    with pytest.raises(EventMissed, match=r"xi=4\.5\b.*lam=6"):
+    with pytest.raises(EventMissed, match=r"G\(x=4\.41.*xi=4\.5\b.*lam=6"):
         orbit_periods(PotentialSystem(6.0), [1.0, 4.5], tol=1e-9)
-    assert calls[0] <= 1000
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])

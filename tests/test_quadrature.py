@@ -444,6 +444,22 @@ def test_period_is_within_its_error_estimate_of_the_reference(lam, xi):
     assert abs(sample.T - _mp_period(lam, xi)) <= sample.err_est
 
 
+@pytest.mark.parametrize("lam, xs", [
+    (LAM_C * (1 - 1e-6), [0.5, 2.0, 3.0, 4.0, 4.3, 5.0, 8.0, 12.0, 20.0, 30.0]),
+    (-0.999, [1.001, 1.1, 1.5, 2.0, 3.0, 4.5, 10.0, 20.0, 30.0, 40.0])])
+def test_periods_and_slopes_at_the_validity_edges_are_within_their_error(lam, xs):
+    # the honesty grid of the half-angle sines at the two edges of the
+    # elementary centers: below LAM_C, where w nearly vanishes at X_MIN, and
+    # at lam = -0.999 past xi = 1, where w is taken directly and cancels most
+    # (worst |error|/err_est 0.49, as with numpy's sin and cos)
+    s = PotentialSystem(lam)
+    samples = period_samples(s, xs)
+    slopes, errs = period_slopes(s, xs)
+    for x, sample, slope, err in zip(xs, samples, slopes.tolist(), errs.tolist()):
+        assert abs(sample.T - _mp_period(lam, x)) <= sample.err_est, x
+        assert abs(slope - _mp_slopes(lam, x)[0]) <= err, x
+
+
 @pytest.mark.parametrize("lam", [-1 + 1e-9, -0.5, -1e-8, 1e-12, 1.0, 4.5])
 def test_deviation_is_the_period_less_two_pi(lam):
     # the deviation integral keeps its relative accuracy as lam -> 0, where
@@ -551,10 +567,18 @@ def test_integrands_at_the_turning_point_node(lam):
 def _expression_integrands(lam, xi, nodes):
     """The period, deviation, slope and coupling integrands written as
     expressions, each intermediate a new array, with the series as
-    np.polyval takes them: the form the in-place integrands must match."""
+    np.polyval takes them and the sines and cosines from the half-angle
+    tangent: the form the in-place integrands must match."""
     _, c2, s2 = nodes
-    a, b = xi * c2, np.maximum(xi * s2, quadrature.TINY)
-    sa, sb = np.sin(a) / a, np.sin(b) / b
+    a, b = xi * c2, xi * s2
+
+    def half_angle(x):  # sin(x)/x and cos(x) from t = tan(x/2), and x^2
+        h = np.maximum(x * 0.5, quadrature.HALF_ANGLE_MIN)
+        t = np.tan(h)
+        q = t * t + 1.0
+        return 1.0 / (h / t * q), 2.0 / q - 1.0, h * h * 4.0
+
+    (sa, ca, a2), (sb, cb, b2) = half_angle(a), half_angle(b)
     w = 1.0 + lam * (sa * sb)
     near = np.flatnonzero(xi[:, 0] < 1.0) if lam < 0.0 else []
     if len(near):
@@ -563,13 +587,12 @@ def _expression_integrands(lam, xi, nodes):
         sa[near], sb[near] = 1.0 - da, 1.0 - db
         w[near] = (1.0 + lam) - lam * (da + sa[near] * db)
 
-    def s3(x, sinc):
+    def s3(x2, sinc, cos):
         with np.errstate(all="ignore"):  # the branch np.where drops may be 0/0
-            return np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x * x),
-                            (sinc - np.cos(x)) / (x * x))
+            return np.where(x2 < 1.0, np.polyval(quadrature._S_SERIES, x2), (sinc - cos) / x2)
 
     r = np.sqrt(w)
-    q = (c2 * c2) * s3(a, sa) * sb + (s2 * s2) * sa * s3(b, sb)
+    q = (c2 * c2) * s3(a2, sa, ca) * sb + (s2 * s2) * s3(b2, sb, cb) * sa
     return (4.0 / np.sqrt(w), sa * sb / (r * (1.0 + r)) * (-4.0 * lam),
             q / (w * np.sqrt(w)) * xi * (2.0 * lam), sa * sb / (w * np.sqrt(w)) * -2.0)
 
@@ -813,24 +836,41 @@ def test_period_samples_reject_non_finite_amplitudes(bad):
 
 
 def _s_amplitudes():
-    # x > 0: the engine's a and b never vanish, and sinc(0) is 0/0
+    # x > 0, ascending: the engine's a and b never vanish, and sinc(0) is 0/0
     one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
-    return np.concatenate([np.geomspace(1e-8, 1e3, 400), np.linspace(0.0, 2.0, 201)[1:], one])
+    return np.sort(np.concatenate([np.geomspace(1e-8, 1e3, 400), np.linspace(0.0, 2.0, 201)[1:],
+                                   one]))
 
 
-def test_s_reuses_sine_bit_for_bit():
-    # the slope integrand passes _well's sinc values to _s3; each entry must
-    # go through the same operations as the two-branch form evaluated on
-    # every node, also where every node lies below 1, or every node above
+def _s3(x, sinc, cos):
+    """quadrature._s3 at the squares of x, on a copy of cos: it writes over it."""
+    return quadrature._s3(x * x, sinc, cos.copy(), quadrature._runs_below_one(x))
+
+
+def test_s_reuses_sine_bit_for_bit(monkeypatch):
+    # the slope integrand passes _half_angle's sinc and cos values to _s3;
+    # each entry must go through the same operations as the two-branch
+    # (masked) form evaluated on every node, also where every node lies
+    # below 1, or every node above, and where each row's entries below 1
+    # are a run at either end or in the middle of a row (the series takes
+    # them by index, in chunks of RUN_CHUNK entries or of one longer row)
     x = _s_amplitudes()
-    sinc = np.sin(x) / x
-    x2 = x * x
-    both = np.where(x < 1.0, np.polyval(quadrature._S_SERIES, x2), (sinc - np.cos(x)) / x2)
-    got = quadrature._s3(x, sinc)
-    assert np.array_equal(got.view(np.int64), both.view(np.int64))
-    for part in (x < 1.0, x >= 1.0):
-        got = quadrature._s3(x[part], sinc[part])
-        assert np.array_equal(got.view(np.int64), both[part].view(np.int64))
+    _, c2, s2 = quadrature._nodes(64, 1, 65)
+    xi = np.geomspace(0.01, 1e3, 60)[:, None]
+    b = np.maximum(xi * s2, 2.0 * quadrature.HALF_ANGLE_MIN)  # as the tangents raise it
+    blocks = (x[None], x[None, ::-1], x[None, x < 1.0], x[None, x >= 1.0],
+              np.stack((x, x[::-1], x[::-1])), xi * c2, b, np.stack((xi * c2, b)),
+              np.stack((x[:5], x[-5:], x[:5] + 0.5)), np.array([[3.0, 0.5, 1e-3, 0.7, 2.0, 5.0]]),
+              np.ones((3, 1)))
+    for block in blocks:
+        sinc, cos = np.sin(block) / block, np.cos(block)
+        x2 = block * block
+        with np.errstate(all="ignore"):  # the branch np.where drops may be 0/0
+            both = np.where(block < 1.0, np.polyval(quadrature._S_SERIES, x2), (sinc - cos) / x2)
+        for chunk in (quadrature.RUN_CHUNK, 7, 1):
+            monkeypatch.setattr(quadrature, "RUN_CHUNK", chunk)
+            got = _s3(block, sinc, cos)
+            assert np.array_equal(got.view(np.int64), both.view(np.int64))
 
 
 def test_s_matches_reference():
@@ -839,9 +879,50 @@ def test_s_matches_reference():
     # accurate below 1; above, s3 has zeros (tan x = x) and the direct
     # difference is accurate relative to its terms
     x = _s_amplitudes()
-    got = quadrature._s3(x, np.sin(x) / x)
+    got = _s3(x, np.sin(x) / x, np.cos(x))
     with mpmath.workdps(50):
         err = [float(abs(mpmath.mpf(v) - (mpmath.sin(t) - t * mpmath.cos(t)) / t ** 3))
                for v, t in zip(got.tolist(), map(mpmath.mpf, x.tolist()))]
     scale = np.where(x < 1.0, np.abs(got), (np.abs(np.sin(x)) + np.abs(x * np.cos(x))) / x ** 3)
     assert np.all(np.array(err) <= 4e-16 * scale)
+
+
+# Arguments of the half-angle tangents: small, large and huge x, doubles
+# near the odd multiples of pi (where t = tan(x/2) is near its poles), and
+# b = 0 and b = TINY, which the tangents raise to 2*HALF_ANGLE_MIN.  x^2
+# overflows past 1.3e154, as x*x did, so the cosine route stops short of it.
+_HALF_ANGLE_ARGUMENTS = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=10.0, max_value=1e6),
+    st.floats(min_value=1e6, max_value=1e150),
+    st.integers(min_value=0, max_value=10 ** 6).map(lambda k: (2 * k + 1) * PI),
+    st.sampled_from([0.0, quadrature.TINY, 1e5, 1e150]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_HALF_ANGLE_ARGUMENTS, min_size=1, max_size=16),
+       st.sampled_from([0.0, 1e5, 1e300]))
+def test_half_angle_sines_and_cosines_match_mpmath(xs, huge):
+    # against 40 digits: sinc within 4 ulp, cos within 4 ulp plus
+    # 2*eps*sin(x)^2 (the rounding of t carried through) and x^2 to the bit
+    # (2.8 ulp, and 0.7 of the cosine's bound, at worst on 16,000
+    # arguments); sinc and cos are 1 exactly below 2*HALF_ANGLE_MIN, and no
+    # RuntimeWarning on the way.  The sinc route alone also takes 1e300
+    x = np.array(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sinc, cos, x2 = quadrature._half_angle(x.copy(), cosine=True)
+        alone, _ = quadrature._half_angle(np.append(x, huge))
+    assert np.array_equal(alone[:-1].view(np.int64), sinc.view(np.int64))
+    least = 2.0 * quadrature.HALF_ANGLE_MIN
+    with mpmath.workdps(40):
+        for v, s in zip(xs + [huge], alone.tolist()):
+            m = mpmath.mpf(v)
+            assert s == 1.0 if v < least else abs(s - mpmath.sin(m) / m) <= 4 * math.ulp(s), v
+        for v, c, v2 in zip(xs, cos.tolist(), x2.tolist()):
+            if v < least:
+                assert c == 1.0 and v2 == least * least
+                continue
+            m = mpmath.mpf(v)
+            bound = 4 * math.ulp(c) + 2 * quadrature.EPS * float(mpmath.sin(m) ** 2)
+            assert abs(c - mpmath.cos(m)) <= bound and v2 == v * v, v

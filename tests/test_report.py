@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import periodkit.analysis as analysis
@@ -181,6 +182,41 @@ def test_small_h_residuals_clear_their_error(lam):
     check = _check_small_h(sys_)
     assert check.passed
     assert check.detail.startswith("residual ratio 1e-2/1e-3 = ")
+
+
+def test_small_h_passes_where_its_h2_coefficient_vanishes():
+    # c2 = T''(0+)/2 crosses 0 at lam = 8/27: R(h) is then all O(h^3), and
+    # the 1e-2/1e-3 residual ratio read 200.55 at 0.29617, 509.91 at
+    # 0.2962773 and 48.56 at 0.29659, outside the band [50, 200] that
+    # decided the check; the remainder past c2*h^2 does not depend on c2
+    for lam in np.arange(0.2960, 0.29681, 1e-5):
+        check = _check_small_h(PotentialSystem(float(lam)))
+        assert check.passed and check.margin > 4.0, (lam, check.detail)
+    for lam in (0.29617, 0.29627730068731206, 0.29659):
+        report = run_verify(lam, 5)
+        assert report.passed, {name: c.detail for name, c in report.checks.items()}
+
+
+@pytest.mark.parametrize("lam", [0.2963, -0.5, 1.0, 4.4])
+@pytest.mark.parametrize("defect", ["slope", "limit"])
+def test_small_h_fails_on_a_planted_center_expansion_defect(monkeypatch, lam, defect):
+    # T'(0+) off by 1%, or T(0+) off by 1e-8 of itself (every deviation
+    # shifted by that much): each reads far past the bound, c2 near 0 or not
+    s = PotentialSystem(lam)
+    assert _check_small_h(s).passed
+    if defect == "slope":
+        true = PotentialSystem.center_asymptotics
+        monkeypatch.setattr(PotentialSystem, "center_asymptotics",
+                            lambda self: (true(self)[0], 1.01 * true(self)[1]))
+    else:
+        shift, true = 1e-8 * s.center_asymptotics()[0], analysis.period_deviations
+
+        def shifted(sys_, xi):
+            value, err = true(sys_, xi)
+            return value + shift, err
+        monkeypatch.setattr(analysis, "period_deviations", shifted)
+    check = _check_small_h(s)
+    assert not check.passed and check.margin < -100.0, check.detail
 
 
 @pytest.mark.parametrize("k_max", [3, 5, 20])
