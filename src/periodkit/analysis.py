@@ -14,12 +14,11 @@ The analysis rests on two families of distinguished amplitudes:
 pair brackets at least one energy with T = 2*pi, and between consecutive
 sign-changing 2*pi-levels the derivative T' must vanish, which is how the
 critical periods are located and counted.  Both searches are one, _search:
-one batched quadrature samples T - 2*pi on the level grids and dT/dxi on
-the slope grid, and all sign changes of both are refined together, one more
-batched quadrature per iteration of Chandrupatla's bracketing method, which
-_refine runs over numpy arrays, each bracket to its own tolerance;
-find_two_pi_levels and find_critical_periods run it with one kind of
-bracket, and bessel.j1_zeros refines with _refine too.
+one engine call samples T - 2*pi on the level grids and dT/dxi on the slope
+grid, each row with the bits and the error of its kind's call alone, and all
+sign changes of both are refined together, one more such call per iteration
+of Chandrupatla's method, which _refine runs over numpy arrays, each bracket
+to its own tolerance.  bessel.j1_zeros refines with _refine too.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ import numpy as np
 from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous, NoConvergence,
                      SignViolation)
 from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
-from .quadrature import (EPS, TINY, DerivativeEstimate, PeriodSample, _deviations_and_slopes,
-                         _one_amplitude, coupling_slopes, period_deviations, period_samples,
-                         period_slopes)
+from .quadrature import (_COUPLING, _DEVIATION, _SLOPE, EPS, TINY, DerivativeEstimate, PeriodSample,
+                         _estimates, _one_estimate, period_deviations, period_samples)
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,7 +146,7 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
     try:
         grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
         grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP) if xi_max is not None else np.empty(0)
-        value, err = _values(sys, grids[:, 1:-1].ravel(), grid)
+        value, err = _estimates(sys, (_DEVIATION, grids[:, 1:-1].ravel()), (_SLOPE, grid))
         n = value.size - grid.size
         devs = np.column_stack(([br.dev_lo for br in brackets], value[:n].reshape(-1, 7),
                                 [br.dev_hi for br in brackets]))
@@ -169,8 +167,7 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
         i = np.flatnonzero(change & ~drowned)
 
         def values(x, slope):  # the level brackets come first
-            split = x.size - np.count_nonzero(slope)
-            return _values(sys, x[:split], x[split:])[0]
+            return _estimates(sys, (_DEVIATION, x[~slope]), (_SLOPE, x[slope]))[0]
 
         slope, xrtol = np.repeat([False, True], [cross.size, i.size]), 0.5 * CRITICAL_REFINE_REL
         lo, hi = np.concatenate((x0[cross], grid[i])), np.concatenate((x1[cross], grid[i + 1]))
@@ -189,16 +186,6 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
                                    refine_err=(xrtol + 4.0 * EPS) * x)
                     for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), dev_star,
                                           slopes[i])], None
-
-
-def _values(sys: PotentialSystem, xd, xs):
-    """(value, err_est) of T - 2*pi at the amplitudes xd, then of dT/dxi at
-    xs, from one engine call."""
-    if not xs.size:
-        return period_deviations(sys, xd)
-    if not xd.size:
-        return period_slopes(sys, xs)
-    return _deviations_and_slopes(sys, xd, xs)
 
 
 def _refine(f, lo, hi, f_lo, f_hi, xrtol, args=()) -> np.ndarray:
@@ -365,8 +352,8 @@ def opial_indicator(sys: PotentialSystem, x):
     (0, inf); it changes sign, so T cannot be monotone.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("x must be positive")
+    if not np.all((x > 0.0) & (x < math.inf)):  # NaN fails both
+        raise ValueError("x must be positive and finite")
     small = x < 1e-4
     xs = np.where(small, 1.0, x)
     direct = _indicator_numerator(xs) / xs ** 3
@@ -412,5 +399,4 @@ def lam_derivative_at_zero(xi: float) -> DerivativeEstimate:
     of the linear center), so its zeros in xi are the positive zeros of J1
     and its xi -> 0 limit is -pi.
     """
-    value, err = coupling_slopes(PotentialSystem(0.0), _one_amplitude(np.ravel(xi)))
-    return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))
+    return _one_estimate(PotentialSystem(0.0), _COUPLING, xi)

@@ -34,14 +34,16 @@ geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).
 One engine, _periodic, integrates a whole array of amplitudes at once,
 each stopping at its own node count while those that share a count share
 each integrand evaluation: a scan is one call of it, a single period the
-same call with one amplitude, and bessel's J1 integral another call.  A
-call with one amplitude holds its per-integral bookkeeping (the input check,
-the rounding floor, the start count, the three trapezoid sums and the stop
-test) in floats rather than arrays of one value, chosen on xi.size == 1 in
-_amplitudes, _floor and _periodic; integrands, node cache and chunk walk
-are shared, and the results are the array path's bits.  Its integrands take
-a read-only node triple (phi, cos(u)^2, sin(u)^2), and the batched
-functions below return its (value, err_est) arrays as they are.
+same call with one amplitude, any mix of the four period integrals (each a
+kind, _Kind) one call of _integrals, and bessel's J1 integral another.
+Each row keeps its kind's integrand, floor and stop test, so the bits of
+its kind's call alone, and _estimates raises at the first row that did not
+converge, named by its kind.  One amplitude keeps its bookkeeping (input
+check, rounding floor, start count, trapezoid sums, stop test) in floats,
+chosen on xi.size == 1 in _amplitudes, _floor and _periodic, to the array
+path's bits.  The integrands take a read-only node triple (phi, cos(u)^2,
+sin(u)^2), and the batched functions return the engine's (value, err_est)
+arrays as they are.
 
 The integrands take every sine and cosine from the half-angle tangent t =
 tan(x/2), one np.tan per argument with a and b stacked in one array
@@ -360,38 +362,66 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
     return sa
 
 
-def _integral(integrand, sys: PotentialSystem, xi: np.ndarray, derivative: bool = False):
-    """_periodic at REL_TOL of integrand(sys, xi, nodes), one integral per
-    amplitude in xi, floored by _floor."""
-    return _periodic(lambda rows, nodes: integrand(sys, xi[rows, None], nodes),
-                     xi, REL_TOL, _floor(sys, xi, derivative))
+class _Kind(NamedTuple):
+    """One period integral: its integrand, its word in NoConvergence, its
+    _floor derivative flag and its least amplitude at lam = -1."""
+
+    integrand: object
+    what: str
+    derivative: bool
+    nilpotent_min: float
 
 
-def _floor(sys: PotentialSystem, xi: np.ndarray, derivative: bool):
+_PERIOD = _Kind(_period_integrand, "period", False, NILPOTENT_XI_MIN)
+_DEVIATION = _Kind(_deviation_integrand, "deviation", True, NILPOTENT_XI_MIN)
+_SLOPE = _Kind(_slope_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN)
+_COUPLING = _Kind(_coupling_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN)
+
+
+def _integrals(sys: PotentialSystem, *parts):
+    """(value, err_est, converged) arrays of the parts (kind, xi), one row per
+    checked amplitude in the order given, from one _periodic call at REL_TOL,
+    each row with the bits of its kind's call alone; empty parts are dropped."""
+    if len(parts) == 1:  # one kind: no per-part bookkeeping
+        (kind, xi), = parts
+        return _periodic(lambda rows, nodes: kind.integrand(sys, xi[rows, None], nodes),
+                         xi, REL_TOL, _floor(sys, xi, kind.derivative))
+    kept = [part for part in parts if part[1].size]
+    if len(kept) < 2:
+        return _integrals(sys, *(kept or parts[:1]))
+    xi, sizes = np.concatenate([x for _, x in kept]), [x.size for _, x in kept]
+    bounds = np.add.accumulate([0] + sizes)  # part i: rows bounds[i] to bounds[i+1] - 1
+
+    def f(rows, nodes):  # rows ascend: each part's rows are one run of them
+        x, cuts = xi[rows, None], rows.searchsorted(bounds).tolist()
+        blocks = [kind.integrand(sys, x[lo:hi], nodes)
+                  for (kind, _), lo, hi in zip(kept, cuts, cuts[1:]) if lo < hi]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    derivative = np.array([kind.derivative for kind, _ in kept]).repeat(sizes)
+    return _periodic(f, xi, REL_TOL, _floor(sys, xi, derivative))
+
+
+def _floor(sys: PotentialSystem, xi: np.ndarray, derivative):
     """The rounding floor of the integrals at the amplitudes xi: where w is
     taken directly it cancels as g(xi) at the turning point, and T goes as
     w^-1/2; a derivative goes as w^-3/2, and it and the deviation T - 2*pi
     are carried by sinc(a) and sinc(b), whose arguments round by EPS*xi/2.
-    One amplitude takes its floor in floats, to the same bits."""
+    derivative is one flag (a kind's) or one per amplitude.  One amplitude
+    takes its floor in floats, to the same bits."""
     if xi.size == 1:
-        x = xi.item()
+        x, cancellation = xi.item(), 1.0
         if sys.lam >= 0.0 or x >= 1.0:  # _well takes w directly
             lsx = sys.lam * math.sin(x)
             g = x + lsx  # 0 only past the edge, where numpy's quotient is inf
             cancellation = (x + abs(lsx)) / g if g else math.inf
-        else:
-            cancellation = 1.0
-        floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
-        if derivative:
-            floor += 0.5 * EPS * x
-        return max(floor, ROUNDING_FLOOR)  # floor is never NaN
-    lsx = sys.lam * np.sin(xi)
-    direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
-    cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
-    floor = (1.5 if derivative else 0.5) * CANCELLATION_FLOOR * cancellation
-    if derivative:
-        floor += 0.5 * EPS * xi
-    return np.maximum(ROUNDING_FLOOR, floor)
+    else:
+        x, lsx = xi, sys.lam * np.sin(xi)
+        direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
+        cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
+    floor = (0.5 + derivative) * CANCELLATION_FLOOR * cancellation
+    floor += derivative * (0.5 * EPS * x)  # 0.0 where not a derivative, which adds exactly
+    return max(floor, ROUNDING_FLOOR) if xi.size == 1 else np.maximum(ROUNDING_FLOOR, floor)
 
 
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
@@ -536,15 +566,15 @@ def require_converged(sample: PeriodSample) -> PeriodSample:
     """sample itself, or NoConvergence carrying it when it is flagged."""
     if not sample.converged:
         raise NoConvergence(
-            f"period quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"{_PERIOD.what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
             f"at xi={sample.xi:.6g}, lam={sample.lam:g}",
             best=sample.T, err_est=sample.err_est, sample=sample)
     return sample
 
 
-def _amplitudes(sys: PotentialSystem, xi, nilpotent_min: float = NILPOTENT_XI_MIN) -> np.ndarray:
+def _amplitudes(sys: PotentialSystem, xi, kind: _Kind) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).ravel()
-    least = nilpotent_min if sys.lam == -1.0 else XI_MIN
+    least = kind.nilpotent_min if sys.lam == -1.0 else XI_MIN
     if xi.size == 1:  # one amplitude, checked as a float
         bad = () if least <= xi.item() < math.inf else xi
     else:
@@ -566,91 +596,72 @@ def period_samples(sys: PotentialSystem, xi) -> list[PeriodSample]:
     """Periods of the orbits through (x, 0) for every amplitude x > 0 of the
     array xi, in one pass of the engine.  A sample that did not converge is
     returned flagged (converged=False) with its best estimate, not raised."""
-    xi = _amplitudes(sys, xi)
+    xi = _amplitudes(sys, xi, _PERIOD)
     return _samples(sys, xi, sys.G(xi).tolist())
 
 
 def period_at_amplitude(sys: PotentialSystem, xi: float) -> PeriodSample:
     """Period of the orbit through (xi, 0), xi > 0."""
-    xi = _one_amplitude(_amplitudes(sys, xi))
+    xi = _one_amplitude(_amplitudes(sys, xi, _PERIOD))
     return require_converged(_samples(sys, xi, [float(sys.G(xi[0]))])[0])
 
 
 def period_at_energy(sys: PotentialSystem, h: float) -> PeriodSample:
     """Period of the orbit on energy level h > 0."""
-    xi = _amplitudes(sys, energy_to_amplitude(sys, h))
+    xi = _amplitudes(sys, energy_to_amplitude(sys, h), _PERIOD)
     return require_converged(_samples(sys, xi, [h])[0])
 
 
 def _samples(sys, xi, hs):
-    value, err, converged = _integral(_period_integrand, sys, xi)
+    value, err, converged = _integrals(sys, (_PERIOD, xi))
     new, lam = tuple.__new__, sys.lam
     return [new(PeriodSample, (lam, x, h, v, e, "quadrature", c))
             for x, h, v, e, c in zip(xi.tolist(), hs, value.tolist(), err.tolist(),
                                      converged.tolist())]
 
 
-def _estimates(integrand, sys: PotentialSystem, xi, what: str = "derivative",
-               nilpotent_min: float = NILPOTENT_DERIVATIVE_XI_MIN):
-    xi = _amplitudes(sys, xi, nilpotent_min)
-    value, err, converged = _integral(integrand, sys, xi, derivative=True)
+def _estimates(sys: PotentialSystem, *parts):
+    """(value, err_est) of _integrals over the parts (kind, xi), each xi
+    checked against its kind's least amplitude; the first row that did not
+    converge raises NoConvergence as its kind's call alone would."""
+    parts = [(kind, _amplitudes(sys, xi, kind)) for kind, xi in parts]
+    value, err, converged = _integrals(sys, *parts)
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
+        kind, x = [(kind, x) for kind, xi in parts for x in xi.tolist()][i]  # row i's
         raise NoConvergence(
-            f"{what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
-            f"at xi={xi[i]:.6g}, lam={sys.lam:g}",
-            best=float(value[i]), err_est=float(err[i]))
+            f"{kind.what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"at xi={x:.6g}, lam={sys.lam:g}", best=float(value[i]), err_est=float(err[i]))
     return value, err
+
+
+def _one_estimate(sys: PotentialSystem, kind: _Kind, xi) -> DerivativeEstimate:
+    """kind's integral at the one amplitude xi; other counts raise ValueError."""
+    value, err = _estimates(sys, (kind, _one_amplitude(np.ravel(xi))))
+    return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))
 
 
 def period_deviations(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """T - 2*pi at every amplitude x > 0 of the array xi, to its own relative
     accuracy however close T lies to 2*pi; raises like period_slopes."""
-    return _estimates(_deviation_integrand, sys, xi, "deviation", NILPOTENT_XI_MIN)
+    return _estimates(sys, (_DEVIATION, xi))
 
 
 def period_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """dT/dxi at every amplitude x > 0 of the array xi, in one pass of the
     engine; raises NoConvergence at the first one that did not converge."""
-    return _estimates(_slope_integrand, sys, xi)
-
-
-def _deviations_and_slopes(sys: PotentialSystem, xd, xs) -> tuple[np.ndarray, np.ndarray]:
-    """period_deviations at the amplitudes xd, then period_slopes at xs, as
-    one (value, err_est) pair from one pass of the engine, two rows at least:
-    each row keeps its own integrand, floor and stop test, so the bits of its
-    own call, and a row that did not converge raises from that call, a
-    deviation first."""
-    xd = _amplitudes(sys, xd)
-    xs = _amplitudes(sys, xs, NILPOTENT_DERIVATIVE_XI_MIN)
-    xi, n = np.concatenate((xd, xs)), xd.size
-
-    def f(rows, nodes):  # rows ascend: the deviation rows come first
-        x, split = xi[rows, None], np.searchsorted(rows, n)
-        if split == rows.size:
-            return _deviation_integrand(sys, x, nodes)
-        if not split:
-            return _slope_integrand(sys, x, nodes)
-        return np.concatenate((_deviation_integrand(sys, x[:split], nodes),
-                               _slope_integrand(sys, x[split:], nodes)))
-
-    value, err, converged = _periodic(f, xi, REL_TOL, _floor(sys, xi, True))
-    if np.count_nonzero(~converged):
-        period_deviations(sys, xd)
-        period_slopes(sys, xs)
-    return value, err
+    return _estimates(sys, (_SLOPE, xi))
 
 
 def period_slope(sys: PotentialSystem, xi: float) -> DerivativeEstimate:
     """dT/dxi at the amplitude xi > 0; its sign is that of T'(h)."""
-    value, err = period_slopes(sys, _one_amplitude(np.ravel(xi)))
-    return DerivativeEstimate(value=float(value[0]), err_est=float(err[0]))
+    return _one_estimate(sys, _SLOPE, xi)
 
 
 def coupling_slopes(sys: PotentialSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """dT/dlam, the amplitude held fixed, at every amplitude x > 0 of the
     array xi, in one pass of the engine; raises like period_slopes."""
-    return _estimates(_coupling_integrand, sys, xi)
+    return _estimates(sys, (_COUPLING, xi))
 
 
 def period_derivative(sys: PotentialSystem, h: float) -> float:

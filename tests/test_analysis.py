@@ -198,10 +198,11 @@ def test_verify_engine_calls(monkeypatch, lam, calls):
 def test_ambiguous_bracket_warning(monkeypatch):
     # a derivative sign change drowned in its own error estimate at both
     # grid ends is reported and skipped, not refined into a fake extremum
-    def noisy(sys, xi):
+    def noisy(sys, *parts):  # the slope grid; no bracket, so no deviation rows
+        xi = np.concatenate([x for kind, x in parts if kind is quadrature._SLOPE])
         return np.where(xi < 4.0, 1e-12, -1e-12), np.full(xi.shape, 1e-9)
 
-    monkeypatch.setattr(analysis, "period_slopes", noisy)
+    monkeypatch.setattr(analysis, "_estimates", noisy)
     with pytest.warns(AmbiguousBracket):
         crit = find_critical_periods(PotentialSystem(1.0), 4 * PI)
     assert crit == []
@@ -412,15 +413,15 @@ def test_two_pi_levels_take_the_bracket_ends_as_measured(monkeypatch):
     s = PotentialSystem(1.0)
     brackets = two_pi_brackets(s, 5)
     sizes = []
-    deviations = analysis.period_deviations
+    estimates = analysis._estimates
 
-    def counted(sys, xi):
-        sizes.append(np.size(xi))
-        return deviations(sys, xi)
+    def counted(sys, *parts):
+        sizes.append([(kind, np.size(x)) for kind, x in parts])
+        return estimates(sys, *parts)
 
-    monkeypatch.setattr(analysis, "period_deviations", counted)
+    monkeypatch.setattr(analysis, "_estimates", counted)
     levels = find_two_pi_levels(s, brackets)
-    assert sizes[0] == 7 * len(brackets)
+    assert sizes[0] == [(quadrature._DEVIATION, 7 * len(brackets)), (quadrature._SLOPE, 0)]
     assert all(br.h_lo < h < br.h_hi for br, h in zip(brackets, levels))
 
 
@@ -493,9 +494,14 @@ def test_opial_indicator_values():
     s1 = PotentialSystem(1.0)
     assert opial_indicator(s1, 2 * PI) == pytest.approx(0.0, abs=1e-16)
     assert opial_indicator(s1, PI) == pytest.approx(-4 / PI**3, rel=1e-13)
-    for x in (0.0, -1.0, [1.0, 0.0]):
-        with pytest.raises(ValueError, match="x must be positive"):
-            opial_indicator(s1, x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0, [1.0, 0.0],
+                               [1.0, math.nan], [math.inf, 2.0]])
+def test_opial_indicator_refuses_non_positive_and_non_finite_x(x):
+    # nan returned nan and inf warned (inf - inf) before it was refused
+    with pytest.raises(ValueError, match="^x must be positive and finite$"):
+        opial_indicator(PotentialSystem(1.0), x)
 
 
 def test_opial_indicator_negative_inside_first_arch():

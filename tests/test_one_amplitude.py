@@ -13,20 +13,13 @@ from periodkit import quadrature
 from periodkit.bessel import _variational, j1_integral, variational_integral
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
 from periodkit.model import LAM_C, X_MIN, PotentialSystem
-from periodkit.quadrature import (MAX_NODES, NILPOTENT_DERIVATIVE_XI_MIN, NILPOTENT_XI_MIN,
-                                  REL_TOL, ROUNDING_FLOOR, XI_MIN, period_at_amplitude,
+from periodkit.quadrature import (MAX_NODES, REL_TOL, ROUNDING_FLOOR, XI_MIN, period_at_amplitude,
                                   period_samples, period_slope, period_slopes)
 
 TWO_PI = 2.0 * math.pi
 
-# each integrand, whether the engine floors it as a derivative, and its least
-# amplitude at the nilpotent center lam = -1
-INTEGRANDS = {
-    "period": (quadrature._period_integrand, False, NILPOTENT_XI_MIN),
-    "deviation": (quadrature._deviation_integrand, True, NILPOTENT_XI_MIN),
-    "slope": (quadrature._slope_integrand, True, NILPOTENT_DERIVATIVE_XI_MIN),
-    "coupling": (quadrature._coupling_integrand, True, NILPOTENT_DERIVATIVE_XI_MIN),
-}
+KINDS = {"period": quadrature._PERIOD, "deviation": quadrature._DEVIATION,
+         "slope": quadrature._SLOPE, "coupling": quadrature._COUPLING}
 
 
 def _outcome(call):
@@ -39,17 +32,15 @@ def _outcome(call):
 
 
 def _one_and_pair(name, lam, x, partner):
-    integrand, derivative, _ = INTEGRANDS[name]
-    sys_ = PotentialSystem(lam)
-    one = _outcome(lambda: quadrature._integral(integrand, sys_, np.array([x]), derivative))
+    kind, sys_ = KINDS[name], PotentialSystem(lam)
+    one = _outcome(lambda: quadrature._integrals(sys_, (kind, np.array([x]))))
     with np.errstate(divide="ignore"):  # numpy's floor of a row where g(xi) is 0
-        pair = _outcome(lambda: quadrature._integral(integrand, sys_, np.array([x, partner]),
-                                                     derivative))
+        pair = _outcome(lambda: quadrature._integrals(sys_, (kind, np.array([x, partner]))))
     return one, pair
 
 
 def _least(name, lam):
-    return INTEGRANDS[name][2] if lam == -1.0 else XI_MIN
+    return KINDS[name].nilpotent_min if lam == -1.0 else XI_MIN
 
 
 amplitudes = st.floats(-300.0, 5.0).map(lambda e: 10.0 ** e)
@@ -58,7 +49,7 @@ amplitudes = st.floats(-300.0, 5.0).map(lambda e: 10.0 ** e)
 @settings(max_examples=150, deadline=None)
 @given(lam=st.floats(-1.0, 4.5), x=amplitudes, partner=amplitudes)
 def test_one_amplitude_gives_the_bits_of_a_batched_row(lam, x, partner):
-    for name in INTEGRANDS:
+    for name in KINDS:
         least = _least(name, lam)
         one, pair = _one_and_pair(name, lam, max(x, least), max(partner, least))
         assert one == pair, name
@@ -76,7 +67,7 @@ def test_one_j1_integral_gives_the_bits_of_a_batched_row(x, partner):
         assert j1.err_bound.hex() == max(float(diff[0]) / TWO_PI, quadrature.EPS * (1.0 + x)).hex()
 
 
-@pytest.mark.parametrize("name", INTEGRANDS)
+@pytest.mark.parametrize("name", KINDS)
 @pytest.mark.parametrize("lam,x,partner", [
     (1.0, 1e5, 2.0),        # first pass of 65,537 nodes, in three chunks past the cache
     (-0.5, 1e5, 1e5),
@@ -97,7 +88,7 @@ def test_zero_restoring_force_floors_like_numpy():
     x = 4.001100550275138
     lam = -x / math.sin(x)
     assert x + lam * math.sin(x) == 0.0
-    for name in INTEGRANDS:
+    for name in KINDS:
         one, pair = _one_and_pair(name, lam, x, 1.0)
         assert one == pair
         assert one[0] is NonMonotoneEnergy

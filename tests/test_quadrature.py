@@ -511,8 +511,8 @@ class _CountingIntegrand:
         self.calls = 0
         self.nodes = 0
         self.max_nodes = 0
-        self._f = quadrature._period_integrand
-        monkeypatch.setattr(quadrature, "_period_integrand", self)
+        self._f = quadrature._PERIOD.integrand
+        monkeypatch.setattr(quadrature, "_PERIOD", quadrature._PERIOD._replace(integrand=self))
 
     def __call__(self, sys_, xi, nodes):
         self.calls += 1
@@ -689,6 +689,61 @@ def test_a_mixed_block_gives_each_row_its_own_bits(name):
     assert np.array_equal(integrand(s, xi, nodes).view(np.int64), alone.view(np.int64))
 
 
+def _engine_rows(monkeypatch):
+    """The row count of every engine call from now on."""
+    rows, engine = [], quadrature._periodic
+
+    def counted(f, xi, *args):
+        rows.append(xi.size)
+        return engine(f, xi, *args)
+
+    monkeypatch.setattr(quadrature, "_periodic", counted)
+    return rows
+
+
+@pytest.mark.parametrize("lam", [-0.99, -0.5, 2.5])
+def test_one_engine_call_mixes_every_kind_with_the_bits_of_each_alone(monkeypatch, lam):
+    # the parts' rows in the order given, each with the bits of its kind's
+    # call alone: a one-amplitude part (alone, the float path) whose floor
+    # is not a derivative's, rows on both sides of xi = 1 (the defect path
+    # at lam < 0) and an empty part
+    s = PotentialSystem(lam)
+    parts = [(quadrature._SLOPE, np.array([0.3, 2.0, 40.0])),
+             (quadrature._PERIOD, np.array([10.0])),
+             (quadrature._DEVIATION, np.empty(0)),
+             (quadrature._COUPLING, np.array([5.0, 0.1])),
+             (quadrature._DEVIATION, np.array([0.9, 1.5, 300.0]))]
+    alone = [quadrature._integrals(s, part) for part in parts]
+    rows = _engine_rows(monkeypatch)
+    mixed = quadrature._integrals(s, *parts)
+    assert rows == [9]
+    assert [a.tobytes() for a in mixed] == [np.concatenate(a).tobytes() for a in zip(*alone)]
+    assert mixed[2].all()
+
+
+def test_a_failed_row_raises_its_kinds_own_error_from_the_one_engine_call(monkeypatch):
+    # near LAM_C the slope at a refinement's iterate does not converge,
+    # while the deviations around it do: the mixed call raises what
+    # period_slopes alone raises, and makes no second engine call to find it
+    s, x = PotentialSystem(LAM_C * (1 - 1e-6)), 4.49418606
+    deviations, slopes = np.array([1.0, x, 20.0]), np.array([2.0, x, x + 1e-9])
+    period_deviations(s, deviations)
+    with pytest.raises(NoConvergence) as alone:
+        period_slopes(s, slopes)
+    rows = _engine_rows(monkeypatch)
+    with pytest.raises(NoConvergence) as mixed:
+        quadrature._estimates(s, (quadrature._DEVIATION, deviations), (quadrature._SLOPE, slopes))
+    assert rows == [6]
+    assert type(mixed.value) is type(alone.value)
+    assert str(mixed.value) == str(alone.value)
+    assert str(mixed.value).startswith("derivative quadrature is rounding-limited")
+    assert f"at xi={x:.6g}," in str(mixed.value)
+    assert (mixed.value.best.hex(), mixed.value.err_est.hex()) == (
+        alone.value.best.hex(), alone.value.err_est.hex())
+    value, err, _ = quadrature._integrals(s, (quadrature._SLOPE, np.array([x])))
+    assert (mixed.value.best, mixed.value.err_est) == (value[0], err[0])  # the first failed row's
+
+
 @pytest.mark.parametrize("entry", [period_at_amplitude, period_slope])
 @pytest.mark.parametrize("xi", [[1.0, 2.0], np.ones((3, 1)), []])
 def test_scalar_entry_points_refuse_other_than_one_amplitude(entry, xi):
@@ -794,7 +849,7 @@ def test_cached_nodes_are_read_only(monkeypatch):
         return np.ones(np.broadcast(xi, nodes[0]).shape)
 
     with monkeypatch.context() as m:
-        m.setattr(quadrature, "_period_integrand", scribbles)
+        m.setattr(quadrature, "_PERIOD", quadrature._PERIOD._replace(integrand=scribbles))
         with pytest.raises(ValueError, match="read-only"):
             period_at_amplitude(s, 2.0)
     assert period_at_amplitude(s, 2.0) == before

@@ -111,9 +111,9 @@ def test_bessel_link_fails_on_a_wrong_coupling_integrand(monkeypatch, request, f
     # planted integrand
     check = _check_bessel_link()
     assert check.passed and check.margin > 0.0
-    integrand = quadrature._coupling_integrand
-    monkeypatch.setattr(quadrature, "_coupling_integrand",
-                        lambda *args: factor * integrand(*args))
+    kind = quadrature._COUPLING
+    monkeypatch.setattr(quadrature, "_COUPLING",
+                        kind._replace(integrand=lambda *args: factor * kind.integrand(*args)))
     _check_bessel_link.cache_clear()
     request.addfinalizer(_check_bessel_link.cache_clear)
     check = _check_bessel_link()
