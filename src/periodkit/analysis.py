@@ -18,7 +18,8 @@ one engine call samples T - 2*pi on the level grids and dT/dxi on the slope
 grid, each row with the bits and the error of its kind's call alone, and all
 sign changes of both are refined together, one more such call per iteration
 of Chandrupatla's method, which _refine runs over numpy arrays, each bracket
-to its own tolerance.  bessel.j1_zeros refines with _refine too.
+to its own tolerance (bessel.j1_zeros refines with _refine too).  A slope
+that does not converge ends the extremum search there, not the levels'.
 """
 
 from __future__ import annotations
@@ -140,52 +141,59 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
     one _refine run takes every sign change of both, each kind to its own
     tolerance, one engine call per iteration.  Every row keeps the bits of
     its own kind's call.  failure is the NoConvergence that stopped the
-    extremum search, leaving no extrema, else None; a level search that does
-    not converge raises it.
+    extremum search, leaving no extrema, else None: from it on each call
+    takes the level rows alone and every slope reads 0, which closes its
+    bracket, so the levels finish in the same refinement; a level row that
+    does not converge raises.
     """
-    try:
-        grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
-        grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP) if xi_max is not None else np.empty(0)
-        value, err = _estimates(sys, (_DEVIATION, grids[:, 1:-1].ravel()), (_SLOPE, grid))
-        n = value.size - grid.size
-        devs = np.column_stack(([br.dev_lo for br in brackets], value[:n].reshape(-1, 7),
-                                [br.dev_hi for br in brackets]))
-        x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
-        d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
-        # a zero end is its own root; a product of signs does not underflow
-        cross = np.flatnonzero(np.sign(d0) * np.sign(d1) <= 0.0)
+    failure = None
 
-        slopes = value[n:]
-        drowned = np.abs(slopes) < err[n:]
-        drowned = drowned[:-1] & drowned[1:]
-        change = np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0.0
-        for i in np.flatnonzero(change & drowned):
-            warnings.warn(
-                f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
-                f"its error estimate at both ends; not refined",
-                AmbiguousBracket)
-        i = np.flatnonzero(change & ~drowned)
+    def values(xd, xs):  # the level rows first, then the slopes, 0 after a failure
+        nonlocal failure
+        if failure is None:
+            try:
+                return _estimates(sys, (_DEVIATION, xd), (_SLOPE, xs))
+            except NoConvergence as exc:
+                failure = exc
+        return tuple(np.pad(v, (0, xs.size)) for v in _estimates(sys, (_DEVIATION, xd)))
 
-        def values(x, slope):  # the level brackets come first
-            return _estimates(sys, (_DEVIATION, x[~slope]), (_SLOPE, x[slope]))[0]
+    grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
+    grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP) if xi_max is not None else np.empty(0)
+    value, err = values(grids[:, 1:-1].ravel(), grid)
+    n = value.size - grid.size
+    devs = np.column_stack(([br.dev_lo for br in brackets], value[:n].reshape(-1, 7),
+                            [br.dev_hi for br in brackets]))
+    x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
+    d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
+    # a zero end is its own root; a product of signs does not underflow
+    cross = np.flatnonzero(np.sign(d0) * np.sign(d1) <= 0.0)
 
-        slope, xrtol = np.repeat([False, True], [cross.size, i.size]), 0.5 * CRITICAL_REFINE_REL
-        lo, hi = np.concatenate((x0[cross], grid[i])), np.concatenate((x1[cross], grid[i + 1]))
-        f_lo, f_hi = np.concatenate((d0[cross], slopes[i])), np.concatenate((d1[cross], slopes[i + 1]))
-        roots = _refine(values, lo, hi, f_lo, f_hi, np.where(slope, xrtol, LEVEL_REFINE_REL), (slope,))
-        levels, xi_star = sorted(sys.G(roots[~slope]).tolist()), roots[slope]
-        if xi_max is None:
-            return levels, [], None
-        dev_star = period_deviations(sys, xi_star)[0].tolist()
+    slopes = value[n:]
+    drowned = np.abs(slopes) < err[n:]
+    drowned = drowned[:-1] & drowned[1:]
+    change = np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0.0
+    for i in np.flatnonzero(change & drowned):
+        warnings.warn(
+            f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
+            f"its error estimate at both ends; not refined",
+            AmbiguousBracket)
+    i = np.flatnonzero(change & ~drowned)
+
+    slope, xrtol = np.repeat([False, True], [cross.size, i.size]), 0.5 * CRITICAL_REFINE_REL
+    lo, hi = np.concatenate((x0[cross], grid[i])), np.concatenate((x1[cross], grid[i + 1]))
+    f_lo, f_hi = np.concatenate((d0[cross], slopes[i])), np.concatenate((d1[cross], slopes[i + 1]))
+    roots = _refine(lambda x, slope: values(x[~slope], x[slope])[0], lo, hi, f_lo, f_hi,
+                    np.where(slope, xrtol, LEVEL_REFINE_REL), (slope,))
+    levels, xi_star = sorted(sys.G(roots[~slope]).tolist()), roots[slope & (failure is None)]
+    try:  # after a failure no slope root is kept; a failed deviation ends the extremum search
+        dev_star = period_deviations(sys, xi_star)[0].tolist() if xi_star.size else []
     except NoConvergence as exc:
-        if xi_max is None:
-            raise
-        return _search(sys, brackets, None)[0], [], exc
+        xi_star, dev_star, failure = roots[:0], [], exc
     return levels, [CriticalPeriod(xi_star=x, h_star=h, T_star=TWO_PI + d, dev_star=d,
                                    kind="max" if v > 0.0 else "min",
                                    refine_err=(xrtol + 4.0 * EPS) * x)
                     for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), dev_star,
-                                          slopes[i])], None
+                                          slopes[i])], failure
 
 
 def _refine(f, lo, hi, f_lo, f_hi, xrtol, args=()) -> np.ndarray:
@@ -273,21 +281,17 @@ def two_pi_brackets(sys: PotentialSystem, k_max: int) -> list[TwoPiBracket]:
     require_valid(sys, (2.0 * k_max + 1.0) * math.pi + 1.0)
 
     direction = 0 if sys.lam == 0.0 else (1 if sys.lam > 0.0 else -1)
+    # bracket_amplitudes(k) for k = 1..k_max, one array
     devs, errs = (a.reshape(-1, 2).tolist() for a in period_deviations(
-        sys, np.ravel([bracket_amplitudes(k) for k in range(1, k_max + 1)])))
+        sys, np.arange(2, 2 * k_max + 2) * math.pi))
     out = []
     for k, (dev_lo, dev_hi), (err_lo, err_hi) in zip(range(1, k_max + 1), devs, errs):
         h_lo = 2.0 * (k * math.pi) ** 2
         h_hi = 0.5 * ((2 * k + 1) * math.pi) ** 2 + 2.0 * sys.lam
-        if direction != 0:
-            if direction * dev_lo < -SIGN_VIOLATION_FACTOR * err_lo:
-                raise SignViolation(
-                    f"T(h_{k}) - 2*pi = {dev_lo:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={err_lo:.3e})")
-            if direction * dev_hi > SIGN_VIOLATION_FACTOR * err_hi:
-                raise SignViolation(
-                    f"T(hbar_{k}) - 2*pi = {dev_hi:.3e} violates its inequality "
-                    f"(lam={sys.lam:g}, err={err_hi:.3e})")
+        for end, side, dev, err in (("h", 1, dev_lo, err_lo), ("hbar", -1, dev_hi, err_hi)):
+            if side * direction * dev < -SIGN_VIOLATION_FACTOR * err:
+                raise SignViolation(f"T({end}_{k}) - 2*pi = {dev:.3e} violates its inequality "
+                                    f"(lam={sys.lam:g}, err={err:.3e})")
         sign_lo = _sign_with_tol(dev_lo, err_lo)
         sign_hi = _sign_with_tol(dev_hi, err_hi)
         out.append(TwoPiBracket(

@@ -36,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _refine
+from .analysis import TWO_PI, _refine
 from .errors import BracketFailure, NoConvergence, RangeExceeded
 from .quadrature import EPS, ROUNDING_FLOOR, _periodic
-
-TWO_PI = 2.0 * math.pi
 
 SERIES_MAX_ARG = 14.0     # cancellation guard
 SERIES_SWITCH = 12.0      # dispatcher hands off to the integral above this

@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _run(args)
-    except (PeriodkitError, ValueError, OSError) as exc:
+    except (PeriodkitError, ValueError, OSError, MemoryError) as exc:  # an input too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE if isinstance(exc, SignViolation) else USAGE_ERROR
 

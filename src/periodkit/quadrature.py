@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, NonMonotoneEnergy
-from .model import _SIN_DEFECT, PotentialSystem, _horner, energy_to_amplitude
+from .model import PotentialSystem, _horner, _sinc_defect, energy_to_amplitude
 
 HALF_PI = 0.5 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -264,11 +264,9 @@ def _defect_well(lam: float, x):
     """_well's (sinc, w) from the defects d = 1 - sinc of the stacked
     arguments x = (a, b) below 1: sinc = 1 - d, and w = (1+lam) - lam*(1 -
     sinc(a)*sinc(b)), two terms >= 0 for lam < 0 that do not cancel even at
-    the nilpotent center lam = -1.  Each defect is _sinc_defect's series."""
-    x2 = x * x
-    d = _horner(_SIN_DEFECT, x2)
-    d *= x2
-    sinc = np.subtract(1.0, d, out=x2)
+    the nilpotent center lam = -1."""
+    d = _sinc_defect(x)
+    sinc = 1.0 - d
     w = sinc[0] * d[1]
     w += d[0]
     w *= lam

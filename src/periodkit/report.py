@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (CriticalPeriod, TwoPiBracket, _search, opial_indicator,
+from .analysis import (TWO_PI, CriticalPeriod, TwoPiBracket, _search, opial_indicator,
                        opial_sign_changes, small_h_check, two_pi_brackets)
 from .bessel import _series
 from .errors import DegenerateIsochronous, SignViolation
@@ -38,8 +38,6 @@ from .model import PotentialSystem, require_valid
 from .oracle import orbit_periods
 from .quadrature import (REL_TOL, PeriodSample, coupling_slopes, period_samples,
                          require_converged)
-
-TWO_PI = 2.0 * math.pi
 
 # Bound on the small-h check's remainder R - c2*h^2, in units of c2's size
 # times h^2 * h/scale: valid couplings read at most ~0.5.

@@ -8,10 +8,10 @@ import periodkit.analysis as analysis
 import periodkit.quadrature as quadrature
 from periodkit.bessel import j1, j1_series, j1_zeros, variational_integral
 from periodkit.errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous,
-                              NonMonotoneEnergy, SignViolation)
-from periodkit.model import PotentialSystem, energy_to_amplitude
+                              NoConvergence, NonMonotoneEnergy, SignViolation)
+from periodkit.model import LAM_C, PotentialSystem, energy_to_amplitude
 from periodkit.quadrature import period_at_amplitude, period_derivative
-from periodkit.analysis import (find_critical_periods, find_two_pi_levels,
+from periodkit.analysis import (bracket_amplitudes, find_critical_periods, find_two_pi_levels,
                                 lam_derivative_at_zero, opial_indicator,
                                 opial_sign_changes, scan_period, small_h_check,
                                 two_pi_brackets)
@@ -184,11 +184,15 @@ def test_refinement_engine_call_ceilings(monkeypatch, lam):
     assert counter.calls <= 13
 
 
-@pytest.mark.parametrize("lam,calls", [(-0.99, 11), (1.0, 10), (2.5, 11), (4.4, 12)])
+@pytest.mark.parametrize("lam,calls", [(-0.99, 11), (1.0, 10), (2.5, 11), (4.4, 12),
+                                       (4.60333884, 12), (LAM_C * (1.0 - 1e-6), 16)])
 def test_verify_engine_calls(monkeypatch, lam, calls):
     # small-h, the bracket ends, the grids of both searches, one call per
     # iteration of their one refinement, the extrema's deviations and the
-    # oracle's periods; the bessel-link check runs once per process
+    # oracle's periods; the bessel-link check runs once per process.  Near
+    # LAM_C a slope does not converge: one more call takes the level rows
+    # alone, and the levels finish in the same refinement (18 and 22 calls
+    # when the level search ran again)
     _check_bessel_link()
     counter = _EngineCalls(monkeypatch)
     run_verify(lam, 5)
@@ -423,6 +427,91 @@ def test_two_pi_levels_take_the_bracket_ends_as_measured(monkeypatch):
     levels = find_two_pi_levels(s, brackets)
     assert sizes[0] == [(quadrature._DEVIATION, 7 * len(brackets)), (quadrature._SLOPE, 0)]
     assert all(br.h_lo < h < br.h_hi for br, h in zip(brackets, levels))
+
+
+@pytest.mark.parametrize("where", ["grid", "refinement"])
+def test_a_level_row_that_does_not_converge_raises_from_the_search(monkeypatch, where):
+    # a deviation row of the level search that does not converge raises its
+    # error, alone and in the joint search, which does not return it as the
+    # extremum search's failure; NaN, which never converges, is planted on
+    # the level grid past 4*pi, or off every grid point, so in the first
+    # iteration of the refinement
+    s = PotentialSystem(1.0)
+    brackets = two_pi_brackets(s, 5)
+    points = np.concatenate([np.linspace(*bracket_amplitudes(k), 9) for k in range(1, 6)])
+    deviation = quadrature._DEVIATION.integrand
+
+    def planted(sys, xi, nodes):
+        out = deviation(sys, xi, nodes)
+        out[xi[:, 0] > 4 * PI if where == "grid" else ~np.isin(xi[:, 0], points)] = np.nan
+        return out
+
+    monkeypatch.setattr(analysis, "_DEVIATION", quadrature._DEVIATION._replace(integrand=planted))
+    with pytest.raises(NoConvergence, match=r"^deviation quadrature ") as alone:
+        find_two_pi_levels(s, brackets)
+    if where == "grid":  # the first inner point of the second bracket
+        assert f"at xi={np.linspace(4 * PI, 5 * PI, 9)[1]:.6g}, lam=1;" in str(alone.value)
+    with pytest.raises(NoConvergence) as joint:
+        analysis._search(s, brackets, 11 * PI)
+    assert str(joint.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("where", ["grid", "refinement"])
+def test_a_slope_that_does_not_converge_leaves_the_levels_of_the_level_search(monkeypatch, where):
+    # NaN planted on the slope grid past 4*pi, or off it: the extremum search
+    # fails as it does alone, and the levels, finished in the same search,
+    # are those of the level search alone, for one engine call more
+    s = PotentialSystem(1.0)
+    brackets = two_pi_brackets(s, 5)
+    counter = _EngineCalls(monkeypatch)
+    levels, calls = find_two_pi_levels(s, brackets), counter.calls
+    grid = np.arange(analysis.SCAN_STEP, 11 * PI + 1e-12, analysis.SCAN_STEP)
+    slope = quadrature._SLOPE.integrand
+
+    def planted(sys, xi, nodes):
+        out = slope(sys, xi, nodes)
+        out[xi[:, 0] > 4 * PI if where == "grid" else ~np.isin(xi[:, 0], grid)] = np.nan
+        return out
+
+    monkeypatch.setattr(analysis, "_SLOPE", quadrature._SLOPE._replace(integrand=planted))
+    with pytest.raises(NoConvergence, match=r"^derivative quadrature ") as alone:
+        find_critical_periods(s, 11 * PI)
+    counter.calls = 0
+    found, extrema, failure = analysis._search(s, brackets, 11 * PI)
+    assert str(failure) == str(alone.value) and extrema == []
+    assert [h.hex() for h in found] == [h.hex() for h in levels]
+    assert counter.calls == calls + 1
+
+
+def test_an_extremum_whose_deviation_does_not_converge_ends_the_extremum_search(monkeypatch):
+    # the extrema's deviations are one call after the refinement: NaN planted
+    # there fails the extremum search alone, and the levels stand
+    s = PotentialSystem(1.0)
+    brackets = two_pi_brackets(s, 5)
+    levels = find_two_pi_levels(s, brackets)
+    deviation = quadrature._DEVIATION
+
+    def planted(sys, xi, nodes):
+        return deviation.integrand(sys, xi, nodes) * np.nan
+
+    monkeypatch.setattr(quadrature, "_DEVIATION", deviation._replace(integrand=planted))
+    found, extrema, failure = analysis._search(s, brackets, 11 * PI)
+    assert isinstance(failure, NoConvergence) and str(failure).startswith("deviation quadrature ")
+    assert extrema == [] and [h.hex() for h in found] == [h.hex() for h in levels]
+
+
+def test_two_pi_brackets_measure_the_bracket_amplitudes(monkeypatch):
+    # both ends of every bracket in one array, to the bits of bracket_amplitudes
+    measured, deviations = [], analysis.period_deviations
+
+    def recorded(sys, xi):
+        measured.append(np.array(xi))
+        return deviations(sys, xi)
+
+    monkeypatch.setattr(analysis, "period_deviations", recorded)
+    two_pi_brackets(PotentialSystem(1.0), 20)
+    expected = np.ravel([bracket_amplitudes(k) for k in range(1, 21)])
+    assert len(measured) == 1 and np.array_equal(measured[0].view(np.int64), expected.view(np.int64))
 
 
 def test_two_pi_levels_rejects_linear_center():

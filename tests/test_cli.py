@@ -348,6 +348,26 @@ def test_nonfinite_input_is_usage_error(capsys, command, value):
     assert err.startswith("error: ") and err.rstrip().endswith(" " + value)
 
 
+# each asks for at least 1e14 elements, past any address space, so numpy
+# refuses the allocation at once
+OVERSIZED_ARGV = {
+    "opial": ["opial", "--lambda", "1", "--x-max", "1e13"],
+    "critical": ["critical", "--lambda", "1", "--xi-max", "1e14"],
+    "scan": ["scan", "--lambda", "1", "--xi-min", "1", "--xi-max", "2", "--n", "1000000000000000"],
+    "bessel zeros": ["bessel", "zeros", "--n", "1000000000000000"],
+    "bessel identity": ["bessel", "identity", "--n", "1000000000000000"],
+    "two-pi": ["two-pi", "--lambda", "1", "--k-max", "100000000000000"],
+}
+
+
+@pytest.mark.parametrize("command", list(OVERSIZED_ARGV))
+def test_an_input_too_large_to_hold_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, OVERSIZED_ARGV[command])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, argv", [("bessel j1", ["--xi", "1"]),
                                            ("bessel identity", ["--n", "40"]),
                                            ("verify", ["--lambda", "1", "--k-max", "1"])])

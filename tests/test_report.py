@@ -276,17 +276,18 @@ def test_verify_finds_the_bits_of_the_searches_run_alone(lam, k_max):
     assert len(extrema) >= 2 * k_max - 1
 
 
-def test_verify_keeps_its_levels_where_the_slopes_do_not_converge():
-    # just below LAM_C a slope of the pi/8 grid does not converge: the
-    # extremum search fails as it does alone, and the levels found with it
-    # are those of the level search alone
-    lam = LAM_C * (1.0 - 1e-6)
-    brackets, levels, xi_max = _searched_alone(lam, 5)
+@pytest.mark.parametrize("k_max", [5, 20])
+@pytest.mark.parametrize("lam", [4.60333884, LAM_C * (1.0 - 1e-6)])
+def test_verify_keeps_its_levels_where_the_slopes_do_not_converge(lam, k_max):
+    # just below LAM_C a slope does not converge: the extremum search fails
+    # as it does alone, and the levels, finished in the same refinement, are
+    # those of the level search alone
+    brackets, levels, xi_max = _searched_alone(lam, k_max)
     with pytest.raises(NoConvergence) as alone:
         find_critical_periods(PotentialSystem(lam), xi_max)
-    rep = run_verify(lam, 5)
+    rep = run_verify(lam, k_max)
     assert rep.checks["alternation"].detail == f"critical-period search failed: {alone.value}"
-    assert rep.critical_periods == [] and len(levels) == 5
+    assert rep.critical_periods == [] and len(levels) == k_max
     assert _bits(rep.brackets) == _bits(brackets)
     assert _bits(rep.two_pi_levels) == _bits(levels)
     assert [name for name, c in rep.checks.items() if not c.passed] == ["alternation"]
