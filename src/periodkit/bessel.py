@@ -13,7 +13,7 @@ stopping at its own term.  The integral route is the periods' engine,
 quadrature._periodic: a full-period trapezoid rule on an entire integrand,
 which converges geometrically, doubling until it agrees with the rule on
 every other node; one call serves an array of arguments, each stopping at
-its own node count, its integrand reading s from the engine's node triple.
+its own node count, its integrand reading s from the engine's node pair.
 Both routes floor their bounds at the value's rounding.
 
 identity_gap measures the identity integral_0^{2pi} sin(xi cos s) cos s ds

@@ -23,7 +23,7 @@ from .bessel import IDENTITY_TOL, identity_gap, j1, j1_zeros
 from .errors import PeriodkitError, SignViolation
 from .model import PotentialSystem
 from .oracle import _periods, _trace
-from .quadrature import period_at_amplitude, period_at_energy
+from .quadrature import _unconverged, period_at_amplitude, period_at_energy
 from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, SAMPLE_FIELDS,
                      _write_atomic, csv_table, field_records, report_to_json,
                      run_verify, sample_dicts, to_json)
@@ -101,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str, **extra) -> None:
     if args.out:
         _write_atomic(args.out, text)
-        meta = {"written": args.out, "timestamp": time.time(), "argv": sys.argv[1:]}
+        meta = {"written": args.out, "timestamp": time.time(), "argv": sys.argv[1:], **extra}
         _write_atomic(args.out + ".meta.json", to_json(meta))
     else:
         sys.stdout.write(text)
@@ -133,7 +133,7 @@ def _run(args) -> int:
     # the rest set a JSON payload (config added on writing) and a CSV table,
     # header and records (None: JSON only), or samples, which give both
     sys_ = None if args.command == "bessel" else PotentialSystem(args.lam)
-    code, table, samples = 0, None, None
+    code, table, samples, meta = 0, None, None, {}
     if name == "bessel j1":
         if args.xi is None:
             raise ValueError("bessel j1 needs --xi")
@@ -155,6 +155,11 @@ def _run(args) -> int:
                    else period_at_energy(sys_, args.h)]
     elif name == "scan":
         samples = scan_period(sys_, args.xi_min, args.xi_max, args.n)
+        unconverged = [s for s in samples if not s.converged]  # kept, with their best estimates
+        meta["unconverged_xi"] = [s.xi for s in unconverged]
+        if unconverged:
+            print(f"warning: {len(unconverged)} of {len(samples)} samples did not converge; the "
+                  f"first: {_unconverged(unconverged[0].xi, args.lam)}", file=sys.stderr)
     elif name == "critical":
         crit = field_records(find_critical_periods(sys_, args.xi_max), CRITICAL_FIELDS)
         payload, table = {"lambda": args.lam, "critical_periods": crit}, (CRITICAL_FIELDS, crit)
@@ -185,7 +190,7 @@ def _run(args) -> int:
     if samples is not None:
         dicts = sample_dicts(samples)
         payload, table = {"samples": dicts}, (SAMPLE_FIELDS, dicts)
-    _emit(args, csv_table(*table) if csv else to_json({**payload, "config": CONFIG}))
+    _emit(args, csv_table(*table) if csv else to_json({**payload, "config": CONFIG}), **meta)
     return code
 
 

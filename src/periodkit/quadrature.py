@@ -41,9 +41,9 @@ its kind's call alone, and _estimates raises at the first row that did not
 converge, named by its kind.  One amplitude keeps its bookkeeping (input
 check, rounding floor, start count, trapezoid sums, stop test) in floats,
 chosen on xi.size == 1 in _amplitudes, _floor and _periodic, to the array
-path's bits.  The integrands take a read-only node triple (phi, cos(u)^2,
-sin(u)^2), and the batched functions return the engine's (value, err_est)
-arrays as they are.
+path's bits.  The integrands take a read-only node pair (phi, squares),
+squares the (2, 1, nodes) stack of cos(u)^2 and sin(u)^2, and the batched
+functions return the engine's (value, err_est) arrays as they are.
 
 The integrands take every sine and cosine from the half-angle tangent t =
 tan(x/2), one np.tan per argument with a and b stacked in one array
@@ -128,13 +128,13 @@ EVAL_NODES = 2 ** 15
 # block however many of its arguments lie below 1.
 RUN_CHUNK = EVAL_NODES // 8
 
-# Passes of at most CACHE_NODES nodes keep their node triple (phi, cos(u)^2,
-# sin(u)^2), read-only: first passes to 4096 intervals, later ones to 8192,
-# 16,328 nodes and 0.37 MiB in all.  Each key is written once, whole, so
-# racing threads at most build the same arrays twice.  Longer passes build
-# the triple once per chunk.
+# Passes of at most CACHE_NODES nodes keep their node pair (phi, squares)
+# with both arrays read-only: first passes to 4096 intervals, later ones to
+# 8192, 16,328 nodes and 0.37 MiB in all.  Each key is written once, whole,
+# so racing threads at most build the same arrays twice.  Longer passes
+# build the pair once per chunk.
 CACHE_NODES = 4097
-_NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> node triple
+_NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> node pair
 
 # Taylor coefficients of s3(x) = (sin(x) - x*cos(x))/x^3 = sum_n c_n x^(2n),
 # c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
@@ -171,21 +171,15 @@ class DerivativeEstimate:
 
 
 def _squares(phi):
-    """The node triple (phi, cos(u)^2, sin(u)^2) at the nodes phi, u = pi/4 -
-    phi/2; the squares are the rows of one (2, 1, nodes) array, which
-    _arguments takes whole."""
+    """The node pair (phi, squares) at the nodes phi: squares is the (2, 1,
+    nodes) stack of cos(u)^2 and sin(u)^2, u = pi/4 - phi/2, and a column of
+    amplitudes xi times it the fresh (2, rows, nodes) stack of the arguments
+    a = xi*cos(u)^2 and b = xi*sin(u)^2 (b = 0 at the turning point u = 0)."""
     u = 0.25 * math.pi - 0.5 * phi
     squares = np.empty((2, 1, phi.size))
     np.square(np.cos(u), out=squares[0, 0])
     np.square(np.sin(u), out=squares[1, 0])
-    return phi, squares[0, 0], squares[1, 0]
-
-
-def _arguments(xi, nodes):
-    """x = (a, b), a = xi*cos(u)^2 and b = xi*sin(u)^2 at the node triple
-    nodes for a column of amplitudes xi, stacked as one fresh (2, rows,
-    nodes) array; b = 0 at the turning point u = 0."""
-    return xi * nodes[1].base  # the squares' (2, 1, nodes) array (_squares)
+    return phi, squares
 
 
 # The integrands below chain their ufuncs in place on the block-sized arrays
@@ -197,14 +191,14 @@ def _arguments(xi, nodes):
 # overwrites.
 
 def _well(sys: PotentialSystem, xi, nodes, slope: bool = False):
-    """(sinc, w) at the arguments x = (a, b) of _arguments: sinc = (sinc a,
-    sinc b) stacked as x is, and w = 1 + lam*sinc(a)*sinc(b) the well depth
-    over its value at lam = 0; with slope set (sinc, w, s3), s3 = (s3(a),
-    s3(b)) stacked too.  Fresh arrays, or views of one.  The sines and
-    cosines come from _half_angle; on the rows below xi = 1 with lam < 0
-    sinc and w come from the sinc defects instead (_defect_well), which a
-    mixed block writes over those rows' half-angle values."""
-    x = _arguments(xi, nodes)
+    """(sinc, w) at the arguments x = xi * nodes[1] = (a, b) (_squares):
+    sinc = (sinc a, sinc b) stacked as x is, and w = 1 + lam*sinc(a)*sinc(b)
+    the well depth over its value at lam = 0; with slope set (sinc, w, s3),
+    s3 = (s3(a), s3(b)) stacked too.  Fresh arrays, or views of one.  The
+    sines and cosines come from _half_angle; on the rows below xi = 1 with
+    lam < 0 sinc and w come from the sinc defects instead (_defect_well),
+    which a mixed block writes over those rows' half-angle values."""
+    x = xi * nodes[1]
     near = np.flatnonzero(xi[:, 0] < 1.0) if sys.lam < 0.0 else ()  # defect rows
     if len(near) == len(xi):  # no sine to take; s3 is its series alone
         sinc, w = _defect_well(sys.lam, x)
@@ -330,7 +324,7 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     # d/dxi of 4/sqrt(w) is -2*lam*(ds/dxi)/w^(3/2), and d sinc(a)/dxi =
     # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
     sinc, w, s3 = _well(sys, xi, nodes, slope=True)
-    s3 *= np.square(nodes[1].base)  # (cos(u)^4*s3(a), sin(u)^4*s3(b))
+    s3 *= np.square(nodes[1])  # (cos(u)^4*s3(a), sin(u)^4*s3(b))
     q, p = s3
     q *= sinc[1]
     p *= sinc[0]
@@ -380,23 +374,22 @@ def _integrals(sys: PotentialSystem, *parts):
     """(value, err_est, converged) arrays of the parts (kind, xi), one row per
     checked amplitude in the order given, from one _periodic call at REL_TOL,
     each row with the bits of its kind's call alone; empty parts are dropped."""
+    if len(parts) > 1:
+        parts = [part for part in parts if part[1].size] or parts[:1]
     if len(parts) == 1:  # one kind: no per-part bookkeeping
         (kind, xi), = parts
         return _periodic(lambda rows, nodes: kind.integrand(sys, xi[rows, None], nodes),
                          xi, REL_TOL, _floor(sys, xi, kind.derivative))
-    kept = [part for part in parts if part[1].size]
-    if len(kept) < 2:
-        return _integrals(sys, *(kept or parts[:1]))
-    xi, sizes = np.concatenate([x for _, x in kept]), [x.size for _, x in kept]
+    xi, sizes = np.concatenate([x for _, x in parts]), [x.size for _, x in parts]
     bounds = np.add.accumulate([0] + sizes)  # part i: rows bounds[i] to bounds[i+1] - 1
 
     def f(rows, nodes):  # rows ascend: each part's rows are one run of them
         x, cuts = xi[rows, None], rows.searchsorted(bounds).tolist()
         blocks = [kind.integrand(sys, x[lo:hi], nodes)
-                  for (kind, _), lo, hi in zip(kept, cuts, cuts[1:]) if lo < hi]
+                  for (kind, _), lo, hi in zip(parts, cuts, cuts[1:]) if lo < hi]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    derivative = np.array([kind.derivative for kind, _ in kept]).repeat(sizes)
+    derivative = np.array([kind.derivative for kind, _ in parts]).repeat(sizes)
     return _periodic(f, xi, REL_TOL, _floor(sys, xi, derivative))
 
 
@@ -425,10 +418,11 @@ def _floor(sys: PotentialSystem, xi: np.ndarray, derivative):
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     """(value, err_est, converged) arrays of len(xi) integrals over
     [0, pi/2] by the trapezoid rule, f(rows, nodes) giving integrand rows[i]
-    in row i at the node triple nodes = (v, cos(u)^2, sin(u)^2), u = pi/4 -
-    v/2, which it must not write; rows is an ascending index array, or
-    slice(None) for one amplitude.  Each integrand must extend to an even,
-    pi-periodic analytic function whose bandwidth is that of cos(xi*cos v).
+    in row i at the node pair nodes = (v, squares) of _squares, which it
+    must not write (a cached pair is read-only); rows is an ascending index
+    array, or slice(None) for one amplitude.  Each integrand must extend to
+    an even, pi-periodic analytic function whose bandwidth is that of
+    cos(xi*cos v).
 
     Integral i starts at N = 2^ceil(log2(xi[i]/4 + 16)), past the bandwidth:
     its first pass evaluates the 2N+1 nodes j*pi/(4N), which hold the rules
@@ -489,31 +483,23 @@ def _periodic_one(f, x: float, rel_tol: float, floor: float):
         intervals, last = 2 * intervals, diff
 
 
-def _nodes(k: int, step: int, count: int):
-    """The node triple of the count nodes j*pi/(2k), j = step - 1,
-    2*step - 1, ...: all of a first pass (step 1) or the midpoints of a
-    later one (step 2), cached read-only."""
+def _chunks(k: int, first: bool):
+    """(j, nodes) for each chunk of at most EVAL_NODES nodes of a pass with k
+    intervals, node j of the pass its first: all k + 1 nodes of a first pass,
+    else the k // 2 new midpoints; a pass of at most CACHE_NODES nodes is one
+    chunk, cached with both arrays of its node pair read-only."""
+    step, count = (1, k + 1) if first else (2, k // 2)
+    if count > CACHE_NODES:
+        h = HALF_PI / k
+        return ((j, _squares(np.arange(step * j + step - 1, step * min(j + EVAL_NODES, count), step) * h))
+                for j in range(0, count, EVAL_NODES))
     nodes = _NODES.get((k, step))
     if nodes is None:
         nodes = _squares(np.arange(step - 1, step * count, step) * (HALF_PI / k))
         for array in nodes:
             array.flags.writeable = False
         _NODES[k, step] = nodes
-    return nodes
-
-
-def _chunks(k: int, first: bool):
-    """(j, nodes) for each chunk of at most EVAL_NODES nodes of a pass with k
-    intervals, node j of the pass its first: all k + 1 nodes of a first pass,
-    else the k // 2 new midpoints; a pass of at most CACHE_NODES nodes is one
-    cached chunk."""
-    step = 1 if first else 2
-    count = k + 1 if first else k // 2
-    if count <= CACHE_NODES:
-        return ((0, _nodes(k, step, count)),)
-    h = HALF_PI / k
-    return ((j, _squares(np.arange(step * j + step - 1, step * min(j + EVAL_NODES, count), step) * h))
-            for j in range(0, count, EVAL_NODES))
+    return ((0, nodes),)
 
 
 def _trapezoid(f, rows, intervals, last):
@@ -560,13 +546,17 @@ def _trapezoid_one(f, k: int, last):
     return coarse, fine, scale
 
 
+def _unconverged(xi: float, lam: float, kind: _Kind = _PERIOD) -> str:
+    """The NoConvergence message of kind's integral at the amplitude xi."""
+    return (f"{kind.what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
+            f"at xi={xi:.6g}, lam={lam:g}")
+
+
 def require_converged(sample: PeriodSample) -> PeriodSample:
     """sample itself, or NoConvergence carrying it when it is flagged."""
     if not sample.converged:
-        raise NoConvergence(
-            f"{_PERIOD.what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
-            f"at xi={sample.xi:.6g}, lam={sample.lam:g}",
-            best=sample.T, err_est=sample.err_est, sample=sample)
+        raise NoConvergence(_unconverged(sample.xi, sample.lam),
+                            best=sample.T, err_est=sample.err_est, sample=sample)
     return sample
 
 
@@ -627,9 +617,8 @@ def _estimates(sys: PotentialSystem, *parts):
     if np.count_nonzero(~converged):
         i = int(np.argmin(converged))
         kind, x = [(kind, x) for kind, xi in parts for x in xi.tolist()][i]  # row i's
-        raise NoConvergence(
-            f"{kind.what} quadrature is rounding-limited or passed {MAX_NODES} nodes "
-            f"at xi={x:.6g}, lam={sys.lam:g}", best=float(value[i]), err_est=float(err[i]))
+        raise NoConvergence(_unconverged(x, sys.lam, kind),
+                            best=float(value[i]), err_est=float(err[i]))
     return value, err
 
 

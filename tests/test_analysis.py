@@ -313,6 +313,27 @@ def test_refine_keeps_the_given_value_where_an_iterate_lands_on_an_end():
     assert int(ref.nit[0]) == len(ours) + 1
 
 
+def test_refine_evaluates_only_the_iterates_off_their_ends():
+    # one batch: the [1, 1 + 4 eps] bracket's second iterate rounds onto 1,
+    # where it keeps its given value, while the [1, 2] bracket's lies
+    # inside, so the second call evaluates that one iterate alone; each root
+    # is the one of its bracket refined alone
+    lo, hi = np.array([1.0, 1.0]), np.array([1.0 + 4.0 * EPS, 2.0])
+    calls = []
+
+    def f(x):
+        assert not np.isin(x, np.concatenate((lo, hi))).any()
+        calls.append(x.size)
+        return (x - (1.0 + EPS)) / EPS
+
+    f_lo, f_hi, xrtol = np.array([-1e-6, -1.0]), np.array([3.0, (1.0 - EPS) / EPS]), [1e-20, 1e-12]
+    root = analysis._refine(f, lo, hi, f_lo, f_hi, np.array(xrtol))
+    assert calls[:2] == [2, 1]
+    alone = [analysis._refine(f, lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], f_hi[i:i + 1], xrtol[i])
+             for i in range(2)]
+    assert root.tobytes() == np.concatenate(alone).tobytes()
+
+
 def test_refine_rejects_a_same_sign_bracket():
     with pytest.raises(BracketFailure, match=r"\[2, 3\] lost its sign change"):
         analysis._refine(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]),

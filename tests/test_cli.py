@@ -46,6 +46,38 @@ def test_scan_csv_rows(capsys):
     assert len(out.splitlines()) == 4
 
 
+def test_scan_warns_of_unconverged_samples(capsys, tmp_path):
+    # just below LAM_C at X_MIN the period does not converge: the scan still
+    # writes that sample with its best estimate and exits 0, but one stderr
+    # line counts the unconverged samples and names the first in the words
+    # period's error takes, and the sidecar of --out lists their amplitudes
+    lam, xi_min, xi_max = "4.603338802718311", "2.246704728954532", "4.493409457909064"
+    argv = ["scan", "--lambda", lam, "--xi-min", xi_min, "--xi-max", xi_max, "--n", "2",
+            "--format", "csv"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[0] == "lambda,xi,h,T,T_err,method" and len(out.splitlines()) == 3
+    period_code, _, period_err = run_cli(capsys, ["period", "--lambda", lam, "--xi", xi_max])
+    assert period_code == 2 and period_err.startswith("error: period quadrature is rounding-limited")
+    message = period_err.removeprefix("error: ").partition("; best estimate")[0]
+    assert err == f"warning: 1 of 2 samples did not converge; the first: {message}\n"
+    samples = analysis.scan_period(PotentialSystem(float(lam)), float(xi_min), float(xi_max), 2)
+    assert [s.converged for s in samples] == [True, False]
+    assert out == report.samples_to_csv(samples)
+
+    path = tmp_path / "scan.csv"
+    assert run_cli(capsys, argv + ["--out", str(path)]) == (0, "", err)
+    assert path.read_text() == out
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert meta["unconverged_xi"] == [float(xi_max)]
+
+    # a scan whose samples all converge warns of nothing and lists none
+    code, _, err = run_cli(capsys, ["scan", "--lambda", lam, "--xi-min", xi_min, "--xi-max", "4.4",
+                                    "--n", "2", "--out", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "scan.csv.meta.json").read_text())["unconverged_xi"] == []
+
+
 def test_two_pi_json(capsys):
     code, out, _ = run_cli(capsys, ["two-pi", "--lambda", "1", "--k-max", "1"])
     assert code == 0

@@ -149,9 +149,9 @@ def _first_pass_nodes(x, size):
     integrand, which converges there."""
     nodes = np.zeros(size)
 
-    def f(rows, triple):
-        nodes[rows] += triple[0].size
-        return np.ones((np.arange(size)[rows].size, triple[0].size))
+    def f(rows, pair):
+        nodes[rows] += pair[0].size
+        return np.ones((np.arange(size)[rows].size, pair[0].size))
 
     quadrature._periodic(f, np.full(size, x), REL_TOL, ROUNDING_FLOOR)
     return nodes.tolist()

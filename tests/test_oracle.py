@@ -273,6 +273,23 @@ def test_no_crossing_by_the_time_limit_raises():
         orbit_periods(PotentialSystem(-1.0), [0.3, 5e-4], tol=1e-10)
 
 
+def test_single_orbit_without_a_crossing_by_the_time_limit_raises():
+    # one run of the orbit through 1e-4 at the nilpotent center reaches the
+    # time limit before x falls through 0 (its period is about 182,000)
+    with pytest.raises(EventMissed, match=r"^no quarter-period crossing of x=0 within t=5000 "
+                                          r"\(lam=-1, xi=0\.0001\)$"):
+        orbit_period(PotentialSystem(-1.0), 1e-4)
+
+
+def test_arc_without_a_crossing_by_the_time_limit_raises():
+    # the stacked run of a batch stops at the time limit before an arc of
+    # the orbit through 1e-4 reaches its section (at 5e-4 each arc reaches
+    # its own, and only their sum passes the limit): the batch names it
+    with pytest.raises(EventMissed, match=r"^no quarter-period crossing of x=0 within t=5000 "
+                                          r"\(lam=-1, xi=0\.0001\)$"):
+        orbit_periods(PotentialSystem(-1.0), [0.3, 1e-4], tol=1e-10)
+
+
 def test_empty_batch_runs_nothing(monkeypatch):
     calls = _count_rhs_calls(monkeypatch)
     assert orbit_periods(PotentialSystem(1.0), []) == []

@@ -564,12 +564,17 @@ def test_integrands_at_the_turning_point_node(lam):
             assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (integrand, got, ref)
 
 
+def _pass_nodes(k, first=True):
+    """The cached node pair (phi, squares) of a pass with k intervals."""
+    return quadrature._chunks(k, first)[0][1]
+
+
 def _expression_integrands(lam, xi, nodes):
     """The period, deviation, slope and coupling integrands written as
     expressions, each intermediate a new array, with the series as
     np.polyval takes them and the sines and cosines from the half-angle
     tangent: the form the in-place integrands must match."""
-    _, c2, s2 = nodes
+    c2, s2 = nodes[1][:, 0]
     a, b = xi * c2, xi * s2
 
     def half_angle(x):  # sin(x)/x and cos(x) from t = tan(x/2), and x^2
@@ -603,7 +608,7 @@ def test_integrands_in_place_match_their_expressions(lam, xs):
     # the rows below xi = 1 take the defect path at lam < 0 (all of them in
     # the second block), and the first pass's nodes hold the turning point
     xi = np.array(xs)[:, None]
-    for nodes in (quadrature._nodes(32, 1, 33), quadrature._nodes(64, 2, 32)):
+    for nodes in (_pass_nodes(32), _pass_nodes(64, first=False)):
         want = _expression_integrands(lam, xi, nodes)
         for integrand, ref in zip((quadrature._period_integrand, quadrature._deviation_integrand,
                                    quadrature._slope_integrand, quadrature._coupling_integrand),
@@ -647,7 +652,7 @@ def test_reference_scan_python_calls():
 def _block_peak(integrand):
     """Peak tracemalloc memory of one warm integrand call on a full block,
     EVAL_NODES // 65 rows of 65 nodes at lam = 2.25, in blocks."""
-    nodes = quadrature._nodes(64, 1, 65)
+    nodes = _pass_nodes(64)
     xi = np.linspace(0.9047, 904.7, EVAL_NODES // 65)[:, None]
     s = PotentialSystem(2.25)
     integrand(s, xi, nodes)
@@ -682,7 +687,7 @@ def test_a_mixed_block_gives_each_row_its_own_bits(name):
     # only; each row gets the bits it gets alone
     integrand = getattr(quadrature, f"_{name}_integrand")
     s = PotentialSystem(-0.5)
-    nodes = quadrature._nodes(64, 1, 65)
+    nodes = _pass_nodes(64)
     xi = np.geomspace(0.01, 30.0, 40).reshape(2, 20).T.ravel()[:, None]  # below and above 1 in turn
     assert 0 < np.count_nonzero(xi < 1.0) < xi.size
     alone = np.vstack([integrand(s, x[None], nodes) for x in xi])
@@ -811,7 +816,7 @@ def test_cold_and_warm_node_cache_give_the_same_bits(monkeypatch):
 def test_threads_filling_a_cold_node_cache_get_the_serial_bits(monkeypatch):
     # three threads race on every key of an empty cache, switching as often
     # as the interpreter lets them: each key is written once with its whole
-    # triple, so a race at most builds the same read-only arrays twice
+    # pair, so a race at most builds the same read-only arrays twice
     serial = _cache_workload()
     _cached(monkeypatch)
     start, results = threading.Barrier(3), [None] * 3
@@ -834,7 +839,7 @@ def test_threads_filling_a_cold_node_cache_get_the_serial_bits(monkeypatch):
     assert results == [serial] * 3
     assert quadrature._NODES
     for nodes in quadrature._NODES.values():
-        assert isinstance(nodes, tuple) and len(nodes) == 3
+        assert isinstance(nodes, tuple) and len(nodes) == 2
         assert not any(a.flags.writeable for a in nodes)
 
 
@@ -854,7 +859,46 @@ def test_cached_nodes_are_read_only(monkeypatch):
             period_at_amplitude(s, 2.0)
     assert period_at_amplitude(s, 2.0) == before
     for nodes in quadrature._NODES.values():
-        assert len(nodes) == 3 and not any(a.flags.writeable for a in nodes)
+        assert len(nodes) == 2 and not any(a.flags.writeable for a in nodes)
+
+
+def _frozen(array):
+    """Whether array and every array it is a view of are read-only."""
+    while array is not None:
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
+def test_an_integrand_cannot_write_the_cached_squares(monkeypatch):
+    # the integrands read the squares stack nodes[1] whole and chain their
+    # ufuncs in place: one that squares it in place instead of into a new
+    # array raises, and every kind's later results keep their bits.  Nothing
+    # under a cached array, such as the array it is a view of, is writable
+    s, xs = PotentialSystem(-0.5), np.array([0.3, 2.0, 40.0])
+    kinds = (quadrature._PERIOD, quadrature._DEVIATION, quadrature._SLOPE, quadrature._COUPLING)
+
+    def results():
+        return [[a.tobytes() for a in quadrature._integrals(s, (kind, xs))] for kind in kinds]
+
+    before = results()
+
+    def squares_in_place(sys_, xi, nodes):
+        np.square(nodes[1], out=nodes[1])
+        return np.ones(np.broadcast(xi, nodes[0]).shape)
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_PERIOD", quadrature._PERIOD._replace(integrand=squares_in_place))
+        with pytest.raises(ValueError, match="read-only"):
+            period_samples(s, xs)
+    assert results() == before
+    with pytest.raises(ValueError, match="read-only"):
+        _pass_nodes(64)[1][0, 0, 0] = 123.0
+    fresh = quadrature._squares(np.arange(65) * (quadrature.HALF_PI / 64))
+    assert _pass_nodes(64)[1].tobytes() == fresh[1].tobytes()
+    assert quadrature._NODES
+    assert all(_frozen(a) for nodes in quadrature._NODES.values() for a in nodes)
 
 
 def test_node_cache_stays_within_its_bound(monkeypatch):
@@ -868,8 +912,8 @@ def test_node_cache_stays_within_its_bound(monkeypatch):
         period_at_amplitude(PotentialSystem(RUNAWAY_LAM), X_MIN)
     period_slopes(PotentialSystem(-0.9), np.linspace(0.5, 3000.0, 50))
     assert quadrature._NODES
-    assert max(v.size for v, _, _ in quadrature._NODES.values()) <= 4097
-    assert sum(v.size for v, _, _ in quadrature._NODES.values()) <= 16_328
+    assert max(v.size for v, _ in quadrature._NODES.values()) <= 4097
+    assert sum(v.size for v, _ in quadrature._NODES.values()) <= 16_328
     assert sum(a.nbytes for entry in quadrature._NODES.values() for a in entry) <= 3 * 8 * 16_328
 
 
@@ -910,7 +954,7 @@ def test_s_reuses_sine_bit_for_bit(monkeypatch):
     # are a run at either end or in the middle of a row (the series takes
     # them by index, in chunks of RUN_CHUNK entries or of one longer row)
     x = _s_amplitudes()
-    _, c2, s2 = quadrature._nodes(64, 1, 65)
+    c2, s2 = _pass_nodes(64)[1][:, 0]
     xi = np.geomspace(0.01, 1e3, 60)[:, None]
     b = np.maximum(xi * s2, 2.0 * quadrature.HALF_ANGLE_MIN)  # as the tangents raise it
     blocks = (x[None], x[None, ::-1], x[None, x < 1.0], x[None, x >= 1.0],
