@@ -18,7 +18,7 @@ import numpy as np
 
 from periodkit import (PotentialSystem, orbit_period, period_at_energy,
                        scan_period)
-from periodkit.report import samples_to_csv
+from periodkit.report import SCAN_FIELDS, samples_to_csv
 
 TWO_PI = 2 * math.pi
 
@@ -58,4 +58,4 @@ for h in (1e-4, 1e-6, 1e-8):
 # The same CSV that `periodkit scan ... --format csv --out scan.csv` writes.
 
 print("\nscan as CSV (first rows):")
-print("".join(samples_to_csv(samples).splitlines(keepends=True)[:3]), end="")
+print("".join(samples_to_csv(samples, SCAN_FIELDS).splitlines(keepends=True)[:3]), end="")

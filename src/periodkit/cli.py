@@ -24,7 +24,7 @@ from .errors import PeriodkitError, SignViolation
 from .model import PotentialSystem
 from .oracle import _periods, _trace
 from .quadrature import _unconverged, period_at_amplitude, period_at_energy
-from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, SAMPLE_FIELDS,
+from .report import (BRACKET_FIELDS, CONFIG, CRITICAL_FIELDS, SAMPLE_FIELDS, SCAN_FIELDS,
                      _write_atomic, csv_table, field_records, report_to_json,
                      run_verify, sample_dicts, to_json)
 
@@ -188,8 +188,10 @@ def _run(args) -> int:
     else:
         raise AssertionError(f"unhandled command {args.command}")
     if samples is not None:
-        dicts = sample_dicts(samples)
-        payload, table = {"samples": dicts}, (SAMPLE_FIELDS, dicts)
+        # only a scan keeps unconverged samples, so only its rows say which
+        fields = SCAN_FIELDS if name == "scan" else SAMPLE_FIELDS
+        dicts = sample_dicts(samples, fields)
+        payload, table = {"samples": dicts}, (fields, dicts)
     _emit(args, csv_table(*table) if csv else to_json({**payload, "config": CONFIG}), **meta)
     return code
 

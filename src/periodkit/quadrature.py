@@ -43,7 +43,13 @@ check, rounding floor, start count, trapezoid sums, stop test) in floats,
 chosen on xi.size == 1 in _amplitudes, _floor and _periodic, to the array
 path's bits.  The integrands take a read-only node pair (phi, squares),
 squares the (2, 1, nodes) stack of cos(u)^2 and sin(u)^2, and the batched
-functions return the engine's (value, err_est) arrays as they are.
+functions return the engine's (value, err_est) arrays as they are.  Each
+integrand call takes at most EVAL_NODES = 2^13 nodes, so its stacked (2,
+rows, nodes) arrays stay within glibc's 128 KiB mmap threshold and malloc
+keeps them for the next call instead of handing them back to the OS.  The
+stop test scales by the rule of |f|; the period integrand 4/sqrt(w) is > 0
+wherever _well accepts w, so the period rule's |f| sum is its value, and a
+call of the period kind alone takes it so (_Kind.positive).
 
 The integrands take every sine and cosine from the half-angle tangent t =
 tan(x/2), one np.tan per argument with a and b stacked in one array
@@ -121,7 +127,13 @@ NILPOTENT_DERIVATIVE_XI_MIN = math.sqrt(24.0) * (MAX_NODES / float(np.finfo(floa
 
 # Nodes per integrand evaluation: more rows, or more nodes of one row, are
 # evaluated in chunks, so memory stays bounded however many integrals arrive.
-EVAL_NODES = 2 ** 15
+# A block of 2^13 doubles is 64 KiB, and an integrand's stacked (2, rows,
+# nodes) arrays at most 128 KiB, glibc's mmap threshold: malloc serves them
+# from its heap and reuses them block after block.  At 2^15 each block's
+# 512 KiB went back to the OS and was faulted in again: 712-713 minor page
+# faults per warm reference scan (lam = 2.25, 1000 points to xi = 904.7),
+# against 0 here (63-64 where the heap's layout lets glibc trim it once).
+EVAL_NODES = 2 ** 13
 
 # The slope integrand takes the Taylor series of s3 on at most this many
 # entries at a time, so its index and series arrays stay a fraction of a
@@ -219,7 +231,7 @@ def _well(sys: PotentialSystem, xi, nodes, slope: bool = False):
         if defect is not None:
             sinc[:, near], w[near] = defect
     bad = w <= 0.0
-    if np.count_nonzero(bad):
+    if np.logical_or.reduce(bad, axis=None):
         x = float(np.broadcast_to(xi, w.shape)[bad][0])
         raise NonMonotoneEnergy(
             f"energy level dips below the potential inside (0, {x:.6g}) "
@@ -356,30 +368,34 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
 
 class _Kind(NamedTuple):
     """One period integral: its integrand, its word in NoConvergence, its
-    _floor derivative flag and its least amplitude at lam = -1."""
+    _floor derivative flag, its least amplitude at lam = -1, and whether its
+    integrand is positive wherever _well accepts w, so that its rule of |f|
+    is its rule of f, bit for bit, and need not be summed."""
 
     integrand: object
     what: str
     derivative: bool
     nilpotent_min: float
+    positive: bool
 
 
-_PERIOD = _Kind(_period_integrand, "period", False, NILPOTENT_XI_MIN)
-_DEVIATION = _Kind(_deviation_integrand, "deviation", True, NILPOTENT_XI_MIN)
-_SLOPE = _Kind(_slope_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN)
-_COUPLING = _Kind(_coupling_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN)
+_PERIOD = _Kind(_period_integrand, "period", False, NILPOTENT_XI_MIN, True)  # 4/sqrt(w), w > 0
+_DEVIATION = _Kind(_deviation_integrand, "deviation", True, NILPOTENT_XI_MIN, False)
+_SLOPE = _Kind(_slope_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN, False)
+_COUPLING = _Kind(_coupling_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN, False)
 
 
 def _integrals(sys: PotentialSystem, *parts):
     """(value, err_est, converged) arrays of the parts (kind, xi), one row per
     checked amplitude in the order given, from one _periodic call at REL_TOL,
-    each row with the bits of its kind's call alone; empty parts are dropped."""
+    each row with the bits of its kind's call alone; empty parts are dropped.
+    A call of one positive kind takes its rule of |f| from its rule of f."""
     if len(parts) > 1:
         parts = [part for part in parts if part[1].size] or parts[:1]
     if len(parts) == 1:  # one kind: no per-part bookkeeping
         (kind, xi), = parts
         return _periodic(lambda rows, nodes: kind.integrand(sys, xi[rows, None], nodes),
-                         xi, REL_TOL, _floor(sys, xi, kind.derivative))
+                         xi, REL_TOL, _floor(sys, xi, kind.derivative), kind.positive)
     xi, sizes = np.concatenate([x for _, x in parts]), [x.size for _, x in parts]
     bounds = np.add.accumulate([0] + sizes)  # part i: rows bounds[i] to bounds[i+1] - 1
 
@@ -415,7 +431,7 @@ def _floor(sys: PotentialSystem, xi: np.ndarray, derivative):
     return max(floor, ROUNDING_FLOOR) if xi.size == 1 else np.maximum(ROUNDING_FLOOR, floor)
 
 
-def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
+def _periodic(f, xi: np.ndarray, rel_tol: float, floor, positive: bool = False):
     """(value, err_est, converged) arrays of len(xi) integrals over
     [0, pi/2] by the trapezoid rule, f(rows, nodes) giving integrand rows[i]
     in row i at the node pair nodes = (v, squares) of _squares, which it
@@ -434,21 +450,23 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
     rounding, one per integral or for all) times the rule of |f|, and at
     SUBNORMAL_FLOOR where that rule is not 0.  An integral whose floor
     exceeds rel_tol, whose difference stops shrinking or whose next pass
-    would pass MAX_NODES stops alone with converged=False.
+    would pass MAX_NODES stops alone with converged=False.  With positive
+    set every integrand value is > 0, and the rule of |f| is taken to be
+    the fine rule itself, without an abs pass or its sum.
 
     One amplitude (xi.size == 1, floor a float) runs _periodic_one, the same
     arithmetic on floats: the same bits without numpy's dispatch on arrays
     of one value.
     """
     if xi.size == 1:
-        return _periodic_one(f, xi.item(), rel_tol, floor)
+        return _periodic_one(f, xi.item(), rel_tol, floor, positive)
     rows, floor = np.arange(xi.size), floor + np.zeros(xi.size)
     intervals = 2 * np.minimum(np.exp2(np.ceil(np.log2(0.25 * xi + 16.0))), MAX_NODES // 4).astype(int)
     # a difference at least the last one has stopped shrinking; one whose
     # floor exceeds rel_tol has nothing to shrink to, and stops at once
     last, rules, value = np.where(floor > rel_tol, -math.inf, math.inf), None, None
     while True:
-        coarse, fine, scale = rules = _trapezoid(f, rows, intervals, rules)
+        coarse, fine, scale = rules = _trapezoid(f, rows, intervals, rules, positive)
         diff = np.abs(fine - coarse)
         e = np.maximum(np.maximum(diff, floor * scale), SUBNORMAL_FLOOR * (scale > 0.0))
         ok = e <= np.maximum(rel_tol * scale, TINY)  # subnormals hold no relative precision
@@ -466,14 +484,14 @@ def _periodic(f, xi: np.ndarray, rel_tol: float, floor):
             rows[go], 2 * intervals[go], diff[go], rules[:, go], floor[go])
 
 
-def _periodic_one(f, x: float, rel_tol: float, floor: float):
+def _periodic_one(f, x: float, rel_tol: float, floor: float, positive: bool):
     """_periodic of the one amplitude x, its start count, stop test and
     sums (_trapezoid_one) held in floats; math.log2 rounds as np.log2 does
     at the powers of two, where the start count steps."""
     intervals = 2 * min(2 ** math.ceil(math.log2(0.25 * x + 16.0)), MAX_NODES // 4)
     last, rules = -math.inf if floor > rel_tol else math.inf, None
     while True:
-        coarse, fine, scale = rules = _trapezoid_one(f, intervals, rules)
+        coarse, fine, scale = rules = _trapezoid_one(f, intervals, rules, positive)
         # max keeps a NaN only as its first argument; np.maximum keeps any
         diff, floored = abs(fine - coarse), floor * scale
         e = max(diff, floored, SUBNORMAL_FLOOR * (scale > 0.0)) if floored == floored else floored
@@ -502,11 +520,12 @@ def _chunks(k: int, first: bool):
     return ((0, nodes),)
 
 
-def _trapezoid(f, rows, intervals, last):
+def _trapezoid(f, rows, intervals, last, positive: bool):
     """(coarse, fine, |f|) trapezoid rules on [0, pi/2] of the integrals rows,
     the fine one with intervals[i] intervals: all its nodes, the ends at half
     weight, without last, else last's rules and only the new midpoints.  The
-    rows that share a count are evaluated together, EVAL_NODES nodes at most."""
+    rows that share a count are evaluated together, EVAL_NODES nodes at most.
+    With positive set the rule of |f| is the fine rule."""
     first = last is None
     if first:
         q = np.zeros((3, rows.size))
@@ -524,13 +543,16 @@ def _trapezoid(f, rows, intervals, last):
                 fx = f(rows[part], nodes)
                 if first:
                     fx[:, -j % k::k] *= 0.5  # the end nodes j = 0 and k
-                    q[0, part] += 2.0 * h * fx[:, j % 2::2].sum(axis=1)
-                q[1, part] += h * fx.sum(axis=1)
-                q[2, part] += h * np.abs(fx, out=fx).sum(axis=1)
+                    q[0, part] += 2.0 * h * np.add.reduce(fx[:, j % 2::2], axis=1)
+                q[1, part] += h * np.add.reduce(fx, axis=1)
+                if not positive:
+                    q[2, part] += h * np.add.reduce(np.abs(fx, out=fx), axis=1)
+    if positive:
+        q[2] = q[1]
     return q
 
 
-def _trapezoid_one(f, k: int, last):
+def _trapezoid_one(f, k: int, last, positive: bool):
     """_trapezoid of the one integral f(slice(None), nodes) with k
     intervals, its three rules floats."""
     h = HALF_PI / k
@@ -542,8 +564,9 @@ def _trapezoid_one(f, k: int, last):
             fx[-j % k::k] *= 0.5
             coarse += 2.0 * h * float(np.add.reduce(fx[j % 2::2]))
         fine += h * float(np.add.reduce(fx))
-        scale += h * float(np.add.reduce(np.abs(fx, out=fx)))
-    return coarse, fine, scale
+        if not positive:
+            scale += h * float(np.add.reduce(np.abs(fx, out=fx)))
+    return coarse, fine, fine if positive else scale
 
 
 def _unconverged(xi: float, lam: float, kind: _Kind = _PERIOD) -> str:

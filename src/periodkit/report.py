@@ -246,15 +246,18 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 SAMPLE_FIELDS = ("lambda", "xi", "h", "T", "T_err", "method")
+# a scan keeps the samples that did not converge, each row marked
+SCAN_FIELDS = SAMPLE_FIELDS + ("converged",)
 # the other records' fields are attributes of the same name
 BRACKET_FIELDS = ("k", "h_lo", "h_hi", "T_lo", "T_hi", "sign_lo", "sign_hi", "degenerate")
 CRITICAL_FIELDS = ("xi_star", "h_star", "T_star", "kind", "refine_err")
 CONFIG = {"rel_tol": REL_TOL}
 
 
-def sample_dicts(samples: list[PeriodSample]) -> list[dict]:
-    """Payload records of period samples, in ascending amplitude."""
-    return [dict(zip(SAMPLE_FIELDS, (s.lam, s.xi, s.h, s.T, s.err_est, s.method)))
+def sample_dicts(samples: list[PeriodSample], fields=SAMPLE_FIELDS) -> list[dict]:
+    """Payload records of period samples, in ascending amplitude, with the
+    fields SAMPLE_FIELDS or SCAN_FIELDS."""
+    return [dict(zip(fields, (s.lam, s.xi, s.h, s.T, s.err_est, s.method, s.converged)))
             for s in sorted(samples, key=lambda s: s.xi)]
 
 
@@ -266,16 +269,17 @@ def field_records(items, fields) -> list[dict]:
 
 def csv_table(header, records) -> str:
     """CSV with the given header and one line per record (a dict holding
-    every header field); numbers in fmt_float form, strings as they are."""
+    every header field); numbers in fmt_float form, strings as they are,
+    booleans as JSON writes them (true, false)."""
     lines = [",".join(header)]
     for r in records:
-        lines.append(",".join(v if isinstance(v, str) else fmt_float(v)
-                              for v in (r[name] for name in header)))
+        lines.append(",".join(v if isinstance(v, str) else json.dumps(v) if isinstance(v, bool)
+                              else fmt_float(v) for v in (r[name] for name in header)))
     return "\n".join(lines) + "\n"
 
 
-def samples_to_csv(samples: list[PeriodSample]) -> str:
-    return csv_table(SAMPLE_FIELDS, sample_dicts(samples))
+def samples_to_csv(samples: list[PeriodSample], fields=SAMPLE_FIELDS) -> str:
+    return csv_table(fields, sample_dicts(samples, fields))
 
 
 def to_json(payload) -> str:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -50,20 +52,26 @@ def test_scan_warns_of_unconverged_samples(capsys, tmp_path):
     # just below LAM_C at X_MIN the period does not converge: the scan still
     # writes that sample with its best estimate and exits 0, but one stderr
     # line counts the unconverged samples and names the first in the words
-    # period's error takes, and the sidecar of --out lists their amplitudes
+    # period's error takes, and the sidecar of --out lists their amplitudes;
+    # each row's converged column (false, true as JSON writes them) marks it
     lam, xi_min, xi_max = "4.603338802718311", "2.246704728954532", "4.493409457909064"
     argv = ["scan", "--lambda", lam, "--xi-min", xi_min, "--xi-max", xi_max, "--n", "2",
             "--format", "csv"]
     code, out, err = run_cli(capsys, argv)
     assert code == 0
-    assert out.splitlines()[0] == "lambda,xi,h,T,T_err,method" and len(out.splitlines()) == 3
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert out.splitlines()[0] == "lambda,xi,h,T,T_err,method,converged" and len(rows) == 2
+    assert [row["converged"] for row in rows] == ["true", "false"]
     period_code, _, period_err = run_cli(capsys, ["period", "--lambda", lam, "--xi", xi_max])
     assert period_code == 2 and period_err.startswith("error: period quadrature is rounding-limited")
     message = period_err.removeprefix("error: ").partition("; best estimate")[0]
     assert err == f"warning: 1 of 2 samples did not converge; the first: {message}\n"
     samples = analysis.scan_period(PotentialSystem(float(lam)), float(xi_min), float(xi_max), 2)
     assert [s.converged for s in samples] == [True, False]
-    assert out == report.samples_to_csv(samples)
+    assert out == report.samples_to_csv(samples, report.SCAN_FIELDS)
+    code, payload, _ = run_cli(capsys, argv[:-2])
+    assert code == 0
+    assert [row["converged"] for row in json.loads(payload)["samples"]] == [True, False]
 
     path = tmp_path / "scan.csv"
     assert run_cli(capsys, argv + ["--out", str(path)]) == (0, "", err)
@@ -448,6 +456,9 @@ TABLE_ARGV = {
 
 
 def _cell(text):
+    """A CSV cell as JSON holds it: a boolean, a number or a string."""
+    if text in ("true", "false"):
+        return text == "true"
     try:
         return float(text)
     except ValueError:

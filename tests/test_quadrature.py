@@ -522,9 +522,10 @@ class _CountingIntegrand:
 
 
 def test_scan_integrand_evaluation_ceiling(monkeypatch):
-    # one evaluation per node count and chunk for all 1000 amplitudes: 17
-    # over 367,912 nodes when measured; the midpoint rule with tripling made
-    # 23 over 590,112, Gauss-Legendre bisection 159, single calls 6625
+    # one evaluation per node count and chunk for all 1000 amplitudes: 52
+    # over 367,912 nodes when measured (17 with 2^15-node blocks); the
+    # midpoint rule with tripling made 23 over 590,112, Gauss-Legendre
+    # bisection 159, single calls 6625
     counter = _CountingIntegrand(monkeypatch)
     scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
     assert counter.calls <= 200
@@ -631,8 +632,9 @@ def test_period_sample_is_a_named_tuple():
 
 
 def test_reference_scan_python_calls():
-    # rows are built without a Python frame each: 234 calls when measured,
-    # 1235 with a frozen dataclass's __init__ per row
+    # rows are built without a Python frame each: 292 calls when measured,
+    # over 52 integrand evaluations of 8192 nodes at most (234 over 17 of
+    # 32,768 nodes at most), 1292 with a frozen dataclass's __init__ per row
     s = PotentialSystem(2.25)
     scan_period(s, 0.9047, 904.7, 1000)  # the node cache filled
     calls = 0
@@ -663,21 +665,67 @@ def _block_peak(integrand):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert out.shape == (504, 65)
+    assert out.shape == (EVAL_NODES // 65, 65)
     return peak / out.nbytes
 
 
 def test_period_integrand_block_peak_memory():
-    # 5.13 blocks at the peak when measured (a, b, sinc a, sinc b and w), 6
-    # with an expression's temporaries
+    # 4.14 blocks at the peak when measured on 126 rows (4.13 on 504), of
+    # a, b, sinc a, sinc b and w; 6 with an expression's temporaries
     assert _block_peak(quadrature._period_integrand) < 5.5
 
 
 def test_slope_integrand_block_peak_memory():
-    # 6.31 blocks at the peak when measured: the period integrand's five,
-    # with s3 and sqrt(w) written over a and b, and one block of squares
-    # while s3 runs
+    # 6.45 blocks at the peak when measured on 126 rows (6.40 on 504): the
+    # period integrand's five, with s3 and sqrt(w) written over a and b, and
+    # one block of squares while s3 runs
     assert _block_peak(quadrature._slope_integrand) < 6.5
+
+
+def test_reference_scan_peak_memory():
+    # a warm reference scan's traced peak is its engine state and a few
+    # blocks: 0.47 MiB when measured with 2^13-node blocks, 1.62 MiB with
+    # 2^15, whose stacked (2, rows, nodes) arrays passed glibc's 128 KiB
+    # mmap threshold and were faulted in again on every block
+    s = PotentialSystem(2.25)
+    scan_period(s, 0.9047, 904.7, 1000)  # the node cache filled
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        scan_period(s, 0.9047, 904.7, 1000)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 ** 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(-1.0, 50.0), exponents=st.lists(st.floats(-30.0, 4.0), min_size=1, max_size=8),
+       k=st.sampled_from([32, 64, 1024]), first=st.booleans())
+def test_period_integrand_is_positive(lam, exponents, k, first):
+    # the period kind's rule of |f| is its rule of f (_Kind.positive) only
+    # because 4/sqrt(w) > 0 at every node of every valid amplitude; past
+    # LAM_C the amplitudes stay below the edge
+    s = PotentialSystem(lam)
+    xi = np.array([10.0 ** e for e in exponents]) * min(1.0, 0.999 * s.edge() / 1e4)
+    f = quadrature._period_integrand(s, xi[:, None], _pass_nodes(k, first))
+    assert f.shape == (xi.size, k + 1 if first else k // 2)
+    assert np.all(f > 0.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.5, 1.0, 4.5, LAM_C * (1 - 1e-6)])
+def test_positive_kind_skips_only_the_abs_sum(lam):
+    # the period rule taken as its own rule of |f| gives the bits of the
+    # summed |f|: arrays and one amplitude, later passes (xi = 40 at lam >=
+    # 4.5, 4.49 near LAM_C) and a first pass of several chunks (xi = 4e4,
+    # 65,537 nodes)
+    s = PotentialSystem(lam)
+    xs = np.array([1e-3, 0.5, 3.0, 4.49, 40.0, 900.0, 4e4])
+    summed = quadrature._PERIOD._replace(positive=False)
+    for xi in [xs, *xs[:, None]]:
+        want = quadrature._integrals(s, (summed, xi))
+        got = quadrature._integrals(s, (quadrature._PERIOD, xi))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("name", ["period", "deviation", "slope"])
@@ -772,13 +820,14 @@ def test_eval_nodes_bound_integrand_nodes(monkeypatch):
 
 
 def test_short_last_chunk_takes_its_rows_together(monkeypatch):
-    # passes past EVAL_NODES nodes end in a short chunk, which fits all 50
-    # rows in one evaluation: 101 calls (150 with one row per call there),
+    # the first pass of 65,536 intervals is 65,536 // EVAL_NODES full chunks
+    # of one row each and a short chunk of one node, which fits all 50 rows
+    # in one evaluation: 50 calls less than with one row per call there,
     # with the bits of single calls
     counter = _CountingIntegrand(monkeypatch)
     xs = np.linspace(7e4, 1e5, 50)
     samples = period_samples(PotentialSystem(1.0), xs)
-    assert counter.calls == 101
+    assert counter.calls == 65536 // EVAL_NODES * 50 + 1
     assert samples == [period_at_amplitude(PotentialSystem(1.0), x) for x in xs]
 
 
