@@ -43,17 +43,23 @@ xi*cos(i*pi/(2*ARCS)), with y_i = sqrt(2*(G(xi) - G(x_i))) > 0 (y_0 = 0),
 and ends on the section x = x_(i+1) (x_ARCS = 0).  The seeds assume energy
 conservation, which the one-orbit routes do not: full_return, which
 assumes no symmetry and no seed, and the drift of orbit_trace keep that
-assumption checked.  All arcs of all orbits start at t = 0 as one stacked
-system, its step capped at (pi/2)/ARCS, an arc's time at lam = 0, so that
-the Hénon run stays short and no step end passes the turning point x = -xi,
-a quarter period (at least 0.66 up to LAM_C) past the section.  The run
-keeps each arc's first step end on or past its section and stops once
-every arc has one, so it lasts as long as the longest arc and needs no
-restart; one Hénon run then locates every crossing, and a quarter period is
-the sum of its arc times.  An orbit with a seed above its energy (G(x_i) >
-G(xi)) or with an arc whose y falls through 0 before its section does not
-enclose the origin and raises EventMissed naming it; so does a quarter
-period past MAX_EVENT_TIME/2, or an arc that has not crossed by then.
+assumption checked.  All arcs of all orbits start at tau = 0 as one stacked
+system, each orbit in its own time unit tau = t/c, c = (g(xi)/xi)^(-1/2)
+the inverse frequency at its turning point, so that every orbit turns at
+about one radian per unit and a slow orbit no longer sets the pace of the
+fast ones.  The step is capped at (pi/2)/ARCS in tau, an arc's time at lam
+= 0, so that the Hénon run stays short and no step end passes the turning
+point x = -xi, a quarter period past the section.  The run keeps each arc's
+first step end on or past its section and stops once every arc has one,
+so it lasts as long as the longest arc and needs no restart; one Hénon run
+in real time then locates every crossing, starting each from c times the
+tau of its step end, and a quarter period is the sum of its arc times.  An
+orbit with a seed above its energy (G(x_i) > G(xi)), or with g(xi) <= 0 at
+its turning point, where it has no time unit, raises EventMissed naming it
+before any run.  After the run, so does an arc whose y fell through 0
+before its section, a quarter period past MAX_EVENT_TIME/2, or an arc that
+has not crossed by then; the run goes on to tau = (MAX_EVENT_TIME/2)/c for
+the smallest c of the batch, at least that much real time for every orbit.
 
 Every path loads the one compiled extension the runs call,
 scipy/integrate/_dop, from its file on its first orbit by
@@ -83,8 +89,10 @@ MAX_EVENT_TIME = 1e4
 # section ends at MAX_EVENT_TIME/2, well inside the budget.
 MAX_STEPS = 10 ** 6
 
-# Arcs per quarter period in orbit_periods.
-ARCS = 8
+# Arcs per quarter period in orbit_periods: over perfbench's verify ops,
+# 8, 10, 12, 14 and 16 arcs took 148, 87, 74, 66 and 81 stepper plus 24, 26,
+# 26, 42 and 41 Hénon rhs calls per op, 12 the least time.
+ARCS = 12
 
 # Empirical factor turning the solver tolerance into a period error estimate;
 # calibrated against the quadrature route (see tests).
@@ -117,6 +125,14 @@ def _stacked(t, s, lam, out, *_):
     return out
 
 
+def _scaled(t, s, lam, out, unit, *_):
+    """Right-hand side of the batch's stacked system in each orbit's own
+    time unit: _stacked's, times unit, which holds each component's c."""
+    _stacked(t, s, lam, out)
+    out *= unit
+    return out
+
+
 def _check_tol(tol: float) -> None:
     if not (1e-12 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol:g}")
@@ -136,7 +152,7 @@ def _stop_on_fall(t, s, lam, out, up, fell):
     return -1 if fell.any() else 0
 
 
-def _stop_on_sections(t, s, lam, out, x_t, up, fell, crossed, at):
+def _stop_on_sections(t, s, lam, out, unit, x_t, up, fell, crossed, at):
     """Keep each arc's first accepted step end on or past its section, x <=
     x_t, as (t, x, y) in the columns of at, marking it in crossed; stop once
     every arc has crossed, or at once when some arc's y fell from > 0 to <=
@@ -158,16 +174,25 @@ def _stop_on_sections(t, s, lam, out, x_t, up, fell, crossed, at):
     return -1 if fell.any() or crossed.all() else 0
 
 
-def _section(u, s, lam, x_t, x_end):
+def _section(u, s, lam, out, x_t, x_end):
     """Hénon's right-hand side for crossings of the sections x = x_t, with x
     = x_t + (x_end - x_t)*(1 - u) as the independent variable, u from 0 at
     each step's end x_end to 1 on its section: the state holds every
     crossing's y, then its t, and dy/du = (x_end - x_t)*g(x)/y, dt/du =
-    (x_end - x_t)/y.  At x_t = 0 this is x_end*(1 - u), bit for bit."""
-    d = x_end - x_t
-    x = x_t + d * (1.0 - u)
-    dt = d / s[:d.size]
-    return np.concatenate((dt * (x + lam * np.sin(x)), dt))
+    (x_end - x_t)/y, written into out[:2n] with x in out[2n:] (out holds 3n
+    entries for n crossings).  At x_t = 0 this is x_end*(1 - u), bit for
+    bit."""
+    n = x_end.size
+    g, dt, x = out[:n], out[n:2 * n], out[2 * n:]
+    np.subtract(x_end, x_t, dt)
+    np.multiply(dt, 1.0 - u, x)
+    x += x_t
+    dt /= s[:n]
+    np.sin(x, g)
+    g *= lam
+    g += x
+    g *= dt
+    return out[:2 * n]
 
 
 def _dop():  # the compiled scipy.integrate._dop module the runs call
@@ -225,15 +250,16 @@ def _falls(sys: PotentialSystem, xi: float, tol: float, count: int) -> list[floa
                 f"xi={xi:g} does not enclose the origin (lam={sys.lam:g})")
         if fell[0]:  # else y fell through 0 at x = -xi, half way round a loop
             crossing = _run(_section, 0.0, np.array([state[1], t]), 1.0, tol,
-                            (sys.lam, 0.0, state[:1]), first_step=1.0)[1]
+                            (sys.lam, np.empty(3), 0.0, state[:1]), first_step=1.0)[1]
             falls.append(float(crossing[1]))
     return falls
 
 
 def _quarters(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]:
     """Quarter periods of the orbits through (xi, 0), each the sum of the
-    times of its ARCS arcs, all arcs as one stacked DOP853 run with its step
-    capped at (pi/2)/ARCS and one Hénon run onto their sections."""
+    times of its ARCS arcs, all arcs as one stacked DOP853 run in their
+    orbits' own time units, its step capped at (pi/2)/ARCS, and one Hénon
+    run onto their sections."""
     if not xis:
         return []
     n, m = len(xis), len(xis) * ARCS
@@ -250,10 +276,20 @@ def _quarters(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]
         raise EventMissed(
             f"G(x={x[i]:.6g}) exceeds the energy: the orbit from xi={xis[i // ARCS]:g} "
             f"does not enclose the origin (lam={sys.lam:g})")
+    g = sys.g(xi)
+    flat = np.flatnonzero(g <= 0.0)
+    if flat.size:  # the orbit rests on its turning point or leaves it outwards
+        i = int(flat[0])
+        if g[i] == 0.0:
+            raise _no_crossing(sys, xis[i])
+        raise EventMissed(
+            f"g(xi={xis[i]:g}) = {g[i]:.6g} < 0: the orbit from xi={xis[i]:g} "
+            f"does not enclose the origin (lam={sys.lam:g})")
+    unit = np.repeat(np.sqrt(xi / g), ARCS)  # c of each arc's orbit
     y = np.sqrt(2.0 * depth)
     up, fell, crossed, at = y > 0.0, np.zeros(m, dtype=bool), np.zeros(m, dtype=bool), np.empty((3, m))
-    state = _run(_stacked, 0.0, np.concatenate((x, y)), 0.5 * MAX_EVENT_TIME, tol,
-                 (sys.lam, np.empty(2 * m), x_t, up, fell, crossed, at),
+    state = _run(_scaled, 0.0, np.concatenate((x, y)), 0.5 * MAX_EVENT_TIME / unit.min(), tol,
+                 (sys.lam, np.empty(2 * m), np.tile(unit, 2), x_t, up, fell, crossed, at),
                  solout=_stop_on_sections, max_step=0.5 * math.pi / ARCS)[1]
     if fell.any():
         i = int(np.flatnonzero(fell)[0])
@@ -262,8 +298,8 @@ def _quarters(sys: PotentialSystem, xis: list[float], tol: float) -> list[float]
             f"orbit from xi={xis[i // ARCS]:g} does not enclose the origin (lam={sys.lam:g})")
     if not crossed.all():
         raise _no_crossing(sys, xis[int(np.argmin(crossed)) // ARCS])
-    times = _run(_section, 0.0, np.concatenate((at[2], at[0])), 1.0, tol,
-                 (sys.lam, x_t, at[1]), first_step=1.0)[1][m:]
+    times = _run(_section, 0.0, np.concatenate((at[2], unit * at[0])), 1.0, tol,
+                 (sys.lam, np.empty(3 * m), x_t, at[1]), first_step=1.0)[1][m:]
     quarters = [math.fsum(arcs) for arcs in times.reshape(n, ARCS).tolist()]
     for amp, q in zip(xis, quarters):
         if q > 0.5 * MAX_EVENT_TIME:

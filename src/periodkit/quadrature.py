@@ -211,7 +211,7 @@ def _well(sys: PotentialSystem, xi, nodes, slope: bool = False):
     lam < 0 sinc and w come from the sinc defects instead (_defect_well),
     which a mixed block writes over those rows' half-angle values."""
     x = xi * nodes[1]
-    near = np.flatnonzero(xi[:, 0] < 1.0) if sys.lam < 0.0 else ()  # defect rows
+    near = (xi[:, 0] < 1.0).nonzero()[0] if sys.lam < 0.0 else ()  # defect rows
     if len(near) == len(xi):  # no sine to take; s3 is its series alone
         sinc, w = _defect_well(sys.lam, x)
         s3 = _horner(_S_SERIES, np.multiply(x, x, out=x)) if slope else None
@@ -534,7 +534,7 @@ def _trapezoid(f, rows, intervals, last, positive: bool):
         q[0] = last[1]
         np.multiply(last[1:], 0.5, out=q[1:])
     for k in sorted(set(intervals.tolist())):
-        at = np.flatnonzero(intervals == k)
+        at = (intervals == k).nonzero()[0]
         h = HALF_PI / k
         for j, nodes in _chunks(k, first):
             block = EVAL_NODES // nodes[0].size  # a short last chunk takes more rows

@@ -132,9 +132,10 @@ def _check_bessel_link() -> CheckResult:
 
 def _check_oracle(sys, xi_max) -> CheckResult:
     # the quadrature against orbit_periods: each quarter period as the sum
-    # of its 8 arcs' times, seeded on the orbit by energy conservation, all
-    # 80 arcs one stacked DOP853 run and one Hénon run onto their sections;
-    # orbit_period, one run from (xi, 0), is the route with no seed
+    # of its 12 arcs' times, seeded on the orbit by energy conservation, all
+    # 120 arcs one stacked DOP853 run, each orbit in its own time unit, and
+    # one Hénon run onto their sections; orbit_period, one run from (xi, 0),
+    # is the route with no seed
     amps = np.geomspace(0.3, max(1.0, min(33.0, xi_max - 1.0)), 10)
     quads = period_samples(sys, amps)
     odes = orbit_periods(sys, amps, tol=1e-11)
