@@ -38,9 +38,10 @@ LAM_C = -X_MIN / math.sin(X_MIN)
 _SIN_DEFECT = tuple((-1) ** n / math.factorial(2 * n + 3) for n in range(9))[::-1]
 
 # Brent's relative tolerance, scipy's brentq default of 4 ulp, and its
-# iteration cap.  scipy stops at 100, but below h ~ 1e-200 the inversion's
-# interpolation products underflow and it creeps by steps of its tolerance,
-# for up to 101 iterations; a root found within 100 takes the same iterates.
+# iteration cap.  scipy stops at 100; the headroom is for roots of functions
+# whose values are tiny, where Brent's interpolation products underflow and
+# it creeps by steps of its tolerance.  A root found within 100 takes the
+# same iterates.
 BRENT_RTOL = 4.0 * math.ulp(1.0)
 BRENT_MAXITER = 200
 
@@ -243,8 +244,12 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     starts at or below the root (G(xi0) can exceed h only by rounding, and
     then xi0 is the root); the upper end is found by doubling, capped at the
     edge.  G is strictly increasing below the edge, so the bracket holds one
-    root.  Raises NonMonotoneEnergy if h is at or above G(edge), the level
-    where the orbit family ends.
+    root.  The gap G(x) - h is scaled by the power of two that brings h to
+    [1/2, 1): Brent's steps use only ratios and comparisons of its values,
+    so the scaling leaves its iterates unchanged, except below h ~ 1e-200,
+    where its interpolation products would underflow and it would creep by
+    steps of its tolerance.  Raises NonMonotoneEnergy if h is at or above
+    G(edge), the level where the orbit family ends.
     """
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError(f"h must be positive and finite, got {h}")
@@ -254,8 +259,10 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
             f"h={h:g} is at or above G({edge:.6g}) = {float(sys.G(edge)):.6g}, the level "
             f"of the edge where g first vanishes (lam={sys.lam:g})", x=edge)
 
+    shift = -math.frexp(h)[1]
+
     def gap(x: float) -> float:
-        return float(sys.G(x)) - h
+        return math.ldexp(float(sys.G(x)) - h, shift)
 
     lo = hi = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
     while gap(hi) < 0.0:  # lo underflows to 0 for a subnormal h

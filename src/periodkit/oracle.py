@@ -316,12 +316,23 @@ def _periods(sys: PotentialSystem, xi: float, tol: float, count: int) -> tuple[P
     """Period of the orbit through (xi, 0) from the first count falls of its
     x through 0 on one run: four times the first (count 1) or the spacing of
     the first two (count 2), with four times its first fall, the
-    quarter-period T, which a full loop's run measures on its way."""
+    quarter-period T, which a full loop's run measures on its way.  A full
+    loop that differs from that T by more than the sum of their err_est
+    raises ToleranceUnmet naming both."""
     xi = float(xi)
     _check_xi(xi)
     _check_tol(tol)
     f = _falls(sys, xi, tol, count)
-    return _sample(sys, xi, 4.0 * f[0] if count == 1 else f[1] - f[0], tol), 4.0 * f[0]
+    quarters = _sample(sys, xi, 4.0 * f[0], tol)
+    if count == 1:
+        return quarters, quarters.T
+    loop = _sample(sys, xi, f[1] - f[0], tol)
+    if abs(loop.T - quarters.T) > loop.err_est + quarters.err_est:
+        raise ToleranceUnmet(
+            f"the full loop {loop.T!r} and four quarter periods {quarters.T!r} differ by more "
+            f"than their err_est {loop.err_est:.3e} and {quarters.err_est:.3e} "
+            f"(lam={sys.lam:g}, xi={xi:g}, tol={tol:g})")
+    return loop, quarters.T
 
 
 def orbit_periods(sys: PotentialSystem, xis, tol: float = 1e-10) -> list[PeriodSample]:

@@ -226,6 +226,15 @@ def test_verify_near_the_side_equilibria_writes_its_report(capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["critical_periods"] == [] and not payload["checks"]["alternation"]["passed"]
     assert "[FAIL] alternation: margin=-inf" in err
+    # alone, two-pi finds the report's levels (exit 0) and critical fails
+    # with the error the alternation detail names (exit 2)
+    code, levels, _ = run_cli(capsys, ["two-pi", "--lambda", "4.60333884", "--k-max", "5"])
+    assert code == 0 and json.loads(levels)["two_pi_levels"] == payload["two_pi_levels"]
+    code, _, err = run_cli(capsys, ["critical", "--lambda", "4.60333884",
+                                    "--xi-max", repr(11 * math.pi)])
+    assert code == 2 and err.startswith("error: ")
+    assert payload["checks"]["alternation"]["detail"] == ("critical-period search failed: "
+                                                          + err.removeprefix("error: ").strip())
 
 
 def test_usage_error_exit_code():
@@ -317,7 +326,8 @@ def test_no_convergence_names_its_best_estimate(capsys):
 
 
 def test_period_at_a_tiny_level_converges(capsys):
-    # the inversion takes 101 Brent iterations here, past brentq's cap of 100
+    # with an unscaled gap G(x) - h the inversion took 101 Brent iterations
+    # here, past brentq's cap of 100; scaled to h's binade it evaluates it 7 times
     code, out, err = run_cli(capsys, ["period", "--lambda", "-1e-8", "--h", "1.2e-288"])
     assert (code, err) == (0, "")
     assert json.loads(out)["samples"][0]["xi"] == pytest.approx(1.549193346228934e-144, rel=1e-15)

@@ -265,9 +265,10 @@ def test_inversion_refusal_names_the_edge_and_its_level(lam, h):
     assert excinfo.value.x == edge
 
 
-# below h ~ 1e-200 at lam < 0 Brent's interpolation products underflow and it
-# creeps by steps of its tolerance: these took 101 iterations, past brentq's
-# cap of 100; the reference is sqrt(2h/(1+lam)), or (24h)^(1/4) at lam = -1
+# below h ~ 1e-200 at lam < 0 an unscaled gap G(x) - h let Brent's
+# interpolation products underflow, and it crept by steps of its tolerance:
+# these took 101 iterations, past brentq's cap of 100; the reference is
+# sqrt(2h/(1+lam)), or (24h)^(1/4) at lam = -1
 @pytest.mark.parametrize("lam,h", [(-1e-8, 1.1997787370535245e-288),
                                    (-1.0, 3.298666452230886e-290),
                                    (-1e-12, 2.0937270036480865e-207)])
@@ -277,6 +278,47 @@ def test_inversion_at_tiny_energies_converges(lam, h):
         h = mpmath.mpf(h)
         ref = (24 * h) ** 0.25 if lam == -1.0 else mpmath.sqrt(2 * h / (1 + mpmath.mpf(lam)))
     assert xi == pytest.approx(float(ref), rel=8 * EPS, abs=0)
+
+
+@pytest.mark.parametrize("lam", [-0.5, -1e-8])
+@pytest.mark.parametrize("h", [1e-250, 1e-290])
+def test_inversion_at_tiny_energies_takes_few_steps(monkeypatch, lam, h):
+    # the gap scaled to h's binade keeps Brent's interpolation in range: 10
+    # or 11 evaluations at lam = -0.5 and 6 or 7 at -1e-8, against 99 and
+    # 103 unscaled
+    evaluated = []
+    G = PotentialSystem.G
+    monkeypatch.setattr(PotentialSystem, "G", lambda s, x: evaluated.append(x) or G(s, x))
+    energy_to_amplitude(PotentialSystem(lam), h)
+    assert len(evaluated) <= 20
+
+
+@pytest.mark.parametrize("lam, roots", [
+    (-1.0, ("0x1.12004ccc0bbacp-82", "0x1.cab45469b69c7p-8", "0x1.eb3eda768b68ep+0",
+            "0x1.76350db60b1c1p+2")),
+    (-0.99, ("0x1.a74bcc85437cfp-163", "0x1.28950198a7d4fp-13", "0x1.e7bd3ce99120dp+0",
+             "0x1.76329addbc50bp+2")),
+    (-0.5, ("0x1.dee7a4ad4b81fp-166", "0x1.4f8b588e1e8a2p-16", "0x1.535bff5248eb0p+0",
+            "0x1.75b66525c91d9p+2")),
+    (-1e-8, ("0x1.52a30a209e29ap-166", "0x1.da88054676baep-17", "0x1.00000013be6e0p+0",
+             "0x1.752e50db699dcp+2")),
+    (0.5, ("0x1.147eefe21eb16p-166", "0x1.8374055ef942ap-17", "0x1.a5f4aba1d5173p-1",
+           "0x1.749b6a9543ebdp+2")),
+    (1.0, ("0x1.dee7a4ad4b81fp-167", "0x1.4f8b588e398fbp-17", "0x1.6de2cfb063d06p-1",
+           "0x1.73fbf683b6e08p+2")),
+    (2.25, ("0x1.77af12a4ee845p-167", "0x1.0738fdada7fb3p-17", "0x1.1e94c3f1c0f4ap-1",
+            "0x1.72267ac5f6a91p+2")),
+    (4.5, ("0x1.20ca5dd7c6e2fp-167", "0x1.94ae8257734c6p-18", "0x1.b7627994d9e93p-2",
+           "0x1.6d05a586962a3p+2")),
+    (6.0, ("0x1.fff8881bb3193p-168", "0x1.66b6437371680p-18", "0x1.85095e995e6c3p-2",
+           "0x1.94d35ce9c984ap+1")),
+])
+def test_inversion_at_normal_energies_keeps_the_unscaled_roots(lam, roots):
+    # Brent's steps use only ratios and comparisons of the gap's values, so
+    # scaling it by a power of two leaves these roots, recorded with the
+    # unscaled gap, to the bit
+    s = PotentialSystem(lam)
+    assert tuple(energy_to_amplitude(s, h).hex() for h in (1e-100, 1e-10, 0.5, 17.0)) == roots
 
 
 def test_inversion_past_the_iteration_cap_names_its_best_estimate(monkeypatch):

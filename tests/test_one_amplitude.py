@@ -72,6 +72,8 @@ def test_one_j1_integral_gives_the_bits_of_a_batched_row(x, partner):
     (1.0, 1e5, 2.0),        # first pass of 65,537 nodes, in three chunks past the cache
     (-0.5, 1e5, 1e5),
     (-1.0, 0.3, 1.0),       # defect rows at the nilpotent center
+    (-1.0, 1e-3, 1.0),
+    (4.5, 4.4, 1.0),        # next to the side equilibria
     (0.0, 1.0, 3.0),        # every deviation node is -0.0
     (-0.0, 1.0, 3.0),
     (LAM_C * (1 - 1e-8), X_MIN, 1.0),  # the runaway: rounding-limited, unconverged

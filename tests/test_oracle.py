@@ -83,6 +83,19 @@ def test_full_return_cross_check(lam):
     assert looped.T == pytest.approx(quartered.T, abs=1e-8)
 
 
+def test_full_loop_apart_from_its_quarters_raises(capsys):
+    # next to a double turning point the full loop's second fall comes far
+    # too early: 473.50 against the quarter mode's 772.40 (the 30-digit
+    # period is 772.40368693), each with an err_est below 1e-6
+    argv = ["oracle", "--lambda", repr(LAM_C * (1 - 1e-8)), "--xi", repr(X_MIN),
+            "--tol", "1e-11", "--full-return"]
+    with pytest.raises(ToleranceUnmet, match=r"full loop 473\.50\d* and four quarter periods "
+                                             r"772\.40\d* differ by more than their err_est"):
+        orbit_period(PotentialSystem(LAM_C * (1 - 1e-8)), X_MIN, tol=1e-11, full_return=True)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: the full loop 473.50")
+
+
 def test_full_return_replaces_only_the_period():
     # full_return keeps the quarter-period sample's fields, the same orbit
     # and route, with its own period and error estimate

@@ -1,9 +1,7 @@
 """The package's public names and what importing it loads."""
 
 import ast
-import os
-import subprocess
-import sys
+import json
 
 import periodkit
 from periodkit.model import PotentialSystem
@@ -17,17 +15,7 @@ def test_all_names_resolve_once():
     assert [name for name in periodkit.__all__ if not hasattr(periodkit, name)] == []
 
 
-def _fresh(code: str) -> list[str]:
-    """stdout lines of code run in a fresh interpreter on this checkout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
-def test_scipy_loads_only_with_an_orbit():
+def test_scipy_loads_only_with_an_orbit(fresh):
     # the quadrature, the searches, J1 and the CLI need numpy alone; the
     # quarter-period oracle loads scipy's compiled DOP853 from its file,
     # without the scipy package or scipy.integrate
@@ -46,25 +34,27 @@ def test_scipy_loads_only_with_an_orbit():
         "print(repr(orbit_period(PotentialSystem(1), 2.0).T))\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')], "
         "sorted(m for m in sys.modules if 'scipy' in m)\n")
-    assert _fresh(code)[-1] == "5.00988108828493"
+    assert fresh(code)[-1] == "5.00988108828493"
 
 
-def test_no_oracle_path_loads_a_scipy_module(tmp_path):
-    # the full loop, the trace, its drift and the CLI's oracle run on the
-    # same compiled stepper as the quarter period; through solve_ivp they
-    # imported 355 scipy modules
-    trace = tmp_path / "trace.csv"
+def test_no_oracle_path_loads_a_scipy_module(fresh, tmp_path):
+    # a cold verify, the full loop, the trace, its drift and the CLI's
+    # oracle run on the same compiled stepper as the quarter period; through
+    # solve_ivp they imported 355 scipy modules
+    trace, report = tmp_path / "trace.csv", tmp_path / "verify.json"
     code = (
         "import sys\n"
         "from periodkit import PotentialSystem, energy_drift, orbit_period, orbit_trace\n"
         "from periodkit.cli import main\n"
+        f"assert main(['verify', '--lambda', '1', '--k-max', '5', '--out', {str(report)!r}]) == 0\n"
         "s = PotentialSystem(1.0)\n"
         "orbit_period(s, 3.0, full_return=True); orbit_trace(s, 3.0); energy_drift(s, 3.0)\n"
         "assert main(['oracle', '--lambda', '1', '--xi', '3', '--full-return',\n"
         f"             '--dump-trace', {str(trace)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    assert _fresh(code)[-1] == "[]"
+    assert fresh(code)[-1] == "[]"
     assert trace.read_text().splitlines()[0] == "t,x,y,H"
+    assert json.loads(report.read_text())["passed"] is True
 
 
 _ORBITS = ("from periodkit import PotentialSystem, oracle\n"
@@ -79,11 +69,11 @@ _SCIPY_INTEGRATE = (
     "assert callable(scipy.integrate._dop.dopri853)\n")
 
 
-def test_oracle_and_scipy_integrate_load_in_either_order():
+def test_oracle_and_scipy_integrate_load_in_either_order(fresh):
     # the oracle's extension module stands outside sys.modules, so it does
     # not hide scipy.integrate's own _dop, loaded before or after it
-    first = _fresh(_ORBITS + "a = orbits()\n" + _SCIPY_INTEGRATE + "print(repr((a, orbits(), full)))")
-    last = _fresh(_ORBITS + _SCIPY_INTEGRATE + "print(repr((orbits(), orbits(), full)))")
+    first = fresh(_ORBITS + "a = orbits()\n" + _SCIPY_INTEGRATE + "print(repr((a, orbits(), full)))")
+    last = fresh(_ORBITS + _SCIPY_INTEGRATE + "print(repr((orbits(), orbits(), full)))")
     (a, b, full), (c, d, full2) = ast.literal_eval(first[-1]), ast.literal_eval(last[-1])
     here = [s.T for lam in (-0.5, 1.0, 4.5)
             for s in orbit_periods(PotentialSystem(lam), [0.3, 2.0, 9.0])]
@@ -104,19 +94,19 @@ _SCIPY_OPTIMIZE = (
     "assert callable(scipy.optimize._zeros._brentq)\n")
 
 
-def test_root_finder_and_scipy_optimize_load_in_either_order():
+def test_root_finder_and_scipy_optimize_load_in_either_order(fresh):
     # the root finder's extension module leaves no entry in sys.modules, so
     # a later import of scipy.optimize loads its own _zeros, and one made
     # earlier serves the root finder as well
-    first = _fresh(_ROOTS + "a = roots()\n" + _SCIPY_OPTIMIZE + "print(repr((a, roots())))")
-    last = _fresh(_ROOTS + _SCIPY_OPTIMIZE + "print(repr((roots(), roots())))")
+    first = fresh(_ROOTS + "a = roots()\n" + _SCIPY_OPTIMIZE + "print(repr((a, roots())))")
+    last = fresh(_ROOTS + _SCIPY_OPTIMIZE + "print(repr((roots(), roots())))")
     (a, b), (c, d) = ast.literal_eval(first[-1]), ast.literal_eval(last[-1])
     here = {}
     exec(_ROOTS, here)
     assert a == b == c == d == here["roots"]()
 
 
-def test_threads_loading_the_compiled_stepper_get_the_serial_periods():
+def test_threads_loading_the_compiled_stepper_get_the_serial_periods(fresh):
     # three threads make the first inversions and run the first orbits of a
     # fresh process at once, each load slowed to let them meet there: each
     # extension is loaded once, and every root and period is the serial one
@@ -141,4 +131,4 @@ def test_threads_loading_the_compiled_stepper_get_the_serial_periods():
         "assert loads == ['scipy.optimize._zeros', 'scipy.integrate._dop'], loads\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
         "print('ok')\n")
-    assert _fresh(code)[-1] == "ok"
+    assert fresh(code)[-1] == "ok"

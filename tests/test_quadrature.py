@@ -1,7 +1,6 @@
+import ast
 import math
-import os
 import re
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import periodkit
 import periodkit.quadrature as quadrature
 from periodkit.analysis import scan_period
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
@@ -388,7 +386,7 @@ def test_derivative_near_side_equilibria_matches_reference():
         166.13568813044444, rel=1e-9)
 
 
-def test_panel_budget_bounds_memory():
+def test_panel_budget_bounds_memory(fresh):
     # at a nearly double turning point the well depth's rounding exceeds
     # REL_TOL; the quadrature must end in NoConvergence well inside a 1 GiB
     # address space
@@ -404,12 +402,7 @@ def test_panel_budget_bounds_memory():
         "except NoConvergence as e:\n"
         "    assert e.sample is not None and not e.sample.converged\n"
         "    print('noconvergence')\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(periodkit.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "noconvergence"
+    assert fresh(code) == ["noconvergence"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -699,6 +692,40 @@ def test_reference_scan_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * 2 ** 20
+
+
+_REFERENCE_SCAN = ("import resource\n"
+                   "from periodkit import PotentialSystem, scan_period\n"
+                   "def scan():\n"
+                   "    return scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)\n")
+
+
+def test_warm_reference_scan_reuses_its_heap(fresh):
+    # 2^13-node blocks keep each integrand array within glibc's 128 KiB mmap
+    # threshold, so a warm scan reuses its heap: 0 minor page faults when
+    # measured, or 63-64 where the heap layout (which even a program's text
+    # moves) lets glibc trim and regrow 256 KiB of it once per scan; 712-713
+    # with 2^15-node blocks
+    faults = fresh(_REFERENCE_SCAN + (
+        "scan()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "scan()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+    assert int(faults[-1]) < 200
+
+
+def test_reference_scan_without_simd_tan_agrees_within_its_error(fresh):
+    # the integrands' sines come from numpy's tan, SIMD under its X86_V4
+    # dispatch; with that disabled tan runs libm's loop and last bits may
+    # differ, but every T stays within its err_est of the default run's
+    # (where the CPU lacks the features numpy at most warns, and the two
+    # runs agree)
+    default = scan_period(PotentialSystem(2.25), 0.9047, 904.7, 1000)
+    libm = ast.literal_eval(fresh(_REFERENCE_SCAN + "print(repr([(r.xi, r.T) for r in scan()]))",
+                                  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")[-1])
+    assert len(libm) == len(default) == 1000
+    assert [xi for xi, _ in libm] == [r.xi for r in default]
+    assert [r.xi for (_, T), r in zip(libm, default) if abs(T - r.T) > r.err_est] == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -220,15 +220,17 @@ def test_small_h_fails_on_a_planted_center_expansion_defect(monkeypatch, lam, de
 
 
 @pytest.mark.parametrize("k_max", [3, 5, 20])
-@pytest.mark.parametrize("lam", [1e-14, -1e-14, 1e-16, -1e-16, 1e-20, 1e-100, -1e-200, 1e-300,
-                                 -1e-307])
+@pytest.mark.parametrize("lam", [1e-12, 1e-14, -1e-14, 1e-16, -1e-16, 1e-20, 1e-100, -1e-200,
+                                 1e-300, -1e-307])
 def test_verify_passes_at_tiny_coupling(lam, k_max):
-    # |T - 2*pi| is below the ulp of 2*pi here, so T_star rounds to 2*pi at
-    # every extremum and ordering on it failed alternation (margin -1);
-    # dev_star from the deviation integral keeps the extrema apart
+    # |T - 2*pi| is at or below the ulp of 2*pi here, so T_star rounds to
+    # 2*pi at every extremum and ordering on it failed alternation (margin
+    # -1); dev_star from the deviation integral keeps the extrema apart, and
+    # the bracket signs come from it, so none is degenerate
     rep = run_verify(lam, k_max)
     assert rep.passed, {name: c for name, c in rep.checks.items() if not c.passed}
     assert rep.checks["alternation"].margin > 0.0
+    assert not any(br.degenerate for br in rep.brackets)
     assert all(c.T_star == TWO_PI + c.dev_star for c in rep.critical_periods)
 
 
@@ -266,10 +268,13 @@ def _searched_alone(lam, k_max):
 @pytest.mark.parametrize("lam", [-0.99, -0.5, -1e-8, 1e-8, 1.0, 2.5, 4.5])
 def test_verify_finds_the_bits_of_the_searches_run_alone(lam, k_max):
     # verify refines its 2*pi-levels and its extrema in one search, both
-    # kinds in every engine call; each keeps the bits of its own search
+    # kinds in every engine call; each keeps the bits of its own search, and
+    # every check passes, from the oracle's slowest coupling (-0.99) to its
+    # most anharmonic one (4.5)
     brackets, levels, xi_max = _searched_alone(lam, k_max)
     extrema = find_critical_periods(PotentialSystem(lam), xi_max)
     rep = run_verify(lam, k_max)
+    assert rep.passed, {name: c for name, c in rep.checks.items() if not c.passed}
     assert _bits(rep.brackets) == _bits(brackets)
     assert _bits(rep.two_pi_levels) == _bits(levels)
     assert _bits(rep.critical_periods) == _bits(extrema)
