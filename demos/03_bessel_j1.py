@@ -31,7 +31,7 @@ print()
 worst = identity_gap(14.0, 100)
 print(f"max |integral - 2*pi*J1| on [0, 14]: {worst:.2e} (bound {IDENTITY_TOL:.0e})\n")
 
-# --- zeros bracketed from the large-argument cosine, refined by Chandrupatla ---
+# --- zeros bracketed from the large-argument cosine, refined from McMahon's ---
 
 zeros = j1_zeros(6)
 print("first zeros of J1:", ", ".join(f"{z:.6f}" for z in zeros))

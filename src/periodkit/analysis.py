@@ -16,10 +16,14 @@ sign-changing 2*pi-levels the derivative T' must vanish, which is how the
 critical periods are located and counted.  Both searches are one, _search:
 one engine call samples T - 2*pi on the level grids and dT/dxi on the slope
 grid, each row with the bits and the error of its kind's call alone, and all
-sign changes of both are refined together, one more such call per iteration
-of Chandrupatla's method, which _refine runs over numpy arrays, each bracket
-to its own tolerance (bessel.j1_zeros refines with _refine too).  A slope
-that does not converge ends the extremum search there, not the levels'.
+sign changes of both are refined together by _straddle, each bracket to its
+own tolerance, started at no call from the root of the cubic through its 4
+nearest grid points.  Each further call takes a pair p -+ d around every open
+bracket's iterate p: a pair of opposite signs closes its bracket, and one of
+a single sign narrows it and gives the Newton step, its secant the slope.
+Three calls closed every bracket of verify at each coupling measured in
+[-0.99, 4.5] (bessel.j1_zeros refines with _straddle too).  A slope that
+does not converge ends the extremum search there, not the levels'.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from .errors import (AmbiguousBracket, BracketFailure, DegenerateIsochronous, NoConvergence,
                      SignViolation)
 from .model import PotentialSystem, _brent, energy_to_amplitude, require_valid
-from .quadrature import (_COUPLING, _DEVIATION, _SLOPE, EPS, TINY, DerivativeEstimate, PeriodSample,
+from .quadrature import (_COUPLING, _DEVIATION, _SLOPE, EPS, DerivativeEstimate, PeriodSample,
                          _estimates, _one_estimate, period_deviations, period_samples)
 
 TWO_PI = 2.0 * math.pi
@@ -42,7 +46,8 @@ SCAN_STEP = math.pi / 8.0          # 2*pi-levels sit ~pi apart at large xi
 CRITICAL_REFINE_REL = 1e-8         # refine_err <= 1e-8 * xi_star
 LEVEL_REFINE_REL = 1e-12           # a 2*pi-level's amplitude, relative
 SIGN_VIOLATION_FACTOR = 10.0
-# find_root's default cap: one bisection per binade of the normal doubles
+# calls of one refinement: one per binade of the normal doubles, so room for
+# bisection alone to close any bracket of them
 REFINE_MAXITER = 2046
 
 
@@ -114,8 +119,10 @@ def find_critical_periods(sys: PotentialSystem, xi_max: float) -> list[CriticalP
     """Locate and classify the extrema of T on (0, xi_max].
 
     dT/dxi is sampled on a grid of step pi/8 in one batched quadrature;
-    all sign changes are refined together by Chandrupatla's method on
-    dT/dxi to within refine_err <= 1e-8 * xi_star (_search).
+    all sign changes are refined together by Newton steps that straddle
+    their iterate, on dT/dxi to within refine_err <= 1e-8 * xi_star
+    (_search, _straddle).  A slope of exactly 0 on the grid between slopes
+    of opposite signs is an extremum itself.
     Sign changes where both endpoint slopes drown in their own error
     estimates are reported via the AmbiguousBracket warning and skipped.
     lam = 0 is the isochronous center: the empty list is returned without
@@ -138,13 +145,16 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
 
     One engine call takes T - 2*pi on the 7 inner points of each bracket's
     9-point grid (the ends are the bracket's) and dT/dxi on the pi/8 grid;
-    one _refine run takes every sign change of both, each kind to its own
-    tolerance, one engine call per iteration.  Every row keeps the bits of
-    its own kind's call.  failure is the NoConvergence that stopped the
-    extremum search, leaving no extrema, else None: from it on each call
-    takes the level rows alone and every slope reads 0, which closes its
-    bracket, so the levels finish in the same refinement; a level row that
-    does not converge raises.
+    one _straddle run takes every sign change of both, each kind to its own
+    tolerance, one engine call per step, each bracket started at the root of
+    the cubic through its 4 nearest grid points (_nearest4, _cubic_start).
+    A grid value of exactly 0 is the root of the one cell it starts, and a
+    slope of 0 between slopes of opposite signs an extremum, so each zero is
+    one root.  Every row keeps the bits of its own kind's call.  failure is
+    the NoConvergence that stopped the extremum search, leaving no extrema,
+    else None: from it on each call takes the level rows alone and every
+    slope reads 0, which closes its bracket, so the levels finish in the
+    same refinement; a level row that does not converge raises.
     """
     failure = None
 
@@ -157,33 +167,48 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
                 failure = exc
         return tuple(np.pad(v, (0, xs.size)) for v in _estimates(sys, (_DEVIATION, xd)))
 
-    grids = np.reshape([np.linspace(*bracket_amplitudes(br.k), 9) for br in brackets], (-1, 9))
+    ends = np.reshape([bracket_amplitudes(br.k) for br in brackets], (-1, 2))
+    grids = np.linspace(ends[:, 0], ends[:, 1], 9, axis=1)
     grid = np.arange(SCAN_STEP, xi_max + 1e-12, SCAN_STEP) if xi_max is not None else np.empty(0)
     value, err = values(grids[:, 1:-1].ravel(), grid)
     n = value.size - grid.size
     devs = np.column_stack(([br.dev_lo for br in brackets], value[:n].reshape(-1, 7),
                             [br.dev_hi for br in brackets]))
-    x0, x1 = grids[:, :-1].ravel(), grids[:, 1:].ravel()
-    d0, d1 = devs[:, :-1].ravel(), devs[:, 1:].ravel()
-    # a zero end is its own root; a product of signs does not underflow
-    cross = np.flatnonzero(np.sign(d0) * np.sign(d1) <= 0.0)
+    # cell j of a bracket is [x_j, x_j+1], its last [x_8, x_8]: a zero value
+    # is the root of the one cell it starts; a product of signs does not underflow
+    x0, d0 = grids.ravel(), devs.ravel()
+    x1, d1 = (np.column_stack((v[:, 1:], v[:, -1:])).ravel() for v in (grids, devs))
+    cross = np.flatnonzero((d0 == 0.0) | (np.sign(d0) * np.sign(d1) < 0.0))
 
+    # T' changes sign across [grid[l], grid[r]]: a cell, or the two around a
+    # slope that is exactly 0, which is then the root of the cell it starts
     slopes = value[n:]
+    sign = np.sign(slopes)
+    flat = (sign[1:-1] == 0.0) & (sign[:-2] * sign[2:] < 0.0)
+    l = np.sort(np.concatenate((np.flatnonzero(sign[:-1] * sign[1:] < 0.0), np.flatnonzero(flat))))
+    r = l + 1 + (sign[l + 1] == 0.0)
     drowned = np.abs(slopes) < err[n:]
-    drowned = drowned[:-1] & drowned[1:]
-    change = np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0.0
-    for i in np.flatnonzero(change & drowned):
+    drowned = drowned[l] & drowned[r]
+    for k in np.flatnonzero(drowned):
         warnings.warn(
-            f"T' sign change on [{grid[i]:.6g}, {grid[i+1]:.6g}] is below "
+            f"T' sign change on [{grid[l[k]]:.6g}, {grid[r[k]]:.6g}] is below "
             f"its error estimate at both ends; not refined",
             AmbiguousBracket)
-    i = np.flatnonzero(change & ~drowned)
+    l, i = l[~drowned], r[~drowned] - 1
 
     slope, xrtol = np.repeat([False, True], [cross.size, i.size]), 0.5 * CRITICAL_REFINE_REL
     lo, hi = np.concatenate((x0[cross], grid[i])), np.concatenate((x1[cross], grid[i + 1]))
     f_lo, f_hi = np.concatenate((d0[cross], slopes[i])), np.concatenate((d1[cross], slopes[i + 1]))
-    roots = _refine(lambda x, slope: values(x[~slope], x[slope])[0], lo, hi, f_lo, f_hi,
-                    np.where(slope, xrtol, LEVEL_REFINE_REL), (slope,))
+    # the cubic starts of both kinds in one pass; a slope grid of fewer than
+    # 4 points leaves its brackets to regula falsi
+    cells = [_nearest4(grids, devs, cross)]
+    if grid.size >= 4:
+        cells.append(_nearest4(grid[None], slopes[None], i))
+    start = _cubic_start(*(np.concatenate(v) for v in zip(*cells)))
+    start = np.pad(start, (0, lo.size - start.size), constant_values=np.nan)
+    # x holds the level rows before the slopes, as values returns them
+    roots = _straddle(lambda x, slope: values(x[~slope], x[slope])[0], lo, hi, f_lo, f_hi, start,
+                      np.where(slope, xrtol, LEVEL_REFINE_REL), (slope,))
     levels, xi_star = sorted(sys.G(roots[~slope]).tolist()), roots[slope & (failure is None)]
     try:  # after a failure no slope root is kept; a failed deviation ends the extremum search
         dev_star = period_deviations(sys, xi_star)[0].tolist() if xi_star.size else []
@@ -193,65 +218,131 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
                                    kind="max" if v > 0.0 else "min",
                                    refine_err=(xrtol + 4.0 * EPS) * x)
                     for x, h, d, v in zip(xi_star.tolist(), sys.G(xi_star).tolist(), dev_star,
-                                          slopes[i])], failure
+                                          slopes[l])], failure
 
 
-def _refine(f, lo, hi, f_lo, f_hi, xrtol, args=()) -> np.ndarray:
+def _straddle(f, lo, hi, f_lo, f_hi, start, xrtol, args=()) -> np.ndarray:
     """The root of f in each bracket [lo, hi] whose end values f_lo, f_hi
-    differ in sign, by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng.
-    Softw. 28 (1997) 145-149) step for step as scipy's find_root runs it,
-    until f is 0 to the smallest normal double or the bracket is narrower
-    than xrtol (one per bracket, or one for all) times its root: one call
-    f(x, *args) per iteration, x holding one new point per open bracket and
-    each of args (an array of one entry per bracket) its entries at those
-    brackets, as find_root passes its args.  The ends keep the values given,
-    also where an iterate lands on one, since a quadrature can round an ulp
+    differ in sign, by Newton steps that straddle their iterate p.  Each
+    call f(x, *args) takes the pair p -+ d, d = 0.45*xrtol*|p|, of every
+    open bracket (xrtol one per bracket, or one for all), x pair by pair and
+    each of args (an array of one entry per bracket) repeated alike.  A pair
+    whose signs differ closes its bracket, its member with the smaller |f|
+    the root, within 0.9*xrtol*|p| of a sign change.  A pair of one sign
+    narrows the bracket to its member xn on the root's side, and p moves to
+    the root next to xn of the parabola through xn, with the pair's secant
+    for its slope, and through the end xn replaced (Newton's step where
+    that parabola has none).  A pair's secant is rounding noise where it
+    lies farther from the slope s3 of the parabola through xn and both ends
+    than 1% of s3 plus 10 times the gap between the secants from xn to the
+    two ends; s3 then stands in for it.  Bisection takes over where a step
+    leaves the bracket or does not halve the step before.  p starts at
+    start, or by regula falsi where start is not inside its bracket.  The
+    ends keep the values given: a zero end is its own root, and a pair
+    member on an end is not evaluated, since a quadrature can round an ulp
     apart in another batch and undo a sign change of a value near zero.  A
-    lost sign change, a NaN or REFINE_MAXITER iterations raise BracketFailure."""
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    root, todo, xrtol = np.empty(a.size), np.arange(a.size), np.broadcast_to(xrtol, a.shape)
-    x1, x2, x3, f1, f2, f3, t = a, b, b, fa, fb, fb, 0.5
-    for it in range(REFINE_MAXITER + 1):
-        near = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
-        zero = np.abs(fmin) <= TINY
-        held = zero | (np.sign(f1) * np.sign(f2) < 0.0)
-        if not held.all():
-            j = int(np.argmin(held))
-            raise BracketFailure(f"root refinement on [{a[j]:.6g}, {b[j]:.6g}] "
-                                 f"lost its sign change at x = {x1[j]:.17g}")
-        dx, tol = np.abs(x2 - x1), np.abs(xmin) * xrtol
-        done = zero | (dx < tol)
-        if done.any():  # closed brackets leave the state
-            root[todo[done]] = xmin[done]
-            todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol, xrtol, *args = (
-                v[~done] for v in (todo, a, b, fa, fb, x1, x2, x3, f1, f2, f3, dx, tol, xrtol, *args))
-        if not todo.size:
-            return root
-        if it == REFINE_MAXITER:
-            raise BracketFailure(f"root refinement on [{a[0]:.6g}, {b[0]:.6g}] "
-                                 f"did not converge in {it} iterations")
-        if it:  # inverse quadratic interpolation where it is safe, else bisection
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                quad = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        inner = (x != a) & (x != b)
-        if inner.all():
-            fx = f(x, *args)
+    lost sign change, a NaN or REFINE_MAXITER calls raise BracketFailure."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b, fa, fb, p = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, start))
+    zero = (fa == 0.0) | (fb == 0.0)
+    held = zero | (np.sign(fa) * np.sign(fb) < 0.0)
+    if not held.all():
+        j = int(np.argmin(held))
+        raise BracketFailure(f"root refinement on [{lo[j]:.6g}, {hi[j]:.6g}] "
+                             f"lost its sign change at x = {lo[j]:.17g}")
+    root, todo = np.where(fa == 0.0, a, b), np.flatnonzero(~zero)
+    if not todo.size:
+        return root
+    xrtol = np.broadcast_to(xrtol, lo.shape)
+    a, b, fa, fb, p, xrtol, *args = (v[todo] for v in (a, b, fa, fb, p, xrtol, *args))
+    p = np.where((a < p) & (p < b), p, a - (b - a) * (fa / (fb - fa)))
+    sign_a, step = np.sign(fa), np.full(todo.size, np.inf)
+    for _ in range(REFINE_MAXITER):
+        d, x = 0.45 * xrtol * np.abs(p), np.empty((p.size, 2))
+        np.maximum(p - d, a, out=x[:, 0])
+        np.minimum(p + d, b, out=x[:, 1])
+        if (x[:, 0] != a).all() and (x[:, 1] != b).all():
+            fx = f(x.ravel(), *(np.repeat(v, 2) for v in args)).reshape(-1, 2)
         else:
-            fx = np.where(x == a, fa, fb)
+            fx, inner = np.column_stack((fa, fb)), x != np.column_stack((a, b))
             if inner.any():
-                fx[inner] = f(x[inner], *(v[inner] for v in args))
-        same = np.sign(fx) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
+                fx[inner] = f(x[inner], *(np.repeat(v, 2)[inner.ravel()] for v in args))
+        if np.isnan(fx).any():
+            j = int(np.argmax(np.isnan(fx).any(axis=1)))
+            raise BracketFailure(f"root refinement on [{lo[todo[j]]:.6g}, {hi[todo[j]]:.6g}] "
+                                 f"lost its sign change at x = {p[j]:.17g}")
+        x0, x1, f0, f1 = x[:, 0], x[:, 1], fx[:, 0], fx[:, 1]
+        sign = np.sign(f0)
+        closed = sign * np.sign(f1) <= 0.0
+        if closed.any():
+            root[todo[closed]] = np.where(np.abs(f1) < np.abs(f0), x1, x0)[closed]
+            if closed.all():
+                return root
+        # a pair of fa's sign has the root past its upper member: xn, the
+        # end xo it replaces, the end xf that stays, and the new ends
+        xn, fn, xo, fo, xf, ff, a, fa, b, fb = np.where(sign == sign_a,
+                                                       (x1, f1, a, fa, b, fb, x1, f1, b, fb),
+                                                       (x0, f0, b, fb, a, fa, a, fa, x0, f0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            so, sf = (fn - fo) / (xn - xo), (ff - fn) / (xf - xn)
+            s3 = so + (sf - so) * ((xn - xo) / (xf - xo))
+            pair = (f1 - f0) / (x1 - x0)
+            noise = np.abs(pair - s3) > 0.01 * np.abs(s3) + 10.0 * np.abs(sf - so)
+            slope = np.where(noise, s3, pair)
+            # Newton's step u, shrunk by the parabola's curvature, in ratios
+            # that do not underflow
+            u = fn / slope
+            w = 1.0 - 4.0 * u * (so / slope - 1.0) / (xo - xn)
+            newton = xn - np.where(w >= 0.0, 2.0 * u / (1.0 + np.sqrt(w)), u)
+        dx = np.abs(newton - xn)
+        safe = (a < newton) & (newton < b) & (dx < 0.5 * step)
+        p, step = np.where(safe, newton, 0.5 * a + 0.5 * b), np.where(safe, dx, np.inf)
+        if closed.any():
+            go = ~closed
+            todo, a, b, fa, fb, p, xrtol, sign_a, step, *args = (
+                v[go] for v in (todo, a, b, fa, fb, p, xrtol, sign_a, step, *args))
+    raise BracketFailure(f"root refinement on [{lo[todo[0]]:.6g}, {hi[todo[0]]:.6g}] "
+                         f"did not converge in {REFINE_MAXITER} calls")
+
+
+def _nearest4(x, y, left):
+    """The 4 points of the grid rows x, y (at least 4 each) nearest each
+    cell [left, left + 1], left a flat index into x, and the place of the
+    cell's left end among them."""
+    m = x.shape[-1]
+    row, col = np.divmod(left, m)
+    first = np.clip(col - 1, 0, m - 4)
+    j = (row * m + first)[:, None] + np.arange(4)
+    # a level's last cell [x_8, x_8] takes [x_7, x_8]
+    return x.ravel()[j], y.ravel()[j], np.minimum(col - first, 2)
+
+
+def _cubic_start(xs, ys, end) -> np.ndarray:
+    """A start for _straddle in each cell [xs[end], xs[end + 1]] at no
+    call: the root of the cubic through the 4 points xs, ys of its row, from
+    inverse interpolation through them (regula falsi where that leaves the
+    cell) by two Newton steps on the cubic, each kept where it stays in the
+    cell."""
+    n = np.arange(end.size)
+    a, b, fa, fb = xs[n, end], xs[n, end + 1], ys[n, end], ys[n, end + 1]
+    c = ys.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for o in range(1, 4):  # Newton's divided differences, in place
+            c[:, o:] = (c[:, o:] - c[:, o - 1:-1]) / (xs[:, o:] - xs[:, :-o])
+        # Lagrange's weight of x_i at y = 0: the product of y_j/(y_j - y_i)
+        # over j != i, each a ratio of like values that cannot underflow
+        ratio = ys[:, None, :] / (ys[:, None, :] - ys[:, :, None])
+        ratio[:, range(4), range(4)] = 1.0
+        t = np.sum(xs * np.prod(ratio, axis=2), axis=1)
+        t = np.where((a < t) & (t < b), t, a - (b - a) * (fa / (fb - fa)))
+        for _ in range(2):
+            dv, v = c[:, 3], c[:, 3] * (t - xs[:, 2]) + c[:, 2]
+            for o in (1, 0):
+                dv = dv * (t - xs[:, o]) + v
+                v = v * (t - xs[:, o]) + c[:, o]
+            newton = t - v / dv
+            t = np.where((a < newton) & (newton < b), newton, t)
+    return t
 
 
 def _sign_with_tol(value: float, err: float) -> int:
@@ -306,9 +397,10 @@ def find_two_pi_levels(sys: PotentialSystem, brackets: list[TwoPiBracket]) -> li
 
     Each bracket is scanned at amplitude step pi/8 between its measured
     ends, the inner points of all brackets in one batched quadrature; all
-    sign changes of T - 2*pi are refined together by Chandrupatla's method
-    to 1e-12 relative in the amplitude, so extra crossings inside a bracket
-    are picked up too.
+    sign changes of T - 2*pi are refined together by Newton steps that
+    straddle their iterate (_straddle) to 1e-12 relative in the amplitude,
+    so extra crossings inside a bracket are picked up too; a grid value of
+    exactly 0 is one level.
     The scan and the refinement take T - 2*pi from the deviation integral,
     which does not round at the ulp of 2*pi however small lam is.  Levels
     are returned strictly increasing.

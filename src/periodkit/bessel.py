@@ -24,9 +24,12 @@ period's coupling derivative at lam = 0 instead.  This module returns
 numbers only; the payload format lives in report.py.
 
 Zeros are bracketed from the zeros (k + 1/4)*pi of the large-argument form
-sqrt(2/(pi*xi)) * cos(xi - 3*pi/4) and refined all together by the analysis
-module's batched Chandrupatla iteration, one series and one trapezoid pass
-per iteration; no tabulated constants enter.
+sqrt(2/(pi*xi)) * cos(xi - 3*pi/4), started from McMahon's expansion and
+refined all together by the analysis module's batched straddle steps, one
+series and one trapezoid pass per step; no tabulated constants enter.  Near
+xi = 10 the series rounds by more than J1 changes across a straddling pair,
+whose secant the steps then set aside for the slope of the parabola through
+the bracket.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TWO_PI, _refine
+from .analysis import TWO_PI, _straddle
 from .errors import BracketFailure, NoConvergence, RangeExceeded
 from .quadrature import EPS, ROUNDING_FLOOR, _periodic
 
@@ -165,18 +168,22 @@ def _j1_values(xi: np.ndarray) -> np.ndarray:
 
 
 def j1_zeros(n: int) -> list[float]:
-    """First n positive zeros, bracketed from the asymptotic cosine zeros
-    (k + 1/4)*pi +- pi/2 (widened by pi/2 where J1 keeps its sign) and
-    refined together by Chandrupatla's method on J1 to ZERO_REL_TOL."""
+    """First n positive zeros, bracketed by beta +- pi/2 around the
+    asymptotic cosine zeros beta = (k + 1/4)*pi (widened by pi/2 where J1
+    keeps its sign) and refined together by _straddle on J1 to
+    ZERO_REL_TOL, each started from McMahon's expansion in 1/(8*beta)
+    (Abramowitz & Stegun 9.5.12)."""
     if n < 1:
         raise ValueError("need n >= 1")
     guess = (np.arange(1, n + 1) + 0.25) * math.pi
+    w = 1.0 / (8.0 * guess) ** 2
+    start = guess - (3.0 + w * (-12.0 + w * (113184 / 15 - w * 374632128 / 105))) / (8.0 * guess)
     lo, hi = guess - 0.5 * math.pi, guess + 0.5 * math.pi
     for _ in range(2):
         f_lo, f_hi = np.split(_j1_values(np.concatenate((lo, hi))), 2)
         same = f_lo * f_hi > 0.0
         if not same.any():
-            return _refine(_j1_values, lo, hi, f_lo, f_hi, ZERO_REL_TOL).tolist()
+            return _straddle(_j1_values, lo, hi, f_lo, f_hi, start, ZERO_REL_TOL).tolist()
         lo[same] -= 0.5 * math.pi
         hi[same] += 0.5 * math.pi
     k = int(np.argmax(same))

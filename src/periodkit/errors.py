@@ -39,8 +39,8 @@ class RangeExceeded(PeriodkitError):
 
 
 class BracketFailure(PeriodkitError):
-    """A bracket held no sign change even after widening, lost it while
-    refined, or reached the refinement's iteration cap."""
+    """A bracket held no sign change even after widening, met a NaN while
+    refined, or reached the refinement's cap of REFINE_MAXITER calls."""
 
 
 class SignViolation(PeriodkitError):

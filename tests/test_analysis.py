@@ -165,34 +165,33 @@ class _EngineCalls:
 
 @pytest.mark.parametrize("lam", [-0.9, 1.0, 4.4])
 def test_refinement_engine_call_ceilings(monkeypatch, lam):
-    # one engine call per refinement iteration over all open brackets: 7-9
-    # for 40 extrema and 6-7 for 20 levels when measured, and 10-12 for a
-    # whole verify that refines both in one run; refining bracket by bracket
-    # took 184-186, 84-86 and 291-292 for a whole verify, and the two
-    # searches one after the other 17-20
+    # one engine call per refinement step over all open brackets, three
+    # steps from the cubic starts: 5 calls for 40 extrema (the grid, three
+    # steps, the extrema's deviations), 4 for 20 levels, and 8 for a whole
+    # verify that refines both in one run
     s = PotentialSystem(lam)
     brackets = two_pi_brackets(s, 20)
     counter = _EngineCalls(monkeypatch)
     assert len(find_critical_periods(s, 41 * PI)) == 40
-    assert counter.calls <= 12
+    assert counter.calls <= 5
     counter.calls = 0
     assert len(find_two_pi_levels(s, brackets)) == 20
-    assert counter.calls <= 10
+    assert counter.calls <= 4
     _check_bessel_link()  # once per process, maybe not yet in this one
     counter.calls = 0
     run_verify(lam, 20)
-    assert counter.calls <= 13
+    assert counter.calls <= 8
 
 
-@pytest.mark.parametrize("lam,calls", [(-0.99, 11), (1.0, 10), (2.5, 11), (4.4, 12),
-                                       (4.60333884, 12), (LAM_C * (1.0 - 1e-6), 16)])
+@pytest.mark.parametrize("lam,calls", [(-0.99, 8), (1.0, 8), (2.5, 8), (4.4, 8),
+                                       (4.60333884, 8), (LAM_C * (1.0 - 1e-6), 14)])
 def test_verify_engine_calls(monkeypatch, lam, calls):
-    # small-h, the bracket ends, the grids of both searches, one call per
-    # iteration of their one refinement, the extrema's deviations and the
-    # oracle's periods; the bessel-link check runs once per process.  Near
-    # LAM_C a slope does not converge: one more call takes the level rows
-    # alone, and the levels finish in the same refinement (18 and 22 calls
-    # when the level search ran again)
+    # small-h, the bracket ends, the grids of both searches, three steps of
+    # their one refinement, the extrema's deviations and the oracle's
+    # periods; the bessel-link check runs once per process.  Near LAM_C a
+    # slope does not converge: its bracket takes more steps, the levels
+    # finish in the same refinement, and one more call takes the level rows
+    # alone
     _check_bessel_link()
     counter = _EngineCalls(monkeypatch)
     run_verify(lam, 5)
@@ -218,8 +217,8 @@ EPS = float(np.finfo(float).eps)
 
 
 def _find_root_reference(f, lo, hi, f_lo, f_hi, xrtol):
-    """The refinement as scipy's find_root runs Chandrupatla's method, with
-    the given end values kept wherever an iterate lands on an end."""
+    """Chandrupatla's method as scipy's find_root runs it, with the given
+    end values kept wherever an iterate lands on an end."""
     def values(x, a, b, fa, fb):
         out = np.where(x == a, fa, fb)
         inner = (x != a) & (x != b)
@@ -231,113 +230,131 @@ def _find_root_reference(f, lo, hi, f_lo, f_hi, xrtol):
                      tolerances=dict(xatol=0.0, xrtol=xrtol))
 
 
-def _recorded(f, batches):
+def _recorded(f, calls):
     def g(x):
-        batches.append(x.copy())
+        calls.append(x.copy())
         return f(x)
 
     return g
 
 
-def _assert_refine_matches_find_root(f, lo, hi, f_lo, f_hi, xrtol, refine=analysis._refine):
-    ours, theirs = [], []
-    root = refine(_recorded(f, ours), lo, hi, f_lo, f_hi, xrtol)
-    ref = _find_root_reference(_recorded(f, theirs), lo, hi, f_lo, f_hi, xrtol)
-    assert ref.success.all()
-    assert np.array_equal(root.view(np.int64), ref.x.view(np.int64))
-    assert len(ours) == len(theirs)
-    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
-    return root, ref, ours
+def _one(f, lo, hi, f_lo, f_hi, start, xrtol):
+    """The root of one bracket, as a float."""
+    lo, hi, f_lo, f_hi, start = (np.array([v]) for v in (lo, hi, f_lo, f_hi, start))
+    return float(analysis._straddle(f, lo, hi, f_lo, f_hi, start, xrtol)[0])
+
+
+def _straddled(root, x, v, tol):
+    """Each root has a value of opposite sign, or is a zero, within tol."""
+    for r, t in zip(root, tol):
+        fr = v[x == r][0]
+        assert fr == 0.0 or np.any((np.abs(x - r) <= t) & (np.sign(v) == -np.sign(fr))), r
 
 
 @pytest.mark.parametrize("lam", [-0.9, 0.5, 1.0, 2.5, 4.4])
 def test_refine_matches_scipy_find_root_in_a_verify(monkeypatch, lam):
-    # verify refines its levels and its extrema in one run; each kind gives
-    # the roots, and evaluates the batches, of find_root on that kind alone
-    # with its own integral, to the bit
+    # verify refines its levels and its extrema in one run (k_max 5 and 20);
+    # every root lies within its tolerance (refine_err for an extremum) of
+    # find_root's root on its bracket with its kind's integral alone, and has
+    # a value of the opposite sign closer than that
     s = PotentialSystem(lam)
     kinds = {False: (analysis.LEVEL_REFINE_REL, quadrature.period_deviations),
              True: (0.5 * analysis.CRITICAL_REFINE_REL, quadrature.period_slopes)}
-    refine, searches = analysis._refine, []
+    straddle, searches = analysis._straddle, []
 
-    def compared(f, lo, hi, f_lo, f_hi, xrtol, args):
-        (slope,), batches = args, []
+    def compared(f, lo, hi, f_lo, f_hi, start, xrtol, args):
+        (slope,), seen = args, []
 
         def recorded(x, kind):
-            batches.append((x.copy(), kind.copy()))
-            return f(x, kind)
+            value = f(x, kind)
+            seen.append((x.copy(), value.copy()))
+            return value
 
-        root = refine(recorded, lo, hi, f_lo, f_hi, xrtol, args)
+        root = straddle(recorded, lo, hi, f_lo, f_hi, start, xrtol, args)
+        x = np.concatenate([lo, hi] + [x for x, _ in seen])
+        v = np.concatenate([f_lo, f_hi] + [v for _, v in seen])
         for kind, (rtol, integral) in kinds.items():
             at = slope == kind
             assert np.all(xrtol[at] == rtol)
-            ours = [x[k == kind] for x, k in batches if np.any(k == kind)]
-            theirs = []
-            ref = _find_root_reference(_recorded(lambda x: integral(s, x)[0], theirs),
-                                       lo[at], hi[at], f_lo[at], f_hi[at], rtol)
+            ref = _find_root_reference(lambda x: integral(s, x)[0], lo[at], hi[at], f_lo[at],
+                                       f_hi[at], rtol)
+            tol = (rtol + 4.0 * EPS) * root[at]
             assert ref.success.all()
-            assert np.array_equal(root[at].view(np.int64), ref.x.view(np.int64))
-            assert len(ours) == len(theirs)
-            assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+            assert np.all(np.abs(root[at] - ref.x) <= tol)
+            _straddled(root[at], x, v, tol)
             searches.append((kind, int(np.count_nonzero(at))))
         return root
 
-    monkeypatch.setattr(analysis, "_refine", compared)
-    report = run_verify(lam, 20)
-    assert searches == [(False, len(report.two_pi_levels)), (True, len(report.critical_periods))]
+    monkeypatch.setattr(analysis, "_straddle", compared)
+    for k_max in (5, 20):
+        searches.clear()
+        report = run_verify(lam, k_max)
+        assert report.passed
+        assert searches == [(False, len(report.two_pi_levels)),
+                            (True, len(report.critical_periods))]
+        for c in report.critical_periods:
+            assert c.refine_err == (0.5 * analysis.CRITICAL_REFINE_REL + 4.0 * EPS) * c.xi_star
 
 
 def test_refine_takes_a_zero_end_as_its_root():
     def f(x):
-        assert not np.isin(x, [1.0, 4.0]).any()
+        assert not np.isin(x, [1.0, 2.0, 4.0]).any()
         return x * x - 2.0
 
-    lo, hi = np.array([1.0, 0.5, 1.0]), np.array([2.0, 1.0, 4.0])
-    root, _, _ = _assert_refine_matches_find_root(
-        f, lo, hi, np.array([0.0, -1.75, 0.0]), np.array([2.0, 0.0, 0.0]), 1e-12)
-    assert root[0] == 1.0 and root[1] == 1.0 and root[2] == 4.0
+    lo, hi = np.array([1.0, 0.5, 1.0, 1.0]), np.array([2.0, 1.0, 4.0, 2.0])
+    root = analysis._straddle(f, lo, hi, np.array([0.0, -1.75, 0.0, -1.0]),
+                              np.array([2.0, 0.0, 0.0, 2.0]), np.full(4, 1.5), 1e-12)
+    assert root[:3].tolist() == [1.0, 1.0, 1.0]
+    assert abs(root[3] - math.sqrt(2.0)) <= 1e-12 * root[3]
 
 
 def test_refine_keeps_the_given_value_where_an_iterate_lands_on_an_end():
-    # from the bracket [1, 1 + 4 eps] the second iterate rounds onto 1, whose
-    # given value -1e-6 is not f(1) = -1; f is never asked at either end
-    lo, hi = np.array([1.0]), np.array([1.0 + 4.0 * EPS])
-
+    # a pair member on an end takes the end's given value, here -1e-6 where
+    # f(1) = -0.5, and is not evaluated; a bracket narrower than its pair
+    # closes on the end with the smaller given |f|, with no call at all
     def f(x):
-        assert not ((x == lo[0]) | (x == hi[0])).any()
-        return (x - (1.0 + EPS)) / EPS
+        assert not np.isin(x, [1.0, 2.0]).any()
+        return x - 1.5
 
-    root, ref, ours = _assert_refine_matches_find_root(
-        f, lo, hi, np.array([-1e-6]), np.array([3.0]), 1e-20)
-    assert root[0] == 1.0 + EPS
-    assert int(ref.nit[0]) == len(ours) + 1
+    calls = []
+    root = _one(_recorded(f, calls), 1.0, 2.0, -1e-6, 0.5, 1.0 + 1e-13, 1e-12)
+    assert calls[0].size == 1 and abs(root - 1.5) <= 1e-12 * 1.5
+    calls.clear()
+    assert _one(_recorded(f, calls), 1.0, 1.0 + 4.0 * EPS, -1e-6, 3.0, 1.0 + EPS, 1e-12) == 1.0
+    assert calls == []
 
 
 def test_refine_evaluates_only_the_iterates_off_their_ends():
-    # one batch: the [1, 1 + 4 eps] bracket's second iterate rounds onto 1,
-    # where it keeps its given value, while the [1, 2] bracket's lies
-    # inside, so the second call evaluates that one iterate alone; each root
-    # is the one of its bracket refined alone
-    lo, hi = np.array([1.0, 1.0]), np.array([1.0 + 4.0 * EPS, 2.0])
-    calls = []
-
+    # one batch: the first bracket's pair has its lower member on its end, so
+    # the first call takes 3 points; each root is the one of its bracket
+    # refined alone, to the bit
     def f(x):
-        assert not np.isin(x, np.concatenate((lo, hi))).any()
-        calls.append(x.size)
-        return (x - (1.0 + EPS)) / EPS
+        assert not np.isin(x, [1.0, 2.0, 0.5, 1.5]).any()
+        return np.sin(x) - 0.9
 
-    f_lo, f_hi, xrtol = np.array([-1e-6, -1.0]), np.array([3.0, (1.0 - EPS) / EPS]), [1e-20, 1e-12]
-    root = analysis._refine(f, lo, hi, f_lo, f_hi, np.array(xrtol))
-    assert calls[:2] == [2, 1]
-    alone = [analysis._refine(f, lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], f_hi[i:i + 1], xrtol[i])
-             for i in range(2)]
-    assert root.tobytes() == np.concatenate(alone).tobytes()
+    calls = []
+    lo, hi, start = np.array([1.0, 0.5]), np.array([2.0, 1.5]), np.array([1.0 + 1e-13, 1.2])
+    f_lo, f_hi = np.sin(lo) - 0.9, np.array([np.sin(2.0) - 0.9, 0.5])  # 0.5, not f(1.5)
+    xrtol = np.array([1e-12, 1e-9])
+    root = analysis._straddle(_recorded(f, calls), lo, hi, f_lo, f_hi, start, xrtol)
+    assert calls[0].size == 3
+    alone = [_one(f, *(v[i] for v in (lo, hi, f_lo, f_hi, start, xrtol))) for i in range(2)]
+    assert root.tolist() == alone
+    assert np.abs(root - math.asin(0.9)).max() <= 1e-9 * root.max()
+
+
+@pytest.mark.parametrize("start", [1.0, 2.0, 0.0, 3.0, math.nan])
+def test_refine_converges_from_a_start_on_an_end_or_outside(start):
+    calls = []
+    root = _one(_recorded(lambda x: x * x - 2.0, calls), 1.0, 2.0, -1.0, 2.0, start, 1e-12)
+    assert abs(root - math.sqrt(2.0)) <= 0.9e-12 * root
+    assert len(calls) <= 6
 
 
 def test_refine_rejects_a_same_sign_bracket():
     with pytest.raises(BracketFailure, match=r"\[2, 3\] lost its sign change"):
-        analysis._refine(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]),
-                         np.array([-1.0, 1.0]), np.array([1.0, 2.0]), 1e-12)
+        analysis._straddle(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]),
+                           np.array([-1.0, 1.0]), np.array([1.0, 2.0]), np.array([1.0, 2.5]), 1e-12)
 
 
 def test_refine_rejects_a_nan_value():
@@ -345,18 +362,57 @@ def test_refine_rejects_a_nan_value():
         return np.where(x > 1.2, np.nan, x - 1.0)
 
     with pytest.raises(BracketFailure, match="lost its sign change"):
-        analysis._refine(f, np.array([0.0]), np.array([3.0]), np.array([-1.0]),
-                         np.array([2.0]), 1e-12)
+        analysis._straddle(f, np.array([0.0]), np.array([3.0]), np.array([-1.0]),
+                           np.array([2.0]), np.array([1.5]), 1e-12)
     with pytest.raises(BracketFailure, match="lost its sign change"):
-        analysis._refine(f, np.array([0.0]), np.array([3.0]), np.array([np.nan]),
-                         np.array([2.0]), 1e-12)
+        analysis._straddle(f, np.array([0.0]), np.array([3.0]), np.array([np.nan]),
+                           np.array([2.0]), np.array([1.5]), 1e-12)
 
 
 def test_refine_stops_at_the_iteration_cap():
-    # xrtol = 0 never ends a bracket around an irrational root
-    with pytest.raises(BracketFailure, match=r"did not converge in 2046 iterations"):
-        analysis._refine(lambda x: x * x - 2.0, np.array([1.0]), np.array([2.0]),
-                         np.array([-1.0]), np.array([2.0]), 0.0)
+    # xrtol = 0 never closes a bracket around an irrational root
+    with pytest.raises(BracketFailure, match=r"did not converge in 2046 calls"):
+        analysis._straddle(lambda x: x * x - 2.0, np.array([1.0]), np.array([2.0]),
+                           np.array([-1.0]), np.array([2.0]), np.array([1.5]), 0.0)
+
+
+def _planted_zero(monkeypatch, kind, point):
+    """The grid values of kind at point read exactly 0."""
+    estimates = analysis._estimates
+
+    def planted(sys, *parts):
+        value, err = estimates(sys, *parts)
+        at = np.concatenate([(np.asarray(x) == point) & (k is kind) for k, x in parts])
+        return np.where(at, 0.0, value), err
+
+    monkeypatch.setattr(analysis, "_estimates", planted)
+
+
+def test_a_level_grid_value_of_zero_is_one_level(monkeypatch):
+    # the grid point nearest the second level reads 0: it is that level, once
+    # (both cells it ends counted it), and the other levels keep their bits
+    s = PotentialSystem(1.0)
+    brackets = two_pi_brackets(s, 3)
+    plain = find_two_pi_levels(s, brackets)
+    grid = np.linspace(*bracket_amplitudes(2), 9)
+    point = float(grid[np.argmin(np.abs(s.G(grid) - plain[1]))])
+    _planted_zero(monkeypatch, quadrature._DEVIATION, point)
+    levels = find_two_pi_levels(s, brackets)
+    assert levels == [plain[0], float(s.G(point)), plain[2]]
+
+
+def test_a_slope_grid_value_of_zero_is_one_extremum(monkeypatch):
+    # the grid point nearest the first extremum reads a slope of 0 between
+    # slopes of opposite signs: it is that extremum, of the same kind (no
+    # cell it ends held a strict sign change, so it was lost)
+    s = PotentialSystem(1.0)
+    plain = find_critical_periods(s, 4 * PI)
+    grid = np.arange(analysis.SCAN_STEP, 4 * PI + 1e-12, analysis.SCAN_STEP)
+    point = float(grid[np.argmin(np.abs(grid - plain[0].xi_star))])
+    _planted_zero(monkeypatch, quadrature._SLOPE, point)
+    crit = find_critical_periods(s, 4 * PI)
+    assert [c.xi_star for c in crit] == [point] + [c.xi_star for c in plain[1:]]
+    assert [c.kind for c in crit] == [c.kind for c in plain]
 
 
 # ------------------------------------------------------------- brackets

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 
 import periodkit.bessel as bessel
 from periodkit.bessel import (identity_gap, j1, j1_integral, j1_series, j1_zeros,
@@ -121,6 +122,32 @@ def test_zeros_structure():
     assert zeros[1] == pytest.approx(7.015587, abs=1e-5)
     for z in zeros:
         assert j1(z - 1e-6).value * j1(z + 1e-6).value < 0.0
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_zeros_take_few_j1_calls(monkeypatch, n):
+    # one call for the brackets and at most 6 straddle steps from McMahon's
+    # starts, though the series' rounding near x = 10 is larger than the
+    # pair's difference there
+    calls, values = [], bessel._j1_values
+
+    def counted(x):
+        calls.append(x.size)
+        return values(x)
+
+    monkeypatch.setattr(bessel, "_j1_values", counted)
+    j1_zeros(n)
+    assert len(calls) <= 7
+
+
+def test_zeros_agree_with_find_root():
+    # scipy's find_root on the same brackets and J1, to ZERO_REL_TOL
+    zeros = np.array(j1_zeros(40))
+    beta = (np.arange(1, 41) + 0.25) * PI
+    ref = find_root(bessel._j1_values, (beta - 0.5 * PI, beta + 0.5 * PI),
+                    tolerances=dict(xatol=0.0, xrtol=bessel.ZERO_REL_TOL))
+    assert ref.success.all()
+    assert np.all(np.abs(zeros - ref.x) <= bessel.ZERO_REL_TOL * zeros)
 
 
 def test_zero_bracket_failure(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,12 +238,13 @@ def test_verify_passes_at_tiny_coupling(lam, k_max):
 def test_verify_near_the_side_equilibria_returns_a_report():
     # just below LAM_C the turning point near X_MIN is nearly double and the
     # slope integral there does not converge: the critical-period search
-    # raises, and the report says so in a failing alternation check
+    # raises, and the report says so in a failing alternation check, naming
+    # the refinement's point by that turning point (X_MIN = 4.4934...)
     rep = run_verify(4.60333884, 5)
     assert rep.critical_periods == []
     alternation = rep.checks["alternation"]
     assert not alternation.passed and alternation.margin == -math.inf
-    assert "xi=4.49456" in alternation.detail and "best estimate" in alternation.detail
+    assert re.search(r" at xi=4\.49\d*, lam=4\.60334; best estimate ", alternation.detail)
     assert [name for name, c in rep.checks.items() if not c.passed] == ["alternation"]
     payload = json.loads(report_to_json(rep))
     assert payload["passed"] is False and payload["critical_periods"] == []
