@@ -165,6 +165,8 @@ def _search(sys: PotentialSystem, brackets: list[TwoPiBracket], xi_max: float | 
                 return _estimates(sys, (_DEVIATION, xd), (_SLOPE, xs))
             except NoConvergence as exc:
                 failure = exc
+        if not xd.size:  # no level row left: no engine call
+            return np.zeros(xs.size), np.zeros(xs.size)
         return tuple(np.pad(v, (0, xs.size)) for v in _estimates(sys, (_DEVIATION, xd)))
 
     ends = np.reshape([bracket_amplitudes(br.k) for br in brackets], (-1, 2))

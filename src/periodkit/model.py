@@ -240,10 +240,14 @@ class PotentialSystem:
 def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     """Invert h = G(xi) for xi > 0 by Brent's method on a bracket.
 
-    G(x) <= x^2*(1 + max(lam, 0))/2, so xi0 = sqrt(2h/(1+max(lam,0))) always
-    starts at or below the root (G(xi0) can exceed h only by rounding, and
-    then xi0 is the root); the upper end is found by doubling, capped at the
-    edge.  G is strictly increasing below the edge, so the bracket holds one
+    G(x) <= x^2*(1 + max(lam, 0))/2, and for lam < 0 also G(x) <= B*x^2 -
+    lam*x^4/24, B = (1 + lam)/2 (1 - cos x >= x^2/2 - x^4/24), so xi0 =
+    sqrt(2h/(1+max(lam,0))), for lam < 0 the larger of it and the quartic's
+    root sqrt(2h/(B + sqrt(B^2 - lam*h/6))) (which is (24h)^(1/4) at the
+    nilpotent center lam = -1, where the quadratic bound sqrt(2h) lies far
+    below the root), always starts at or below the root (G(xi0) can exceed
+    h only by rounding, and then xi0 is the root); the upper end is found by
+    doubling, capped at the edge.  G is strictly increasing below the edge, so the bracket holds one
     root.  The gap G(x) - h is scaled by the power of two that brings h to
     [1/2, 1): Brent's steps use only ratios and comparisons of its values,
     so the scaling leaves its iterates unchanged, except below h ~ 1e-200,
@@ -264,7 +268,11 @@ def energy_to_amplitude(sys: PotentialSystem, h: float) -> float:
     def gap(x: float) -> float:
         return math.ldexp(float(sys.G(x)) - h, shift)
 
-    lo = hi = math.sqrt(2.0 * h / (1.0 + max(sys.lam, 0.0)))
+    lam = sys.lam
+    lo = hi = math.sqrt(2.0 * h / (1.0 + max(lam, 0.0)))
+    if lam < 0.0:  # hypot and sqrt(h) keep B^2 - lam*h/6 from underflowing
+        b = 0.5 * (1.0 + lam)
+        lo = hi = max(lo, math.sqrt(2.0 * h / (b + math.hypot(b, math.sqrt(-lam / 6.0) * math.sqrt(h)))))
     while gap(hi) < 0.0:  # lo underflows to 0 for a subnormal h
         lo, hi = hi, min(max(2.0 * hi, math.ulp(0.0)), edge)
     # BRENT_RTOL (4 ulp) sets the accuracy; xtol need only be > 0

@@ -41,25 +41,45 @@ its kind's call alone, and _estimates raises at the first row that did not
 converge, named by its kind.  One amplitude keeps its bookkeeping (input
 check, rounding floor, start count, trapezoid sums, stop test) in floats,
 chosen on xi.size == 1 in _amplitudes, _floor and _periodic, to the array
-path's bits.  The integrands take a read-only node pair (phi, squares),
-squares the (2, 1, nodes) stack of cos(u)^2 and sin(u)^2, and the batched
-functions return the engine's (value, err_est) arrays as they are.  Each
+path's bits.  The integrands take a read-only node pair (phi, halves),
+halves the (2, 1, nodes) stack of cos(u)^2/2 and sin(u)^2/2, and the
+batched functions return the engine's (value, err_est) arrays as they are.  Each
 integrand call takes at most EVAL_NODES = 2^13 nodes, so its stacked (2,
 rows, nodes) arrays stay within glibc's 128 KiB mmap threshold and malloc
 keeps them for the next call instead of handing them back to the OS.  The
 stop test scales by the rule of |f|; the period integrand 4/sqrt(w) is > 0
-wherever _well accepts w, so the period rule's |f| sum is its value, and a
-call of the period kind alone takes it so (_Kind.positive).
+wherever the well depth is accepted (w > 0, or W > 0 with D > 0), so the
+period rule's |f| sum is its value, and a call of the period kind alone
+takes it so (_Kind.positive).
 
 The integrands take every sine and cosine from the half-angle tangent t =
-tan(x/2), one np.tan per argument with a and b stacked in one array
-(_half_angle): sinc x = 1/((x/2)/t * (1 + t^2)) and cos x = 2/(1 + t^2) -
-1.  The gain rests on numpy's SIMD tan, its X86_V4 dispatch: on a 2-core
-AVX-512 Xeon (numpy 2.4) tan costs 1.8-2.6 ns per element and the tangent
-sinc 4.6 ns, against 20 ns for np.sin, which runs libm's scalar loop.
-Without X86_V4 (NPY_DISABLE_CPU_FEATURES) tan falls back to libm at 24 ns
-and the tangent sinc costs 27 ns.  The two dispatch paths may differ in the
-last bits of any result.
+tan(x/2), one np.tan per argument with a and b stacked in one array, at the
+half arguments xi*halves.  The period, deviation and coupling integrands
+need only s = sinc(a)*sinc(b), which is num/D with num = t_a*t_b and D =
+(a/2)*(1 + t_a^2) * (b/2)*(1 + t_b^2) > 0 (_product_well); then w = W/D, W
+= D + lam*num, and each folds D into its last step:
+
+    4/sqrt(w)                    = 4*sqrt(D/W),
+    -4*lam*s/(sqrt(w)*(1 + sqrt(w))) = -4*lam*num/(sqrt(W)*(sqrt(W) + sqrt(D))),
+    -2*s/w^(3/2)                 = -2*(num/W)*sqrt(D/W).
+
+The period integrand so makes 18 array passes and one division per node
+(25 and 5 with each sinc taken alone), and HALF_ANGLE_MIN raises only the
+turning point's b/2 = 0 unless the block's least amplitude is below
+FULL_CLAMP_XI.  The slope integrand needs each sinc and cos on its own
+(_well, _half_angle: sinc x = 1/((x/2)/t * (1 + t^2)), cos x = 2/(1 + t^2)
+- 1), and so do the rows of the other three where the product form does
+not hold (_by_form): lam < 0 below xi = 1, where w comes from the sinc
+defects, amplitudes past PRODUCT_XI_MAX and couplings past RESCALED_LAM,
+where D or lam*num could overflow.  Each row keeps its form's bits
+whatever rows share its block.  The gain rests on numpy's SIMD tan, its
+X86_V4 dispatch: on a 2-core AVX-512 Xeon (numpy 2.4) tan costs 1.8-2.6 ns
+per element, against 20 ns for np.sin, which runs libm's scalar loop, and
+the period integrand 10.4-12.1 ns per node on 65- to 513-node blocks
+(14.1-14.8 with each sinc alone).  Without X86_V4 (NPY_DISABLE_CPU_FEATURES)
+tan falls back to libm at 24 ns, and the period integrand costs 28-37 ns
+per node (32-40).  The two dispatch paths may differ in the last bits of
+any result.
 """
 
 from __future__ import annotations
@@ -103,6 +123,12 @@ NILPOTENT_XI_MIN = math.sqrt(24.0 * TINY)
 # a microcode assist).
 HALF_ANGLE_MIN = 2.0 ** -480
 
+# The product form raises only the turning point's b/2 = 0 to HALF_ANGLE_MIN
+# while the least amplitude of its block is at least this: a rule of at
+# most MAX_NODES intervals has sin(u)^2/2 >= 2^-43 at every other node, so
+# every other half argument is at least HALF_ANGLE_MIN already.
+FULL_CLAMP_XI = HALF_ANGLE_MIN * 2.0 ** 43
+
 # Tolerance of every period and derivative integral, relative to the rule
 # of |f|.  The first pass already lies past the integrand's bandwidth, so a
 # valid orbit lands at rounding: any value from 1e-4 to 1e-12 changes the
@@ -113,6 +139,12 @@ REL_TOL = 1e-10
 # overflow past |lam| ~ 1e205; past this coupling they divide by sqrt(w)
 # and by w in turn, and below it keep the product w*sqrt(w), bit for bit.
 RESCALED_LAM = 1e150
+
+# The product form takes amplitudes up to this: there (a/2)*(b/2) <= 2^596,
+# and with (1 + t^2) < 2^125 for every double, D stays below 2^846 and
+# lam*num below 2^748 for |lam| <= RESCALED_LAM.  Larger amplitudes, like
+# larger couplings, take sinc(a) and sinc(b) one by one.
+PRODUCT_XI_MAX = 2.0 ** 300
 
 # Nodes of one integral, at most.  A valid orbit stops at its first or
 # second node count; an integrand that never settles stops earlier, when
@@ -140,7 +172,7 @@ EVAL_NODES = 2 ** 13
 # block however many of its arguments lie below 1.
 RUN_CHUNK = EVAL_NODES // 8
 
-# Passes of at most CACHE_NODES nodes keep their node pair (phi, squares)
+# Passes of at most CACHE_NODES nodes keep their node pair (phi, halves)
 # with both arrays read-only: first passes to 4096 intervals, later ones to
 # 8192, 16,328 nodes and 0.37 MiB in all.  Each key is written once, whole,
 # so racing threads at most build the same arrays twice.  Longer passes
@@ -183,15 +215,17 @@ class DerivativeEstimate:
 
 
 def _squares(phi):
-    """The node pair (phi, squares) at the nodes phi: squares is the (2, 1,
-    nodes) stack of cos(u)^2 and sin(u)^2, u = pi/4 - phi/2, and a column of
-    amplitudes xi times it the fresh (2, rows, nodes) stack of the arguments
-    a = xi*cos(u)^2 and b = xi*sin(u)^2 (b = 0 at the turning point u = 0)."""
+    """The node pair (phi, halves) at the nodes phi: halves is the (2, 1,
+    nodes) stack of cos(u)^2/2 and sin(u)^2/2, u = pi/4 - phi/2, and a
+    column of amplitudes xi times it the fresh (2, rows, nodes) stack of the
+    half arguments a/2 and b/2 of a = xi*cos(u)^2 and b = xi*sin(u)^2 (b = 0
+    at the turning point u = 0), which the tangents take as they are."""
     u = 0.25 * math.pi - 0.5 * phi
-    squares = np.empty((2, 1, phi.size))
-    np.square(np.cos(u), out=squares[0, 0])
-    np.square(np.sin(u), out=squares[1, 0])
-    return phi, squares
+    halves = np.empty((2, 1, phi.size))
+    np.square(np.cos(u), out=halves[0, 0])
+    np.square(np.sin(u), out=halves[1, 0])
+    halves *= 0.5
+    return phi, halves
 
 
 # The integrands below chain their ufuncs in place on the block-sized arrays
@@ -202,55 +236,112 @@ def _squares(phi):
 # pays one dispatch for both.  Each returns a fresh array, which the engine
 # overwrites.
 
+def _product_well(sys: PotentialSystem, xi, nodes):
+    """(num, D, W) at the half arguments xi*nodes[1] = (a/2, b/2), with t =
+    tan(x/2) per argument (a and b stacked in one np.tan): num = t_a*t_b, D =
+    (a/2)*(1 + t_a^2) * (b/2)*(1 + t_b^2) > 0 and W = D + lam*num, so that
+    sinc(a)*sinc(b) = num/D and the well depth w = W/D.  Fresh arrays, D and
+    W views of one.  HALF_ANGLE_MIN raises the turning point's b/2 = 0, or
+    every half argument where the block's least amplitude may put one below
+    it.  W <= 0 raises NonMonotoneEnergy.
+
+    None, and no work, where a row of the column xi takes the sinc form
+    (_by_form): lam < 0 with xi < 1 (the defect form), xi > PRODUCT_XI_MAX,
+    or |lam| > RESCALED_LAM."""
+    lam = sys.lam
+    if xi.size == 1:
+        least = most = xi.item()
+    else:
+        least, most = np.minimum.reduce(xi, axis=None), np.maximum.reduce(xi, axis=None)
+    if not (abs(lam) <= RESCALED_LAM and most <= PRODUCT_XI_MAX and (lam >= 0.0 or least >= 1.0)):
+        return None
+    h = np.multiply(xi, nodes[1])
+    if least < FULL_CLAMP_XI:
+        np.maximum(h, HALF_ANGLE_MIN, out=h)
+    elif nodes[1][1, 0, -1] == 0.0:  # the turning point, b = 0
+        np.maximum(h[1, :, -1], HALF_ANGLE_MIN, out=h[1, :, -1])
+    t = np.tan(h)
+    num = np.multiply(t[0], t[1])
+    t *= t
+    t += 1.0
+    h *= t  # (a/2)/cos(a/2)^2, and so for b
+    D = np.multiply(h[0], h[1], out=t[0])
+    W = np.multiply(num, lam, out=t[1])
+    W += D
+    if np.fmin.reduce(W, axis=None) <= 0.0:
+        raise _dip(sys, xi, W)
+    return num, D, W
+
+
+def _by_form(sys: PotentialSystem, xi, nodes, integrand, sinc):
+    """integrand's block at the amplitudes xi where _product_well declined
+    it: integrand itself on the rows of the product form, sinc(lam, sinc,
+    w) of _well on the others, each row with the bits it gets alone."""
+    lam = sys.lam
+    fast = (xi[:, 0] <= PRODUCT_XI_MAX) & (xi[:, 0] >= (1.0 if lam < 0.0 else 0.0))
+    if abs(lam) > RESCALED_LAM or not fast.any():
+        return sinc(lam, *_well(sys, xi, nodes))
+    f = np.empty((xi.shape[0], nodes[0].size))
+    f[fast] = integrand(sys, xi[fast], nodes)
+    f[~fast] = sinc(lam, *_well(sys, xi[~fast], nodes))
+    return f
+
+
 def _well(sys: PotentialSystem, xi, nodes, slope: bool = False):
-    """(sinc, w) at the arguments x = xi * nodes[1] = (a, b) (_squares):
-    sinc = (sinc a, sinc b) stacked as x is, and w = 1 + lam*sinc(a)*sinc(b)
-    the well depth over its value at lam = 0; with slope set (sinc, w, s3),
-    s3 = (s3(a), s3(b)) stacked too.  Fresh arrays, or views of one.  The
-    sines and cosines come from _half_angle; on the rows below xi = 1 with
-    lam < 0 sinc and w come from the sinc defects instead (_defect_well),
-    which a mixed block writes over those rows' half-angle values."""
-    x = xi * nodes[1]
+    """(sinc, w) at the arguments (a, b) = 2 * xi * nodes[1] (_squares):
+    sinc = (sinc a, sinc b) stacked, and w = 1 + lam*sinc(a)*sinc(b) the
+    well depth over its value at lam = 0; with slope set (sinc, w, s3), s3 =
+    (s3(a), s3(b)) stacked too.  Fresh arrays, or views of one.  The sines
+    and cosines come from _half_angle; on the rows below xi = 1 with lam < 0
+    sinc and w come from the sinc defects instead (_defect_well), which a
+    mixed block writes over those rows' half-angle values."""
+    h = xi * nodes[1]
     near = (xi[:, 0] < 1.0).nonzero()[0] if sys.lam < 0.0 else ()  # defect rows
     if len(near) == len(xi):  # no sine to take; s3 is its series alone
+        x = np.add(h, h, out=h)
         sinc, w = _defect_well(sys.lam, x)
         s3 = _horner(_S_SERIES, np.multiply(x, x, out=x)) if slope else None
     else:
-        defect = _defect_well(sys.lam, x[:, near]) if len(near) else None
+        defect = _defect_well(sys.lam, 2.0 * h[:, near]) if len(near) else None
         if slope:
-            runs = _runs_below_one(x)
-            sinc, c, x2 = _half_angle(x, cosine=True)
+            runs = _runs(h < 0.5)
+            sinc, c, x2 = _half_angle(h, cosine=True)
             s3 = _s3(x2, sinc, c, runs)
-            del c, x, x2  # s3 is in c's block; x's, which held x2, goes
+            del c, h, x2  # s3 is in c's block; h's, which held x2, goes
             w = sinc[0] * sinc[1]
         else:  # c holds 1 + t^2, for scratch
-            sinc, c = _half_angle(x)
+            sinc, c = _half_angle(h)
             s3, w = None, np.multiply(sinc[0], sinc[1], out=c[0])
         w *= sys.lam
         w += 1.0
         if defect is not None:
             sinc[:, near], w[near] = defect
-    bad = w <= 0.0
-    if np.logical_or.reduce(bad, axis=None):
-        x = float(np.broadcast_to(xi, w.shape)[bad][0])
-        raise NonMonotoneEnergy(
-            f"energy level dips below the potential inside (0, {x:.6g}) "
-            f"(lam={sys.lam:g}); the orbit is not centered at the origin")
+    if np.fmin.reduce(w, axis=None) <= 0.0:  # fmin passes over a NaN, which is not <= 0
+        raise _dip(sys, xi, w)
     return (sinc, w, s3) if slope else (sinc, w)
 
 
-def _half_angle(x, cosine: bool = False):
-    """sinc x = sin(x)/x at x >= 0 from one tangent t = tan(x/2) per entry,
-    as 1/((x/2)/t * (1 + t^2)) in x's block, and 1 + t^2 for scratch; with
-    cosine set (sinc x, cos x, x^2) instead, cos x = 2/(1 + t^2) - 1, each in
-    a block of its own.  x/2 is raised to HALF_ANGLE_MIN first, so (x/2)/t
-    is 1 exactly near 0.  numpy's SIMD tan costs a tenth of its sin or cos,
-    which call libm's scalar loop.  sinc x is within 4 ulp (2.8 at worst on
-    16,000 arguments), cos x within 4 ulp plus 2*eps*sin(x)^2, the rounding
-    of t carried through.  cos x as (1 - t^2)/(1 + t^2) rounds less (0.86
-    eps off against 1.42 at worst on 9,000 arguments) but needs a fourth
-    block, past the slope integrand's budget."""
-    h = np.maximum(np.multiply(x, 0.5, out=x), HALF_ANGLE_MIN, out=x)
+def _dip(sys: PotentialSystem, xi, w) -> NonMonotoneEnergy:
+    """The NonMonotoneEnergy naming the first amplitude of the column xi
+    whose row of the well depth w (or a positive multiple of it) is <= 0."""
+    x = float(np.broadcast_to(xi, w.shape)[w <= 0.0][0])
+    return NonMonotoneEnergy(
+        f"energy level dips below the potential inside (0, {x:.6g}) "
+        f"(lam={sys.lam:g}); the orbit is not centered at the origin")
+
+
+def _half_angle(h, cosine: bool = False):
+    """sinc x = sin(x)/x at x = 2h >= 0 from one tangent t = tan(h) per half
+    argument h, as 1/(h/t * (1 + t^2)) in h's block, and 1 + t^2 for
+    scratch; with cosine set (sinc x, cos x, x^2) instead, cos x = 2/(1 +
+    t^2) - 1, each in a block of its own.  h is raised to HALF_ANGLE_MIN
+    first, so h/t is 1 exactly near 0.  numpy's SIMD tan costs a tenth of
+    its sin or cos, which call libm's scalar loop.  sinc x is within 4 ulp
+    (2.8 at worst on 16,000 arguments), cos x within 4 ulp plus
+    2*eps*sin(x)^2, the rounding of t carried through.  cos x as (1 -
+    t^2)/(1 + t^2) rounds less (0.86 eps off against 1.42 at worst on 9,000
+    arguments) but needs a fourth block, past the slope integrand's budget."""
+    h = np.maximum(h, HALF_ANGLE_MIN, out=h)
     t = np.tan(h)
     r = np.divide(h, t, out=None if cosine else h)
     t *= t
@@ -279,24 +370,22 @@ def _defect_well(lam: float, x):
     return sinc, np.subtract(1.0 + lam, w, out=w)
 
 
-def _runs_below_one(x):
-    """(first, n) for each row of x (along the last axis): the flat index of
-    its first entry below 1, and how many it has.  The entries below 1 of
-    each row must form one run, as they do along a pass's nodes, where a
-    rises and b falls."""
-    below = x < 1.0
+def _runs(below):
+    """(first, n) for each row of the boolean array below (along the last
+    axis): the flat index of its first true entry, and how many it has.  The
+    true entries of each row must form one run, as the arguments below 1 do
+    along a pass's nodes, where a rises and b falls."""
     first = below.argmax(axis=-1).ravel()
-    first += np.arange(0, x.size, x.shape[-1])
+    first += np.arange(0, below.size, below.shape[-1])
     return first, below.sum(axis=-1).ravel()
 
 
 def _s3(x2, sinc_x, cos_x, runs):
     """s3(x) = (sinc(x) - cos(x))/x^2 at the squares x2 > 0, given sinc_x =
-    sin(x)/x, cos_x = cos(x) and the runs of entries x < 1
-    (_runs_below_one), in cos_x's block: the difference on every entry,
-    then the Taylor series on the runs, taken by flat index, RUN_CHUNK
-    entries or one row at a time; no pass over the block gathers or
-    scatters by mask."""
+    sin(x)/x, cos_x = cos(x) and the runs of entries x < 1 (_runs), in
+    cos_x's block: the difference on every entry, then the Taylor series on
+    the runs, taken by flat index, RUN_CHUNK entries or one row at a time;
+    no pass over the block gathers or scatters by mask."""
     first, n = runs
     ends = np.cumsum(n)  # entries below 1 up to each row's end
     total = ends[-1]
@@ -314,21 +403,46 @@ def _s3(x2, sinc_x, cos_x, runs):
 
 
 def _period_integrand(sys: PotentialSystem, xi, nodes):
-    _, w = _well(sys, xi, nodes)
+    well = _product_well(sys, xi, nodes)
+    if well is None:
+        return _by_form(sys, xi, nodes, _period_integrand, _period_sinc)
+    _, D, W = well
+    f = np.divide(D, W, out=W)  # 4/sqrt(w) = 4*sqrt(D/W)
+    np.sqrt(f, out=f)
+    f *= 4.0
+    return f
+
+
+def _period_sinc(lam: float, sinc, w):
     np.sqrt(w, out=w)
     return np.divide(4.0, w, out=w)
 
 
+# 4/sqrt(w) - 4, rationalized: 1 - w = -lam*s, so nothing cancels; lam
+# multiplies last, so a subnormal lam rounds once, not at every factor
+
 def _deviation_integrand(sys: PotentialSystem, xi, nodes):
-    # 4/sqrt(w) - 4, rationalized: 1 - w = -lam*s, so nothing cancels; lam
-    # multiplies last, so a subnormal lam rounds once, not at every factor
-    (sa, sb), w = _well(sys, xi, nodes)
+    well = _product_well(sys, xi, nodes)
+    if well is None:
+        return _by_form(sys, xi, nodes, _deviation_integrand, _deviation_sinc)
+    num, D, W = well  # -4*lam*num/(sqrt(W)*(sqrt(W) + sqrt(D)))
+    r = np.sqrt(W, out=W)
+    d = np.sqrt(D, out=D)
+    d += r
+    d *= r
+    num /= d
+    num *= -4.0 * sys.lam
+    return num
+
+
+def _deviation_sinc(lam: float, sinc, w):  # -4*lam*s/(sqrt(w)*(1 + sqrt(w)))
+    sa, sb = sinc
     r = np.sqrt(w, out=w)
     sa *= sb
     d = np.add(r, 1.0, out=sb)
     d *= r
     sa /= d
-    sa *= -4.0 * sys.lam
+    sa *= -4.0 * lam
     return sa
 
 
@@ -336,7 +450,7 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     # d/dxi of 4/sqrt(w) is -2*lam*(ds/dxi)/w^(3/2), and d sinc(a)/dxi =
     # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
     sinc, w, s3 = _well(sys, xi, nodes, slope=True)
-    s3 *= np.square(nodes[1])  # (cos(u)^4*s3(a), sin(u)^4*s3(b))
+    s3 *= np.square(2.0 * nodes[1])  # (cos(u)^4*s3(a), sin(u)^4*s3(b))
     q, p = s3
     q *= sinc[1]
     p *= sinc[0]
@@ -354,10 +468,26 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
 
 
 def _coupling_integrand(sys: PotentialSystem, xi, nodes):
-    (sa, sb), w = _well(sys, xi, nodes)
+    # dT/dlam = -2*s/w^(3/2), as -2*(num/W)*sqrt(D/W): its factors stay near
+    # the result's size, where W*sqrt(W) would overflow once D passes 1e205,
+    # which amplitudes below PRODUCT_XI_MAX allow
+    well = _product_well(sys, xi, nodes)
+    if well is None:
+        return _by_form(sys, xi, nodes, _coupling_integrand, _coupling_sinc)
+    num, D, W = well
+    r = np.divide(D, W, out=D)
+    np.sqrt(r, out=r)
+    num /= W
+    num *= r
+    num *= -2.0
+    return num
+
+
+def _coupling_sinc(lam: float, sinc, w):
+    sa, sb = sinc
     sa *= sb
     r = np.sqrt(w, out=sb)
-    if abs(sys.lam) > RESCALED_LAM:  # s/sqrt(w), then /w, underflows only where the result does
+    if abs(lam) > RESCALED_LAM:  # s/sqrt(w), then /w, underflows only where the result does
         sa /= r
         sa /= w
     else:
@@ -369,8 +499,8 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
 class _Kind(NamedTuple):
     """One period integral: its integrand, its word in NoConvergence, its
     _floor derivative flag, its least amplitude at lam = -1, and whether its
-    integrand is positive wherever _well accepts w, so that its rule of |f|
-    is its rule of f, bit for bit, and need not be summed."""
+    integrand is positive wherever the well depth is accepted, so that its
+    rule of |f| is its rule of f, bit for bit, and need not be summed."""
 
     integrand: object
     what: str
@@ -434,7 +564,7 @@ def _floor(sys: PotentialSystem, xi: np.ndarray, derivative):
 def _periodic(f, xi: np.ndarray, rel_tol: float, floor, positive: bool = False):
     """(value, err_est, converged) arrays of len(xi) integrals over
     [0, pi/2] by the trapezoid rule, f(rows, nodes) giving integrand rows[i]
-    in row i at the node pair nodes = (v, squares) of _squares, which it
+    in row i at the node pair nodes = (v, halves) of _squares, which it
     must not write (a cached pair is read-only); rows is an ascending index
     array, or slice(None) for one amplitude.  Each integrand must extend to
     an even, pi-periodic analytic function whose bandwidth is that of

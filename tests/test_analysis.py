@@ -154,10 +154,12 @@ class _EngineCalls:
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.rows = []
         engine = quadrature._periodic
 
         def counted(*args):
             self.calls += 1
+            self.rows.append(args[1].size)
             return engine(*args)
 
         monkeypatch.setattr(quadrature, "_periodic", counted)
@@ -184,18 +186,19 @@ def test_refinement_engine_call_ceilings(monkeypatch, lam):
 
 
 @pytest.mark.parametrize("lam,calls", [(-0.99, 8), (1.0, 8), (2.5, 8), (4.4, 8),
-                                       (4.60333884, 8), (LAM_C * (1.0 - 1e-6), 14)])
+                                       (4.60333884, 8), (LAM_C * (1.0 - 1e-6), 13)])
 def test_verify_engine_calls(monkeypatch, lam, calls):
     # small-h, the bracket ends, the grids of both searches, three steps of
     # their one refinement, the extrema's deviations and the oracle's
     # periods; the bessel-link check runs once per process.  Near LAM_C a
     # slope does not converge: its bracket takes more steps, the levels
     # finish in the same refinement, and one more call takes the level rows
-    # alone
+    # alone; a step with no level row left makes no call
     _check_bessel_link()
     counter = _EngineCalls(monkeypatch)
     run_verify(lam, 5)
     assert counter.calls == calls
+    assert 0 not in counter.rows
 
 
 def test_ambiguous_bracket_warning(monkeypatch):

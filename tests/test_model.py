@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from periodkit import analysis, model
 from periodkit.errors import NoConvergence, NonMonotoneEnergy
-from periodkit.model import (BRENT_MAXITER, LAM_C, X_MIN, PotentialSystem, _brent,
+from periodkit.model import (BRENT_MAXITER, BRENT_RTOL, LAM_C, X_MIN, PotentialSystem, _brent,
                              energy_to_amplitude)
 
 PI = math.pi
@@ -294,13 +294,13 @@ def test_inversion_at_tiny_energies_takes_few_steps(monkeypatch, lam, h):
 
 
 @pytest.mark.parametrize("lam, roots", [
-    (-1.0, ("0x1.12004ccc0bbacp-82", "0x1.cab45469b69c7p-8", "0x1.eb3eda768b68ep+0",
+    (-1.0, ("0x1.12004ccc0bbacp-82", "0x1.cab45469b69c7p-8", "0x1.eb3eda768b68dp+0",
             "0x1.76350db60b1c1p+2")),
-    (-0.99, ("0x1.a74bcc85437cfp-163", "0x1.28950198a7d4fp-13", "0x1.e7bd3ce99120dp+0",
+    (-0.99, ("0x1.a74bcc85437cfp-163", "0x1.28950198a7d4fp-13", "0x1.e7bd3ce99120fp+0",
              "0x1.76329addbc50bp+2")),
-    (-0.5, ("0x1.dee7a4ad4b81fp-166", "0x1.4f8b588e1e8a2p-16", "0x1.535bff5248eb0p+0",
+    (-0.5, ("0x1.dee7a4ad4b81fp-166", "0x1.4f8b588e1e8a2p-16", "0x1.535bff5248eb1p+0",
             "0x1.75b66525c91d9p+2")),
-    (-1e-8, ("0x1.52a30a209e29ap-166", "0x1.da88054676baep-17", "0x1.00000013be6e0p+0",
+    (-1e-8, ("0x1.52a30a209e29ap-166", "0x1.da88054676bafp-17", "0x1.00000013be6e0p+0",
              "0x1.752e50db699dcp+2")),
     (0.5, ("0x1.147eefe21eb16p-166", "0x1.8374055ef942ap-17", "0x1.a5f4aba1d5173p-1",
            "0x1.749b6a9543ebdp+2")),
@@ -316,9 +316,42 @@ def test_inversion_at_tiny_energies_takes_few_steps(monkeypatch, lam, h):
 def test_inversion_at_normal_energies_keeps_the_unscaled_roots(lam, roots):
     # Brent's steps use only ratios and comparisons of the gap's values, so
     # scaling it by a power of two leaves these roots, recorded with the
-    # unscaled gap, to the bit
+    # unscaled gap, to the bit; at lam < 0 the doubling starts from the
+    # quartic bound, which moved four of them by 1 or 2 ulp (the roots
+    # recorded before, from the quadratic bound, in _QUADRATIC_START_ROOTS)
     s = PotentialSystem(lam)
-    assert tuple(energy_to_amplitude(s, h).hex() for h in (1e-100, 1e-10, 0.5, 17.0)) == roots
+    got = tuple(energy_to_amplitude(s, h).hex() for h in (1e-100, 1e-10, 0.5, 17.0))
+    assert got == roots
+    for x, before in zip(got, _QUADRATIC_START_ROOTS.get(lam, roots)):
+        x, before = float.fromhex(x), float.fromhex(before)
+        assert abs(x - before) <= BRENT_RTOL * before
+
+
+_QUADRATIC_START_ROOTS = {
+    -1.0: ("0x1.12004ccc0bbacp-82", "0x1.cab45469b69c7p-8", "0x1.eb3eda768b68ep+0",
+           "0x1.76350db60b1c1p+2"),
+    -0.99: ("0x1.a74bcc85437cfp-163", "0x1.28950198a7d4fp-13", "0x1.e7bd3ce99120dp+0",
+            "0x1.76329addbc50bp+2"),
+    -0.5: ("0x1.dee7a4ad4b81fp-166", "0x1.4f8b588e1e8a2p-16", "0x1.535bff5248eb0p+0",
+           "0x1.75b66525c91d9p+2"),
+    -1e-8: ("0x1.52a30a209e29ap-166", "0x1.da88054676baep-17", "0x1.00000013be6e0p+0",
+            "0x1.752e50db699dcp+2"),
+}
+
+
+# at the nilpotent center G(x) ~ x^4/24: the doubling from sqrt(2h) took 96,
+# 179 and 260 gap evaluations here; the quartic bound (24h)^(1/4) is the
+# root to the bit at 1e-100 and 1e-300 (1 evaluation) and takes 5 at 1e-200
+@pytest.mark.parametrize("h,root", [(1e-100, "0x1.12004ccc0bbacp-82"),
+                                    (1e-200, "0x1.08ff677f2669ap-165"),
+                                    (1e-300, "0x1.004a3ef5fb1e8p-248")])
+def test_inversion_at_the_nilpotent_center_starts_from_the_quartic_bound(monkeypatch, h, root):
+    evaluated = []
+    G = PotentialSystem.G
+    monkeypatch.setattr(PotentialSystem, "G", lambda s, x: evaluated.append(x) or G(s, x))
+    xi = energy_to_amplitude(PotentialSystem(-1.0), h)
+    assert len(evaluated) <= 20
+    assert abs(xi - float.fromhex(root)) <= BRENT_RTOL * xi  # the root from sqrt(2h)
 
 
 def test_inversion_past_the_iteration_cap_names_its_best_estimate(monkeypatch):

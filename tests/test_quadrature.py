@@ -559,29 +559,33 @@ def test_integrands_at_the_turning_point_node(lam):
 
 
 def _pass_nodes(k, first=True):
-    """The cached node pair (phi, squares) of a pass with k intervals."""
+    """The cached node pair (phi, halves) of a pass with k intervals."""
     return quadrature._chunks(k, first)[0][1]
 
 
 def _expression_integrands(lam, xi, nodes):
     """The period, deviation, slope and coupling integrands written as
     expressions, each intermediate a new array, with the series as
-    np.polyval takes them and the sines and cosines from the half-angle
-    tangent: the form the in-place integrands must match."""
-    c2, s2 = nodes[1][:, 0]
-    a, b = xi * c2, xi * s2
+    np.polyval takes them: the form the in-place integrands must match.
+    The period, deviation and coupling rows of the product form (lam >= 0 or
+    xi >= 1, xi <= PRODUCT_XI_MAX) take sinc(a)*sinc(b) = num/D from the
+    half-angle tangents t = tan(x/2), num = t_a*t_b and D = (a/2)*(1 + t_a^2)
+    * (b/2)*(1 + t_b^2), and w = W/D, W = D + lam*num; the slope, and the
+    other rows, take each sine and cosine from its tangent, and the sinc
+    defects at lam < 0 below xi = 1."""
+    ha, hb = (np.maximum(xi * half, quadrature.HALF_ANGLE_MIN) for half in nodes[1][:, 0])
+    c2, s2 = 2.0 * nodes[1][:, 0]  # cos(u)^2 and sin(u)^2
 
-    def half_angle(x):  # sin(x)/x and cos(x) from t = tan(x/2), and x^2
-        h = np.maximum(x * 0.5, quadrature.HALF_ANGLE_MIN)
+    def half_angle(h):  # sin(x)/x and cos(x) from t = tan(x/2), and x^2, at x = 2h
         t = np.tan(h)
         q = t * t + 1.0
         return 1.0 / (h / t * q), 2.0 / q - 1.0, h * h * 4.0
 
-    (sa, ca, a2), (sb, cb, b2) = half_angle(a), half_angle(b)
+    (sa, ca, a2), (sb, cb, b2) = half_angle(ha), half_angle(hb)
     w = 1.0 + lam * (sa * sb)
     near = np.flatnonzero(xi[:, 0] < 1.0) if lam < 0.0 else []
     if len(near):
-        x2 = np.stack((a[near], b[near])) ** 2
+        x2 = np.stack((2.0 * xi[near] * nodes[1][0, 0], 2.0 * xi[near] * nodes[1][1, 0])) ** 2
         da, db = np.polyval(_SIN_DEFECT, x2) * x2
         sa[near], sb[near] = 1.0 - da, 1.0 - db
         w[near] = (1.0 + lam) - lam * (da + sa[near] * db)
@@ -592,8 +596,19 @@ def _expression_integrands(lam, xi, nodes):
 
     r = np.sqrt(w)
     q = (c2 * c2) * s3(a2, sa, ca) * sb + (s2 * s2) * s3(b2, sb, cb) * sa
-    return (4.0 / np.sqrt(w), sa * sb / (r * (1.0 + r)) * (-4.0 * lam),
-            q / (w * np.sqrt(w)) * xi * (2.0 * lam), sa * sb / (w * np.sqrt(w)) * -2.0)
+    sinc_form = (4.0 / np.sqrt(w), sa * sb / (r * (1.0 + r)) * (-4.0 * lam),
+                 q / (w * np.sqrt(w)) * xi * (2.0 * lam), sa * sb / (w * np.sqrt(w)) * -2.0)
+
+    ta, tb = np.tan(ha), np.tan(hb)
+    num = ta * tb
+    with np.errstate(all="ignore"):  # the rows np.where drops may overflow
+        D = (ha * (ta * ta + 1.0)) * (hb * (tb * tb + 1.0))
+        W = num * lam + D
+        rw = np.sqrt(W)
+        product = (np.sqrt(D / W) * 4.0, num / ((np.sqrt(D) + rw) * rw) * (-4.0 * lam),
+                   None, num / W * np.sqrt(D / W) * -2.0)
+    rows = (xi <= quadrature.PRODUCT_XI_MAX) & ((xi >= 1.0) if lam < 0.0 else True)
+    return tuple(f if g is None else np.where(rows, g, f) for f, g in zip(sinc_form, product))
 
 
 @pytest.mark.parametrize("lam", [-1.0, -0.5, 1e-12, 1.0, 4.5])
@@ -601,6 +616,19 @@ def _expression_integrands(lam, xi, nodes):
 def test_integrands_in_place_match_their_expressions(lam, xs):
     # the rows below xi = 1 take the defect path at lam < 0 (all of them in
     # the second block), and the first pass's nodes hold the turning point
+    _match_expressions(lam, xs)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 1e-12, 1.0])
+def test_rows_past_the_product_form_match_their_expressions(lam):
+    # amplitudes past PRODUCT_XI_MAX take sinc(a) and sinc(b) one by one,
+    # next to rows of the product form and, at lam < 0, of the defect form
+    # in the same block (below 1.3e154, where the slope's x^2 overflows)
+    past = np.nextafter(quadrature.PRODUCT_XI_MAX, math.inf)
+    _match_expressions(lam, [1e-3, 0.3, 3.0, quadrature.PRODUCT_XI_MAX, past, 1e100])
+
+
+def _match_expressions(lam, xs):
     xi = np.array(xs)[:, None]
     for nodes in (_pass_nodes(32), _pass_nodes(64, first=False)):
         want = _expression_integrands(lam, xi, nodes)
@@ -611,6 +639,83 @@ def test_integrands_in_place_match_their_expressions(lam, xs):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), integrand
             assert got.flags.writeable and not np.shares_memory(got, xi)
             assert not any(np.shares_memory(got, array) for array in nodes)
+
+
+def _reference_integrands(lam, xi, nodes):
+    """40-digit period, deviation and coupling integrands, each row of the
+    column xi at every node of nodes, at the double arguments the kernels
+    take (2 * xi * nodes[1], HALF_ANGLE_MIN raising the half arguments of
+    every form but the defect form's), with the cancellation kappa of w as
+    its form takes it: (1 + |lam*s|)/w, or ((1+lam) + |lam|*(1 - s))/w on
+    the rows of the defect form (lam < 0, xi < 1), where 1 - s is taken from
+    the defects at the precision their cancellation needs."""
+    defect = lam < 0.0 and xi[:, 0] < 1.0
+    h = xi * nodes[1]
+    h = np.where(defect[:, None] if lam < 0.0 else False, h, np.maximum(h, quadrature.HALF_ANGLE_MIN))
+
+    def d(x):  # 1 - sin(x)/x
+        if x == 0:
+            return mpmath.mpf(0)
+        with mpmath.workdps(60 + max(0, int(-2 * mpmath.log10(x)))):
+            return +(1 - mpmath.sin(x) / x)
+
+    ref, kappa = np.empty((3,) + h.shape[1:]), np.empty(h.shape[1:])
+    with mpmath.workdps(40):
+        L = mpmath.mpf(lam)
+        for i, j in np.ndindex(*h.shape[1:]):
+            a, b = 2 * mpmath.mpf(h[0, i, j]), 2 * mpmath.mpf(h[1, i, j])
+            s = mpmath.sinc(a) * mpmath.sinc(b)
+            if lam < 0.0 and defect[i]:
+                da, db = d(a), d(b)
+                w = (1 + L) - L * (da + db - da * db)
+                kappa[i, j] = ((1 + L) + abs(L) * (da + db - da * db)) / w
+            else:
+                w = 1 + L * s
+                kappa[i, j] = (1 + abs(L * s)) / w
+            r = mpmath.sqrt(w)
+            ref[:, i, j] = 4 / r, -4 * L * s / (r * (1 + r)), -2 * s / (w * r)
+    return ref, kappa
+
+
+_COUPLINGS = st.one_of(
+    st.floats(-1.0, 1.0), st.floats(0.0, 300.0).map(lambda e: 10.0 ** e),
+    st.floats(-300.0, 0.0).map(lambda e: -(10.0 ** e)),
+    st.sampled_from([-1.0, np.nextafter(-1.0, 0.0), quadrature.RESCALED_LAM,
+                     np.nextafter(quadrature.RESCALED_LAM, math.inf), LAM_C * (1 - 1e-6), 1e300]))
+_AMPLITUDES = st.one_of(
+    st.floats(-308.0, 300.0).map(lambda e: 10.0 ** e), st.floats(0.5, 5.0),
+    st.sampled_from([quadrature.TINY, quadrature.FULL_CLAMP_XI, np.nextafter(1.0, 0.0), 1.0,
+                     quadrature.PRODUCT_XI_MAX, np.nextafter(quadrature.PRODUCT_XI_MAX, math.inf),
+                     1e300]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lam=_COUPLINGS, xs=st.lists(_AMPLITUDES, min_size=1, max_size=4),
+       k=st.sampled_from([8, 16]), first=st.booleans())
+def test_integrands_match_mpmath(lam, xs, k, first):
+    # every form in one block: the product form, the defect rows (lam < 0,
+    # xi < 1) and the guarded ones (xi > PRODUCT_XI_MAX, |lam| >
+    # RESCALED_LAM), the turning node on a first pass.  Each value lies
+    # within 3 eps (the period) or 6 eps (deviation, coupling) of 40 digits,
+    # times the cancellation of w, plus 16 ulp of 0 for the values that
+    # round below the smallest normal double; measured at most 1.4 and 3.1
+    # on 5,300 random blocks, the product form's and the sinc form's alike.
+    # Amplitudes stay below the edge, and at lam = -1 at or above each
+    # kind's least amplitude; no RuntimeWarning on the way
+    s = PotentialSystem(lam)
+    xs = np.minimum(xs, 0.999 * s.edge())
+    nodes = _pass_nodes(k, first)
+    kinds = (quadrature._PERIOD, quadrature._DEVIATION, quadrature._COUPLING)
+    for kind, bound in zip(kinds, (3.0, 6.0, 6.0)):
+        xi = np.maximum(xs, kind.nilpotent_min if lam == -1.0 else quadrature.TINY)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kind.integrand(s, xi, nodes)
+        ref, kappa = _reference_integrands(lam, xi, nodes)
+        want = ref[kinds.index(kind)]
+        err = np.abs(got - want)
+        assert np.all(err <= bound * quadrature.EPS * kappa * np.abs(want) + 16 * math.ulp(0.0)), (
+            kind.what, xi[:, 0], err / (quadrature.EPS * kappa * np.abs(want)))
 
 
 def test_period_sample_is_a_named_tuple():
@@ -665,14 +770,16 @@ def _block_peak(integrand):
 
 
 def test_period_integrand_block_peak_memory():
-    # 4.14 blocks at the peak when measured on 126 rows (4.13 on 504), of
-    # a, b, sinc a, sinc b and w; 6 with an expression's temporaries
+    # 5.02 blocks at the peak when measured on 126 rows, of the half
+    # arguments and tangents of a and b and num = t_a*t_b; 4.14 when each
+    # sinc was taken alone, 6 with an expression's temporaries
     assert _block_peak(quadrature._period_integrand) < 5.5
 
 
 def test_slope_integrand_block_peak_memory():
     # 6.45 blocks at the peak when measured on 126 rows (6.40 on 504): the
-    # period integrand's five, with s3 and sqrt(w) written over a and b, and
+    # sinc form's five (a, b, sinc a, sinc b and w), with s3 and sqrt(w)
+    # written over a and b, and
     # one block of squares while s3 runs
     assert _block_peak(quadrature._slope_integrand) < 6.5
 
@@ -950,7 +1057,7 @@ def _frozen(array):
 
 
 def test_an_integrand_cannot_write_the_cached_squares(monkeypatch):
-    # the integrands read the squares stack nodes[1] whole and chain their
+    # the integrands read the halves stack nodes[1] whole and chain their
     # ufuncs in place: one that squares it in place instead of into a new
     # array raises, and every kind's later results keep their bits.  Nothing
     # under a cached array, such as the array it is a view of, is writable
@@ -1021,7 +1128,7 @@ def _s_amplitudes():
 
 def _s3(x, sinc, cos):
     """quadrature._s3 at the squares of x, on a copy of cos: it writes over it."""
-    return quadrature._s3(x * x, sinc, cos.copy(), quadrature._runs_below_one(x))
+    return quadrature._s3(x * x, sinc, cos.copy(), quadrature._runs(x < 1.0))
 
 
 def test_s_reuses_sine_bit_for_bit(monkeypatch):
@@ -1032,7 +1139,7 @@ def test_s_reuses_sine_bit_for_bit(monkeypatch):
     # are a run at either end or in the middle of a row (the series takes
     # them by index, in chunks of RUN_CHUNK entries or of one longer row)
     x = _s_amplitudes()
-    c2, s2 = _pass_nodes(64)[1][:, 0]
+    c2, s2 = 2.0 * _pass_nodes(64)[1][:, 0]
     xi = np.geomspace(0.01, 1e3, 60)[:, None]
     b = np.maximum(xi * s2, 2.0 * quadrature.HALF_ANGLE_MIN)  # as the tangents raise it
     blocks = (x[None], x[None, ::-1], x[None, x < 1.0], x[None, x >= 1.0],
@@ -1088,8 +1195,8 @@ def test_half_angle_sines_and_cosines_match_mpmath(xs, huge):
     x = np.array(xs)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        sinc, cos, x2 = quadrature._half_angle(x.copy(), cosine=True)
-        alone, _ = quadrature._half_angle(np.append(x, huge))
+        sinc, cos, x2 = quadrature._half_angle(0.5 * x, cosine=True)
+        alone, _ = quadrature._half_angle(0.5 * np.append(x, huge))
     assert np.array_equal(alone[:-1].view(np.int64), sinc.view(np.int64))
     least = 2.0 * quadrature.HALF_ANGLE_MIN
     with mpmath.workdps(40):
