@@ -103,9 +103,9 @@ def _horner(coeffs, x, out=None):
     rule, as np.polyval takes it to the bit; a float stays one, and fast,
     and an array takes one new array, or out, which each step updates in
     place."""
-    p = x * 0.0 if out is None else np.multiply(x, 0.0, out=out)
-    p += coeffs[0]
-    for c in coeffs[1:]:
+    p = x * coeffs[0] if out is None else np.multiply(x, coeffs[0], out=out)
+    p += coeffs[1]  # 0*x + coeffs[0] is coeffs[0] for finite x: polyval's first step
+    for c in coeffs[2:]:
         p *= x
         p += c
     return p

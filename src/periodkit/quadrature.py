@@ -53,33 +53,27 @@ period rule's |f| sum is its value, and a call of the period kind alone
 takes it so (_Kind.positive).
 
 The integrands take every sine and cosine from the half-angle tangent t =
-tan(x/2), one np.tan per argument with a and b stacked in one array, at the
-half arguments xi*halves.  The period, deviation and coupling integrands
-need only s = sinc(a)*sinc(b), which is num/D with num = t_a*t_b and D =
-(a/2)*(1 + t_a^2) * (b/2)*(1 + t_b^2) > 0 (_product_well); then w = W/D, W
-= D + lam*num, and each folds D into its last step:
+tan(h), one np.tan per half argument h = x/2 = xi*halves, a and b stacked
+(_product_well).  With P = h*(1 + t^2), s = num/D for num = t_a*t_b and
+D = P_a*P_b > 0, w = W/D for W = D + lam*num, and sinc x - cos x = R/P for
+R = t - h*(1 - t^2); each integrand folds D into its last step:
 
-    4/sqrt(w)                    = 4*sqrt(D/W),
+    4/sqrt(w)                        = 4*sqrt(D/W),
     -4*lam*s/(sqrt(w)*(1 + sqrt(w))) = -4*lam*num/(sqrt(W)*(sqrt(W) + sqrt(D))),
-    -2*s/w^(3/2)                 = -2*(num/W)*sqrt(D/W).
+    dT/dxi's integrand               = (2*lam/xi)*((t_b*R_a + t_a*R_b)/W)*sqrt(D/W),
+    -2*s/w^(3/2)                     = -2*(num/W)*sqrt(D/W),
 
-The period integrand so makes 18 array passes and one division per node
-(25 and 5 with each sinc taken alone), and HALF_ANGLE_MIN raises only the
-turning point's b/2 = 0 unless the block's least amplitude is below
-FULL_CLAMP_XI.  The slope integrand needs each sinc and cos on its own
-(_well, _half_angle: sinc x = 1/((x/2)/t * (1 + t^2)), cos x = 2/(1 + t^2)
-- 1), and so do the rows of the other three where the product form does
-not hold (_by_form): lam < 0 below xi = 1, where w comes from the sinc
-defects, amplitudes past PRODUCT_XI_MAX and couplings past RESCALED_LAM,
-where D or lam*num could overflow.  Each row keeps its form's bits
-whatever rows share its block.  The gain rests on numpy's SIMD tan, its
-X86_V4 dispatch: on a 2-core AVX-512 Xeon (numpy 2.4) tan costs 1.8-2.6 ns
-per element, against 20 ns for np.sin, which runs libm's scalar loop, and
-the period integrand 10.4-12.1 ns per node on 65- to 513-node blocks
-(14.1-14.8 with each sinc alone).  Without X86_V4 (NPY_DISABLE_CPU_FEATURES)
-tan falls back to libm at 24 ns, and the period integrand costs 28-37 ns
-per node (32-40).  The two dispatch paths may differ in the last bits of
-any result.
+the slope's rows below xi = 1 taking R/xi^2 from the series of s3 instead
+(_slope_integrand).  HALF_ANGLE_MIN raises only the turning point's b/2 = 0
+unless the block's least amplitude is below FULL_CLAMP_XI.  Rows where the
+product form does not hold (_by_form: lam < 0 below xi = 1, where w comes
+from the sinc defects, amplitudes past PRODUCT_XI_MAX and couplings past
+RESCALED_LAM, where D or lam*num could overflow) take each sinc and cos
+alone (_well, _half_angle).  Each row keeps its form's bits whatever rows
+share its block.  The speed rests on numpy's SIMD tan, its X86_V4 dispatch,
+at a tenth of the cost of np.sin, which runs libm's scalar loop (README.md
+gives the ns per node with and without it); the two dispatch paths may
+differ in the last bits of any result.
 """
 
 from __future__ import annotations
@@ -167,11 +161,6 @@ NILPOTENT_DERIVATIVE_XI_MIN = math.sqrt(24.0) * (MAX_NODES / float(np.finfo(floa
 # against 0 here (63-64 where the heap's layout lets glibc trim it once).
 EVAL_NODES = 2 ** 13
 
-# The slope integrand takes the Taylor series of s3 on at most this many
-# entries at a time, so its index and series arrays stay a fraction of a
-# block however many of its arguments lie below 1.
-RUN_CHUNK = EVAL_NODES // 8
-
 # Passes of at most CACHE_NODES nodes keep their node pair (phi, halves)
 # with both arrays read-only: first passes to 4096 intervals, later ones to
 # 8192, 16,328 nodes and 0.37 MiB in all.  Each key is written once, whole,
@@ -180,10 +169,9 @@ RUN_CHUNK = EVAL_NODES // 8
 CACHE_NODES = 4097
 _NODES: dict = {}  # (intervals, 1 on a first pass or 2) -> node pair
 
-# Taylor coefficients of s3(x) = (sin(x) - x*cos(x))/x^3 = sum_n c_n x^(2n),
-# c_n = (-1)^n (2n+2) / (2n+3)!; below |x| = 1 nine terms reach 4e-16, where
-# the direct difference keeps only eps/x^2 of relative accuracy.
-_S_SERIES = tuple((-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
+# s3(x) = (sin(x) - x*cos(x))/x^3 = sum_n 4^n c_n (x/2)^(2n), c_n = (-1)^n
+# (2n+2)/(2n+3)!: nine terms reach 4e-16 below |x| = 1, the difference eps/x^2.
+_S_SERIES = tuple((-4) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(9))[::-1]
 
 
 class PeriodSample(NamedTuple):
@@ -236,18 +224,14 @@ def _squares(phi):
 # pays one dispatch for both.  Each returns a fresh array, which the engine
 # overwrites.
 
-def _product_well(sys: PotentialSystem, xi, nodes):
-    """(num, D, W) at the half arguments xi*nodes[1] = (a/2, b/2), with t =
-    tan(x/2) per argument (a and b stacked in one np.tan): num = t_a*t_b, D =
-    (a/2)*(1 + t_a^2) * (b/2)*(1 + t_b^2) > 0 and W = D + lam*num, so that
-    sinc(a)*sinc(b) = num/D and the well depth w = W/D.  Fresh arrays, D and
-    W views of one.  HALF_ANGLE_MIN raises the turning point's b/2 = 0, or
-    every half argument where the block's least amplitude may put one below
-    it.  W <= 0 raises NonMonotoneEnergy.
-
-    None, and no work, where a row of the column xi takes the sinc form
-    (_by_form): lam < 0 with xi < 1 (the defect form), xi > PRODUCT_XI_MAX,
-    or |lam| > RESCALED_LAM."""
+def _product_well(sys: PotentialSystem, xi, nodes, slope: bool = False):
+    """(num, D, W) of the module docstring at h = xi*nodes[1] = (a/2, b/2),
+    or with slope set (q, D, W), q = t_b*V_a + t_a*V_b, V = R where the
+    block reaches xi = 1, else V = P*(cos(u)^4*s3, sin(u)^4*s3) from the
+    series.  Fresh arrays, D and W views of one.  W <= 0 raises
+    NonMonotoneEnergy.  None, and no work, where a row of the column xi
+    takes the sinc form (_by_form): lam < 0 with xi < 1 (the defect form),
+    xi > PRODUCT_XI_MAX, or |lam| > RESCALED_LAM."""
     lam = sys.lam
     if xi.size == 1:
         least = most = xi.item()
@@ -261,64 +245,87 @@ def _product_well(sys: PotentialSystem, xi, nodes):
     elif nodes[1][1, 0, -1] == 0.0:  # the turning point, b = 0
         np.maximum(h[1, :, -1], HALF_ANGLE_MIN, out=h[1, :, -1])
     t = np.tan(h)
-    num = np.multiply(t[0], t[1])
-    t *= t
-    t += 1.0
-    h *= t  # (a/2)/cos(a/2)^2, and so for b
-    D = np.multiply(h[0], h[1], out=t[0])
-    W = np.multiply(num, lam, out=t[1])
+    P = h
+    if not slope:
+        num = np.multiply(t[0], t[1])
+    else:
+        if most < 1.0:  # V from the series: P first, then h^2 over h
+            P = np.multiply(t, t)
+            P += 1.0
+            P *= h
+            v = _horner(_S_SERIES, np.multiply(h, h, out=h))
+            v *= P
+            h = None  # the squares go before the broadcast's buffer
+            v *= np.square(2.0 * nodes[1])  # (cos(u)^4, sin(u)^4)
+        else:  # V = R
+            v = np.multiply(t, t)
+            np.subtract(1.0, v, out=v)
+            v *= h
+            np.subtract(t, v, out=v)
+        q, num = v  # num = t_a*t_b goes over V_b once q holds it
+        q *= t[1]
+        num *= t[0]
+        q += num
+        np.multiply(t[0], t[1], out=num)
+    if P is h:
+        t *= t
+        t += 1.0
+        h *= t  # P = (a/2)/cos(a/2)^2, and so for b
+    D = np.multiply(P[0], P[1], out=P[0])
+    W = np.multiply(num, lam, out=P[1])
     W += D
     if np.fmin.reduce(W, axis=None) <= 0.0:
         raise _dip(sys, xi, W)
-    return num, D, W
+    return q if slope else num, D, W
 
 
 def _by_form(sys: PotentialSystem, xi, nodes, integrand, sinc):
-    """integrand's block at the amplitudes xi where _product_well declined
-    it: integrand itself on the rows of the product form, sinc(lam, sinc,
-    w) of _well on the others, each row with the bits it gets alone."""
+    """integrand's block where _product_well declined the column xi: itself on
+    the product form's rows, sinc(sys, xi, nodes) on the others, each as alone."""
+    if xi.size == 1:  # the one row it declined
+        return sinc(sys, xi, nodes)
     lam = sys.lam
     fast = (xi[:, 0] <= PRODUCT_XI_MAX) & (xi[:, 0] >= (1.0 if lam < 0.0 else 0.0))
     if abs(lam) > RESCALED_LAM or not fast.any():
-        return sinc(lam, *_well(sys, xi, nodes))
+        return sinc(sys, xi, nodes)
     f = np.empty((xi.shape[0], nodes[0].size))
     f[fast] = integrand(sys, xi[fast], nodes)
-    f[~fast] = sinc(lam, *_well(sys, xi[~fast], nodes))
+    f[~fast] = sinc(sys, xi[~fast], nodes)
     return f
 
 
 def _well(sys: PotentialSystem, xi, nodes, slope: bool = False):
-    """(sinc, w) at the arguments (a, b) = 2 * xi * nodes[1] (_squares):
-    sinc = (sinc a, sinc b) stacked, and w = 1 + lam*sinc(a)*sinc(b) the
-    well depth over its value at lam = 0; with slope set (sinc, w, s3), s3 =
-    (s3(a), s3(b)) stacked too.  Fresh arrays, or views of one.  The sines
-    and cosines come from _half_angle; on the rows below xi = 1 with lam < 0
-    sinc and w come from the sinc defects instead (_defect_well), which a
-    mixed block writes over those rows' half-angle values."""
+    """(sinc, w) at (a, b) = 2 * xi * nodes[1]: sinc = (sinc a, sinc b), w =
+    1 + lam*sinc(a)*sinc(b); with slope set (sinc, w, v), v = (cos(u)^4*s3,
+    sin(u)^4*s3) from the series below xi = 1, (sinc - cos) of a and b above.
+    Fresh arrays, or views of one, from _half_angle; the rows below xi = 1
+    with lam < 0 take sinc and w from the sinc defects (_defect_well)."""
     h = xi * nodes[1]
-    near = (xi[:, 0] < 1.0).nonzero()[0] if sys.lam < 0.0 else ()  # defect rows
-    if len(near) == len(xi):  # no sine to take; s3 is its series alone
-        x = np.add(h, h, out=h)
-        sinc, w = _defect_well(sys.lam, x)
-        s3 = _horner(_S_SERIES, np.multiply(x, x, out=x)) if slope else None
+    below = (xi[:, 0] < 1.0).nonzero()[0]
+    near = below if sys.lam < 0.0 else ()  # defect rows
+    if slope and len(below):  # taken before h is written over
+        part = h if len(below) == len(xi) else h[:, below]
+        series = _horner(_S_SERIES, part * part) * np.square(2.0 * nodes[1])
+    if len(near) == len(xi):  # no sine to take
+        sinc, w = _defect_well(sys.lam, np.add(h, h, out=h))
+        v = series if slope else None
     else:
         defect = _defect_well(sys.lam, 2.0 * h[:, near]) if len(near) else None
+        sinc, c = _half_angle(h, cosine=slope)
         if slope:
-            runs = _runs(h < 0.5)
-            sinc, c, x2 = _half_angle(h, cosine=True)
-            s3 = _s3(x2, sinc, c, runs)
-            del c, h, x2  # s3 is in c's block; h's, which held x2, goes
+            v = np.subtract(sinc, c, out=c)
+            if len(below):
+                v[:, below] = series
             w = sinc[0] * sinc[1]
         else:  # c holds 1 + t^2, for scratch
-            sinc, c = _half_angle(h)
-            s3, w = None, np.multiply(sinc[0], sinc[1], out=c[0])
+            v, w = None, np.multiply(sinc[0], sinc[1], out=c[0])
         w *= sys.lam
         w += 1.0
         if defect is not None:
             sinc[:, near], w[near] = defect
     if np.fmin.reduce(w, axis=None) <= 0.0:  # fmin passes over a NaN, which is not <= 0
         raise _dip(sys, xi, w)
-    return (sinc, w, s3) if slope else (sinc, w)
+    return (sinc, w, v) if slope else (sinc, w)
 
 
 def _dip(sys: PotentialSystem, xi, w) -> NonMonotoneEnergy:
@@ -331,30 +338,20 @@ def _dip(sys: PotentialSystem, xi, w) -> NonMonotoneEnergy:
 
 
 def _half_angle(h, cosine: bool = False):
-    """sinc x = sin(x)/x at x = 2h >= 0 from one tangent t = tan(h) per half
-    argument h, as 1/(h/t * (1 + t^2)) in h's block, and 1 + t^2 for
-    scratch; with cosine set (sinc x, cos x, x^2) instead, cos x = 2/(1 +
-    t^2) - 1, each in a block of its own.  h is raised to HALF_ANGLE_MIN
-    first, so h/t is 1 exactly near 0.  numpy's SIMD tan costs a tenth of
-    its sin or cos, which call libm's scalar loop.  sinc x is within 4 ulp
-    (2.8 at worst on 16,000 arguments), cos x within 4 ulp plus
-    2*eps*sin(x)^2, the rounding of t carried through.  cos x as (1 -
-    t^2)/(1 + t^2) rounds less (0.86 eps off against 1.42 at worst on 9,000
-    arguments) but needs a fourth block, past the slope integrand's budget."""
+    """(sinc x, 1 + t^2) at x = 2h >= 0, t = tan(h): sinc x = 1/(h/t*(1 + t^2))
+    within 4 ulp, h raised to HALF_ANGLE_MIN so h/t is 1 near 0; with cosine
+    set cos x = 2/(1 + t^2) - 1 instead, within 4 ulp + 2*eps*sin(x)^2."""
     h = np.maximum(h, HALF_ANGLE_MIN, out=h)
     t = np.tan(h)
-    r = np.divide(h, t, out=None if cosine else h)
+    r = np.divide(h, t, out=h)
     t *= t
     t += 1.0
     r *= t
     sinc = np.divide(1.0, r, out=r)
-    if not cosine:
-        return sinc, t
-    cos = np.divide(2.0, t, out=t)
-    cos -= 1.0
-    x2 = np.multiply(h, h, out=h)
-    x2 *= 4.0  # x^2 to the bit where x/2 is exact
-    return sinc, cos, x2
+    if cosine:
+        np.divide(2.0, t, out=t)
+        t -= 1.0
+    return sinc, t
 
 
 def _defect_well(lam: float, x):
@@ -370,38 +367,6 @@ def _defect_well(lam: float, x):
     return sinc, np.subtract(1.0 + lam, w, out=w)
 
 
-def _runs(below):
-    """(first, n) for each row of the boolean array below (along the last
-    axis): the flat index of its first true entry, and how many it has.  The
-    true entries of each row must form one run, as the arguments below 1 do
-    along a pass's nodes, where a rises and b falls."""
-    first = below.argmax(axis=-1).ravel()
-    first += np.arange(0, below.size, below.shape[-1])
-    return first, below.sum(axis=-1).ravel()
-
-
-def _s3(x2, sinc_x, cos_x, runs):
-    """s3(x) = (sinc(x) - cos(x))/x^2 at the squares x2 > 0, given sinc_x =
-    sin(x)/x, cos_x = cos(x) and the runs of entries x < 1 (_runs), in
-    cos_x's block: the difference on every entry, then the Taylor series on
-    the runs, taken by flat index, RUN_CHUNK entries or one row at a time;
-    no pass over the block gathers or scatters by mask."""
-    first, n = runs
-    ends = np.cumsum(n)  # entries below 1 up to each row's end
-    total = ends[-1]
-    if total == x2.size:
-        return _horner(_S_SERIES, x2, cos_x)
-    s3 = np.divide(np.subtract(sinc_x, cos_x, out=cos_x), x2, out=cos_x)
-    squares, out, lo, done = x2.reshape(-1), s3.reshape(-1), 0, 0
-    while done < total:  # rows lo to hi - 1: at most RUN_CHUNK entries, or one row
-        hi = max(lo + 1, int(np.searchsorted(ends, done + RUN_CHUNK, side="right")))
-        offset = first[lo:hi] - (ends[lo:hi] - n[lo:hi] - done)  # a run's index less its place
-        run = np.arange(ends[hi - 1] - done) + np.repeat(offset, n[lo:hi])
-        out[run] = _horner(_S_SERIES, squares[run])
-        lo, done = hi, ends[hi - 1]
-    return s3
-
-
 def _period_integrand(sys: PotentialSystem, xi, nodes):
     well = _product_well(sys, xi, nodes)
     if well is None:
@@ -413,7 +378,8 @@ def _period_integrand(sys: PotentialSystem, xi, nodes):
     return f
 
 
-def _period_sinc(lam: float, sinc, w):
+def _period_sinc(sys: PotentialSystem, xi, nodes):
+    _, w = _well(sys, xi, nodes)
     np.sqrt(w, out=w)
     return np.divide(4.0, w, out=w)
 
@@ -435,23 +401,41 @@ def _deviation_integrand(sys: PotentialSystem, xi, nodes):
     return num
 
 
-def _deviation_sinc(lam: float, sinc, w):  # -4*lam*s/(sqrt(w)*(1 + sqrt(w)))
-    sa, sb = sinc
+def _deviation_sinc(sys: PotentialSystem, xi, nodes):  # -4*lam*s/(sqrt(w)*(1 + sqrt(w)))
+    (sa, sb), w = _well(sys, xi, nodes)
     r = np.sqrt(w, out=w)
     sa *= sb
     d = np.add(r, 1.0, out=sb)
     d *= r
     sa /= d
-    sa *= -4.0 * lam
+    sa *= -4.0 * sys.lam
     return sa
 
 
+# d/dxi of 4/sqrt(w) is -2*lam*(ds/dxi)/w^(3/2), d sinc(a)/dxi =
+# -xi*cos(u)^4*s3(a) = -R_a/(P_a*xi), alike for b.  R cancels as 4*eps/xi^2
+# of the row's |f|: below xi = 1 a row takes V = R/xi^2 from the series and
+# 2*lam*xi last, so no power of xi forms before it.  A block that reaches
+# xi = 1 takes R on every row, its rows below 1 again.
+
 def _slope_integrand(sys: PotentialSystem, xi, nodes):
-    # d/dxi of 4/sqrt(w) is -2*lam*(ds/dxi)/w^(3/2), and d sinc(a)/dxi =
-    # -xi*cos(u)^4*s3(a), alike for b; q below is -(ds/dxi)/xi
-    sinc, w, s3 = _well(sys, xi, nodes, slope=True)
-    s3 *= np.square(2.0 * nodes[1])  # (cos(u)^4*s3(a), sin(u)^4*s3(b))
-    q, p = s3
+    well = _product_well(sys, xi, nodes, slope=True)
+    if well is None:
+        return _by_form(sys, xi, nodes, _slope_integrand, _slope_sinc)
+    q, D, W = well
+    r = np.divide(D, W, out=D)
+    np.sqrt(r, out=r)
+    q /= W
+    q *= r
+    del well, D, W, r  # the well's block goes before the rows below 1 run again
+    q = _slope_scale(2.0 * sys.lam, xi, q)
+    if xi.size > 1 and 0 < np.count_nonzero(below := xi[:, 0] < 1.0) < xi.size:
+        q[below] = _slope_integrand(sys, xi[below], nodes)
+    return q
+
+
+def _slope_sinc(sys: PotentialSystem, xi, nodes):
+    sinc, w, (q, p) = _well(sys, xi, nodes, slope=True)  # q = v_a*sinc(b) + sinc(a)*v_b
     q *= sinc[1]
     p *= sinc[0]
     q += p
@@ -459,11 +443,23 @@ def _slope_integrand(sys: PotentialSystem, xi, nodes):
     if abs(sys.lam) > RESCALED_LAM:  # lam/w is about 1/s, q/sqrt(w) about lam^-1/2
         q /= r
         q *= np.divide(sys.lam, w, out=w)
-        q *= 2.0 * xi
-        return q
+        return _slope_scale(2.0, xi, q)
     q /= np.multiply(w, r, out=w)
-    q *= xi
-    q *= 2.0 * sys.lam
+    return _slope_scale(2.0 * sys.lam, xi, q)
+
+
+def _slope_scale(factor: float, xi, q):
+    """q*factor, then times xi on its rows below xi = 1 and over xi on the
+    others, so a tiny xi at a large lam rounds once, where the result does."""
+    q *= factor
+    if xi.size == 1:
+        x = xi.item()
+        return np.multiply(q, x, out=q) if x < 1.0 else np.divide(q, x, out=q)
+    below = xi < 1.0  # a column operand costs a block of its own
+    if below.any():
+        q *= np.where(below, xi, 1.0)
+    if not below.all():
+        q /= np.where(below, 1.0, xi)
     return q
 
 
@@ -483,11 +479,11 @@ def _coupling_integrand(sys: PotentialSystem, xi, nodes):
     return num
 
 
-def _coupling_sinc(lam: float, sinc, w):
-    sa, sb = sinc
+def _coupling_sinc(sys: PotentialSystem, xi, nodes):
+    (sa, sb), w = _well(sys, xi, nodes)
     sa *= sb
     r = np.sqrt(w, out=sb)
-    if abs(lam) > RESCALED_LAM:  # s/sqrt(w), then /w, underflows only where the result does
+    if abs(sys.lam) > RESCALED_LAM:  # s/sqrt(w), then /w, underflows only where the result does
         sa /= r
         sa /= w
     else:
@@ -498,20 +494,20 @@ def _coupling_sinc(lam: float, sinc, w):
 
 class _Kind(NamedTuple):
     """One period integral: its integrand, its word in NoConvergence, its
-    _floor derivative flag, its least amplitude at lam = -1, and whether its
-    integrand is positive wherever the well depth is accepted, so that its
-    rule of |f| is its rule of f, bit for bit, and need not be summed."""
+    _floor flags, its least amplitude at lam = -1, and whether it is > 0
+    where w is accepted, so its rule of |f| is its rule of f, unsummed."""
 
     integrand: object
     what: str
     derivative: bool
     nilpotent_min: float
     positive: bool
+    difference: bool = False
 
 
 _PERIOD = _Kind(_period_integrand, "period", False, NILPOTENT_XI_MIN, True)  # 4/sqrt(w), w > 0
 _DEVIATION = _Kind(_deviation_integrand, "deviation", True, NILPOTENT_XI_MIN, False)
-_SLOPE = _Kind(_slope_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN, False)
+_SLOPE = _Kind(_slope_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN, False, True)
 _COUPLING = _Kind(_coupling_integrand, "derivative", True, NILPOTENT_DERIVATIVE_XI_MIN, False)
 
 
@@ -524,8 +520,8 @@ def _integrals(sys: PotentialSystem, *parts):
         parts = [part for part in parts if part[1].size] or parts[:1]
     if len(parts) == 1:  # one kind: no per-part bookkeeping
         (kind, xi), = parts
-        return _periodic(lambda rows, nodes: kind.integrand(sys, xi[rows, None], nodes),
-                         xi, REL_TOL, _floor(sys, xi, kind.derivative), kind.positive)
+        return _periodic(lambda rows, nodes: kind.integrand(sys, xi[rows, None], nodes), xi,
+                         REL_TOL, _floor(sys, xi, kind.derivative, kind.difference), kind.positive)
     xi, sizes = np.concatenate([x for _, x in parts]), [x.size for _, x in parts]
     bounds = np.add.accumulate([0] + sizes)  # part i: rows bounds[i] to bounds[i+1] - 1
 
@@ -536,28 +532,32 @@ def _integrals(sys: PotentialSystem, *parts):
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     derivative = np.array([kind.derivative for kind, _ in parts]).repeat(sizes)
-    return _periodic(f, xi, REL_TOL, _floor(sys, xi, derivative))
+    difference = np.array([kind.difference for kind, _ in parts]).repeat(sizes)
+    return _periodic(f, xi, REL_TOL, _floor(sys, xi, derivative, difference))
 
 
-def _floor(sys: PotentialSystem, xi: np.ndarray, derivative):
+def _floor(sys: PotentialSystem, xi: np.ndarray, derivative, difference=False):
     """The rounding floor of the integrals at the amplitudes xi: where w is
     taken directly it cancels as g(xi) at the turning point, and T goes as
     w^-1/2; a derivative goes as w^-3/2, and it and the deviation T - 2*pi
-    are carried by sinc(a) and sinc(b), whose arguments round by EPS*xi/2.
-    derivative is one flag (a kind's) or one per amplitude.  One amplitude
-    takes its floor in floats, to the same bits."""
+    are carried by sinc(a) and sinc(b), whose arguments round by EPS*xi/2;
+    the slope's sinc x - cos x (difference) cancels as 4*EPS/xi^2 from xi =
+    1 up.  Flags are a kind's or per amplitude; one amplitude's are floats."""
     if xi.size == 1:
         x, cancellation = xi.item(), 1.0
         if sys.lam >= 0.0 or x >= 1.0:  # _well takes w directly
             lsx = sys.lam * math.sin(x)
             g = x + lsx  # 0 only past the edge, where numpy's quotient is inf
             cancellation = (x + abs(lsx)) / g if g else math.inf
+        r = 2.0 / x if x >= 1.0 else 0.0
     else:
         x, lsx = xi, sys.lam * np.sin(xi)
         direct = True if sys.lam >= 0.0 else xi >= 1.0  # _well's rows that take w directly
         cancellation = np.divide(xi + np.abs(lsx), xi + lsx, out=np.ones(xi.size), where=direct)
+        r = np.where(xi >= 1.0, 2.0 / xi, 0.0)
     floor = (0.5 + derivative) * CANCELLATION_FLOOR * cancellation
     floor += derivative * (0.5 * EPS * x)  # 0.0 where not a derivative, which adds exactly
+    floor += difference * (EPS * (r * r))
     return max(floor, ROUNDING_FLOOR) if xi.size == 1 else np.maximum(ROUNDING_FLOOR, floor)
 
 

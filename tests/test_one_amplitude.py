@@ -78,6 +78,11 @@ def test_one_j1_integral_gives_the_bits_of_a_batched_row(x, partner):
     (-0.0, 1.0, 3.0),
     (LAM_C * (1 - 1e-8), X_MIN, 1.0),  # the runaway: rounding-limited, unconverged
     (6.0, 3.9, 1.0),        # NonMonotoneEnergy
+    (1.0, 1.0, 0.5),        # the slope's R next to a row of its series, taken again
+    (1.0, math.nextafter(1.0, 0.0), 2.0),
+    (0.0, 1.0, 1e-140),     # below FULL_CLAMP_XI every half argument is raised
+    (0.0, math.nextafter(1.0, 0.0), 1e-140),
+    (2.25, 1.0, 1e-140),
 ])
 def test_fixed_cases_give_the_bits_of_a_batched_row(name, lam, x, partner):
     one, pair = _one_and_pair(name, lam, x, partner)
